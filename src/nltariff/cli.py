@@ -8,6 +8,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,7 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
     """Solve one scenario and write report.json plus the data tables."""
     config = load_config(config_path)
     if full_tariff:
-        object.__setattr__(config, "simplified_tariff", False)
+        config = replace(config, simplified_tariff=False)
     params = config.params
     tariff, p_star, boundary, extras = _solve(config)
 
@@ -320,30 +321,13 @@ def _scaled_config(config, param, value):
         if res.kind == "constant":
             new_res = ConstantReservation(res.H * value)
         else:
-            new_res = ConcaveReservation(
-                h=(lambda x, r=res, v=value: v * r(x)),
-                h_prime=(lambda x, r=res, v=value: v * r.prime(x)),
-            )
-        new_params = ModelParams(
-            gamma=params.gamma, horizon=params.horizon, time_grid=params.time_grid,
-            phi=params.phi, k=params.k, n=params.n, g=params.g, f=params.f,
-            reservation=new_res, cost_table=params.cost_table,
-        )
+            new_res = ConcaveReservation.from_table(res.x, value * res.values, value * res.derivative)
+        new_params = replace(params, reservation=new_res)
     elif param == "k_scale":
-        new_params = ModelParams(
-            gamma=params.gamma, horizon=params.horizon, time_grid=params.time_grid,
-            phi=params.phi, k=params.k * value, n=params.n, g=params.g, f=params.f,
-            reservation=params.reservation, cost_table=params.cost_table,
-        )
+        new_params = replace(params, k=params.k * value)
     else:
         raise ConfigError("param", f"unknown sweep parameter {param!r} (H_scale | k_scale)")
-    return ScenarioConfig(
-        params=new_params, root_tol=config.root_tol, x_grid_size=config.x_grid_size,
-        c_grid_size=config.c_grid_size, c_min=config.c_min, c_max=config.c_max,
-        simplified_tariff=config.simplified_tariff,
-        force_general_route=config.force_general_route,
-        tariff_samples=config.tariff_samples, type_samples=config.type_samples,
-    )
+    return replace(config, params=new_params)
 
 
 def run_sweep(config_path, param, values, out_dir, full_tariff=False):
@@ -352,7 +336,7 @@ def run_sweep(config_path, param, values, out_dir, full_tariff=False):
         raise ConfigError("values", "a sweep needs at least two values")
     base = load_config(config_path)
     if full_tariff:
-        object.__setattr__(base, "simplified_tariff", False)
+        base = replace(base, simplified_tariff=False)
     rows = []
     for v in sorted(values):
         cfg = _scaled_config(base, param, float(v))

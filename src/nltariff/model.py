@@ -176,6 +176,7 @@ class TabulatedCost:
     c: np.ndarray
     K: np.ndarray
     Kc: np.ndarray
+    _g_K_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_samples(c, K, Kc):
@@ -195,6 +196,15 @@ class TabulatedCost:
 
     def marginal(self, c):
         return np.interp(c, self.c, self.Kc)
+
+    def g_K_table(self, gamma):
+        """Samples (c, c K'(c)^(1/(1-gamma))) of the increasing map g_K on a
+        dense grid, for inverting it by interpolation; built once per gamma
+        and kept on this cost."""
+        if gamma not in self._g_K_tables:
+            c = np.geomspace(1e-9, self.c[-1], 4097)
+            self._g_K_tables[gamma] = (c, c * self.marginal(c) ** (1.0 / (1.0 - gamma)))
+        return self._g_K_tables[gamma]
 
 
 # ---------------------------------------------------------------------------

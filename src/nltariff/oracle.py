@@ -37,26 +37,43 @@ def _screening_weight(params, x_nodes):
     return (params.g(x_nodes) * params.f.pdf(x_nodes) + gp * (params.f.cdf(x_nodes) - 1.0)) / gp
 
 
-def _pointwise_best_slopes(params, x_nodes, slope_grid, marginal_cost):
-    """Per (t,x) maximizer of w(x) s - kappa(t) f(x) c(s) over the slope grid."""
+def _slope_tables(params, x_nodes, slope_grid):
+    """Consumption c(s) per (t, x, s), the mask of pairs whose gain
+    w(x) s - kappa(t) f(x) c(s) is never finite, and w(x) s.
+
+    None of them depends on the marginal cost kappa, so a fixed point
+    computes them once and only the cost term changes between rounds.
+    """
     gamma = params.gamma
     gp = params.g.prime(x_nodes)
-    w = _screening_weight(params, x_nodes)
-    fvals = params.f.pdf(x_nodes)
-    nt = params.time_grid.size
-    slopes = np.empty((nt, x_nodes.size))
-    cons = np.empty((nt, x_nodes.size))
-    for i in range(nt):
+    ws = _screening_weight(params, x_nodes)[:, None] * slope_grid[None, :]
+    cons = np.empty((params.time_grid.size,) + ws.shape)
+    for i in range(params.time_grid.size):
         base = gamma / (params.phi[i] * gp[:, None]) * slope_grid[None, :]
         with np.errstate(divide="ignore", over="ignore"):
             c_of_s = np.where(base > 0, base, np.inf) ** (1.0 / gamma)
         if gamma > 0:
             c_of_s = np.where(base > 0, c_of_s, 0.0)
-        gain = w[:, None] * slope_grid[None, :] - marginal_cost[i] * fvals[:, None] * c_of_s
-        gain = np.where(np.isfinite(gain), gain, -np.inf)
+        cons[i] = c_of_s
+    never = ~np.isfinite(cons) | ~np.isfinite(ws)
+    return cons, never, ws
+
+
+def _pointwise_best_slopes(tables, slope_grid, fvals, marginal_cost):
+    """Per (t,x) maximizer of w(x) s - kappa(t) f(x) c(s) over the slope grid,
+    from the tables of ``_slope_tables``."""
+    cons_of_s, never, ws = tables
+    nt, nx, _ = cons_of_s.shape
+    slopes = np.empty((nt, nx))
+    cons = np.empty((nt, nx))
+    gain = np.empty_like(ws)
+    for i in range(nt):
+        np.multiply(marginal_cost[i] * fvals[:, None], cons_of_s[i], out=gain)
+        np.subtract(ws, gain, out=gain)
+        np.copyto(gain, -np.inf, where=never[i])
         arg = np.argmax(gain, axis=1)
         slopes[i] = slope_grid[arg]
-        cons[i] = np.take_along_axis(c_of_s, arg[:, None], axis=1)[:, 0]
+        cons[i] = np.take_along_axis(cons_of_s[i], arg[:, None], axis=1)[:, 0]
     return slopes, cons
 
 
@@ -80,6 +97,8 @@ def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
         aggregate = np.maximum(warm_start, 1e-9)
     else:
         aggregate = np.full(params.time_grid.size, 1e-3)
+    tables = _slope_tables(params, x_nodes, slope_grid)
+    fvals = params.f.pdf(x_nodes)
     best = (-np.inf, None, None, 0)
     stall = 0
     step = np.inf
@@ -87,7 +106,7 @@ def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
         kappa = np.array([eval_marginal_cost(t, aggregate[i], params)
                           for i, t in enumerate(params.time_grid)])
         kappa = np.maximum(kappa, 1e-12)
-        slopes, cons = _pointwise_best_slopes(params, x_nodes, slope_grid, kappa)
+        slopes, cons = _pointwise_best_slopes(tables, slope_grid, fvals, kappa)
         value, agg_actual = _objective_given_slopes(params, x_nodes, slopes, cons)
         if best[1] is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
             best = (value, slopes, agg_actual, it)

@@ -18,7 +18,8 @@ from .model import eval_cost, eval_marginal_cost
 from .numerics import cumtrapz, trapezoid
 from .solver_const_h import B_gamma, time_weight, upper_bracket
 from .tariff import TabulatedSegment, Tariff, TariffSegment
-from .uconvex import _utility_surface
+# perfbench/tracing.py looks up _utility_surface in this module by name
+from .uconvex import _u_conjugate, _utility_surface, u_transform_indirect_to_price  # noqa: F401
 
 GRID_SIZE = 256
 ZOOM_ROUNDS = 7
@@ -153,21 +154,9 @@ def capacity_A_typed(t_index, ell, params):
         k = params.k[t_index]
         return (phi / k) ** (1.0 / (params.n - g)) * ell ** ((1.0 - g) / (params.n - g))
     # tabulated cost: invert g_K through a dense monotone table
-    tab = _gk_table(params, t_index)
+    c, gk = params.cost_table.g_K_table(g)
     y = params.phi[t_index] ** (1.0 / (1.0 - g)) * ell
-    return np.interp(y, tab[1], tab[0])
-
-
-_GK_CACHE = {}
-
-
-def _gk_table(params, t_index):
-    key = (id(params.cost_table), t_index, params.gamma)
-    if key not in _GK_CACHE:
-        c = np.geomspace(1e-9, params.cost_table.c[-1], 4097)
-        gk = c * params.cost_table.marginal(c) ** (1.0 / (1.0 - params.gamma))
-        _GK_CACHE[key] = (c, gk)
-    return _GK_CACHE[key]
+    return np.interp(y, gk, c)
 
 
 def constraint_check_A2prime(a0, b0, params, ell_table=None):
@@ -615,8 +604,6 @@ def build_tariff_typed_h(config, solution):
 def _sampled_emission(config, p_star, meta):
     """Fully sampled tariff for the degenerate single-component emissions."""
     params = config.params
-    from .uconvex import u_transform_indirect_to_price
-
     c_grid = (np.geomspace(config.c_min, config.c_max, config.c_grid_size)
               if params.gamma < 0 else np.linspace(0.0, config.c_max, config.c_grid_size))
     price, _ = u_transform_indirect_to_price(p_star.sample(np.linspace(0.0, 1.0, 2001)), params, c_grid=c_grid)
@@ -636,20 +623,14 @@ def _bridge_segment(params, p_star, c_lo, c_hi):
     The boundary types are inserted into the conjugation grid so junction
     prices coincide with the adjacent polynomial segments to float precision.
     """
-    nt = params.time_grid.size
     xg = np.linspace(0.0, 1.0, 1501)
     inserts = [p_star.meta.get("a0"), p_star.meta.get("b0")]
     xg = np.unique(np.concatenate([xg, [v for v in inserts if v is not None]]))
-    vals = p_star.values(xg)
-    c_knots = np.empty((nt, 65))
-    p_knots = np.empty((nt, 65))
-    for i in range(nt):
-        lo = max(c_lo[i], 1e-9 if params.gamma < 0 else 0.0)
-        hi = max(c_hi[i], lo * (1.0 + 1e-12) if lo > 0 else 1e-9)
-        cs = np.linspace(lo, hi, 65)
-        surf = _utility_surface(params, xg, cs)[i] - vals[i][:, None]
-        c_knots[i] = cs
-        p_knots[i] = np.max(surf, axis=0)
+    lo = np.maximum(c_lo, 1e-9 if params.gamma < 0 else 0.0)
+    hi = np.where(lo > 0, np.maximum(c_hi, lo * (1.0 + 1e-12)), np.maximum(c_hi, 1e-9))
+    c_knots = np.linspace(lo, hi, 65, axis=1)
+    p_knots, _ = _u_conjugate(params.phi, params.g(xg), c_knots ** params.gamma, params.gamma,
+                              p_star.values(xg), over_x=True)
     return TabulatedSegment(c_lo=c_lo, c_hi=c_hi, c_knots=c_knots, p_knots=p_knots, label="bridge")
 
 

@@ -70,15 +70,97 @@ def default_c_grid(params, c_min=1e-4, c_max=1e3, size=513):
 def _utility_surface(params, x_grid, c_grid):
     """u(t_i, x_j, c_k) for all grid combinations, shape (n_t, n_x, n_c).
 
-    Rows follow params.time_grid; sampled prices and indirect utilities are
-    always stored with that alignment.
+    The dense reference for ``_u_conjugate``: no solver path calls it, the
+    tests compare against it, and perfbench/tracing.py wraps it by name.
     """
     gamma = params.gamma
-    if gamma < 0 and np.any(c_grid <= 0):
+    cpow = _c_power(params, c_grid)
+    return params.phi[:, None, None] * params.g(x_grid)[None, :, None] * cpow[None, None, :] / gamma
+
+
+def _c_power(params, c_grid):
+    if params.gamma < 0 and np.any(c_grid <= 0):
         raise InvalidParams("c_grid", "consumption grid must be positive when gamma < 0")
-    gx = params.g(x_grid)
-    cpow = c_grid ** gamma
-    return params.phi[:, None, None] * gx[None, :, None] * cpow[None, None, :] / gamma
+    return c_grid ** params.gamma
+
+
+def _lower_hull(a, v):
+    """Mask of the vertices of the lower convex hull of the points
+    (a[j], v[i, j]), one hull per row i; ``a`` is nondecreasing.
+
+    A point on or above the chord between its live neighbours is dropped;
+    after the first sweep only the neighbours of dropped points are tested
+    again, until none drops. The two end points of a row always stay. The
+    work is O(n) per row plus a constant per sweep, and a concave pocket of
+    depth d takes d sweeps.
+    """
+    nt, n = v.shape
+    live = np.ones(nt * n, dtype=bool)
+    flat = v.ravel()
+    prv = np.arange(-1, nt * n - 1)
+    nxt = np.arange(1, nt * n + 1)
+    test = np.flatnonzero(np.tile((np.arange(n) > 0) & (np.arange(n) < n - 1), nt))
+    while test.size:
+        lo, hi = prv[test], nxt[test]
+        a_lo = a[lo % n]
+        v_lo = flat[lo]
+        drop = test[(flat[test] - v_lo) * (a[hi % n] - a_lo) >= (flat[hi] - v_lo) * (a[test % n] - a_lo)]
+        if not drop.size:
+            break
+        live[drop] = False
+        # unlink each maximal run of dropped points from the live points around it
+        linked = nxt[drop[:-1]] == drop[1:]
+        left = prv[drop[np.concatenate([[True], ~linked])]]
+        right = nxt[drop[np.concatenate([~linked, [True]])]]
+        nxt[left] = right
+        prv[right] = left
+        test = np.union1d(left, right)
+        test = test[(test % n > 0) & (test % n < n - 1)]
+    return live.reshape(nt, n)
+
+
+def _u_conjugate(phi, gx, cpow, gamma, values, over_x):
+    """Exact grid maxima of phi[i] * gx[j] * cpow[k] / gamma - values[i, .].
+
+    ``over_x``: the maximum runs over j, ``values`` has shape (n_t, n_x) and
+    ``cpow`` shape (n_c,) or (n_t, n_c); the result has shape (n_t, n_c).
+    Otherwise the maximum runs over k, ``values`` has shape (n_t, n_c) and
+    the result shape (n_t, n_x). Returns (maxima, argmax indices).
+
+    The maximand is linear in the maximized variable's factor, with slope
+    phi * (other factor) / gamma, so each maximum is the convex conjugate of
+    the points (factor, values) at that slope (Lucet 1997). ``gx`` and
+    ``cpow`` are strictly monotone: the hull of the points is found once per
+    row and each query's vertex by ``searchsorted``, O(n_x + n_c) per row.
+    The winner and its two hull neighbours are then evaluated in the dense
+    formula's own operation order, ties going to the lowest index as with
+    ``np.argmax``, so the maxima equal the dense ones up to rounding in the
+    choice between nearly tied grid points.
+    """
+    nt = values.shape[0]
+    a, q = (gx, cpow) if over_x else (cpow, gx)
+    flip = a[-1] < a[0]
+    a_up, v_up = (a[::-1], values[:, ::-1]) if flip else (a, values)
+    hull = _lower_hull(a_up, v_up)
+    slopes = np.broadcast_to(phi[:, None] * q / gamma, (nt, q.shape[-1]))
+    cand = np.empty(slopes.shape + (3,), dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(nt):
+            verts = np.flatnonzero(hull[i])
+            edge = np.diff(v_up[i, verts]) / np.diff(a_up[verts])
+            k = np.searchsorted(edge, slopes[i])
+            cand[i] = verts[np.clip(k[:, None] + np.array([-1, 0, 1]), 0, verts.size - 1)]
+    if flip:
+        cand = a.size - 1 - cand
+    taken = np.take_along_axis(values, cand.reshape(nt, -1), axis=1).reshape(cand.shape)
+    if over_x:
+        u = phi[:, None, None] * gx[cand] * cpow[..., None] / gamma
+    else:
+        u = phi[:, None, None] * gx[None, :, None] * cpow[cand] / gamma
+    cand_vals = u - taken
+    best = np.max(cand_vals, axis=2)
+    arg = np.min(np.where(cand_vals == best[:, :, None], cand, a.size), axis=2)
+    return best, arg
 
 
 def u_transform_price_to_indirect(p, params, x_grid=None):
@@ -90,9 +172,8 @@ def u_transform_price_to_indirect(p, params, x_grid=None):
     if x_grid is None:
         x_grid = np.linspace(0.0, 1.0, 401)
     x_grid = np.asarray(x_grid, dtype=float)
-    surf = _utility_surface(params, x_grid, p.c_grid) - p.values[:, None, :]
-    arg = np.argmax(surf, axis=2)
-    vals = np.take_along_axis(surf, arg[:, :, None], axis=2)[:, :, 0]
+    vals, arg = _u_conjugate(params.phi, params.g(x_grid), _c_power(params, p.c_grid),
+                             params.gamma, p.values, over_x=False)
     return SampledFunctionOfType(x_grid=x_grid, values=vals), arg
 
 
@@ -101,9 +182,8 @@ def u_transform_indirect_to_price(p_star, params, c_grid=None):
     if c_grid is None:
         c_grid = default_c_grid(params)
     c_grid = np.asarray(c_grid, dtype=float)
-    surf = _utility_surface(params, p_star.x_grid, c_grid) - p_star.values[:, :, None]
-    arg = np.argmax(surf, axis=1)
-    vals = np.take_along_axis(surf, arg[:, None, :], axis=1)[:, 0, :]
+    vals, arg = _u_conjugate(params.phi, params.g(p_star.x_grid), _c_power(params, c_grid),
+                             params.gamma, p_star.values, over_x=True)
     return SampledFunctionOfConsumption(c_grid=c_grid, values=vals), arg
 
 

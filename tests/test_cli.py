@@ -194,3 +194,15 @@ def test_typed_sweep_emits_boundary_columns(tmp_path):
     # stronger outside options shrink the served set and the profit
     assert rows[0]["U_P"] >= rows[1]["U_P"] - 1e-10
     assert rows[0]["a0"] <= rows[1]["a0"] + 1e-10
+
+
+def test_h_sweep_scales_a_tabulated_reservation(tmp_path):
+    """H_scale on a tabulated H scales its table, so the assumption probe sees
+    the same elasticity ratio H/H' at every value."""
+    code = main(["sweep", str(CONFIG_DIR / "residential_log_h.json"), "--param", "H_scale",
+                 "--values", "0.5,0.75,1.0,1.25,1.5", "--out", str(tmp_path / "o")])
+    assert code == 0
+    rows = read_csv(tmp_path / "o" / "sweep.csv")
+    assert [float(r["value"]) for r in rows] == [0.5, 0.75, 1.0, 1.25, 1.5]
+    report = run_scenario(CONFIG_DIR / "residential_log_h.json", tmp_path / "solve")
+    assert float(rows[2]["U_P"]) == float(f"{report['principal_utility']:.12g}")

@@ -417,3 +417,38 @@ def test_general_route_matches_closed_form_via_tabulated_cost():
     assert sol_g.a0 == sol_c.a0 == 1.0
     assert abs(sol_g.b0 - sol_c.b0) < 1e-3
     assert abs(sol_g.objective - sol_c.objective) < 1e-4
+
+
+def test_tabulated_cost_inverse_does_not_leak_between_scenarios():
+    """Each tabulated cost is inverted through its own table, also when a
+    later table takes the place in memory of one already freed."""
+    from nltariff.model import ModelParams, TabulatedCost, TasteMap, TypeDistribution
+
+    res = log_reservation()
+    cs = np.geomspace(1e-8, 20.0, 6000)
+
+    def table(scale):            # K = scale c^2 / 2
+        return TabulatedCost.from_samples(cs, scale * cs ** 2 / 2.0, scale * cs)
+
+    def solve(cost_table):
+        params = ModelParams(
+            gamma=-1.0, horizon=1.0, time_grid=np.linspace(0.0, 1.0, 3),
+            phi=np.ones(3), k=np.ones(3), n=None, cost_table=cost_table,
+            g=TasteMap(form="canonical", gamma_sign=-1),
+            f=TypeDistribution.uniform(), reservation=res,
+        )
+        sol = solve_a0_b0_star(ScenarioConfig(params=params))
+        return sol.a0, sol.b0, sol.objective
+
+    cold = solve(table(8.0))
+    first = table(1.0)
+    closed = solve_a0_b0_star(ScenarioConfig(params=canonical_params(-1.0, reservation=res, time_nodes=3)))
+    assert abs(solve(first)[1] - closed.b0) < 1e-3
+    # a new table at the address of the freed one, where the allocator allows
+    freed, first = id(first), None
+    held = []
+    second = table(8.0)
+    while id(second) != freed and len(held) < 200:
+        held.append(second)
+        second = table(8.0)
+    assert solve(second) == cold

@@ -193,3 +193,72 @@ def test_convex_surface_gap_within_grid_resolution_bound():
     bound = 2.0 * max(np.abs(np.diff(p_star.values, axis=1)).max(),
                       np.abs(np.diff(price.values, axis=1)).max())
     assert rep.max_biconjugation_gap <= bound
+
+
+# -- the hull conjugate against the dense surface --------------------------------
+
+def dense_conjugate(params, x, c, values, over_x):
+    """Maxima and argmax of u - values over the dense (n_t, n_x, n_c) surface."""
+    from nltariff.uconvex import _utility_surface
+
+    surf = _utility_surface(params, x, c)
+    surf = surf - (values[:, :, None] if over_x else values[:, None, :])
+    axis = 1 if over_x else 2
+    return np.max(surf, axis=axis), np.argmax(surf, axis=axis), surf
+
+
+def assert_matches_dense(params, x, c, values, over_x, same_arg=False):
+    from nltariff.uconvex import _u_conjugate
+
+    got, arg = _u_conjugate(params.phi, params.g(x), c ** params.gamma, params.gamma,
+                            values, over_x=over_x)
+    ref, ref_arg, surf = dense_conjugate(params, x, c, values, over_x)
+    tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(got - ref) <= tol)
+    at_arg = np.take_along_axis(surf, np.expand_dims(arg, 1 if over_x else 2),
+                                axis=1 if over_x else 2).squeeze(1 if over_x else 2)
+    assert np.all(np.abs(at_arg - ref) <= tol)
+    if same_arg:
+        np.testing.assert_array_equal(arg, ref_arg)
+
+
+def kernel_grids(gamma):
+    # increasing g with a linear c-grid through 0; decreasing g with a geomspace grid
+    params = canonical_params(gamma, reservation=ConstantReservation(0.05 if gamma > 0 else -0.1),
+                              phi=np.array([0.7, 1.0, 1.3]), time_nodes=3)
+    c = np.linspace(0.0, 4.0, 173) if gamma > 0 else np.geomspace(1e-3, 4.0, 173)
+    return params, np.linspace(0.0, 1.0, 97), c
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_conjugate_matches_dense_on_nonconvex_inputs(gamma, seed):
+    params, x, c = kernel_grids(gamma)
+    rng = np.random.default_rng(seed)
+    assert_matches_dense(params, x, c, rng.normal(size=(3, x.size)), over_x=True)
+    assert_matches_dense(params, x, c, rng.normal(size=(3, c.size)), over_x=False)
+    # smooth but non-convex rows: long runs of removed points between hull vertices
+    assert_matches_dense(params, x, c, np.sin(6.0 * x)[None, :] + rng.normal(size=(3, 1)), over_x=True)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_hull_conjugate_matches_dense_on_exact_ties(gamma):
+    """Where grid points tie exactly, the lowest index wins, as in np.argmax."""
+    params, x, c = kernel_grids(gamma)
+    assert_matches_dense(params, x, c, np.full((3, c.size), 0.7), over_x=False, same_arg=True)
+    assert_matches_dense(params, x, c, np.tile(0.4 * x - 0.1, (3, 1)), over_x=True, same_arg=True)
+    assert_matches_dense(params, x, c, np.zeros((3, x.size)), over_x=True, same_arg=True)
+
+
+@pytest.mark.parametrize("case", ["typed_a", "typed_b"])
+def test_bridge_knots_equal_dense_reference(case, request):
+    from nltariff.uconvex import _utility_surface
+
+    sol, tariff, p_star = request.getfixturevalue(f"{case}_solution")
+    params = request.getfixturevalue(f"{case}_config").params
+    bridge = next(s for s in tariff.segments if s.label == "bridge")
+    xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [sol.a0, sol.b0]]))
+    vals = p_star.values(xg)
+    for i in range(params.time_grid.size):
+        dense = _utility_surface(params, xg, bridge.c_knots[i])[i] - vals[i][:, None]
+        np.testing.assert_array_equal(bridge.p_knots[i], np.max(dense, axis=0))
