@@ -22,7 +22,6 @@ from .errors import (
     InvalidParams,
     InvalidReservation,
     NonConvergence,
-    NoRoot,
 )
 from .evaluation import principal_utility, relaxed_objective
 from .model import (

@@ -119,9 +119,6 @@ class IndirectUtility:
         vals = self.values(x)
         return trapezoid(vals.T, self.time_grid)
 
-    def P_star_prime(self, x):
-        return trapezoid(self.slopes(x).T, self.time_grid)
-
     def sample(self, x_grid=None):
         g = self.x_grid if x_grid is None else np.asarray(x_grid, dtype=float)
         return SampledFunctionOfType(x_grid=g, values=self.values(g))
@@ -152,9 +149,6 @@ class ParticipationSet:
         for (lo, hi) in self.intervals:
             out |= (x >= lo - 1e-12) & (x <= hi + 1e-12)
         return out
-
-    def measure(self):
-        return sum(hi - lo for lo, hi in self.intervals)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .model import (
     ConstantReservation,
     ModelParams,
     ScenarioConfig,
+    TabulatedCost,
     TasteMap,
     TypeDistribution,
 )
@@ -48,45 +49,89 @@ def _require(doc, key, kind=None):
     return val
 
 
+def _number(doc, key, default=None, field=None):
+    """A finite number; ``default`` when the key is absent, required without one."""
+    if default is not None and key not in doc:
+        return float(default)
+    val = _require(doc, key)
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not np.isfinite(val):
+        raise ConfigError(field or key, f"expected a finite number, got {val!r}")
+    return float(val)
+
+
+def _count(doc, key, default, minimum=1):
+    val = doc.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
+        raise ConfigError(key, f"expected an integer >= {minimum}, got {val!r}")
+    return val
+
+
+def _flag(doc, key, default):
+    val = doc.get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigError(key, f"expected true or false, got {val!r}")
+    return val
+
+
+def _block(doc, key, default):
+    val = doc.get(key, default)
+    if not isinstance(val, dict):
+        raise ConfigError(key, f"expected an object, got {type(val).__name__}")
+    return val
+
+
+def _floats(val, field):
+    try:
+        return np.asarray(val, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, f"expected numbers ({exc})") from None
+
+
+def _samples(block, field, *keys):
+    """The arrays ``block[key]`` of a tabulated input: one length, each with
+    at least two samples, all finite."""
+    arrays = []
+    for key in keys:
+        if key not in block:
+            raise ConfigError(field, f"tabulated form needs {key!r}")
+        arr = _floats(block[key], field)
+        if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
+            raise ConfigError(field, f"{key!r} needs a list of at least two finite numbers")
+        arrays.append(arr)
+    if len({arr.size for arr in arrays}) > 1:
+        raise ConfigError(field, f"{', '.join(keys)} differ in length")
+    return arrays
+
+
 def _time_profile(doc, key, time_grid):
     raw = doc.get(key, 1.0)
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return np.full(time_grid.shape, float(raw))
-    arr = np.asarray(raw, dtype=float)
+    arr = _floats(raw, key)
     if arr.shape != time_grid.shape:
-        raise ConfigError(key, f"length {arr.size} does not match time grid ({time_grid.size})")
+        raise ConfigError(key, f"shape {arr.shape} does not match the time grid ({time_grid.size} nodes)")
     return arr
 
 
 def _taste_map(doc, gamma):
-    block = doc.get("g", {"form": "canonical"})
+    block = _block(doc, "g", {"form": "canonical"})
     form = block.get("form", "canonical")
+    sign = 1 if gamma > 0 else -1
     if form == "canonical":
-        return TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1)
+        return TasteMap(form="canonical", gamma_sign=sign)
     if form == "tabulated":
-        try:
-            return TasteMap(
-                form="tabulated",
-                gamma_sign=1 if gamma > 0 else -1,
-                x=np.asarray(block["x"], dtype=float),
-                values=np.asarray(block["values"], dtype=float),
-                derivative=np.asarray(block["derivative"], dtype=float),
-            )
-        except KeyError as exc:
-            raise ConfigError("g", f"tabulated form needs {exc}") from None
+        x, values, derivative = _samples(block, "g", "x", "values", "derivative")
+        return TasteMap(form="tabulated", gamma_sign=sign, x=x, values=values, derivative=derivative)
     raise ConfigError("g", f"unknown form {form!r}")
 
 
 def _type_distribution(doc):
-    block = doc.get("f", {"form": "uniform"})
+    block = _block(doc, "f", {"form": "uniform"})
     form = block.get("form", "uniform")
     if form == "uniform":
         return TypeDistribution.uniform()
     if form == "tabulated":
-        try:
-            return TypeDistribution.tabulated(block["x"], block["density"])
-        except KeyError as exc:
-            raise ConfigError("f", f"tabulated form needs {exc}") from None
+        return TypeDistribution.tabulated(*_samples(block, "f", "x", "density"))
     raise ConfigError("f", f"unknown form {form!r}")
 
 
@@ -94,14 +139,9 @@ def _reservation(doc):
     block = _require(doc, "reservation", dict)
     form = block.get("form")
     if form == "constant":
-        return ConstantReservation(float(_require(block, "value")))
+        return ConstantReservation(_number(block, "value", field="reservation"))
     if form == "concave":
-        try:
-            return ConcaveReservation.from_table(
-                block["x"], block["values"], block["derivative"]
-            )
-        except KeyError as exc:
-            raise ConfigError("reservation", f"concave form needs {exc}") from None
+        return ConcaveReservation.from_table(*_samples(block, "reservation", "x", "values", "derivative"))
     raise ConfigError("reservation", f"unknown form {form!r} (constant | concave)")
 
 
@@ -111,44 +151,43 @@ def load_config(path):
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("<file>", str(exc)) from None
-    gamma = float(_require(doc, "gamma", (int, float)))
-    horizon = float(doc.get("horizon", 1.0))
+    if not isinstance(doc, dict):
+        raise ConfigError("<file>", "expected a JSON object")
+    gamma = _number(doc, "gamma")
+    horizon = _number(doc, "horizon", 1.0)
     if "time_grid" in doc:
-        time_grid = np.asarray(doc["time_grid"], dtype=float)
+        time_grid = _floats(doc["time_grid"], "time_grid")
     else:
-        time_grid = np.linspace(0.0, horizon, int(doc.get("time_nodes", 9)))
+        time_grid = np.linspace(0.0, horizon, _count(doc, "time_nodes", 9, minimum=2))
     cost_table = None
     if "cost_table" in doc:
-        block = doc["cost_table"]
-        try:
-            from .model import TabulatedCost
-            cost_table = TabulatedCost.from_samples(block["c"], block["K"], block["marginal"])
-        except KeyError as exc:
-            raise ConfigError("cost_table", f"needs {exc}") from None
+        c, K, marginal = _samples(_block(doc, "cost_table", {}), "cost_table", "c", "K", "marginal")
+        cost_table = TabulatedCost.from_samples(c, K, marginal)
     params = ModelParams(
         gamma=gamma,
         horizon=horizon,
         time_grid=time_grid,
         phi=_time_profile(doc, "phi", time_grid),
         k=_time_profile(doc, "k", time_grid),
-        n=float(doc["n"]) if "n" in doc else None,
+        n=_number(doc, "n") if "n" in doc else None,
         g=_taste_map(doc, gamma),
         f=_type_distribution(doc),
         reservation=_reservation(doc),
         cost_table=cost_table,
     )
-    solver = doc.get("solver", {})
+    solver = _block(doc, "solver", {})
+    outputs = _block(doc, "outputs", {})
     return ScenarioConfig(
         params=params,
-        root_tol=float(solver.get("root_tol", 1e-12)),
-        x_grid_size=int(solver.get("x_grid_size", 2001)),
-        c_grid_size=int(solver.get("c_grid_size", 513)),
-        c_min=float(solver.get("c_min", 1e-4)),
-        c_max=float(solver.get("c_max", 1e3)),
-        simplified_tariff=bool(solver.get("simplified_tariff", True)),
-        force_general_route=bool(solver.get("force_general_route", False)),
-        tariff_samples=int(doc.get("outputs", {}).get("tariff_samples", 200)),
-        type_samples=int(doc.get("outputs", {}).get("type_samples", 201)),
+        root_tol=_number(solver, "root_tol", 1e-12),
+        x_grid_size=_count(solver, "x_grid_size", 2001),
+        c_grid_size=_count(solver, "c_grid_size", 513),
+        c_min=_number(solver, "c_min", 1e-4),
+        c_max=_number(solver, "c_max", 1e3),
+        simplified_tariff=_flag(solver, "simplified_tariff", True),
+        force_general_route=_flag(solver, "force_general_route", False),
+        tariff_samples=_count(outputs, "tariff_samples", 200),
+        type_samples=_count(outputs, "type_samples", 201),
     )
 
 
@@ -324,6 +363,8 @@ def _scaled_config(config, param, value):
             new_res = ConcaveReservation.from_table(res.x, value * res.values, value * res.derivative)
         new_params = replace(params, reservation=new_res)
     elif param == "k_scale":
+        if params.cost_table is not None:
+            raise ConfigError("param", "k_scale needs a power cost: a tabulated cost ignores k")
         new_params = replace(params, k=params.k * value)
     else:
         raise ConfigError("param", f"unknown sweep parameter {param!r} (H_scale | k_scale)")

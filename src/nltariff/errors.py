@@ -28,10 +28,6 @@ class ConvergenceError(NLTariffError):
     """An iterative routine failed to bracket or converge."""
 
 
-class NoRoot(NLTariffError):
-    """A scalar equation has no sign change on the admissible bracket."""
-
-
 class AssumptionViolation(NLTariffError):
     """A structural assumption required by the typed-reservation solver fails.
 

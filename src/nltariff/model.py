@@ -240,19 +240,20 @@ class ModelParams:
     def __post_init__(self):
         if not (self.gamma < 1.0) or self.gamma == 0.0:
             raise InvalidParams("gamma", f"need gamma in (-inf,0) or (0,1), got {self.gamma}")
-        if self.horizon <= 0:
-            raise InvalidParams("horizon", "T must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise InvalidParams("horizon", "T must be positive and finite")
         t = np.asarray(self.time_grid, dtype=float)
-        if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0):
+        if t.ndim != 1 or t.size < 2 or not np.all(np.diff(t) > 0):
             raise InvalidParams("time_grid", "need strictly increasing grid with >= 2 nodes")
         if abs(t[0]) > 1e-12 or abs(t[-1] - self.horizon) > 1e-9:
             raise InvalidParams("time_grid", "grid must run from 0 to horizon")
         phi = np.asarray(self.phi, dtype=float)
         k = np.asarray(self.k, dtype=float)
-        if phi.shape != t.shape or np.any(phi <= 0):
-            raise InvalidParams("phi", "phi must be positive on every time node")
-        if k.shape != t.shape or np.any(k <= 0):
-            raise InvalidParams("k", "k must be positive on every time node")
+        # NaN fails every comparison, so test for what must hold
+        if phi.shape != t.shape or not np.all((phi > 0) & (phi < np.inf)):
+            raise InvalidParams("phi", "phi must be finite and positive on every time node")
+        if k.shape != t.shape or not np.all((k > 0) & (k < np.inf)):
+            raise InvalidParams("k", "k must be finite and positive on every time node")
         if self.n is None:
             if self.cost_table is None:
                 raise InvalidParams("n", "need a power exponent or a tabulated cost")

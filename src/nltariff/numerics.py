@@ -102,8 +102,3 @@ def expand_bracket_increasing(f, target, hi0=1.0, max_doublings=300):
             return hi
         hi *= 2.0
     raise ConvergenceError(f"could not bracket target {target:.6g} by doubling")
-
-
-def interp_linear(x, xp, fp):
-    """np.interp with flat extrapolation, kept as one call site."""
-    return np.interp(x, xp, fp)

@@ -37,44 +37,75 @@ def _screening_weight(params, x_nodes):
     return (params.g(x_nodes) * params.f.pdf(x_nodes) + gp * (params.f.cdf(x_nodes) - 1.0)) / gp
 
 
-def _slope_tables(params, x_nodes, slope_grid):
-    """Consumption c(s) per (t, x, s), the mask of pairs whose gain
-    w(x) s - kappa(t) f(x) c(s) is never finite, and w(x) s.
-
-    None of them depends on the marginal cost kappa, so a fixed point
-    computes them once and only the cost term changes between rounds.
-    """
-    gamma = params.gamma
+def _row_constants(params, x_nodes):
+    """Per (t, x) row, time-major: a = gamma / (phi(t) g'(x)), so that the
+    consumption at slope s is c(s) = (a s)^(1/gamma), and the weight w(x)."""
     gp = params.g.prime(x_nodes)
-    ws = _screening_weight(params, x_nodes)[:, None] * slope_grid[None, :]
-    cons = np.empty((params.time_grid.size,) + ws.shape)
-    for i in range(params.time_grid.size):
-        base = gamma / (params.phi[i] * gp[:, None]) * slope_grid[None, :]
-        with np.errstate(divide="ignore", over="ignore"):
-            c_of_s = np.where(base > 0, base, np.inf) ** (1.0 / gamma)
-        if gamma > 0:
-            c_of_s = np.where(base > 0, c_of_s, 0.0)
-        cons[i] = c_of_s
-    never = ~np.isfinite(cons) | ~np.isfinite(ws)
-    return cons, never, ws
+    a = params.gamma / (params.phi[:, None] * gp[None, :])
+    w = np.tile(_screening_weight(params, x_nodes), params.time_grid.size)
+    return a.ravel(), w
 
 
-def _pointwise_best_slopes(tables, slope_grid, fvals, marginal_cost):
-    """Per (t,x) maximizer of w(x) s - kappa(t) f(x) c(s) over the slope grid,
-    from the tables of ``_slope_tables``."""
-    cons_of_s, never, ws = tables
-    nt, nx, _ = cons_of_s.shape
-    slopes = np.empty((nt, nx))
-    cons = np.empty((nt, nx))
-    gain = np.empty_like(ws)
-    for i in range(nt):
-        np.multiply(marginal_cost[i] * fvals[:, None], cons_of_s[i], out=gain)
-        np.subtract(ws, gain, out=gain)
-        np.copyto(gain, -np.inf, where=never[i])
-        arg = np.argmax(gain, axis=1)
-        slopes[i] = slope_grid[arg]
-        cons[i] = np.take_along_axis(cons_of_s[i], arg[:, None], axis=1)[:, 0]
-    return slopes, cons
+def _gain(gamma, a, w, kf, s):
+    """Gain w s - kf c(s) and consumption c(s) of the rows (a, w, kf) at
+    slopes s, one column per row. c(s) is 0 where a s <= 0, and a pair whose
+    c(s) or w s is not finite gains -inf."""
+    base = a * s
+    cons = base ** (1.0 / gamma)
+    cons[~(base > 0)] = 0.0
+    ws = w * s
+    gain = ws - kf * cons
+    gain[~(np.isfinite(cons) & np.isfinite(ws))] = -np.inf
+    return gain, cons
+
+
+def _pointwise_best_slopes(rows, slope_grid, gamma, kf):
+    """Per row of ``_row_constants``, the first maximizer over the slope grid of
+    the gain w s - kf c(s), as ``np.argmax`` over the whole row finds it, and
+    its consumption.
+
+    The gain is concave in s (c is convex on both branches), so the sign of
+    gain[k+1] - gain[k] changes at most once: a bisection on that sign,
+    vectorized over the rows, finds the peak, and a scan of five indices
+    around it absorbs rounding at the top. A row is scanned whole when one of
+    its probe pairs compared equal or unordered, when its window maximum sits
+    on a window edge inside the grid, or when its kf is not finite.
+    """
+    a, w = rows
+    n = slope_grid.size
+    pos = np.zeros(a.size, dtype=np.intp)
+    closest = np.full(a.size, np.inf)      # smallest |gain[k+1] - gain[k]| probed
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n > 1:
+            # count the leading k with gain[k+1] > gain[k]: a first probe at
+            # h - 1 leaves a range of h candidates, then steps h/2, ..., 1
+            pair = np.array([[0], [1]])
+            h = 1 << ((n - 1).bit_length() - 1)
+            step = h
+            while step:
+                gain, _ = _gain(gamma, a, w, kf, slope_grid.take(pos + (step - 1) + pair))
+                d = gain[1] - gain[0]
+                np.minimum(closest, np.abs(d), out=closest)
+                if step == h:
+                    pos[d > 0] = n - h
+                else:
+                    pos += step * (d > 0)
+                step >>= 1
+        width = min(5, n)
+        start = np.clip(pos - 2, 0, n - width)
+        gain, cons = _gain(gamma, a, w, kf, slope_grid.take(start + np.arange(width)[:, None]))
+        j = np.argmax(gain, axis=0)
+        cols = np.arange(a.size)
+        whole = (~(closest > 0) | np.isnan(gain[j, cols]) | ~np.isfinite(kf)
+                 | ((j == 0) & (start > 0)) | ((j == width - 1) & (start < n - width)))
+        best = start + j
+        cons = cons[j, cols]
+        if whole.any():
+            r = np.flatnonzero(whole)
+            gain, cons_r = _gain(gamma, a[r], w[r], kf[r], slope_grid[:, None])
+            best[r] = np.argmax(gain, axis=0)
+            cons[r] = cons_r[best[r], np.arange(r.size)]
+    return slope_grid[best], cons
 
 
 def _objective_given_slopes(params, x_nodes, slopes, cons):
@@ -82,7 +113,7 @@ def _objective_given_slopes(params, x_nodes, slopes, cons):
     fvals = params.f.pdf(x_nodes)
     flow = trapezoid(w[None, :] * slopes, x_nodes)
     aggregate = trapezoid(cons * fvals[None, :], x_nodes)
-    cost = np.array([eval_cost(t, aggregate[i], params) for i, t in enumerate(params.time_grid)])
+    cost = eval_cost(params.time_grid, aggregate, params)
     return float(params.time_integral(flow - cost)), aggregate
 
 
@@ -97,16 +128,17 @@ def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
         aggregate = np.maximum(warm_start, 1e-9)
     else:
         aggregate = np.full(params.time_grid.size, 1e-3)
-    tables = _slope_tables(params, x_nodes, slope_grid)
+    rows = _row_constants(params, x_nodes)
     fvals = params.f.pdf(x_nodes)
+    shape = (params.time_grid.size, x_nodes.size)
     best = (-np.inf, None, None, 0)
     stall = 0
     step = np.inf
     for it in range(1, FIXED_POINT_CAP + 1):
-        kappa = np.array([eval_marginal_cost(t, aggregate[i], params)
-                          for i, t in enumerate(params.time_grid)])
-        kappa = np.maximum(kappa, 1e-12)
-        slopes, cons = _pointwise_best_slopes(tables, slope_grid, fvals, kappa)
+        kappa = np.maximum(eval_marginal_cost(params.time_grid, aggregate, params), 1e-12)
+        kf = (kappa[:, None] * fvals[None, :]).ravel()
+        slopes, cons = _pointwise_best_slopes(rows, slope_grid, params.gamma, kf)
+        slopes, cons = slopes.reshape(shape), cons.reshape(shape)
         value, agg_actual = _objective_given_slopes(params, x_nodes, slopes, cons)
         if best[1] is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
             best = (value, slopes, agg_actual, it)

@@ -206,3 +206,86 @@ def test_h_sweep_scales_a_tabulated_reservation(tmp_path):
     assert [float(r["value"]) for r in rows] == [0.5, 0.75, 1.0, 1.25, 1.5]
     report = run_scenario(CONFIG_DIR / "residential_log_h.json", tmp_path / "solve")
     assert float(rows[2]["U_P"]) == float(f"{report['principal_utility']:.12g}")
+
+
+# the oracle block of `solve --oracle` on the shipped constant-H configs, as
+# computed by the full scan over the slope grid before the bisection search
+PINNED_ORACLE = {
+    "industrial_constant_h": {"value": "0.4320420714361879", "x0": "0.5828125000000001",
+                              "relative_gap": "3.90331873039383e-06", "iterations": "12"},
+    "residential_constant_h": {"value": "0.0018030376985333555", "x0": "0.9640625",
+                               "relative_gap": "0.00012521308585865728", "iterations": "15"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_ORACLE))
+def test_oracle_block_is_pinned(tmp_path, family):
+    out = tmp_path / "o"
+    assert main(["solve", str(CONFIG_DIR / f"{family}.json"), "--oracle", "--out", str(out)]) == 0
+    block = json.loads((out / "report.json").read_text())["oracle"]
+    assert {k: repr(v) for k, v in block.items()} == PINNED_ORACLE[family]
+
+
+def test_k_sweep_rejects_a_tabulated_cost(tmp_path, capsys):
+    """A tabulated cost ignores k, so a k_scale sweep would repeat one row."""
+    c = np.linspace(0.0, 20.0, 401)
+    doc = {k: v for k, v in BASE_DOC.items() if k != "n"}
+    doc["cost_table"] = {"c": c.tolist(), "K": (c ** 2 / 2).tolist(), "marginal": c.tolist()}
+    code = main(["sweep", str(write_config(tmp_path, doc)), "--param", "k_scale",
+                 "--values", "0.5,1,2", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "k_scale" in capsys.readouterr().err
+
+
+def test_nan_phi_is_rejected_at_ingestion(tmp_path, capsys):
+    code = main(["solve", str(write_config(tmp_path, dict(BASE_DOC, phi=float("nan")))),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error: phi:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+TABLE = {"form": "tabulated", "x": [0.0, 0.5, 1.0], "values": [0.0, 0.5, 1.0], "derivative": [1.0, 1.0, 1.0]}
+COSTS = {"c": [0.0, 1.0, 2.0], "K": [0.0, 0.5, 2.0], "marginal": [0.0, 1.0, 2.0]}
+# (name, fields replaced in BASE_DOC, the field the error must name)
+BAD_CONFIGS = [
+    # wrong types
+    ("gamma-str", {"gamma": "a"}, "gamma"),
+    ("horizon-null", {"horizon": None}, "horizon"),
+    ("time_nodes-float", {"time_nodes": 2.5}, "time_nodes"),
+    ("time_grid-str", {"time_grid": "abc"}, "time_grid"),
+    ("phi-strings", {"phi": ["a", "b", "c"]}, "phi"),
+    ("k-object", {"k": {}}, "k"),
+    ("n-list", {"n": [2.0]}, "n"),
+    ("g-str", {"g": "canonical"}, "g"),
+    ("f-int", {"f": 3}, "f"),
+    ("reservation-str", {"reservation": {"form": "constant", "value": "low"}}, "reservation"),
+    ("solver-str", {"solver": "fast"}, "solver"),
+    ("solver-flag-str", {"solver": {"force_general_route": "false"}}, "force_general_route"),
+    # empty or mismatched arrays
+    ("phi-empty", {"phi": []}, "phi"),
+    ("g-mismatch", {"g": dict(TABLE, x=[0.0, 1.0])}, "g"),
+    ("f-mismatch", {"f": {"form": "tabulated", "x": [0.0, 1.0], "density": [1.0, 1.0, 1.0]}}, "f"),
+    ("cost-empty", {"cost_table": {"c": [], "K": [], "marginal": []}}, "cost_table"),
+    ("cost-mismatch", {"cost_table": dict(COSTS, c=[0.0, 1.0])}, "cost_table"),
+    # non-finite numbers
+    ("phi-inf", {"phi": [1.0, float("inf"), 1.0]}, "phi"),
+    ("k-nan", {"k": float("nan")}, "k"),
+    ("horizon-inf", {"horizon": float("inf")}, "horizon"),
+    ("reservation-inf", {"reservation": {"form": "constant", "value": float("inf")}}, "reservation"),
+    ("g-nan", {"g": dict(TABLE, values=[0.0, float("nan"), 1.0])}, "g"),
+    # too few time nodes
+    ("time_nodes-1", {"time_nodes": 1}, "time_nodes"),
+    ("time_nodes-0", {"time_nodes": 0}, "time_nodes"),
+    ("time_nodes-negative", {"time_nodes": -3}, "time_nodes"),
+]
+
+
+@pytest.mark.parametrize("fields, named", [case[1:] for case in BAD_CONFIGS],
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_config_fuzz_exits_2(tmp_path, capsys, fields, named):
+    doc = dict(BASE_DOC, **fields)
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error:") and named in err

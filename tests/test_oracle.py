@@ -3,10 +3,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nltariff import oracle
 from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
 from nltariff.oracle import (
     _objective_given_slopes,
     _pointwise_best_slopes,
+    _slope_grid_for,
     oracle_agent_sweep,
     oracle_relaxed_maximize_const_h,
 )
@@ -75,6 +77,104 @@ def test_oracle_converges_under_refinement(bench1_config):
         errors.append(abs(res.value - report.principal_utility))
     assert errors[2] <= errors[0] + 1e-6
     assert errors[2] <= errors[1] + 1e-6
+
+
+# -- the slope search against a full scan --------------------------------------
+
+def _slope_tables(gamma, rows, slope_grid):
+    """Consumption c(s) per (row, s), the mask of pairs whose gain is never
+    finite, and w s: the full tables that the search does without."""
+    a, w = rows
+    base = a[:, None] * slope_grid[None, :]
+    with np.errstate(divide="ignore", over="ignore"):
+        cons = np.where(base > 0, base, np.inf) ** (1.0 / gamma)
+    if gamma > 0:
+        cons = np.where(base > 0, cons, 0.0)
+    ws = w[:, None] * slope_grid[None, :]
+    return cons, ~np.isfinite(cons) | ~np.isfinite(ws), ws
+
+
+def _dense_best_slopes(rows, slope_grid, gamma, kf):
+    """Reference for ``_pointwise_best_slopes``: np.argmax over every slope."""
+    cons, never, ws = _slope_tables(gamma, rows, slope_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = ws - kf[:, None] * cons
+    gain[never] = -np.inf
+    arg = np.argmax(gain, axis=1)
+    return slope_grid[arg], np.take_along_axis(cons, arg[:, None], axis=1)[:, 0]
+
+
+def _peaked_rows(rng, gamma, slope_grid, size):
+    """Rows (a, w, kf) whose gain is stationary at a random slope inside the grid."""
+    p = 1.0 / gamma
+    a = np.exp(rng.uniform(-3.0, 3.0, size))
+    kf = np.exp(rng.uniform(-3.0, 3.0, size))
+    inside = slope_grid[rng.integers(2, slope_grid.size - 2, size)] * np.exp(rng.uniform(-0.01, 0.01, size))
+    return a, kf * p * a ** p * inside ** (p - 1.0), kf
+
+
+def _random_rows(rng, gamma, slope_grid, size=96):
+    """Peaked rows, then blocks of weights of either sign, w = 0, kf at the
+    1e-12 floor of kappa times f in [0, 1], w = kf = 0 (every slope ties), and
+    c(s) overflowing inside the grid, which makes a -inf prefix for gamma < 0
+    and a -inf suffix for gamma > 0."""
+    a, w, kf = _peaked_rows(rng, gamma, slope_grid, size)
+    blocks = np.array_split(np.arange(size), 6)
+    w[blocks[1]] = rng.normal(0.0, 1.0, blocks[1].size) * np.exp(rng.uniform(-5.0, 5.0, blocks[1].size))
+    w[blocks[2]] = 0.0
+    kf[blocks[3]] = 1e-12 * rng.uniform(0.0, 1.0, blocks[3].size)
+    w[blocks[4]] = kf[blocks[4]] = 0.0
+    a[blocks[5]] = 1e308 ** gamma / slope_grid[rng.integers(1, slope_grid.size, blocks[5].size)]
+    return a, w, kf
+
+
+def _assert_matches_full_scan(rows, slope_grid, gamma, kf):
+    slopes, cons = _pointwise_best_slopes(rows, slope_grid, gamma, kf)
+    ref_slopes, ref_cons = _dense_best_slopes(rows, slope_grid, gamma, kf)
+    np.testing.assert_array_equal(slopes, ref_slopes)
+    assert np.array_equal(cons.view(np.uint64), ref_cons.view(np.uint64))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3, -1.0, -0.5, -2.5])
+@pytest.mark.parametrize("size", [61, 200, 1500])
+def test_slope_search_matches_full_scan(gamma, size):
+    rng = np.random.default_rng([size, int(100 * abs(gamma))])
+    if size == 61:
+        slope_grid = np.geomspace(1e-3, 3.0, 60)
+        if gamma > 0:
+            slope_grid = np.concatenate([[0.0], slope_grid])
+    else:
+        slope_grid = _slope_grid_for(canonical_params(gamma), 3.0, size)
+    a, w, kf = _random_rows(rng, gamma, slope_grid)
+    _assert_matches_full_scan((a, w), slope_grid, gamma, kf)
+
+
+def test_slope_search_window_absorbs_rounding_at_a_flat_peak():
+    """With gamma = 1 - 1e-12 the gain at its peak is flat to a few ulp, so
+    the sign of gain[k+1] - gain[k] flips back and forth there and the
+    bisection can stop one or two slopes away from the first maximum."""
+    gamma = 1.0 - 1e-12
+    rng = np.random.default_rng(7)
+    slope_grid = _slope_grid_for(canonical_params(0.5), 3.0, 1500)
+    a, w, kf = _peaked_rows(rng, gamma, slope_grid, 500)
+    _assert_matches_full_scan((a, w), slope_grid, gamma, kf)
+
+
+@pytest.mark.parametrize("bench", ["bench1_config", "bench2_config"])
+def test_oracle_result_identical_with_full_scan(bench, request, monkeypatch):
+    params = request.getfixturevalue(bench).params
+
+    def run():
+        return oracle_relaxed_maximize_const_h(params, type_grid_size=60, slope_grid_size=300,
+                                               x0_candidates=np.linspace(0.0, 1.0, 11))
+
+    fast = run()
+    monkeypatch.setattr(oracle, "_pointwise_best_slopes", _dense_best_slopes)
+    dense = run()
+    assert (fast.value, fast.x0, fast.iterations, fast.x0_values) == \
+        (dense.value, dense.x0, dense.iterations, dense.x0_values)
+    for name in ("slopes", "x_nodes", "aggregate"):
+        assert np.array_equal(getattr(fast, name), getattr(dense, name))
 
 
 # -- agent sweeps ---------------------------------------------------------------
