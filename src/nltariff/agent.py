@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
-from .numerics import golden_max, trapezoid
+from .errors import ConvergenceError, DomainError
+from .numerics import bisect, golden_max, trapezoid
 from .tariff import Tariff
 from .uconvex import SampledFunctionOfConsumption, SampledFunctionOfType
 
@@ -237,26 +237,15 @@ def participation_set(p_star, params, x_probe=None, boundary_tol=1e-10):
     gap = Pvals - Hvals
     mask = gap >= -slack
 
+    f = lambda x: float(p_star.P_star(np.asarray([x]))[0] - res(np.asarray([x]))[0])
+
     def refine(lo, hi):
-        # bisection for the sign change of P* - H inside [lo, hi]
-        f = lambda x: float(p_star.P_star(np.asarray([x]))[0] - res(np.asarray([x]))[0])
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            return lo
-        if fhi == 0.0:
-            return hi
-        if np.sign(flo) == np.sign(fhi):
-            return lo if abs(flo) < abs(fhi) else hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if hi - lo < boundary_tol:
-                break
-            if np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi, fhi = mid, fm
-        return 0.5 * (lo + hi)
+        # the sign change of P* - H inside [lo, hi]; a tie within the slack
+        # leaves no sign change, and the end closer to a root is kept
+        try:
+            return bisect(f, lo, hi, xtol=boundary_tol)
+        except ConvergenceError:
+            return lo if abs(f(lo)) < abs(f(hi)) else hi
 
     intervals = []
     i = 0

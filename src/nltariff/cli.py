@@ -179,7 +179,6 @@ def load_config(path):
     outputs = _block(doc, "outputs", {})
     return ScenarioConfig(
         params=params,
-        root_tol=_number(solver, "root_tol", 1e-12),
         x_grid_size=_count(solver, "x_grid_size", 2001),
         c_grid_size=_count(solver, "c_grid_size", 513),
         c_min=_number(solver, "c_min", 1e-4),

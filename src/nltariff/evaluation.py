@@ -10,7 +10,7 @@ import numpy as np
 
 from .agent import participation_set
 from .errors import DomainError
-from .model import eval_cost, eval_marginal_cost
+from .model import eval_cost
 from .numerics import golden_max, trapezoid
 from .uconvex import u_transform_price_to_indirect
 
@@ -63,9 +63,7 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
     part = participation_set(p_star, params)
     nt = params.time_grid.size
     if part.empty:
-        return float(-params.time_integral(
-            np.array([eval_cost(t, 0.0, params) for t in params.time_grid])
-        ))
+        return float(-params.time_integral(eval_cost(params.time_grid, np.zeros(nt), params)))
 
     revenue = np.zeros(nt)
     aggregate = np.zeros(nt)
@@ -91,9 +89,7 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
         revenue += trapezoid(prices * fvals[None, :], xs)
         aggregate += trapezoid(cons * fvals[None, :], xs)
 
-    profit_t = revenue - np.array([
-        eval_cost(t, aggregate[i], params) for i, t in enumerate(params.time_grid)
-    ])
+    profit_t = revenue - eval_cost(params.time_grid, aggregate, params)
     return float(params.time_integral(profit_t))
 
 
@@ -165,5 +161,5 @@ def relaxed_objective(p_star, boundary, params, type_nodes=TYPE_NODES_PER_COMPON
             if Fb > 0.0:
                 boundary_term += -Fb * float(res(np.asarray([b0]))[0])
 
-    cost_t = np.array([eval_cost(t, aggregate[i], params) for i, t in enumerate(params.time_grid)])
+    cost_t = eval_cost(params.time_grid, aggregate, params)
     return float(params.time_integral(flow - cost_t) + boundary_term)

@@ -361,7 +361,6 @@ class ScenarioConfig:
     """Solver tolerances and output selections wrapped around ModelParams."""
 
     params: ModelParams
-    root_tol: float = 1e-12
     x_grid_size: int = 2001
     c_grid_size: int = 513
     c_min: float = 1e-4
@@ -373,8 +372,6 @@ class ScenarioConfig:
     type_samples: int = 201
 
     def __post_init__(self):
-        if self.root_tol <= 0:
-            raise InvalidParams("root_tol", "must be positive")
         for name in ("x_grid_size", "c_grid_size"):
             if getattr(self, name) < 16:
                 raise InvalidParams(name, "grid sizes must be at least 16")

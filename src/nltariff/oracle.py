@@ -165,22 +165,18 @@ def _slope_grid_for(params, s_max, size):
 def _closed_form_slope_scale(params, x0):
     """Upper bound for the slope grid, from the solved marginal indirect
     utility scaled by ten (only a bracket hint, never an answer)."""
-    from .solver_const_h import capacity_A, upper_bracket
+    from .solver_const_h import capacity_A, ell_const, optimal_slopes, upper_bracket
 
-    scale = 0.0
-    for i, t in enumerate(params.time_grid):
-        A = capacity_A(t, x0, params)
-        Kc = max(eval_marginal_cost(t, A, params), 1e-12)
-        xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
-        bracket = np.maximum(upper_bracket(xs, params), 0.0)
-        gp = params.g.prime(xs)
-        with np.errstate(divide="ignore"):
-            s = (params.phi[i] ** (1.0 / params.gamma) * bracket
-                 / (params.f.pdf(xs) * Kc)) ** (params.gamma / (1.0 - params.gamma)) * gp / params.gamma
-        s = s[np.isfinite(s)]
-        if s.size:
-            scale = max(scale, float(np.max(s)))
-    return max(scale, 1e-6)
+    t = params.time_grid
+    ell = ell_const(x0, params)
+    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
+    Kc = np.maximum(eval_marginal_cost(t, A, params), 1e-12)
+    xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
+    with np.errstate(divide="ignore"):
+        s = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs), Kc[:, None],
+                           params.g.prime(xs), params.gamma)
+    s = s[np.isfinite(s)]
+    return max(float(np.max(s, initial=0.0)), 1e-6)
 
 
 def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid=None,

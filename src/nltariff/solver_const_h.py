@@ -14,7 +14,7 @@ import numpy as np
 from .agent import IndirectUtility
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
-from .numerics import bisect, cumtrapz, golden_max, trapezoid
+from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
 from .tariff import TabulatedSegment, Tariff, TariffSegment
 from .uconvex import u_transform_indirect_to_price
 
@@ -41,9 +41,24 @@ class SolveReport:
 # building blocks
 # ---------------------------------------------------------------------------
 
+def lower_bracket(x, params):
+    """g f + g' F, the screening weight on the low-type component."""
+    return params.g(x) * params.f.pdf(x) + params.g.prime(x) * params.f.cdf(x)
+
+
 def upper_bracket(x, params):
     """g f + g' F - g', the screening weight on the served interval."""
     return params.g(x) * params.f.pdf(x) + params.g.prime(x) * (params.f.cdf(x) - 1.0)
+
+
+def optimal_slopes(phi, bracket, fx, Kc, gprime, gamma):
+    """Optimal marginal indirect utility dp*/dx from the pointwise first-order
+    condition: (phi^(1/gamma) bracket^+ / (f K_c(A)))^(gamma/(1-gamma)) g'/gamma.
+
+    Elementwise: a time axis broadcasts through ``phi`` and ``Kc``.
+    """
+    base = phi ** (1.0 / gamma) * np.maximum(bracket, 0.0) / (fx * Kc)
+    return base ** (gamma / (1.0 - gamma)) * gprime / gamma
 
 
 def beta_fn(x, params):
@@ -130,10 +145,9 @@ def alpha_objective(x0, params, ell_nodes=2001):
     """General reduced objective: time integral of (1/gamma) A dK/dc(A) - K(A)
     plus the boundary term (F(x0) - 1) H."""
     ell = ell_const(x0, params, nodes=ell_nodes)
-    vals = np.empty(params.time_grid.size)
-    for i, t in enumerate(params.time_grid):
-        A = capacity_A(t, x0, params, ell=ell)
-        vals[i] = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)
+    t = params.time_grid
+    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
+    vals = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)
     H = params.reservation.H
     return params.time_integral(vals) + (float(params.f.cdf(x0)) - 1.0) * H
 
@@ -236,13 +250,7 @@ def _solve_residential(config, H):
 def _solve_general(config, H):
     params = config.params
     obj = lambda x0: alpha_objective(x0, params)
-    xs = np.linspace(0.0, 1.0, ALPHA_GRID)
-    vals = np.array([obj(x) for x in xs])
-    i = int(np.argmax(vals))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, ALPHA_GRID - 1)]
-    x0, v0 = golden_max(obj, lo, hi, xtol=1e-10)
-    if vals[i] > v0:
-        x0, v0 = float(xs[i]), float(vals[i])
+    x0, v0, xs, vals = grid_then_golden_max(obj, 0.0, 1.0, ALPHA_GRID, xtol=1e-10)
     unique = _uniqueness_conditions(params)
     # competing local maxima: grid points beating the best within tolerance
     local = []
@@ -436,6 +444,8 @@ def _build_general(config, report, s):
     """Sampled emission for non-canonical primitives or tabulated costs."""
     params = config.params
     g = params.gamma
+    t = params.time_grid
+    nt = t.size
     x0 = report.boundary["x0"]
     ell = ell_const(x0, params)
     # residential slopes are singular at x=1; stop the sample grid just short
@@ -446,7 +456,6 @@ def _build_general(config, report, s):
     if x0 >= 1.0 - 1e-9 or ell <= 0.0:
         flat = np.repeat(s[:, None], xs.size, axis=1)
         p_star = IndirectUtility.from_samples(params.time_grid, xs, flat, meta={"x0": x0, "branch": "general"})
-        nt = params.time_grid.size
         seg = TariffSegment(
             c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf),
             p1=np.zeros(nt), p2=np.zeros(nt), p3=-s, label="selected",
@@ -454,16 +463,10 @@ def _build_general(config, report, s):
         tariff = Tariff(gamma=g, time_grid=params.time_grid, segments=[seg],
                         simplified=True, meta={"x0": x0, "route": "general"})
         return tariff, p_star
-    bracket = np.maximum(upper_bracket(xs, params), 0.0)
-    fvals = params.f.pdf(xs)
-    gprime = params.g.prime(xs)
-    nt = params.time_grid.size
-    slopes = np.empty((nt, xs.size))
-    for i, t in enumerate(params.time_grid):
-        A = capacity_A(t, x0, params, ell=ell)
-        Kc = eval_marginal_cost(t, A, params)
-        base = params.phi[i] ** (1.0 / g) * bracket / (fvals * Kc)
-        slopes[i] = base ** (g / (1.0 - g)) * gprime / g
+    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
+    Kc = eval_marginal_cost(t, A, params)
+    slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs),
+                            Kc[:, None], params.g.prime(xs), g)
     # integrate from x0 so the binding constraint lands exactly on s(t)
     i0 = int(np.searchsorted(xs, x0))
     prim = cumtrapz(slopes, xs)

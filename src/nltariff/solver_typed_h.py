@@ -16,7 +16,7 @@ from .agent import IndirectUtility
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_cost, eval_marginal_cost
 from .numerics import cumtrapz, trapezoid
-from .solver_const_h import B_gamma, time_weight, upper_bracket
+from .solver_const_h import B_gamma, lower_bracket, optimal_slopes, time_weight, upper_bracket
 from .tariff import TabulatedSegment, Tariff, TariffSegment
 # perfbench/tracing.py looks up _utility_surface in this module by name
 from .uconvex import _u_conjugate, _utility_surface, u_transform_indirect_to_price  # noqa: F401
@@ -25,11 +25,6 @@ GRID_SIZE = 256
 ZOOM_ROUNDS = 7
 FEAS_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
-
-
-def lower_bracket(x, params):
-    """g f + g' F, the screening weight on the low-type component."""
-    return params.g(x) * params.f.pdf(x) + params.g.prime(x) * params.f.cdf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +66,9 @@ def validate_assumptions(params, probe_nodes=513):
     # screening weights
     e = gamma / (1.0 - gamma)
     f = params.f.pdf(xs)
-    F = params.f.cdf(xs)
     with np.errstate(divide="ignore"):
-        v1 = gp * (np.maximum(g * f + gp * F, 0.0) / f) ** e
-        v2 = gp * (np.maximum(g * f + gp * (F - 1.0), 0.0) / f) ** e
+        v1 = gp * (np.maximum(lower_bracket(xs, params), 0.0) / f) ** e
+        v2 = gp * (np.maximum(upper_bracket(xs, params), 0.0) / f) ** e
     flags = {}
     for name, v in (("v1", v1), ("v2", v2)):
         vv = v / gamma
@@ -176,20 +170,20 @@ def constraint_check_A2prime(a0, b0, params, ell_table=None):
     nt = params.time_grid.size
     xi_t = np.empty((nt, a0.size))
     psi_t = np.empty((nt, a0.size))
-    ba = np.maximum(upper_bracket(a0, params), 0.0)
-    bb = np.maximum(lower_bracket(b0, params), 0.0)
+    ba = upper_bracket(a0, params)
+    bb = lower_bracket(b0, params)
     fa = params.f.pdf(a0)
     fb = params.f.pdf(b0)
     gpa = params.g.prime(a0)
     gpb = params.g.prime(b0)
+    # one time row at a time: all rows at once would hold several
+    # n_t x pairs temporaries
     for i in range(nt):
         A = capacity_A_typed(i, ell, params)
         Kc = eval_marginal_cost(params.time_grid[i], A, params)
         with np.errstate(divide="ignore", invalid="ignore"):
-            base_a = params.phi[i] ** (1.0 / g) * ba / (fa * Kc)
-            base_b = params.phi[i] ** (1.0 / g) * bb / (fb * Kc)
-            xi_t[i] = base_a ** (g / (1.0 - g)) * gpa / g
-            psi_t[i] = base_b ** (g / (1.0 - g)) * gpb / g
+            xi_t[i] = optimal_slopes(params.phi[i], ba, fa, Kc, gpa, g)
+            psi_t[i] = optimal_slopes(params.phi[i], bb, fb, Kc, gpb, g)
     with np.errstate(invalid="ignore"):
         Xi = trapezoid(xi_t.T, params.time_grid)
         Psi = trapezoid(psi_t.T, params.time_grid)
@@ -229,10 +223,9 @@ def objective_ab(a0, b0, params, ell_table=None):
         n = params.n
         core = B_gamma(params) * ell ** (n * (1.0 - g) / (n - g))
     else:
-        vals = np.zeros((params.time_grid.size,) + ell.shape)
-        for i, t in enumerate(params.time_grid):
-            A = capacity_A_typed(i, ell, params)
-            vals[i] = A * eval_marginal_cost(t, A, params) / g - eval_cost(t, A, params)
+        t = params.time_grid.reshape((-1,) + (1,) * ell.ndim)
+        A = np.array([capacity_A_typed(i, ell, params) for i in range(t.size)])
+        vals = A * eval_marginal_cost(t, A, params) / g - eval_cost(t, A, params)
         core = trapezoid(np.moveaxis(vals, 0, -1), params.time_grid)
     return core + theta_term(a0, b0, params)
 
@@ -435,22 +428,15 @@ def build_bridge(params, a0, b0, N=None, validate_convexity=True):
     if data is not None and b0 > 0 and a0 < 1.0:
         # two-slope candidate: leave b0 with the lower-piece slope, arrive at a0
         # with the upper-piece slope, meeting where the lines cross
-        vals = np.empty((nt, xk.size))
-        ok_geometry = True
-        for i in range(nt):
-            s1, s2 = data["slope_low"][i], data["slope_up"][i]
-            v1 = data["val_low"][i] + s1 * (xk - b0)
-            v2 = data["val_up"][i] + s2 * (xk - a0)
-            if not (np.isfinite(s1) and np.isfinite(s2)) or s1 > s2:
-                ok_geometry = False
-                break
-            if v2[0] > data["val_low"][i] + 1e-12 or v1[-1] > data["val_up"][i] + 1e-12:
-                ok_geometry = False
-                break
-            vals[i] = np.maximum(v1, v2)
-        if ok_geometry:
-            candidates.append(BridgeReport(name="two_slope", x_knots=xk, values=vals,
-                                           valid=False, checks={}))
+        s1, s2 = data["slope_low"][:, None], data["slope_up"][:, None]
+        if np.all(np.isfinite(s1) & np.isfinite(s2) & (s1 <= s2)):
+            v1 = data["val_low"][:, None] + s1 * (xk - b0)
+            v2 = data["val_up"][:, None] + s2 * (xk - a0)
+            overshoot = (np.any(v2[:, 0] > data["val_low"] + 1e-12)
+                         or np.any(v1[:, -1] > data["val_up"] + 1e-12))
+            if not overshoot:
+                candidates.append(BridgeReport(name="two_slope", x_knots=xk, values=np.maximum(v1, v2),
+                                               valid=False, checks={}))
 
     best = None
     for cand in candidates:
@@ -645,27 +631,27 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
     Hb = float(H(np.asarray([b0]))[0]) if b0 > 0 else None
     bx, bv = bridge.x_knots, bridge.values
 
+    Nt = N[:, None]
+
     def values_fn(x):
         x = np.asarray(x, dtype=float)
         out = np.empty((nt, x.size))
         low = x < b0
         mid = (x >= b0) & (x <= a0)
         up = x > a0
-        for i in range(nt):
-            row = out[i]
-            if np.any(low):
-                if g > 0:
-                    row[low] = Hb / T - N[i] * (b0 ** m - x[low] ** m)
-                else:
-                    row[low] = Hb / T - N[i] * ((0.5 - min(b0, 0.5)) ** m
-                                                - (0.5 - np.minimum(x[low], 0.5)) ** m)
-            if np.any(mid):
-                row[mid] = np.interp(x[mid], bx, bv[i])
-            if np.any(up):
-                if g > 0:
-                    row[up] = Ha / T + N[i] * ((x[up] - 0.5) ** m - (a0 - 0.5) ** m)
-                else:
-                    row[up] = Ha / T + N[i] * ((1.0 - x[up]) ** m - (1.0 - a0) ** m)
+        if np.any(low):
+            if g > 0:
+                out[:, low] = Hb / T - Nt * (b0 ** m - x[low] ** m)
+            else:
+                out[:, low] = Hb / T - Nt * ((0.5 - min(b0, 0.5)) ** m - (0.5 - np.minimum(x[low], 0.5)) ** m)
+        if np.any(mid):
+            # np.interp is one-dimensional: one call per time row
+            out[:, mid] = [np.interp(x[mid], bx, row) for row in bv]
+        if np.any(up):
+            if g > 0:
+                out[:, up] = Ha / T + Nt * ((x[up] - 0.5) ** m - (a0 - 0.5) ** m)
+            else:
+                out[:, up] = Ha / T + Nt * ((1.0 - x[up]) ** m - (1.0 - a0) ** m)
         return out
 
     def slopes_fn(x):
@@ -677,23 +663,21 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
         up = (x >= a0) if a0 < 1.0 else np.zeros(x.shape, dtype=bool)
         mid = ~(low | up)
         bslopes = np.diff(bv, axis=1) / np.diff(bx) if bx.size > 1 else np.zeros((nt, 1))
-        for i in range(nt):
-            row = out[i]
-            if np.any(low):
-                if g > 0:
-                    row[low] = N[i] * m * x[low] ** (g * m)
-                else:
-                    xl = np.minimum(x[low], 0.5 - 1e-300)
-                    row[low] = -N[i] * m * (0.5 - xl) ** (m - 1.0)
-            if np.any(mid) and bx.size > 1:
-                j = np.clip(np.searchsorted(bx, x[mid], side="right") - 1, 0, bslopes.shape[1] - 1)
-                row[mid] = bslopes[i, j]
-            if np.any(up):
-                if g > 0:
-                    row[up] = N[i] * m * (x[up] - 0.5) ** (g * m)
-                else:
-                    with np.errstate(divide="ignore"):
-                        row[up] = -N[i] * m * (1.0 - x[up]) ** (m - 1.0)
+        if np.any(low):
+            if g > 0:
+                out[:, low] = Nt * m * x[low] ** (g * m)
+            else:
+                xl = np.minimum(x[low], 0.5 - 1e-300)
+                out[:, low] = -Nt * m * (0.5 - xl) ** (m - 1.0)
+        if np.any(mid) and bx.size > 1:
+            j = np.clip(np.searchsorted(bx, x[mid], side="right") - 1, 0, bslopes.shape[1] - 1)
+            out[:, mid] = bslopes[:, j]
+        if np.any(up):
+            if g > 0:
+                out[:, up] = Nt * m * (x[up] - 0.5) ** (g * m)
+            else:
+                with np.errstate(divide="ignore"):
+                    out[:, up] = -Nt * m * (1.0 - x[up]) ** (m - 1.0)
         return out
 
     kinks = tuple(k for k in (b0, a0) if 0.0 < k < 1.0)
@@ -710,30 +694,27 @@ def mu_zero_residual(solution, p_star, params, interior_margin=0.05, nodes=200):
     The built surface is differentiated by central finite differences, so the
     check is independent of the closed-form slope callables.
     """
-    g = params.gamma
     a0, b0 = solution.a0, solution.b0
+    h = 1e-7
     worst = 0.0
     segments = []
     if b0 > interior_margin:
-        segments.append(("lower", np.linspace(b0 * interior_margin, b0 * (1.0 - interior_margin), nodes)))
-    if a0 < 1.0 - 1e-9:
+        xs = np.linspace(b0 * interior_margin, b0 * (1.0 - interior_margin), nodes)
+        segments.append((lower_bracket, xs))
+    # a component narrower than its stencil has no interior node whose
+    # difference stays inside [0, 1]
+    if 1.0 - a0 >= h / interior_margin:
         lo = a0 + (1.0 - a0) * interior_margin
         hi = 1.0 - (1.0 - a0) * interior_margin
-        segments.append(("upper", np.linspace(lo, hi, nodes)))
+        segments.append((upper_bracket, np.linspace(lo, hi, nodes)))
     ell = float(ell_ab(a0, b0, params))
-    for name, xs in segments:
-        h = 1e-7
-        vp = p_star.values(xs + h)
-        vm = p_star.values(xs - h)
-        fd = (vp - vm) / (2.0 * h)
-        bracket = upper_bracket(xs, params) if name == "upper" else lower_bracket(xs, params)
-        bracket = np.maximum(bracket, 0.0)
-        fvals = params.f.pdf(xs)
-        gp = params.g.prime(xs)
-        for i, t in enumerate(params.time_grid):
-            A = capacity_A_typed(i, np.asarray(ell), params)
-            Kc = eval_marginal_cost(t, float(A), params)
-            formula = (params.phi[i] ** (1.0 / g) * bracket / (fvals * Kc)) ** (g / (1.0 - g)) * gp / g
-            denom = np.maximum(np.abs(formula), 1e-12)
-            worst = max(worst, float(np.max(np.abs(fd[i] - formula) / denom)))
+    t = params.time_grid
+    A = np.array([capacity_A_typed(i, ell, params) for i in range(t.size)])
+    Kc = eval_marginal_cost(t, A, params)[:, None]
+    for bracket, xs in segments:
+        fd = (p_star.values(xs + h) - p_star.values(xs - h)) / (2.0 * h)
+        formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.pdf(xs), Kc,
+                                 params.g.prime(xs), params.gamma)
+        denom = np.maximum(np.abs(formula), 1e-12)
+        worst = max(worst, float(np.max(np.abs(fd - formula) / denom)))
     return worst

@@ -226,6 +226,68 @@ def test_oracle_block_is_pinned(tmp_path, family):
     assert {k: repr(v) for k, v in block.items()} == PINNED_ORACLE[family]
 
 
+# full-precision numbers of `solve`, computed before the optimal-slope
+# formula had one kernel: on the shipped configs, where phi = k = 1 makes
+# scalar and vector powers agree trivially, and with the time-varying
+# profiles below (on the general route too), where a power moved from a
+# scalar to an array can change the last bit
+VARYING_PROFILES = {"phi": [0.8, 1.3, 1.1], "k": [1.2, 0.7, 1.0]}
+PINNED_REPORTS = {
+    ("industrial_constant_h", "shipped"):
+        "[{'x0': 0.5828767577825177}, 0.4320437578406802, 0.0, None, "
+        "[[1.0, 0.27474227922168387, -0.02499999999999997, 0.0, None]]]",
+    ("industrial_constant_h", "varying"):
+        "[{'x0': 0.5739204499845432}, 0.5487489610019279, 2.7755575615628914e-17, None, "
+        "[[0.8, 0.2517125008437637, -0.03610673263797202, 0.0, None]]]",
+    ("industrial_sqrt_h", "shipped"):
+        "[{'a0': 0.8163768095128676, 'b0': 0.0}, 0.20797584969632463, 9.747226960862675e-10, "
+        "{'Psi': 0.0, 'Xi': 2.5347829169404843, 'theta': -0.16590996034063557}, "
+        "[[None, None, None, 0.0, 1.6062811090033275], "
+        "[1.0, 0.24962832706379331, -0.5025616300778172, 1.6062811090033275, None]]]",
+    ("industrial_sqrt_h", "varying"):
+        "[{'a0': 0.7788561054304534, 'b0': 0.0}, 0.30797626461516564, 1.0252501725253112e-09, "
+        "{'Psi': 0.0, 'Xi': 2.7160221034294727, 'theta': -0.19516565786202772}, "
+        "[[None, None, None, 0.0, 0.8899290916430895], "
+        "[0.8, 0.23647892506537982, -0.6720784294993993, 0.8899290916430895, None]]]",
+    ("residential_constant_h", "shipped"):
+        "[{'x0': 0.9639437607423148}, 0.0018028119628842598, 1.1247566680620815e-13, None, "
+        "[[0.0, 0.017334031858765864, 0.05000000000000002, 0.0, None]]]",
+    ("residential_constant_h", "varying"):
+        "[{'x0': 0.9647940442438017}, 0.0017602977878099166, 1.1237654077473496e-13, None, "
+        "[[0.0, 0.01774268989556075, 0.055291223037651896, 0.0, None]]]",
+    ("residential_constant_h", "general"):
+        "[{'x0': 0.964794043528709}, 0.0017602977878099155, 2.0311660339870375e-09, None, "
+        "[[None, None, None, 0.0001, None]]]",
+    ("residential_log_h", "shipped"):
+        "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699155224, 2.1440285188872623e-09, "
+        "{'Psi': 0.6295804560913474, 'Xi': inf, 'theta': 0.2894292322578437}, "
+        "[[None, None, None, 0.0, 1.5883593436307482], "
+        "[-0.5, 0.13654369585537002, 1.4273299963742798, 1.5883593436307482, None]]]",
+    ("residential_log_h", "varying"):
+        "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468813368, 2.568959569596009e-09, "
+        "{'Psi': 0.6366471559653251, 'Xi': inf, 'theta': 0.2861796512447036}, "
+        "[[None, None, None, 0.0, 1.4052979035455824], "
+        "[-0.4, 0.141057025327396, 1.4889142650026825, 1.4052979035455824, None]]]",
+}
+
+
+@pytest.mark.parametrize("family, profile", sorted(PINNED_REPORTS))
+def test_report_numbers_are_pinned(tmp_path, family, profile):
+    doc = json.loads((CONFIG_DIR / f"{family}.json").read_text())
+    if profile != "shipped":
+        doc.update(VARYING_PROFILES)
+    if profile == "general":
+        doc["solver"] = {"force_general_route": True}
+    out = tmp_path / "o"
+    assert main(["solve", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    segments = [[s[k] for k in ("p1_t0", "p2_t0", "p3_t0", "c_lo_t0", "c_hi_t0")]
+                for s in report["tariff"]["segments"]]
+    pinned = [report["boundary"], report["principal_utility"], report["foc_residual"],
+              report.get("certificates"), segments]
+    assert repr(pinned) == PINNED_REPORTS[(family, profile)]
+
+
 def test_k_sweep_rejects_a_tabulated_cost(tmp_path, capsys):
     """A tabulated cost ignores k, so a k_scale sweep would repeat one row."""
     c = np.linspace(0.0, 20.0, 401)

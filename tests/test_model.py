@@ -168,8 +168,6 @@ def test_scenario_config_guards():
     with pytest.raises(InvalidParams):
         ScenarioConfig(params=p, x_grid_size=8)
     with pytest.raises(InvalidParams):
-        ScenarioConfig(params=p, root_tol=0.0)
-    with pytest.raises(InvalidParams):
         ScenarioConfig(params=p, boundary_split=np.ones(p.time_grid.size) * 2.0)
 
 
