@@ -39,7 +39,7 @@ from .model import (
     g_K,
     g_K_inverse,
 )
-from .oracle import oracle_agent_sweep, oracle_relaxed_maximize_const_h
+from .oracle import oracle_relaxed_maximize_const_h
 from .solver_const_h import (
     SolveReport,
     build_tariff_const_h,

@@ -13,8 +13,6 @@ from .numerics import bisect, golden_max, trapezoid
 from .tariff import Tariff
 from .uconvex import SampledFunctionOfConsumption, SampledFunctionOfType
 
-KINK_REL_TOL = 1e-3  # one-sided slope jump (relative) that flags a kink
-
 
 @dataclass(eq=False)
 class IndirectUtility:
@@ -88,31 +86,6 @@ class IndirectUtility:
         xl = np.maximum(x - h, g[0])
         xr = np.minimum(x + h, g[-1])
         return (np.interp(xr, g, row) - np.interp(xl, g, row)) / (xr - xl)
-
-    def slope_sides(self, x):
-        """Left/right slopes around x for kink reporting.
-
-        Sampled surfaces use one grid step as the one-sided difference
-        window; closed forms evaluate their slope callables just off x.
-        """
-        x = np.asarray(x, dtype=float)
-        if self.representation == "closed_form":
-            eps = 1e-7
-            left = self.slopes(np.maximum(x - eps, 0.0))
-            right = self.slopes(np.minimum(x + eps, 1.0))
-            return left, right
-        h = float(np.min(np.diff(self.x_grid)))
-        v0 = self.values(x)
-        left = (v0 - self.values(np.maximum(x - h, self.x_grid[0]))) / h
-        right = (self.values(np.minimum(x + h, self.x_grid[-1])) - v0) / h
-        return left, right
-
-    def detect_kinks(self, x):
-        """Types where one-sided slopes jump by more than the kink tolerance."""
-        left, right = self.slope_sides(x)
-        scale = np.maximum(np.abs(left), np.abs(right))
-        jump = np.abs(right - left)
-        return np.any(jump > KINK_REL_TOL * np.maximum(scale, 1e-12), axis=0)
 
     def P_star(self, x):
         """Time aggregate int_0^T p*(t,x) dt."""

@@ -5,10 +5,10 @@ Outputs are deterministic: report.json plus fixed-column CSV tables suitable
 for golden-file testing, ordered by value and free of timestamps.
 """
 import argparse
-import csv
 import json
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -308,15 +308,32 @@ def _selected_c_samples(tariff, config):
     return np.linspace(0.0 if tariff.gamma > 0 else c_top * 1e-4, c_top * 1.25, config.tariff_samples)
 
 
+def _write_table(path, header, fmt, *columns):
+    """Write ``header`` and one line ``fmt % row`` per row of the equal-length ``columns``.
+
+    The body is one ``%`` operation over the flattened rows. Lines end in
+    ``\\r\\n`` and nothing is quoted, as the csv module writes these tables:
+    they hold only ``%.12g`` numbers (digits, ``.``, ``e``, ``+``, ``-``,
+    ``nan``, ``inf``), 0/1 flags, empty fields and sweep parameter names.
+    """
+    line = fmt + "\r\n"
+    body = (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
+
+
+def _grid_text(values, each=1):
+    """The ``%.12g`` text of a grid, formatted once, each entry repeated ``each`` times."""
+    texts = ["%.12g" % v for v in np.asarray(values).tolist()]
+    return [text for text in texts for _ in range(each)]
+
+
 def _write_tariff_csv(path, tariff, config):
     cs = _selected_c_samples(tariff, config)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema_version", "t", "c", "price"])
-        for i, t in enumerate(tariff.time_grid):
-            prices = tariff.price(i, cs)
-            for c, p in zip(cs, prices):
-                w.writerow([SCHEMA_VERSION, f"{t:.12g}", f"{c:.12g}", f"{p:.12g}"])
+    prices = tariff.sample(cs).values
+    _write_table(path, ["schema_version", "t", "c", "price"], f"{SCHEMA_VERSION},%s,%s,%.12g",
+                 _grid_text(tariff.time_grid, cs.size),
+                 _grid_text(cs) * tariff.time_grid.size, prices.ravel().tolist())
 
 
 def _write_indirect_csv(path, p_star, part, params, config):
@@ -324,11 +341,9 @@ def _write_indirect_csv(path, p_star, part, params, config):
     P = p_star.P_star(xs)
     H = params.reservation(xs)
     member = part.contains(xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema_version", "x", "P_star", "H", "participates"])
-        for x, pv, hv, mb in zip(xs, P, H, member):
-            w.writerow([SCHEMA_VERSION, f"{x:.12g}", f"{pv:.12g}", f"{hv:.12g}", int(mb)])
+    _write_table(path, ["schema_version", "x", "P_star", "H", "participates"],
+                 f"{SCHEMA_VERSION},%.12g,%.12g,%.12g,%d",
+                 xs.tolist(), P.tolist(), H.tolist(), member.tolist())
 
 
 def _write_consumption_csv(path, p_star, part, params, config):
@@ -339,13 +354,10 @@ def _write_consumption_csv(path, p_star, part, params, config):
     cons = np.where(np.isfinite(cons), cons, 0.0)
     cons[:, ~member] = 0.0
     vals = p_star.values(xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema_version", "t", "x", "c_star", "p_star"])
-        for i, t in enumerate(params.time_grid):
-            for j, x in enumerate(xs):
-                w.writerow([SCHEMA_VERSION, f"{t:.12g}", f"{x:.12g}",
-                            f"{cons[i, j]:.12g}", f"{vals[i, j]:.12g}"])
+    _write_table(path, ["schema_version", "t", "x", "c_star", "p_star"],
+                 f"{SCHEMA_VERSION},%s,%s,%.12g,%.12g",
+                 _grid_text(params.time_grid, xs.size),
+                 _grid_text(xs) * params.time_grid.size, cons.ravel().tolist(), vals.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +408,16 @@ def run_sweep(config_path, param, values, out_dir, full_tariff=False):
         })
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema_version", "param", "value", "x0", "a0", "b0", "p1", "p2", "p3", "U_P"])
-        for r in rows:
-            w.writerow([SCHEMA_VERSION, r["param"], f"{r['value']:.12g}",
-                        _fmt(r["x0"]), _fmt(r["a0"]), _fmt(r["b0"]),
-                        _fmt(r["p1"]), _fmt(r["p2"]), _fmt(r["p3"]), _fmt(r["U_P"])])
+    optional = ("x0", "a0", "b0", "p1", "p2", "p3", "U_P")
+    _write_table(out / "sweep.csv", ["schema_version", "param", "value", *optional],
+                 f"{SCHEMA_VERSION},%s,%.12g" + ",%s" * len(optional),
+                 [r["param"] for r in rows], [r["value"] for r in rows],
+                 *([_fmt(r[k]) for r in rows] for k in optional))
     return rows
 
 
 def _fmt(v):
-    return "" if v == "" else f"{float(v):.12g}"
+    return "" if v == "" else "%.12g" % float(v)
 
 
 # ---------------------------------------------------------------------------

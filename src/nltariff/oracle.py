@@ -13,8 +13,6 @@ import numpy as np
 from .errors import NonConvergence
 from .model import eval_cost, eval_marginal_cost
 from .numerics import trapezoid
-from .tariff import Tariff
-from .uconvex import SampledFunctionOfConsumption
 
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_CAP = 100
@@ -233,31 +231,3 @@ def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid=None,
         span /= 4.0
     best.x0_values = sorted(evaluated)
     return best
-
-
-def oracle_agent_sweep(tariff_or_prices, params, x_nodes, c_nodes):
-    """Pure grid-search best responses for a sweep of types.
-
-    Returns (x, c_opt, value) arrays per time node; the audit table behind
-    every closed-form consumption claim.
-    """
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    c_nodes = np.asarray(c_nodes, dtype=float)
-    nt = params.time_grid.size
-    gamma = params.gamma
-    gx = params.g(x_nodes)
-    cpow = c_nodes ** gamma
-    c_opt = np.empty((nt, x_nodes.size))
-    value = np.empty((nt, x_nodes.size))
-    for i in range(nt):
-        if isinstance(tariff_or_prices, Tariff):
-            prices = tariff_or_prices.price(i, c_nodes)
-        elif isinstance(tariff_or_prices, SampledFunctionOfConsumption):
-            prices = np.interp(c_nodes, tariff_or_prices.c_grid, tariff_or_prices.values[i])
-        else:
-            raise TypeError("need a Tariff or SampledFunctionOfConsumption")
-        obj = gx[:, None] * params.phi[i] * cpow[None, :] / gamma - prices[None, :]
-        arg = np.argmax(obj, axis=1)
-        c_opt[i] = c_nodes[arg]
-        value[i] = np.take_along_axis(obj, arg[:, None], axis=1)[:, 0]
-    return x_nodes, c_opt, value

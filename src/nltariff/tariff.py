@@ -101,50 +101,6 @@ class Tariff:
         vals = np.vstack([self.price(i, c_grid) for i in range(self.time_grid.size)])
         return SampledFunctionOfConsumption(c_grid=np.asarray(c_grid, dtype=float), values=vals)
 
-    # -- diagnostics ----------------------------------------------------------
-    def continuity_gaps(self):
-        """Largest junction mismatch across adjacent segments, per time node.
-
-        Collapsed segments (c_hi <= c_lo) are skipped; the remaining segments
-        must agree at shared breakpoints within 1e-9.
-        """
-        nt = self.time_grid.size
-        gaps = np.zeros(nt)
-        for i in range(nt):
-            live = [s for s in self.segments if s.c_hi[i] > s.c_lo[i] + 1e-15]
-            for a, b in zip(live[:-1], live[1:]):
-                cj = a.c_hi[i]
-                if not np.isfinite(cj) or (self.gamma < 0 and cj <= 0):
-                    continue
-                ca = np.asarray([cj])
-                gap = float(abs(a.price(i, ca, self.gamma)[0] - b.price(i, ca, self.gamma)[0]))
-                gaps[i] = max(gaps[i], gap)
-        return gaps
-
-    def shape_report(self, samples=256):
-        """Monotonicity and concavity of p(t,.) on every selected band."""
-        if self.selected_range is None:
-            raise InvalidParams("selected_range", "tariff carries no selected range")
-        worst_slope, worst_curv = np.inf, -np.inf
-        for band in self.selected_range:
-            for i in range(self.time_grid.size):
-                lo, hi = band[i]
-                if not np.isfinite(hi) or hi <= lo:
-                    continue
-                lo = max(lo, 1e-9 * hi) if self.gamma < 0 else lo
-                cs = np.linspace(lo, hi, samples)
-                ps = self.price(i, cs)
-                sl = np.diff(ps) / np.diff(cs)
-                worst_slope = min(worst_slope, float(np.min(sl)))
-                worst_curv = max(worst_curv, float(np.max(np.diff(sl))))
-        scale = max(1.0, abs(worst_slope))
-        return {
-            "min_slope": worst_slope,
-            "max_convex_kink": worst_curv,
-            "nondecreasing": worst_slope >= -1e-9 * scale,
-            "concave": worst_curv <= 1e-9 * scale,
-        }
-
     def coefficients_at(self, t_index, label="selected"):
         """(p1, p2, p3) of the polynomial segment with the given label."""
         fallback = None

@@ -187,15 +187,6 @@ def u_transform_indirect_to_price(p_star, params, c_grid=None):
     return SampledFunctionOfConsumption(c_grid=c_grid, values=vals), arg
 
 
-def grid_argmax_set(surface_1d, rel_tol=1e-12):
-    """All indices attaining the grid maximum within a relative tolerance.
-
-    The transform may be non-unique at kinks; no canonical selection is made.
-    """
-    m = np.max(surface_1d)
-    return np.flatnonzero(surface_1d >= m - rel_tol * max(1.0, abs(m)))
-
-
 @dataclass(frozen=True, eq=False)
 class UConvexityReport:
     is_u_convex: bool

@@ -30,6 +30,52 @@ from nltariff.uconvex import (
 )
 
 
+# -- tariff diagnostics --------------------------------------------------------
+
+def continuity_gaps(tariff):
+    """Largest junction mismatch across adjacent segments, per time node.
+
+    Collapsed segments (c_hi <= c_lo) are skipped; the remaining segments
+    must agree at shared breakpoints within 1e-9.
+    """
+    nt = tariff.time_grid.size
+    gaps = np.zeros(nt)
+    for i in range(nt):
+        live = [s for s in tariff.segments if s.c_hi[i] > s.c_lo[i] + 1e-15]
+        for a, b in zip(live[:-1], live[1:]):
+            cj = a.c_hi[i]
+            if not np.isfinite(cj) or (tariff.gamma < 0 and cj <= 0):
+                continue
+            ca = np.asarray([cj])
+            gap = float(abs(a.price(i, ca, tariff.gamma)[0] - b.price(i, ca, tariff.gamma)[0]))
+            gaps[i] = max(gaps[i], gap)
+    return gaps
+
+
+def shape_report(tariff, samples=256):
+    """Monotonicity and concavity of p(t,.) on every selected band."""
+    assert tariff.selected_range is not None, "tariff carries no selected range"
+    worst_slope, worst_curv = np.inf, -np.inf
+    for band in tariff.selected_range:
+        for i in range(tariff.time_grid.size):
+            lo, hi = band[i]
+            if not np.isfinite(hi) or hi <= lo:
+                continue
+            lo = max(lo, 1e-9 * hi) if tariff.gamma < 0 else lo
+            cs = np.linspace(lo, hi, samples)
+            ps = tariff.price(i, cs)
+            sl = np.diff(ps) / np.diff(cs)
+            worst_slope = min(worst_slope, float(np.min(sl)))
+            worst_curv = max(worst_curv, float(np.max(np.diff(sl))))
+    scale = max(1.0, abs(worst_slope))
+    return {
+        "min_slope": worst_slope,
+        "max_convex_kink": worst_curv,
+        "nondecreasing": worst_slope >= -1e-9 * scale,
+        "concave": worst_curv <= 1e-9 * scale,
+    }
+
+
 def draw_gamma(rng):
     if rng.rand() < 0.5:
         return float(rng.uniform(0.1, 0.9))
@@ -98,8 +144,8 @@ def check_const_solver_invariants(params):
     assert report.principal_utility >= audit.max() - 1e-10, "global maximum audit"
 
     tariff, p_star = build_tariff_const_h(cfg, report)
-    assert tariff.continuity_gaps().max() <= 1e-9
-    shape = tariff.shape_report()
+    assert continuity_gaps(tariff).max() <= 1e-9
+    shape = shape_report(tariff)
     assert shape["nondecreasing"] and shape["concave"]
 
     H = params.reservation.H

@@ -1,12 +1,13 @@
 """Scenario runner: config validation, report files, sweeps, exit codes."""
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nltariff.cli import load_config, main, run_scenario, run_sweep
+from nltariff.cli import _fmt, _grid_text, _write_table, load_config, main, run_scenario, run_sweep
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,6 +80,111 @@ def test_deterministic_output(tmp_path):
     run_scenario(CONFIG_DIR / "industrial_constant_h.json", out2)
     for name in ("report.json", "tariff.csv", "indirect_utility.csv", "consumption.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# values whose text is easy to get wrong: signed zero, non-finite values,
+# the largest and smallest doubles, and a sum that is not exactly 0.3
+AWKWARD_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e16, 1e-5,
+                  0.1 + 0.2, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rows", [len(AWKWARD_VALUES), 1])
+def test_write_table_keeps_the_csv_module_bytes(tmp_path, rows):
+    """One formatted pass writes what csv.writer wrote with the f-strings."""
+    values = AWKWARD_VALUES[:rows]
+    reverse = values[::-1]
+    flags = [v > 0 for v in values]
+    optional = ["" if i % 2 else v for i, v in enumerate(values)]
+    header = ["schema_version", "x", "a", "b", "flag", "opt"]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for x, a, b, flag, opt in zip(values, values, reverse, flags, optional):
+            w.writerow([1, f"{x:.12g}", f"{a:.12g}", f"{b:.12g}", int(flag),
+                        "" if opt == "" else f"{float(opt):.12g}"])
+    got = tmp_path / "got.csv"
+    _write_table(got, header, "1,%s,%.12g,%.12g,%d,%s", _grid_text(values), values, reverse,
+                 np.asarray(flags).tolist(), [_fmt(opt) for opt in optional])
+    assert got.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("doc", [BASE_DOC, json.loads((CONFIG_DIR / "residential_log_h.json").read_text())],
+                         ids=["constant_h", "residential_log_h"])
+def test_one_sample_tables(tmp_path, doc):
+    path = write_config(tmp_path, dict(doc, outputs={"tariff_samples": 1, "type_samples": 1}))
+    out = tmp_path / "o"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    n_t = load_config(path).params.time_grid.size
+    assert len(read_csv(out / "tariff.csv")) == n_t
+    assert len(read_csv(out / "consumption.csv")) == n_t
+    assert len(read_csv(out / "indirect_utility.csv")) == 1
+
+
+# sha256 of every CSV that `solve` (plain and --full-tariff) and an H_scale
+# `sweep` write on the shipped configs, computed with the csv-module writers
+PINNED_CSV_SHA256 = {
+    ("industrial_constant_h", "H_scale"): {
+        "sweep.csv": "1a5de05ef3802049a657732f511051dff961284be9025f83c0e1746796e364e6",
+    },
+    ("industrial_constant_h", "full"): {
+        "consumption.csv": "69845cba91418d4e65c33f94ae53bc3972ca67a751dfe8615c5d49398122a377",
+        "indirect_utility.csv": "0e32fcf42ef65bc8bc22563eff230235d47c710969dc85e89602cd9673e13da1",
+        "tariff.csv": "3d23229eb6294738c795908660cf45f60795f330aa5615cf5fa87cd3785c8fa6",
+    },
+    ("industrial_constant_h", "plain"): {
+        "consumption.csv": "69845cba91418d4e65c33f94ae53bc3972ca67a751dfe8615c5d49398122a377",
+        "indirect_utility.csv": "0e32fcf42ef65bc8bc22563eff230235d47c710969dc85e89602cd9673e13da1",
+        "tariff.csv": "01b188de26b04aa0bfc5060880253ab3fa9db486d7ae8f7fce9727cd229b3ec5",
+    },
+    ("industrial_sqrt_h", "H_scale"): {
+        "sweep.csv": "e878a9e13cc17e8b1ebb0ac773389e8cda9e9cd251b9556c64a4cc56497bbee5",
+    },
+    ("industrial_sqrt_h", "full"): {
+        "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
+        "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
+        "tariff.csv": "1f877f8ce34e1e8dc94ae7c74f7a952b315aa00257311a62405edb8e3849ac68",
+    },
+    ("industrial_sqrt_h", "plain"): {
+        "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
+        "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
+        "tariff.csv": "58c340624e577fa6a52f35b05210acacd5eac1d8d1689b761aed52a6b6777d9f",
+    },
+    ("residential_constant_h", "full"): {
+        "consumption.csv": "7c63d3618fc88d224c797aa20c061f8cd78b06cb35a95e9201f83b4170b95236",
+        "indirect_utility.csv": "f0c2805dc46a9bca5751d3b957d920b42686d911bff0acdcb752af384dc8e7f1",
+        "tariff.csv": "9e50e04bb80776ee17267871bd9596413db1742959f8bdbd183fea14bef2d242",
+    },
+    ("residential_constant_h", "plain"): {
+        "consumption.csv": "7c63d3618fc88d224c797aa20c061f8cd78b06cb35a95e9201f83b4170b95236",
+        "indirect_utility.csv": "f0c2805dc46a9bca5751d3b957d920b42686d911bff0acdcb752af384dc8e7f1",
+        "tariff.csv": "9e50e04bb80776ee17267871bd9596413db1742959f8bdbd183fea14bef2d242",
+    },
+    ("residential_log_h", "full"): {
+        "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
+        "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
+        "tariff.csv": "902d37784561a3216cbf7eb733cf4a984b623cf3fe3b7d13537dc37ae431e6e2",
+    },
+    ("residential_log_h", "plain"): {
+        "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
+        "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
+        "tariff.csv": "c6adc0b3373efcbbd97c45f0e9ae886b8776ef19af6809c96cbc8b33ea4838c7",
+    },
+}
+
+
+@pytest.mark.parametrize("family, variant", sorted(PINNED_CSV_SHA256))
+def test_csv_bytes_are_pinned(tmp_path, family, variant):
+    cfg = str(CONFIG_DIR / f"{family}.json")
+    argv = {
+        "plain": ["solve", cfg],
+        "full": ["solve", cfg, "--full-tariff"],
+        "H_scale": ["sweep", cfg, "--param", "H_scale", "--values", "0.5,0.75,1.0,1.25,1.5"],
+    }[variant]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == PINNED_CSV_SHA256[(family, variant)]
 
 
 def test_malformed_gamma_exits_2(tmp_path, capsys):

@@ -9,7 +9,6 @@ from nltariff.oracle import (
     _objective_given_slopes,
     _pointwise_best_slopes,
     _slope_grid_for,
-    oracle_agent_sweep,
     oracle_relaxed_maximize_const_h,
 )
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
@@ -178,6 +177,29 @@ def test_oracle_result_identical_with_full_scan(bench, request, monkeypatch):
 
 
 # -- agent sweeps ---------------------------------------------------------------
+
+def oracle_agent_sweep(tariff, params, x_nodes, c_nodes):
+    """Pure grid-search best responses to ``tariff`` for a sweep of types.
+
+    Returns (x, c_opt, value) arrays per time node; the audit table behind
+    every closed-form consumption claim.
+    """
+    x_nodes = np.asarray(x_nodes, dtype=float)
+    c_nodes = np.asarray(c_nodes, dtype=float)
+    nt = params.time_grid.size
+    gamma = params.gamma
+    gx = params.g(x_nodes)
+    cpow = c_nodes ** gamma
+    c_opt = np.empty((nt, x_nodes.size))
+    value = np.empty((nt, x_nodes.size))
+    for i in range(nt):
+        prices = tariff.price(i, c_nodes)
+        obj = gx[:, None] * params.phi[i] * cpow[None, :] / gamma - prices[None, :]
+        arg = np.argmax(obj, axis=1)
+        c_opt[i] = c_nodes[arg]
+        value[i] = np.take_along_axis(obj, arg[:, None], axis=1)[:, 0]
+    return x_nodes, c_opt, value
+
 
 def test_sweep_reproduces_linear_tariff_optimum():
     params = canonical_params(-1.0, reservation=ConstantReservation(-0.1), time_nodes=2)

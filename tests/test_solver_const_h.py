@@ -22,6 +22,7 @@ from nltariff.solver_const_h import (
 )
 from nltariff.uconvex import check_u_convexity
 from tests.conftest import BENCH1, BENCH2
+from tests.property_harness import continuity_gaps, shape_report
 
 
 # -- ell ---------------------------------------------------------------------
@@ -135,8 +136,8 @@ def test_full_tariff_continuous_and_shaped(bench1_config, bench2_config):
         report = solve_x0_star(full)
         tariff, _ = build_tariff_const_h(full, report)
         assert len(tariff.segments) == 2
-        assert tariff.continuity_gaps().max() <= 1e-9
-        shape = tariff.shape_report()
+        assert continuity_gaps(tariff).max() <= 1e-9
+        shape = shape_report(tariff)
         assert shape["nondecreasing"] and shape["concave"]
 
 

