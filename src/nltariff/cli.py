@@ -384,14 +384,15 @@ def _scaled_config(config, param, value):
 
 def run_sweep(config_path, param, values, out_dir, full_tariff=False):
     """Re-solve the scenario for each sweep value and emit one CSV row each."""
-    if len(values) < 2:
-        raise ConfigError("values", "a sweep needs at least two values")
+    values = _floats(values, "values")
+    if values.size < 2 or not np.all(np.isfinite(values)):
+        raise ConfigError("values", f"a sweep needs at least two finite numbers, got {values.tolist()}")
     base = load_config(config_path)
     if full_tariff:
         base = replace(base, simplified_tariff=False)
     rows = []
-    for v in sorted(values):
-        cfg = _scaled_config(base, param, float(v))
+    for v in sorted(values.tolist()):
+        cfg = _scaled_config(base, param, v)
         tariff, _, boundary, extras = _solve(cfg)
         try:
             p1, p2, p3 = tariff.coefficients_at(0, label="selected")
@@ -399,7 +400,7 @@ def run_sweep(config_path, param, values, out_dir, full_tariff=False):
             p1 = p2 = p3 = ""
         rows.append({
             "param": param,
-            "value": float(v),
+            "value": v,
             "x0": boundary.get("x0", ""),
             "a0": boundary.get("a0", ""),
             "b0": boundary.get("b0", ""),
@@ -449,7 +450,7 @@ def main(argv=None):
         if args.command == "solve":
             run_scenario(args.config, args.out, run_oracle=args.oracle, full_tariff=args.full_tariff)
         else:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [v for v in args.values.split(",") if v.strip()]
             run_sweep(args.config, args.param, values, args.out, full_tariff=args.full_tariff)
     except (ConfigError, InvalidParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)

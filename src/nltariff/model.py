@@ -288,6 +288,8 @@ class ModelParams:
     def _validate_reservation(self):
         res = self.reservation
         if res.kind == "constant":
+            if not np.isfinite(res.H):
+                raise InvalidReservation("constant H must be finite")
             if self.gamma > 0 and res.H < 0:
                 raise InvalidReservation("constant H must be >= 0 when gamma in (0,1)")
             if self.gamma < 0 and res.H >= 0:

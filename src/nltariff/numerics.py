@@ -80,8 +80,7 @@ def golden_max(f, lo, hi, xtol=1e-10, max_iter=200):
 def grid_then_golden_max(f, lo, hi, grid_size, xtol=1e-10):
     """Global 1D maximization: dense scan, then golden-section refinement.
 
-    Returns (x_star, value, grid_xs, grid_vals) so callers can audit for
-    competing local maxima.
+    Returns (x_star, value).
     """
     xs = np.linspace(lo, hi, grid_size)
     vals = np.array([f(x) for x in xs])
@@ -91,7 +90,7 @@ def grid_then_golden_max(f, lo, hi, grid_size, xtol=1e-10):
     x_star, v_star = golden_max(f, a, b, xtol=xtol)
     if vals[i] > v_star:
         x_star, v_star = xs[i], vals[i]
-    return x_star, v_star, xs, vals
+    return x_star, v_star
 
 
 def expand_bracket_increasing(f, target, hi0=1.0, max_doublings=300):

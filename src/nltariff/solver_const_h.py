@@ -16,11 +16,10 @@ from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
 from .tariff import TabulatedSegment, Tariff, TariffSegment
-from .uconvex import u_transform_indirect_to_price
+from .uconvex import default_c_grid, u_transform_indirect_to_price
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
-LOCAL_MAX_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -32,9 +31,7 @@ class SolveReport:
     foc_residual: float
     uniqueness: bool
     route: str
-    local_maxima: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,6 @@ def _solve_industrial(config, H):
         foc_residual=float(residual),
         uniqueness=True,
         route="closed_form_industrial",
-        diagnostics={"chi_at_root": float(chi(y0, params)) if H > 0 else 0.0},
     )
 
 
@@ -240,7 +236,6 @@ def _solve_residential(config, H):
         foc_residual=float(residual),
         uniqueness=True,
         route="closed_form_residential",
-        diagnostics={"clamped": clamped},
     )
     if clamped:
         report.warnings.append("corner solution x0*=0: every type is served")
@@ -250,15 +245,8 @@ def _solve_residential(config, H):
 def _solve_general(config, H):
     params = config.params
     obj = lambda x0: alpha_objective(x0, params)
-    x0, v0, xs, vals = grid_then_golden_max(obj, 0.0, 1.0, ALPHA_GRID, xtol=1e-10)
+    x0, v0 = grid_then_golden_max(obj, 0.0, 1.0, ALPHA_GRID, xtol=1e-10)
     unique = _uniqueness_conditions(params)
-    # competing local maxima: grid points beating the best within tolerance
-    local = []
-    if not unique:
-        interior = (vals >= v0 - LOCAL_MAX_TOL)
-        for j in np.flatnonzero(interior):
-            if abs(xs[j] - x0) > 2.0 / ALPHA_GRID:
-                local.append((float(xs[j]), float(vals[j])))
     h = 1e-5
     lo_r, hi_r = max(x0 - h, 0.0), min(x0 + h, 1.0)
     residual = abs((obj(hi_r) - obj(lo_r)) / (hi_r - lo_r)) if 0.0 < x0 < 1.0 else 0.0
@@ -268,7 +256,6 @@ def _solve_general(config, H):
         foc_residual=float(residual),
         uniqueness=unique,
         route="general",
-        local_maxima=local,
     )
     if not unique:
         report.warnings.append("uniqueness condition (monotone beta) not verified; grid maximizer returned")
@@ -322,31 +309,51 @@ def build_tariff_const_h(config, report):
     params = config.params
     H = params.reservation.H
     s = _boundary_split(config, H)
-    if report.route == "closed_form_industrial":
-        return _build_industrial(config, report, s)
-    if report.route == "closed_form_residential":
-        return _build_residential(config, report, s)
-    return _build_general(config, report, s)
+    if report.route == "general":
+        return _build_general(config, report, s)
+    return _build_closed_form(config, report, s)
 
 
-def _build_industrial(config, report, s):
+def _build_closed_form(config, report, s):
+    """Polynomial tariff of the canonical routes. On the served types
+    p*(t, x) = s(t) + K(t) (u(x)^m - u(x0)^m), m = 1/(1-gamma), with
+    u(x) = (2x - 1)^+ and K = M on the industrial branch, u(x) = 1 - x and
+    K = -M_hat on the residential one."""
     params = config.params
-    g, n = params.gamma, params.n
+    g = params.gamma
     x0 = report.boundary["x0"]
-    y0 = max(2.0 * x0 - 1.0, 0.0) ** (1.0 / (1.0 - g))
-    M = M_profile(params, x0)
     phi = params.phi
     nt = params.time_grid.size
+    m = 1.0 / (1.0 - g)
+    u = (lambda x: np.maximum(2.0 * x - 1.0, 0.0)) if g > 0 else (lambda x: 1.0 - x)
+    q0 = u(x0) ** m
+    if g > 0:
+        M = M_profile(params, x0)
+        K = M
+        dK = M * (2.0 / (1.0 - g))
+        c_hat = (2.0 * g * M / ((1.0 - g) * phi)) ** (1.0 / g)
+        p1 = phi / (2.0 * g)
+        p2 = (phi / 2.0) * ((1.0 - g) * phi / (2.0 * g * M)) ** ((1.0 - g) / g)
+        p3_top = M * q0 - M - s
+        band = [c_hat * q0, c_hat]
+        meta = {"x0": x0, "y0": q0, "M": M}
+    else:
+        Mh = M_hat_profile(params, x0)
+        K = -Mh
+        dK = Mh / (1.0 - g)
+        c_hat = (-g * Mh / (phi * (1.0 - g))) ** (1.0 / g)
+        p1 = np.zeros(nt)
+        p2 = phi * (-(phi * (1.0 - g)) / (g * Mh)) ** ((1.0 - g) / g)
+        p3_top = -s - Mh * q0 + Mh
+        band = [np.zeros(nt), c_hat * q0]
+        meta = {"x0": x0, "M_hat": Mh}
 
-    c_hat = (2.0 * g * M / ((1.0 - g) * phi)) ** (1.0 / g)
-    p2 = (phi / 2.0) * ((1.0 - g) * phi / (2.0 * g * M)) ** ((1.0 - g) / g)
-    p3_sel = -s + M * y0
     selected = TariffSegment(
         c_lo=np.zeros(nt),
         c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_hat,
-        p1=phi / (2.0 * g),
+        p1=p1,
         p2=p2,
-        p3=p3_sel,
+        p3=-s + K * q0,
         label="selected",
     )
     segments = [selected]
@@ -356,86 +363,30 @@ def _build_industrial(config, report, s):
             c_hi=np.full(nt, np.inf),
             p1=phi / g,
             p2=np.zeros(nt),
-            p3=M * y0 - M - s,
+            p3=p3_top,
             label="top",
         ))
-    selected_range = [np.column_stack([c_hat * y0, c_hat])]
     tariff = Tariff(
         gamma=g,
         time_grid=params.time_grid,
         segments=segments,
         simplified=config.simplified_tariff,
-        selected_range=selected_range,
+        selected_range=[np.column_stack(band)],
         breakpoints={"c_hat": c_hat},
-        meta={"x0": x0, "y0": y0, "M": M},
+        meta=meta,
     )
 
     def values_fn(x):
-        shape = np.maximum(2.0 * x - 1.0, 0.0) ** (1.0 / (1.0 - g))
-        return s[:, None] + M[:, None] * (shape[None, :] - y0)
+        return s[:, None] + K[:, None] * ((u(x) ** m)[None, :] - q0)
 
     def slopes_fn(x):
-        shape = np.maximum(2.0 * x - 1.0, 0.0) ** (g / (1.0 - g))
-        return M[:, None] * (2.0 / (1.0 - g)) * shape[None, :]
-
-    p_star = IndirectUtility.from_callables(
-        params.time_grid, values_fn, slopes_fn, kinks=(), meta={"x0": x0, "branch": "industrial"}
-    )
-    return tariff, p_star
-
-
-def _build_residential(config, report, s):
-    params = config.params
-    g, n = params.gamma, params.n
-    x0 = report.boundary["x0"]
-    Mh = M_hat_profile(params, x0)
-    phi = params.phi
-    nt = params.time_grid.size
-    e0 = (1.0 - x0) ** (1.0 / (1.0 - g))
-
-    c_hat = (-g * Mh / (phi * (1.0 - g))) ** (1.0 / g)
-    p2 = phi * (-(phi * (1.0 - g)) / (g * Mh)) ** ((1.0 - g) / g)
-    p3_sel = -s - Mh * e0
-    selected = TariffSegment(
-        c_lo=np.zeros(nt),
-        c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_hat,
-        p1=np.zeros(nt),
-        p2=p2,
-        p3=p3_sel,
-        label="selected",
-    )
-    segments = [selected]
-    if not config.simplified_tariff:
-        segments.append(TariffSegment(
-            c_lo=c_hat,
-            c_hi=np.full(nt, np.inf),
-            p1=phi / g,
-            p2=np.zeros(nt),
-            p3=p3_sel + Mh,
-            label="top",
-        ))
-    selected_range = [np.column_stack([np.zeros(nt), c_hat * e0])]
-    tariff = Tariff(
-        gamma=g,
-        time_grid=params.time_grid,
-        segments=segments,
-        simplified=config.simplified_tariff,
-        selected_range=selected_range,
-        breakpoints={"c_hat": c_hat},
-        meta={"x0": x0, "M_hat": Mh},
-    )
-
-    def values_fn(x):
-        shape = (1.0 - np.asarray(x)) ** (1.0 / (1.0 - g))
-        return s[:, None] + Mh[:, None] * (e0 - shape[None, :])
-
-    def slopes_fn(x):
+        # the residential slope is infinite at x = 1
         with np.errstate(divide="ignore"):
-            shape = (1.0 - np.asarray(x)) ** (g / (1.0 - g))
-        return Mh[:, None] / (1.0 - g) * shape[None, :]
+            return dK[:, None] * (u(x) ** (g / (1.0 - g)))[None, :]
 
+    branch = "industrial" if g > 0 else "residential"
     p_star = IndirectUtility.from_callables(
-        params.time_grid, values_fn, slopes_fn, kinks=(), meta={"x0": x0, "branch": "residential"}
+        params.time_grid, values_fn, slopes_fn, kinks=(), meta={"x0": x0, "branch": branch}
     )
     return tariff, p_star
 
@@ -472,24 +423,28 @@ def _build_general(config, report, s):
     prim = cumtrapz(slopes, xs)
     values = s[:, None] + prim - prim[:, i0][:, None]
     p_star = IndirectUtility.from_samples(params.time_grid, xs, values, meta={"x0": x0, "branch": "general"})
-    price, _ = u_transform_indirect_to_price(
-        p_star.sample(), params,
-        c_grid=np.geomspace(config.c_min, config.c_max, config.c_grid_size) if g < 0
-        else np.linspace(0.0, config.c_max, config.c_grid_size),
-    )
+    return sampled_tariff(config, p_star.sample(), {"x0": x0, "route": "general"}), p_star
+
+
+def sampled_tariff(config, samples, meta):
+    """Fully sampled tariff: the u-conjugate of the sampled indirect utility
+    ``samples`` on the configured consumption grid, linear between the knots
+    and held flat above the top one."""
+    params = config.params
+    c_grid = default_c_grid(params, config.c_min, config.c_max, config.c_grid_size)
+    price, _ = u_transform_indirect_to_price(samples, params, c_grid=c_grid)
+    nt = params.time_grid.size
     seg = TabulatedSegment(
-        c_lo=np.full(nt, price.c_grid[0]),
+        c_lo=np.full(nt, c_grid[0]),
         c_hi=np.full(nt, np.inf),
-        c_knots=np.tile(price.c_grid, (nt, 1)),
+        c_knots=np.tile(c_grid, (nt, 1)),
         p_knots=price.values,
         label="sampled",
     )
-    tariff = Tariff(
-        gamma=g,
+    return Tariff(
+        gamma=params.gamma,
         time_grid=params.time_grid,
         segments=[seg],
         simplified=True,
-        selected_range=None,
-        meta={"x0": x0, "route": "general"},
+        meta=meta,
     )
-    return tariff, p_star

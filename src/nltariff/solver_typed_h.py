@@ -16,14 +16,13 @@ from .agent import IndirectUtility
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_cost, eval_marginal_cost
 from .numerics import cumtrapz, trapezoid
-from .solver_const_h import B_gamma, lower_bracket, optimal_slopes, time_weight, upper_bracket
+from .solver_const_h import B_gamma, lower_bracket, optimal_slopes, sampled_tariff, time_weight, upper_bracket
 from .tariff import TabulatedSegment, Tariff, TariffSegment
 # perfbench/tracing.py looks up _utility_surface in this module by name
-from .uconvex import _u_conjugate, _utility_surface, u_transform_indirect_to_price  # noqa: F401
+from .uconvex import _u_conjugate, _utility_surface  # noqa: F401
 
 GRID_SIZE = 256
 ZOOM_ROUNDS = 7
-FEAS_TOL = 1e-12
 DEGENERATE_TOL = 1e-12
 
 
@@ -354,6 +353,57 @@ def L_gamma_profile(params, N):
 
 
 # ---------------------------------------------------------------------------
+# closed-form components
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    """u(x)^m, the x-dependence of one closed-form component of p*, with the
+    x-derivative du m u(x)^e. Boundary types go in as Python floats, not
+    arrays: scalar and array powers can differ in the last bit."""
+
+    u: object
+    du: float
+    m: float
+    e: float
+
+    def __call__(self, x):
+        return self.u(x) ** self.m
+
+    def slope(self, N, x):
+        """N times the derivative, N broadcasting against u(x)."""
+        return self.du * N * self.m * self.u(x) ** self.e
+
+
+def _component_shapes(gamma):
+    """(lower, upper, bottom): the shapes of the components on [0, b0] and
+    [a0, 1], and which of the two ("lower" or "upper") serves the smallest
+    tastes. On [0, b0], p* = H(b0)/T - N (lower(b0) - lower(x)); on [a0, 1],
+    p* = H(a0)/T + N (upper(x) - upper(a0)).
+
+    The residential branch is the industrial one mirrored in the taste
+    g(x) = 1 - x: its bottom component is [a0, 1] instead of [0, b0].
+    """
+    m = 1.0 / (1.0 - gamma)
+    if gamma > 0:
+        e = gamma * m
+        return _Shape(lambda x: x, 1.0, m, e), _Shape(lambda x: x - 0.5, 1.0, m, e), "lower"
+    e = m - 1.0
+    return (_Shape(lambda x: 0.5 - np.minimum(x, 0.5), -1.0, m, e),
+            _Shape(lambda x: 1.0 - x, -1.0, m, e), "upper")
+
+
+def _levels(H, a0, b0):
+    """(H(a0), H(b0)) as Python floats; an unbounded-below H(b0) at the
+    corner b0 = 0 is taken just inside it."""
+    Ha = float(H(np.asarray([a0]))[0])
+    Hb = float(H(np.asarray([b0]))[0])
+    if not np.isfinite(Hb):
+        Hb = float(H(np.asarray([1e-12]))[0])
+    return Ha, Hb
+
+
+# ---------------------------------------------------------------------------
 # bridge construction
 # ---------------------------------------------------------------------------
 
@@ -364,31 +414,23 @@ class BridgeReport:
     values: np.ndarray               # shape (n_t, m)
     valid: bool
     checks: dict
-    notes: list = field(default_factory=list)
 
 
 def _piece_boundary_data(params, a0, b0, N):
     """Values and slopes of the closed-form pieces at the glue points."""
-    g = params.gamma
-    m = 1.0 / (1.0 - g)
+    lower, upper, _ = _component_shapes(params.gamma)
     T = params.horizon
-    H = params.reservation
     nt = params.time_grid.size
-    out = {}
-    if g > 0:
-        slope_low = N * m * b0 ** (g * m) if b0 > 0 else np.zeros(nt)
-        slope_up = N * m * max(a0 - 0.5, 0.0) ** (g * m) if a0 < 1.0 else np.full(nt, np.inf)
-    else:
-        slope_low = -N * m * (0.5 - min(b0, 0.5)) ** (m - 1.0) if b0 > 0 else np.zeros(nt)
-        slope_up = -N * m * (1.0 - a0) ** (m - 1.0) if a0 < 1.0 else np.full(nt, np.inf)
-    out["slope_low"] = np.asarray(slope_low, dtype=float)
-    out["slope_up"] = np.asarray(slope_up, dtype=float)
-    out["val_low"] = np.full(nt, float(H(np.asarray([b0]))[0]) / T) if b0 > 0 else None
-    out["val_up"] = np.full(nt, float(H(np.asarray([a0]))[0]) / T) if a0 < 1.0 else None
-    return out
+    Ha, Hb = _levels(params.reservation, a0, b0)
+    return {
+        "slope_low": lower.slope(N, b0) if b0 > 0 else np.zeros(nt),
+        "slope_up": upper.slope(N, a0) if a0 < 1.0 else np.full(nt, np.inf),
+        "val_low": np.full(nt, Hb / T) if b0 > 0 else None,
+        "val_up": np.full(nt, Ha / T) if a0 < 1.0 else None,
+    }
 
 
-def build_bridge(params, a0, b0, N=None, validate_convexity=True):
+def build_bridge(params, a0, b0, N=None):
     """Construct and validate bridge candidates for the excluded middle.
 
     Candidates: the time-uniform chord of H between the boundaries (dipped
@@ -403,14 +445,9 @@ def build_bridge(params, a0, b0, N=None, validate_convexity=True):
     if N is None and params.is_canonical_uniform_power:
         N = N_gamma_profile(params, a0, b0)
     data = _piece_boundary_data(params, a0, b0, N) if N is not None else None
-    H = params.reservation
     T = params.horizon
     nt = params.time_grid.size
-
-    Hb = float(H(np.asarray([b0]))[0])
-    if not np.isfinite(Hb):  # unbounded-below reservation at the corner
-        Hb = float(H(np.asarray([1e-12]))[0])
-    Ha = float(H(np.asarray([a0]))[0])
+    Ha, Hb = _levels(params.reservation, a0, b0)
     candidates = []
 
     # endpoint targets: exact at live boundaries, dipped at degenerate ones
@@ -440,27 +477,23 @@ def build_bridge(params, a0, b0, N=None, validate_convexity=True):
 
     best = None
     for cand in candidates:
-        cand.checks = _validate_bridge(params, cand, a0, b0, data, validate_convexity)
+        cand.checks = _validate_bridge(params, cand, a0, b0, data)
         cand.valid = all(cand.checks.values())
         if cand.valid:
             return cand
         if best is None or sum(cand.checks.values()) > sum(best.checks.values()):
             best = cand
-    best.notes.append("no candidate passed every check; best-scoring candidate returned")
     return best
 
 
-def _validate_bridge(params, cand, a0, b0, data, validate_convexity):
+def _validate_bridge(params, cand, a0, b0, data):
     """Endpoint integrals, strict interior inferiority, monotonicity, and the
     per-time convexity of the glued surface."""
     H = params.reservation
     xk, vals = cand.x_knots, cand.values
     integ = np.array([float(trapezoid(vals[:, j], params.time_grid)) for j in range(xk.size)])
     checks = {}
-    Hb = float(H(np.asarray([b0]))[0])
-    if not np.isfinite(Hb):
-        Hb = float(H(np.asarray([1e-12]))[0])
-    Ha = float(H(np.asarray([a0]))[0])
+    Ha, Hb = _levels(H, a0, b0)
     checks["left_endpoint"] = (abs(integ[0] - Hb) <= 1e-9 * max(1.0, abs(Hb))) if b0 > 0 else (integ[0] < Hb)
     checks["right_endpoint"] = (abs(integ[-1] - Ha) <= 1e-9 * max(1.0, abs(Ha))) if a0 < 1.0 else (integ[-1] < Ha)
     interior = (xk > b0 + 1e-12) & (xk < a0 - 1e-12)
@@ -468,7 +501,7 @@ def _validate_bridge(params, cand, a0, b0, data, validate_convexity):
     checks["interior_inferior"] = bool(np.all(integ[interior] < Hi - 0.0))
     slopes = np.diff(vals, axis=1) / np.diff(xk)
     checks["monotone"] = bool(np.all(slopes >= -1e-12))
-    if validate_convexity and data is not None:
+    if data is not None:
         ok = bool(np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))))
         if b0 > 0:
             ok = ok and bool(np.all(slopes[:, 0] >= data["slope_low"] - 1e-9))
@@ -486,9 +519,9 @@ def build_tariff_typed_h(config, solution):
     """Emit the piecewise tariff and the glued indirect utility.
 
     Requires the canonical power/uniform setting (explicit coefficient
-    profiles). When only the component opposite to the branch's polynomial
-    pieces survives (a0 = 1 on the industrial branch, b0 = 0 on the
-    residential one) the emission falls back to a fully sampled tariff.
+    profiles). When the selected component is empty (a0 = 1 on the
+    industrial branch, b0 = 0 on the residential one) the emission falls
+    back to a fully sampled tariff.
     """
     params = config.params
     if not params.is_canonical_uniform_power:
@@ -498,10 +531,6 @@ def build_tariff_typed_h(config, solution):
     N = solution.N_gamma if solution.N_gamma is not None else N_gamma_profile(params, a0, b0)
     L = solution.L_gamma if solution.L_gamma is not None else L_gamma_profile(params, N)
     T = params.horizon
-    H = params.reservation
-    Ha = float(H(np.asarray([a0]))[0]) if a0 < 1.0 else None
-    Hb = float(H(np.asarray([b0]))[0]) if b0 > 0 else None
-    m = 1.0 / (1.0 - g)
     phi = params.phi
     nt = params.time_grid.size
 
@@ -510,70 +539,50 @@ def build_tariff_typed_h(config, solution):
 
     p_star = _glued_indirect_utility(params, a0, b0, N, bridge)
 
-    if (g > 0 and a0 >= 1.0) or (g < 0 and b0 <= 0.0):
-        return _sampled_emission(config, p_star, {"a0": a0, "b0": b0, "bridge": bridge.name}), p_star
+    # (boundary, H at it, shape, live) of each component; the one that is not
+    # the bottom component is the selected one
+    lower, upper, bottom = _component_shapes(g)
+    Ha, Hb = _levels(params.reservation, a0, b0)
+    pieces = {"lower": (b0, Hb, lower, b0 > 0.0), "upper": (a0, Ha, upper, a0 < 1.0)}
+    x_bot, H_bot, shape_bot, bottom_live = pieces[bottom]
+    x_sel, H_sel, shape_sel, selected_live = pieces["upper" if bottom == "lower" else "lower"]
+    if not selected_live:
+        meta = {"a0": a0, "b0": b0, "bridge": bridge.name, "route": "sampled"}
+        return sampled_tariff(config, p_star.sample(np.linspace(0.0, 1.0, 2001)), meta), p_star
 
+    m = shape_sel.m
+    s_bot = shape_bot(x_bot)
+    s_sel = shape_sel(x_sel)
+    c_bot = L * s_bot if bottom_live else np.zeros(nt)
+    c_sel = L * s_sel
+    c_top = L * 2.0 ** (-m)
+    p2 = phi * L ** (g - 1.0)
+    segs = []
     selected_range = []
-    if g > 0:
-        c_low_hi = L * b0 ** m
-        c_mid_hi = L * (a0 - 0.5) ** m
-        c_top = L * 2.0 ** (-m)
-        segs = []
-        if b0 > 0:
-            segs.append(TariffSegment(
-                c_lo=np.zeros(nt), c_hi=c_low_hi,
-                p1=np.zeros(nt), p2=phi * L ** (g - 1.0),
-                p3=np.full(nt, -Hb / T) + N * b0 ** m,
-                label="lower_selected",
-            ))
-            selected_range.append(np.column_stack([np.zeros(nt), c_low_hi]))
-        segs.append(_bridge_segment(params, p_star, c_low_hi if b0 > 0 else np.zeros(nt), c_mid_hi))
+    if bottom_live:
         segs.append(TariffSegment(
-            c_lo=c_mid_hi,
-            c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_top,
-            p1=phi / (2.0 * g), p2=phi * L ** (g - 1.0),
-            p3=N * (a0 - 0.5) ** m - Ha / T,
-            label="selected",
+            c_lo=np.zeros(nt), c_hi=c_bot,
+            p1=np.zeros(nt), p2=p2,
+            p3=N * s_bot - H_bot / T,
+            label=f"{bottom}_selected",
         ))
-        if not config.simplified_tariff:
-            segs.append(TariffSegment(
-                c_lo=c_top, c_hi=np.full(nt, np.inf),
-                p1=phi / g, p2=np.zeros(nt),
-                p3=-N * (2.0 ** (-m) - (a0 - 0.5) ** m) - Ha / T,
-                label="top",
-            ))
-        selected_range.append(np.column_stack([c_mid_hi, c_top]))
-        breakpoints = {"c_lower_hi": c_low_hi, "c_bridge_hi": c_mid_hi, "c_top": c_top}
-    else:
-        c_a_hi = L * (1.0 - a0) ** m if a0 < 1.0 else np.zeros(nt)
-        c_mid_hi = L * (0.5 - min(b0, 0.5)) ** m
-        c_top = L * 2.0 ** (-m)
-        segs = []
-        if a0 < 1.0:
-            segs.append(TariffSegment(
-                c_lo=np.zeros(nt), c_hi=c_a_hi,
-                p1=np.zeros(nt), p2=phi * L ** (g - 1.0),
-                p3=N * (1.0 - a0) ** m - Ha / T,
-                label="upper_selected",
-            ))
-            selected_range.append(np.column_stack([np.zeros(nt), c_a_hi]))
-        segs.append(_bridge_segment(params, p_star, c_a_hi, c_mid_hi))
+        selected_range.append(np.column_stack([np.zeros(nt), c_bot]))
+    segs.append(_bridge_segment(params, p_star, c_bot, c_sel))
+    segs.append(TariffSegment(
+        c_lo=c_sel,
+        c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_top,
+        p1=phi / (2.0 * g), p2=p2,
+        p3=N * s_sel - H_sel / T,
+        label="selected",
+    ))
+    if not config.simplified_tariff:
         segs.append(TariffSegment(
-            c_lo=c_mid_hi,
-            c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_top,
-            p1=phi / (2.0 * g), p2=phi * L ** (g - 1.0),
-            p3=N * (0.5 - min(b0, 0.5)) ** m - Hb / T,
-            label="selected",
+            c_lo=c_top, c_hi=np.full(nt, np.inf),
+            p1=phi / g, p2=np.zeros(nt),
+            p3=N * (s_sel - 2.0 ** (-m)) - H_sel / T,
+            label="top",
         ))
-        if not config.simplified_tariff:
-            segs.append(TariffSegment(
-                c_lo=c_top, c_hi=np.full(nt, np.inf),
-                p1=phi / g, p2=np.zeros(nt),
-                p3=N * ((0.5 - min(b0, 0.5)) ** m - 2.0 ** (-m)) - Hb / T,
-                label="top",
-            ))
-        selected_range.append(np.column_stack([c_mid_hi, c_top]))
-        breakpoints = {"c_upper_hi": c_a_hi, "c_bridge_hi": c_mid_hi, "c_top": c_top}
+    selected_range.append(np.column_stack([c_sel, c_top]))
 
     tariff = Tariff(
         gamma=g,
@@ -581,25 +590,10 @@ def build_tariff_typed_h(config, solution):
         segments=segs,
         simplified=config.simplified_tariff,
         selected_range=selected_range,
-        breakpoints=breakpoints,
+        breakpoints={f"c_{bottom}_hi": c_bot, "c_bridge_hi": c_sel, "c_top": c_top},
         meta={"a0": a0, "b0": b0, "N": N, "L": L, "bridge": bridge.name},
     )
     return tariff, p_star
-
-
-def _sampled_emission(config, p_star, meta):
-    """Fully sampled tariff for the degenerate single-component emissions."""
-    params = config.params
-    c_grid = (np.geomspace(config.c_min, config.c_max, config.c_grid_size)
-              if params.gamma < 0 else np.linspace(0.0, config.c_max, config.c_grid_size))
-    price, _ = u_transform_indirect_to_price(p_star.sample(np.linspace(0.0, 1.0, 2001)), params, c_grid=c_grid)
-    nt = params.time_grid.size
-    seg = TabulatedSegment(
-        c_lo=np.full(nt, c_grid[0]), c_hi=np.full(nt, np.inf),
-        c_knots=np.tile(c_grid, (nt, 1)), p_knots=price.values, label="sampled",
-    )
-    return Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg],
-                  simplified=True, meta=dict(meta, route="sampled"))
 
 
 def _bridge_segment(params, p_star, c_lo, c_hi):
@@ -622,13 +616,10 @@ def _bridge_segment(params, p_star, c_lo, c_hi):
 
 def _glued_indirect_utility(params, a0, b0, N, bridge):
     """Closed-form lower/upper pieces with the bridge interpolated between."""
-    g = params.gamma
-    m = 1.0 / (1.0 - g)
+    lower, upper, _ = _component_shapes(params.gamma)
     T = params.horizon
-    H = params.reservation
     nt = params.time_grid.size
-    Ha = float(H(np.asarray([a0]))[0]) if a0 < 1.0 else None
-    Hb = float(H(np.asarray([b0]))[0]) if b0 > 0 else None
+    Ha, Hb = _levels(params.reservation, a0, b0)
     bx, bv = bridge.x_knots, bridge.values
 
     Nt = N[:, None]
@@ -640,18 +631,12 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
         mid = (x >= b0) & (x <= a0)
         up = x > a0
         if np.any(low):
-            if g > 0:
-                out[:, low] = Hb / T - Nt * (b0 ** m - x[low] ** m)
-            else:
-                out[:, low] = Hb / T - Nt * ((0.5 - min(b0, 0.5)) ** m - (0.5 - np.minimum(x[low], 0.5)) ** m)
+            out[:, low] = Hb / T - Nt * (lower(b0) - lower(x[low]))
         if np.any(mid):
             # np.interp is one-dimensional: one call per time row
             out[:, mid] = [np.interp(x[mid], bx, row) for row in bv]
         if np.any(up):
-            if g > 0:
-                out[:, up] = Ha / T + Nt * ((x[up] - 0.5) ** m - (a0 - 0.5) ** m)
-            else:
-                out[:, up] = Ha / T + Nt * ((1.0 - x[up]) ** m - (1.0 - a0) ** m)
+            out[:, up] = Ha / T + Nt * (upper(x[up]) - upper(a0))
         return out
 
     def slopes_fn(x):
@@ -664,20 +649,14 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
         mid = ~(low | up)
         bslopes = np.diff(bv, axis=1) / np.diff(bx) if bx.size > 1 else np.zeros((nt, 1))
         if np.any(low):
-            if g > 0:
-                out[:, low] = Nt * m * x[low] ** (g * m)
-            else:
-                xl = np.minimum(x[low], 0.5 - 1e-300)
-                out[:, low] = -Nt * m * (0.5 - xl) ** (m - 1.0)
+            out[:, low] = lower.slope(Nt, x[low])
         if np.any(mid) and bx.size > 1:
             j = np.clip(np.searchsorted(bx, x[mid], side="right") - 1, 0, bslopes.shape[1] - 1)
             out[:, mid] = bslopes[:, j]
         if np.any(up):
-            if g > 0:
-                out[:, up] = Nt * m * (x[up] - 0.5) ** (g * m)
-            else:
-                with np.errstate(divide="ignore"):
-                    out[:, up] = -Nt * m * (1.0 - x[up]) ** (m - 1.0)
+            # the residential slope is infinite at x = 1
+            with np.errstate(divide="ignore"):
+                out[:, up] = upper.slope(Nt, x[up])
         return out
 
     kinks = tuple(k for k in (b0, a0) if 0.0 < k < 1.0)

@@ -253,7 +253,7 @@ def test_criterion_8_bridge_invariance():
         v2 = Ha / params.horizon + data["slope_up"][i] * (xk - a0)
         vals[i] = np.maximum(v1, v2)
     bridge2 = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    bridge2.checks = _validate_bridge(params, bridge2, a0, b0, data, True)
+    bridge2.checks = _validate_bridge(params, bridge2, a0, b0, data)
     bridge2.valid = all(bridge2.checks.values())
     assert sol1.bridge.name == "chord" and bridge2.valid
     assert np.abs(vals - sol1.bridge.values[:, :]).max() > 1e-4  # genuinely distinct

@@ -217,10 +217,14 @@ def test_assumption_violation_exits_3(tmp_path, capsys):
     assert "elasticity" in capsys.readouterr().err
 
 
-def test_sweep_needs_two_values(tmp_path):
+@pytest.mark.parametrize("values", ["1.0", "abc,1", "nan,1.0", "inf,1.0", "1.0,-inf"])
+def test_sweep_needs_two_values(tmp_path, values):
+    """Fewer than two values, or a value that is not a finite number, is a
+    config error: no traceback, and no row for an undefined outside option."""
     code = main(["sweep", str(CONFIG_DIR / "industrial_constant_h.json"),
-                 "--param", "H_scale", "--values", "1.0", "--out", str(tmp_path / "o")])
+                 "--param", "H_scale", "--values", values, "--out", str(tmp_path / "o")])
     assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_h_sweep_monotone_columns(tmp_path):

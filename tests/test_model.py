@@ -129,6 +129,12 @@ def test_reservation_sign_rules():
         canonical_params(-1.0, reservation=ConstantReservation(0.05))
 
 
+@pytest.mark.parametrize("gamma, H", [(0.5, np.nan), (0.5, np.inf), (-1.0, np.nan), (-1.0, -np.inf)])
+def test_constant_reservation_must_be_finite(gamma, H):
+    with pytest.raises(InvalidReservation):
+        canonical_params(gamma, reservation=ConstantReservation(H))
+
+
 def test_negative_phi_rejected():
     with pytest.raises(InvalidParams):
         canonical_params(0.5, phi=np.array([1.0, -1.0, 1.0]), time_nodes=3,

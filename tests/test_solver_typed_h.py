@@ -1,9 +1,13 @@
 """Typed-reservation solver: feasibility, boundary search, bridge, emission."""
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.agent import participation_set
+from nltariff.cli import load_config
 from nltariff.errors import AssumptionViolation
 from nltariff.model import (
     ConcaveReservation,
@@ -27,6 +31,8 @@ from nltariff.uconvex import check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
 from tests.property_harness import continuity_gaps, shape_report
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 
 def shifted_sqrt_params(offset=0.1):
     res = ConcaveReservation.from_callables(
@@ -34,6 +40,14 @@ def shifted_sqrt_params(offset=0.1):
         lambda x: np.where(np.asarray(x) > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf),
     )
     return canonical_params(0.5, reservation=res, time_nodes=3)
+
+
+def residential_sqrt_params():
+    res = ConcaveReservation.from_callables(
+        lambda x: 0.5 * np.sqrt(np.asarray(x, dtype=float)) - 0.5,
+        lambda x: np.where(np.asarray(x) > 0, 0.25 / np.sqrt(np.maximum(x, 1e-300)), np.inf),
+    )
+    return canonical_params(-1.0, reservation=res, time_nodes=3)
 
 
 # -- assumptions ---------------------------------------------------------------
@@ -47,12 +61,7 @@ def test_assumptions_hold_for_residential_power_reservation():
     # H(x) = x^alpha - 1 is strictly concave for alpha < 1... use the branch
     # example: g = 1-x and H = x^alpha with alpha > 1 satisfies (hg); a
     # negative shift keeps the residential sign rule
-    res = ConcaveReservation.from_callables(
-        lambda x: 0.5 * np.sqrt(np.asarray(x, dtype=float)) - 0.5,
-        lambda x: np.where(np.asarray(x) > 0, 0.25 / np.sqrt(np.maximum(x, 1e-300)), np.inf),
-    )
-    params = canonical_params(-1.0, reservation=res, time_nodes=3)
-    flags = validate_assumptions(params)
+    flags = validate_assumptions(residential_sqrt_params())
     assert flags["hg"]
 
 
@@ -235,7 +244,7 @@ def test_two_slope_bridge_available_with_live_boundaries():
         v2 = Ha / params.horizon + data["slope_up"][i] * (xk - a0)
         vals[i] = np.maximum(v1, v2)
     cand = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    cand.checks = _validate_bridge(params, cand, a0, b0, data, True)
+    cand.checks = _validate_bridge(params, cand, a0, b0, data)
     assert all(cand.checks.values())
 
 
@@ -291,6 +300,94 @@ def test_emitted_tariff_continuous_and_shaped(typed_a_solution, typed_b_solution
         assert continuity_gaps(tariff).max() <= 1e-9
         shape = shape_report(tariff)
         assert shape["nondecreasing"] and shape["concave"]
+
+
+# case -> (params, a0, b0, segment labels of the simplified tariff). The
+# bottom component serves the smallest tastes: [0, b0] on the industrial
+# branch, [a0, 1] on the residential one. The last two cases have no selected
+# component ([a0, 1] resp. [0, b0] empty) and emit a fully sampled tariff.
+EMISSION_CASES = {
+    "industrial_bottom_live": ("industrial_sqrt_h", 0.8, 0.1, ["lower_selected", "bridge", "selected"]),
+    "industrial_bottom_dead": ("industrial_sqrt_h", 0.8, 0.0, ["bridge", "selected"]),
+    "residential_bottom_live": ("residential_log_h", 0.9, 0.3, ["upper_selected", "bridge", "selected"]),
+    "residential_bottom_dead": ("residential_log_h", 1.0, 0.3, ["bridge", "selected"]),
+    "industrial_sampled": ("industrial_sqrt_h", 1.0, 0.005, ["sampled"]),
+    "residential_sampled": ("residential_sqrt", 0.6, 0.0, ["sampled"]),
+}
+
+# sha256 of tariff.sample(cs).values, p_star.values(xs) and p_star.slopes(xs)
+PINNED_EMISSION_SHA256 = {
+    ("industrial_bottom_dead", False): (
+        "037ce6ec8ac36457ec2f61b00e1abd70c323214f7217c843286a47f48e42fec3",
+        "efb58c20f977a25d38497f17833614fbeff68e2944b11a1132fb715eec6cc45a",
+        "57c7ae5abb210bfb8069f0facd69e5eefe97cead1c8d5c5f7025cd9381d8c19c",
+    ),
+    ("industrial_bottom_dead", True): (
+        "7fc7a8db5feeca11659bd0c24958fab070ee87d6f1243fb529545630cecabf90",
+        "efb58c20f977a25d38497f17833614fbeff68e2944b11a1132fb715eec6cc45a",
+        "57c7ae5abb210bfb8069f0facd69e5eefe97cead1c8d5c5f7025cd9381d8c19c",
+    ),
+    ("industrial_bottom_live", False): (
+        "046fa7f8545caf17e9fe0ca88a8f1329003e02c58f98614970e981b55f695646",
+        "7718f5798e947d8c2505d06e13a4a1a751b78a8cf22941086e676b83bda89d42",
+        "58897fe7ad5de9582dcf9baf8e29f1dc9ea802c225860d298eba947153e7dea7",
+    ),
+    ("industrial_bottom_live", True): (
+        "e5f9c25a9effaeb87b2d41e34a6fccba1fdaa2f65902933b35975572fc3116a4",
+        "7718f5798e947d8c2505d06e13a4a1a751b78a8cf22941086e676b83bda89d42",
+        "58897fe7ad5de9582dcf9baf8e29f1dc9ea802c225860d298eba947153e7dea7",
+    ),
+    ("industrial_sampled", True): (
+        "72f309d10a9d7a6f7f479cc6a25bb1ae10089f934d8bce6f1e2a8fd5ddcf3e06",
+        "367cb34b72d67115e92b811df25478a4ce8b3dae6f90b65f49f39ac1590e228d",
+        "c52e4a4c39a10eaced13a5080a05ab93a7e188e0b039333d6e52f54a2ffd6bbe",
+    ),
+    ("residential_bottom_dead", False): (
+        "2d6a75262f023069472cafb4c3805b0e6ff49fc161c1367b1b455e8dbfbe38dd",
+        "9c0451dbbc736687b09a8ace3b20c3acae87aeac105bd56f435611f916b1990c",
+        "de2dab771e37cac6ec5407ba429bc13f9b05675a83346664b888995fdaa648ab",
+    ),
+    ("residential_bottom_dead", True): (
+        "4004172d7ae6a8b83fa08dad2b1895decb72e07bacc018b6eea10bf4372b76fe",
+        "9c0451dbbc736687b09a8ace3b20c3acae87aeac105bd56f435611f916b1990c",
+        "de2dab771e37cac6ec5407ba429bc13f9b05675a83346664b888995fdaa648ab",
+    ),
+    ("residential_bottom_live", False): (
+        "fd0ac119f64aab5899b567bae74532f3861e086ca750ac484e0dcc8ec48fc36c",
+        "e4d3bed0773875ef332a150c1045e840cbcb9a0175c071c4e96b2355513ec078",
+        "39ffa1488219eb9c22b9ade71809a8967181c88b0e5cf950c7c8d63d280b6afa",
+    ),
+    ("residential_bottom_live", True): (
+        "c996b09220e1581bc29f0493644f3cb6c16dbee3813de0d4d796e56edf64092c",
+        "e4d3bed0773875ef332a150c1045e840cbcb9a0175c071c4e96b2355513ec078",
+        "39ffa1488219eb9c22b9ade71809a8967181c88b0e5cf950c7c8d63d280b6afa",
+    ),
+    ("residential_sampled", True): (
+        "0912b516d9fc0435030f23665106f3b9e66735f3f0daac7316e039665d68cadd",
+        "926dc50a78b6afbeb9693122936af559b489182f4c443bafb391e7ed9ef4269e",
+        "fa89ab5010afebb9e0989046fc221cc36ab503d0f7bc15bec724c8ff0a0dd508",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, simplified", sorted(PINNED_EMISSION_SHA256))
+def test_emission_is_pinned(case, simplified):
+    """Every emission shape of both branches, at feasible pairs, is pinned
+    bit for bit: a live or dead bottom component, the simplified and the full
+    tariff, and the single-component sampled emission."""
+    family, a0, b0, labels = EMISSION_CASES[case]
+    params = residential_sqrt_params() if family == "residential_sqrt" else \
+        load_config(CONFIG_DIR / f"{family}.json").params
+    cfg = ScenarioConfig(params=params, simplified_tariff=simplified)
+    sol = make_feasible_pair_solution(params, a0, b0)
+    tariff, p_star = build_tariff_typed_h(cfg, sol)
+    full = not simplified and labels != ["sampled"]
+    assert [s.label for s in tariff.segments] == labels + ["top"] * full
+    cs = np.geomspace(1e-3, 10.0, 241)
+    xs = np.linspace(0.0, 1.0, 201)
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                    for a in (tariff.sample(cs).values, p_star.values(xs), p_star.slopes(xs)))
+    assert digests == PINNED_EMISSION_SHA256[case, simplified]
 
 
 def test_degenerate_lower_collapses_structure(typed_a_solution):
