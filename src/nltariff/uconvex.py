@@ -195,7 +195,7 @@ class UConvexityReport:
     route: str
 
 
-def check_u_convexity(p_star, params, c_grid=None, gap_tol=None):
+def check_u_convexity(p_star, params, c_grid=None):
     """Diagnose u-convexity of a sampled indirect utility.
 
     Canonical taste maps admit the equivalence "u-convex iff convex
@@ -217,10 +217,9 @@ def check_u_convexity(p_star, params, c_grid=None, gap_tol=None):
     back, _ = u_transform_price_to_indirect(price, params, x_grid=p_star.x_grid)
     gap = float(np.max(np.abs(back.values - p_star.values)))
 
-    if gap_tol is None:
-        # biconjugation through grids loses up to one local increment of p*
-        incr = np.max(np.abs(np.diff(p_star.values, axis=1))) if p_star.x_grid.size > 1 else 0.0
-        gap_tol = 2.0 * incr + 1e-9
+    # biconjugation through grids loses up to one local increment of p*
+    incr = np.max(np.abs(np.diff(p_star.values, axis=1))) if p_star.x_grid.size > 1 else 0.0
+    gap_tol = 2.0 * incr + 1e-9
 
     if params.g.form == "canonical":
         ok = (len(violations) == 0) and monotone_ok

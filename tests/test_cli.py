@@ -202,15 +202,14 @@ def test_missing_reservation_exits_2(tmp_path, capsys):
 
 
 def test_assumption_violation_exits_3(tmp_path, capsys):
-    # flat taste map g = sqrt(x) with H = x^0.6 violates the elasticity condition
+    # residential g = 1 - x with H = -1 + 0.1 sqrt(x): g/g' = x - 1 exceeds
+    # H/H' = 2x - 20 sqrt(x) away from x = 0, so the elasticity condition fails
     xs = np.linspace(1e-6, 1.0, 2001)
     doc = dict(
-        BASE_DOC,
-        g={"form": "tabulated", "x": xs.tolist(), "values": np.sqrt(xs).tolist(),
-           "derivative": (0.5 / np.sqrt(xs)).tolist()},
+        BASE_DOC, gamma=-1.0,
         reservation={"form": "concave", "x": xs.tolist(),
-                     "values": (xs ** 0.6).tolist(),
-                     "derivative": (0.6 * xs ** (-0.4)).tolist()},
+                     "values": (-1.0 + 0.1 * np.sqrt(xs)).tolist(),
+                     "derivative": (0.05 / np.sqrt(xs)).tolist()},
     )
     code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
     assert code == 3
@@ -440,6 +439,7 @@ BAD_CONFIGS = [
     ("f-mismatch", {"f": {"form": "tabulated", "x": [0.0, 1.0], "density": [1.0, 1.0, 1.0]}}, "f"),
     ("cost-empty", {"cost_table": {"c": [], "K": [], "marginal": []}}, "cost_table"),
     ("cost-mismatch", {"cost_table": dict(COSTS, c=[0.0, 1.0])}, "cost_table"),
+    ("cost-and-n", {"cost_table": COSTS}, "cost_table"),
     # non-finite numbers
     ("phi-inf", {"phi": [1.0, float("inf"), 1.0]}, "phi"),
     ("k-nan", {"k": float("nan")}, "k"),
@@ -461,3 +461,27 @@ def test_config_fuzz_exits_2(tmp_path, capsys, fields, named):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"g": TABLE}, "g"),
+    ({"f": {"form": "tabulated", "x": [0.0, 1.0], "density": [1.0, 1.0]}}, "f"),
+    ({"n": None, "cost_table": COSTS}, "cost_table"),
+], ids=["g", "f", "cost_table"])
+def test_typed_input_outside_the_closed_form_setting_exits_2(tmp_path, capsys, monkeypatch, fields, named):
+    """A concave reservation is solved in closed form only: any other cost,
+    taste map or type distribution is refused before the assumption checks
+    and the pair scan run."""
+    from nltariff import solver_typed_h
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran past the setting check")
+
+    monkeypatch.setattr(solver_typed_h, "validate_assumptions", must_not_run)
+    monkeypatch.setattr(solver_typed_h, "_evaluate_mesh", must_not_run)
+    doc = dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()), **fields)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"config error: {named}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

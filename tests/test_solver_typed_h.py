@@ -14,7 +14,6 @@ from nltariff.model import (
     ConstantReservation,
     ScenarioConfig,
     TasteMap,
-    TypeDistribution,
     canonical_params,
 )
 from nltariff.solver_typed_h import (
@@ -28,7 +27,7 @@ from nltariff.solver_typed_h import (
     validate_assumptions,
 )
 from nltariff.uconvex import check_u_convexity
-from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
+from tests.conftest import TYPED_A, TYPED_B, log_reservation
 from tests.property_harness import continuity_gaps, shape_report
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -473,80 +472,3 @@ def test_non_convex_glue_flagged_when_gap_condition_fails():
     rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 1601)), params,
                             c_grid=np.linspace(0.0, 4.0, 1201))
     assert not rep.is_u_convex
-
-
-# -- general (non-closed-form) routes ---------------------------------------------
-
-def test_general_route_matches_closed_form_via_tabulated_density():
-    """A tabulated uniform density forces the quadrature route; results must
-    agree with the canonical closed forms."""
-    from nltariff.model import TypeDistribution
-
-    res = sqrt_reservation()
-    closed = canonical_params(0.5, reservation=res, time_nodes=3)
-    xs = np.linspace(0.0, 1.0, 501)
-    tabbed = canonical_params(0.5, reservation=res, time_nodes=3,
-                              f=TypeDistribution.tabulated(xs, np.ones_like(xs)))
-    assert not tabbed.is_canonical_uniform_power
-    sol_c = solve_a0_b0_star(ScenarioConfig(params=closed))
-    sol_g = solve_a0_b0_star(ScenarioConfig(params=tabbed))
-    assert sol_g.route == "general"
-    assert abs(sol_g.a0 - sol_c.a0) < 5e-4
-    assert sol_c.b0 == 0.0 and sol_g.b0 <= 1e-6
-    assert abs(sol_g.objective - sol_c.objective) < 1e-5
-
-
-def test_general_route_matches_closed_form_via_tabulated_cost():
-    """A densely tabulated quadratic cost reproduces the power-cost optimum."""
-    from nltariff.model import ModelParams, TabulatedCost, TasteMap, TypeDistribution
-
-    res = log_reservation()
-    closed = canonical_params(-1.0, reservation=res, time_nodes=3)
-    cs = np.geomspace(1e-8, 20.0, 6000)
-    table = TabulatedCost.from_samples(cs, cs ** 2 / 2.0, cs)
-    tabbed = ModelParams(
-        gamma=-1.0, horizon=1.0, time_grid=closed.time_grid,
-        phi=closed.phi, k=closed.k, n=None, cost_table=table,
-        g=TasteMap(form="canonical", gamma_sign=-1),
-        f=TypeDistribution.uniform(), reservation=res,
-    )
-    sol_c = solve_a0_b0_star(ScenarioConfig(params=closed))
-    sol_g = solve_a0_b0_star(ScenarioConfig(params=tabbed))
-    assert sol_g.a0 == sol_c.a0 == 1.0
-    assert abs(sol_g.b0 - sol_c.b0) < 1e-3
-    assert abs(sol_g.objective - sol_c.objective) < 1e-4
-
-
-def test_tabulated_cost_inverse_does_not_leak_between_scenarios():
-    """Each tabulated cost is inverted through its own table, also when a
-    later table takes the place in memory of one already freed."""
-    from nltariff.model import ModelParams, TabulatedCost, TasteMap, TypeDistribution
-
-    res = log_reservation()
-    cs = np.geomspace(1e-8, 20.0, 6000)
-
-    def table(scale):            # K = scale c^2 / 2
-        return TabulatedCost.from_samples(cs, scale * cs ** 2 / 2.0, scale * cs)
-
-    def solve(cost_table):
-        params = ModelParams(
-            gamma=-1.0, horizon=1.0, time_grid=np.linspace(0.0, 1.0, 3),
-            phi=np.ones(3), k=np.ones(3), n=None, cost_table=cost_table,
-            g=TasteMap(form="canonical", gamma_sign=-1),
-            f=TypeDistribution.uniform(), reservation=res,
-        )
-        sol = solve_a0_b0_star(ScenarioConfig(params=params))
-        return sol.a0, sol.b0, sol.objective
-
-    cold = solve(table(8.0))
-    first = table(1.0)
-    closed = solve_a0_b0_star(ScenarioConfig(params=canonical_params(-1.0, reservation=res, time_nodes=3)))
-    assert abs(solve(first)[1] - closed.b0) < 1e-3
-    # a new table at the address of the freed one, where the allocator allows
-    freed, first = id(first), None
-    held = []
-    second = table(8.0)
-    while id(second) != freed and len(held) < 200:
-        held.append(second)
-        second = table(8.0)
-    assert solve(second) == cold
