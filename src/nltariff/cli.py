@@ -287,11 +287,10 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
 
 def _typed_scan_audit(params):
     a = np.linspace(0.0, 1.0, 512)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    m = B <= A
-    vals, _ = solver_typed_h._evaluate_mesh(A[m], B[m], params)
+    a_flat, b_flat = solver_typed_h._pair_mesh(a, a)
+    vals = solver_typed_h._evaluate_mesh(a_flat, b_flat, params)
     i = int(np.argmax(vals))
-    return {"value": float(vals[i]), "a0": float(A[m][i]), "b0": float(B[m][i]), "grid": a.size}
+    return {"value": float(vals[i]), "a0": float(a_flat[i]), "b0": float(b_flat[i]), "grid": a.size}
 
 
 def _selected_c_samples(tariff, config):

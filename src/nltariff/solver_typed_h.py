@@ -129,33 +129,22 @@ def constraint_check_A2prime(a0, b0, params):
     at a0 and must dominate H'(a0); Psi is the one leaving the low component
     at b0 and must not exceed H'(b0). Degenerate corners (a0 = 1, b0 = 0) have
     no binding boundary, so their constraint is waived.
+
+    With K = k c^n / n the slope at a boundary type is time_weight(t) ell^(-e)
+    times its value at phi = K_c = 1, e = gamma (n-1)/(n-gamma), so each
+    certificate is W ell^(-e) (type factor), W the trapezoid of time_weight.
     """
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
     scalar = a0.ndim == 0
     a0, b0 = np.atleast_1d(a0), np.atleast_1d(b0)
-    g = params.gamma
-    ell = ell_ab(a0, b0, params)
-    nt = params.time_grid.size
-    xi_t = np.empty((nt, a0.size))
-    psi_t = np.empty((nt, a0.size))
-    ba = upper_bracket(a0, params)
-    bb = lower_bracket(b0, params)
-    fa = params.f.pdf(a0)
-    fb = params.f.pdf(b0)
-    gpa = params.g.prime(a0)
-    gpb = params.g.prime(b0)
-    # one time row at a time: all rows at once would hold several
-    # n_t x pairs temporaries
-    for i in range(nt):
-        A = capacity_A_typed(i, ell, params)
-        Kc = eval_marginal_cost(params.time_grid[i], A, params)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi_t[i] = optimal_slopes(params.phi[i], ba, fa, Kc, gpa, g)
-            psi_t[i] = optimal_slopes(params.phi[i], bb, fb, Kc, gpb, g)
-    with np.errstate(invalid="ignore"):
-        Xi = trapezoid(xi_t.T, params.time_grid)
-        Psi = trapezoid(psi_t.T, params.time_grid)
+    g, n = params.gamma, params.n
+    W = params.time_integral(time_weight(params))
+    # ell = 0 at the corner (1, 0) gives inf or nan, as the per-time formula does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = W * ell_ab(a0, b0, params) ** (-g * (n - 1.0) / (n - g))
+        Xi = scale * optimal_slopes(1.0, upper_bracket(a0, params), params.f.pdf(a0), 1.0, params.g.prime(a0), g)
+        Psi = scale * optimal_slopes(1.0, lower_bracket(b0, params), params.f.pdf(b0), 1.0, params.g.prime(b0), g)
 
     Hpa = params.reservation.prime(a0)
     Hpb = params.reservation.prime(b0)
@@ -212,17 +201,28 @@ class TypedHSolution:
     warnings: list = field(default_factory=list)
 
 
+def _pair_mesh(a_lin, b_lin):
+    """The pairs of the grid a_lin x b_lin with b0 <= a0, flattened."""
+    A, B = np.meshgrid(a_lin, b_lin, indexing="ij")
+    mask = B <= A + 1e-15
+    return A[mask], B[mask]
+
+
 def _evaluate_mesh(a_flat, b_flat, params):
-    chk = constraint_check_A2prime(a_flat, b_flat, params)
-    obj = objective_ab(a_flat, b_flat, params)
-    obj = np.where(chk["feasible"], obj, -np.inf)
-    return obj, chk
+    """The objective on each pair, -inf where the pair is infeasible."""
+    feasible = constraint_check_A2prime(a_flat, b_flat, params)["feasible"]
+    return np.where(feasible, objective_ab(a_flat, b_flat, params), -np.inf)
 
 
 def _best_with_ties(a_flat, b_flat, obj, tol=1e-12):
-    """Argmax with ties broken toward smaller a0, then larger b0."""
+    """Argmax within tol of the best, preferring a degenerate corner (a0 = 1
+    or b0 = 0), then smaller a0, then larger b0: a pair a hair inside a tied
+    corner would serve a spurious sliver of types."""
     best = np.max(obj)
     cand = np.flatnonzero(obj >= best - tol)
+    corner = cand[(a_flat[cand] == 1.0) | (b_flat[cand] == 0.0)]
+    if corner.size:
+        cand = corner
     order = np.lexsort((-b_flat[cand], a_flat[cand]))
     return cand[order[0]], best
 
@@ -246,12 +246,9 @@ def solve_a0_b0_star(config):
         raise InvalidParams("f", "a concave reservation needs uniform types")
     flags = validate_assumptions(params)
 
-    a_lin = np.linspace(0.0, 1.0, GRID_SIZE)
-    b_lin = np.linspace(0.0, 1.0, GRID_SIZE)
-    A, B = np.meshgrid(a_lin, b_lin, indexing="ij")
-    mask = B <= A + 1e-15
-    a_flat, b_flat = A[mask], B[mask]
-    obj, _ = _evaluate_mesh(a_flat, b_flat, params)
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    a_flat, b_flat = _pair_mesh(grid, grid)
+    obj = _evaluate_mesh(a_flat, b_flat, params)
     if not np.any(np.isfinite(obj)):
         corners = [(1.0, b) for b in (0.0, 0.25, 0.5)] + [(a, 0.0) for a in (0.5, 0.75, 1.0)]
         raise InfeasibleSet("no feasible boundary pair on the scan grid", corner_candidates=corners)
@@ -262,10 +259,8 @@ def solve_a0_b0_star(config):
     for _ in range(ZOOM_ROUNDS):
         a_lo, a_hi = max(a_star - span, 0.0), min(a_star + span, 1.0)
         b_lo, b_hi = max(b_star - span, 0.0), min(b_star + span, 1.0)
-        Az, Bz = np.meshgrid(np.linspace(a_lo, a_hi, 33), np.linspace(b_lo, b_hi, 33), indexing="ij")
-        m = Bz <= Az + 1e-15
-        af, bf = Az[m], Bz[m]
-        obj_z, _ = _evaluate_mesh(af, bf, params)
+        af, bf = _pair_mesh(np.linspace(a_lo, a_hi, 33), np.linspace(b_lo, b_hi, 33))
+        obj_z = _evaluate_mesh(af, bf, params)
         if np.any(np.isfinite(obj_z)):
             idx, best_z = _best_with_ties(af, bf, obj_z)
             if best_z >= best - 1e-15:
@@ -458,7 +453,7 @@ def _validate_bridge(params, cand, a0, b0, data):
     per-time convexity of the glued surface."""
     H = params.reservation
     xk, vals = cand.x_knots, cand.values
-    integ = np.array([float(trapezoid(vals[:, j], params.time_grid)) for j in range(xk.size)])
+    integ = trapezoid(vals.T, params.time_grid)
     checks = {}
     Ha, Hb = _levels(H, a0, b0)
     checks["left_endpoint"] = (abs(integ[0] - Hb) <= 1e-9 * max(1.0, abs(Hb))) if b0 > 0 else (integ[0] < Hb)

@@ -8,8 +8,6 @@ and the randomized invariant harness at >= 100 draws.
 import time
 
 import numpy as np
-import pytest
-from numpy.testing import assert_allclose
 
 from nltariff.agent import best_response_closed_form, best_response_grid, participation_set
 from nltariff.cli import run_sweep

@@ -11,10 +11,8 @@ from nltariff.agent import (
     participation_set,
 )
 from nltariff.errors import DomainError
-from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
-from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
+from nltariff.model import ConstantReservation, canonical_params
 from nltariff.tariff import Tariff, TariffSegment
-from tests.conftest import sqrt_reservation
 
 
 def flat_slope_utility(params, slope):

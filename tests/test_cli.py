@@ -305,6 +305,22 @@ def test_typed_sweep_emits_boundary_columns(tmp_path):
     assert rows[0]["a0"] <= rows[1]["a0"] + 1e-10
 
 
+def test_typed_solve_returns_the_upper_corner_it_ties_with(tmp_path):
+    """At a high cost level the zoom meets pairs a hair below a0 = 1 whose
+    objective ties with the corner's; the corner wins, so no sliver of types
+    next to x = 1 is served."""
+    doc = json.loads((CONFIG_DIR / "residential_log_h.json").read_text())
+    doc["k"] = 2.0
+    report = run_scenario(write_config(tmp_path, doc), tmp_path / "o")
+    assert report["boundary"]["a0"] == 1.0
+    assert len(report["participation"]) == 1
+
+
+def test_typed_sweep_returns_the_lower_corner_it_ties_with(tmp_path):
+    rows = run_sweep(CONFIG_DIR / "industrial_sqrt_h.json", "H_scale", [20.0, 50.0], tmp_path / "o")
+    assert [r["b0"] for r in rows] == [0.0, 0.0]
+
+
 def test_h_sweep_scales_a_tabulated_reservation(tmp_path):
     """H_scale on a tabulated H scales its table, so the assumption probe sees
     the same elasticity ratio H/H' at every value."""
@@ -355,7 +371,7 @@ PINNED_REPORTS = {
         "[1.0, 0.24962832706379331, -0.5025616300778172, 1.6062811090033275, None]]]",
     ("industrial_sqrt_h", "varying"):
         "[{'a0': 0.7788561054304534, 'b0': 0.0}, 0.30797626461516564, 1.0252501725253112e-09, "
-        "{'Psi': 0.0, 'Xi': 2.7160221034294727, 'theta': -0.19516565786202772}, "
+        "{'Psi': 0.0, 'Xi': 2.7160221034294723, 'theta': -0.19516565786202772}, "
         "[[None, None, None, 0.0, 0.8899290916430895], "
         "[0.8, 0.23647892506537982, -0.6720784294993993, 0.8899290916430895, None]]]",
     ("residential_constant_h", "shipped"):
@@ -374,7 +390,7 @@ PINNED_REPORTS = {
         "[-0.5, 0.13654369585537002, 1.4273299963742798, 1.5883593436307482, None]]]",
     ("residential_log_h", "varying"):
         "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468813368, 2.568959569596009e-09, "
-        "{'Psi': 0.6366471559653251, 'Xi': inf, 'theta': 0.2861796512447036}, "
+        "{'Psi': 0.636647155965325, 'Xi': inf, 'theta': 0.2861796512447036}, "
         "[[None, None, None, 0.0, 1.4052979035455824], "
         "[-0.4, 0.141057025327396, 1.4889142650026825, 1.4052979035455824, None]]]",
 }

@@ -1,6 +1,5 @@
 """Principal-utility evaluation and the integrated-by-parts objective."""
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.agent import IndirectUtility, ParticipationSet, participation_set

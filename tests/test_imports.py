@@ -1,15 +1,18 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package, its tests and its tools is used
+by its module.
 
-``__init__.py`` is exempt (its imports are the public re-exports), and so is
-any import line marked ``# noqa`` (a name kept for a lookup by name).
+The package's ``__init__.py`` is exempt (its imports are the public
+re-exports), and so is any import line marked ``# noqa`` (a name kept for a
+lookup by name).
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nltariff"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (sorted(p for p in (ROOT / "src" / "nltariff").glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(source):

@@ -1,19 +1,17 @@
 """Brute-force certification of the constant-reservation optimum."""
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from nltariff import oracle
-from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
+from nltariff.model import ConstantReservation, canonical_params
 from nltariff.oracle import (
     _objective_given_slopes,
     _pointwise_best_slopes,
     _slope_grid_for,
     oracle_relaxed_maximize_const_h,
 )
-from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
+from nltariff.solver_const_h import solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
-from tests.conftest import log_reservation
 
 
 def test_two_type_toy_matches_exhaustive_enumeration():

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nltariff.agent import participation_set
 from nltariff.errors import InvalidReservation
 from nltariff.model import (
     ConstantReservation,

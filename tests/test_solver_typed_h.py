@@ -1,5 +1,6 @@
 """Typed-reservation solver: feasibility, boundary search, bridge, emission."""
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,18 @@ from nltariff.model import (
     ScenarioConfig,
     TasteMap,
     canonical_params,
+    eval_marginal_cost,
 )
+from nltariff.numerics import trapezoid
+from nltariff.solver_const_h import lower_bracket, optimal_slopes, upper_bracket
 from nltariff.solver_typed_h import (
+    DEGENERATE_TOL,
+    GRID_SIZE,
     R_gamma,
+    _pair_mesh,
     build_bridge,
     build_tariff_typed_h,
+    capacity_A_typed,
     constraint_check_A2prime,
     ell_ab,
     mu_zero_residual,
@@ -27,7 +35,7 @@ from nltariff.solver_typed_h import (
     validate_assumptions,
 )
 from nltariff.uconvex import check_u_convexity
-from tests.conftest import TYPED_A, TYPED_B, log_reservation
+from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
 from tests.property_harness import continuity_gaps, shape_report
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -165,6 +173,73 @@ def test_certificates_match_fine_quadrature_oracle():
     Psi = ((2.0 * b0) / Kc) ** 1.0 / 0.5
     assert_allclose(chk["Xi"], Xi, atol=1e-8)
     assert_allclose(chk["Psi"], Psi, atol=1e-8)
+
+
+def row_loop_certificates(a0, b0, params):
+    """Xi and Psi one time row at a time, the reference for the factorized
+    certificates: the slope at each node from capacity_A_typed and
+    eval_marginal_cost, then a trapezoid over time."""
+    ell = ell_ab(a0, b0, params)
+    out = []
+    for bracket, x in ((upper_bracket, a0), (lower_bracket, b0)):
+        rows = np.empty((params.time_grid.size, x.size))
+        for i, t in enumerate(params.time_grid):
+            Kc = eval_marginal_cost(t, capacity_A_typed(i, ell, params), params)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows[i] = optimal_slopes(params.phi[i], bracket(x, params), params.f.pdf(x), Kc,
+                                         params.g.prime(x), params.gamma)
+        with np.errstate(invalid="ignore"):
+            out.append(trapezoid(rows.T, params.time_grid))
+    return out
+
+
+def varying_typed_params(branch, nodes):
+    """Seeded random phi(t) and k(t) on one branch."""
+    rng = np.random.default_rng(nodes)
+    gamma, n, reservation = {"industrial": (0.5, 2.0, sqrt_reservation()),
+                             "residential": (-1.0, 3.0, log_reservation())}[branch]
+    return canonical_params(gamma, n=n, phi=rng.uniform(0.5, 2.0, nodes), k=rng.uniform(0.5, 2.0, nodes),
+                            reservation=reservation, time_nodes=nodes)
+
+
+def certificate_pairs():
+    """The boundary scan's pairs plus pairs at and next to the corners and
+    the zeros of the screening weights, where the certificates are 0, inf or nan."""
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    ends = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6])
+    edges = np.concatenate([ends, 0.5 - ends, 0.5 + ends, 1.0 - ends])
+    a_scan, b_scan = _pair_mesh(grid, grid)
+    a_edge, b_edge = _pair_mesh(edges, edges)
+    return np.concatenate([a_scan, a_edge]), np.concatenate([b_scan, b_edge])
+
+
+@pytest.mark.parametrize("nodes", [3, 33, 129])
+@pytest.mark.parametrize("branch", ["industrial", "residential"])
+def test_factorized_certificates_match_the_row_loop(branch, nodes):
+    params = varying_typed_params(branch, nodes)
+    a0, b0 = certificate_pairs()
+    chk = constraint_check_A2prime(a0, b0, params)
+    Xi, Psi = row_loop_certificates(a0, b0, params)
+    # equal inf and nan positions, finite values within 1e-14 relative
+    assert_allclose(chk["Xi"], Xi, rtol=1e-14, atol=0.0)
+    assert_allclose(chk["Psi"], Psi, rtol=1e-14, atol=0.0)
+    feasible = (((a0 >= 1.0 - DEGENERATE_TOL) | (Xi >= params.reservation.prime(a0) - 1e-8))
+                & ((b0 <= DEGENERATE_TOL) | (Psi <= params.reservation.prime(b0) + 1e-8)))
+    np.testing.assert_array_equal(chk["feasible"], feasible)
+
+
+@pytest.mark.parametrize("nodes", [129, 1025])
+def test_certificates_hold_no_time_by_pair_array(nodes):
+    params = varying_typed_params("industrial", nodes)
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    a0, b0 = _pair_mesh(grid, grid)
+    tracemalloc.start()
+    try:
+        constraint_check_A2prime(a0, b0, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # -- boundary search ---------------------------------------------------------------
