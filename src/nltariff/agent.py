@@ -30,21 +30,17 @@ class IndirectUtility:
     _values_fn: object = None
     _slopes_fn: object = None
     _sampled_values: np.ndarray | None = None
-    kinks: tuple = ()
     meta: dict = field(default_factory=dict)
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
-    def from_callables(time_grid, values_fn, slopes_fn, kinks=(), x_grid=None, meta=None):
-        if x_grid is None:
-            x_grid = np.linspace(0.0, 1.0, 1001)
+    def from_callables(time_grid, values_fn, slopes_fn, meta=None):
         return IndirectUtility(
             time_grid=np.asarray(time_grid, dtype=float),
             representation="closed_form",
-            x_grid=np.asarray(x_grid, dtype=float),
+            x_grid=np.linspace(0.0, 1.0, 1001),
             _values_fn=values_fn,
             _slopes_fn=slopes_fn,
-            kinks=tuple(sorted(kinks)),
             meta=meta or {},
         )
 
@@ -102,7 +98,6 @@ class ParticipationSet:
     """Finite union of disjoint closed type-intervals accepting the contract."""
 
     intervals: tuple
-    boundary: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for (lo, hi) in self.intervals:
@@ -233,14 +228,4 @@ def participation_set(p_star, params):
         hi = x_probe[j] if j == npts - 1 else refine(x_probe[j], x_probe[j + 1])
         intervals.append((float(lo), float(hi)))
         i = j + 1
-
-    boundary = {}
-    if len(intervals) == 1 and abs(intervals[0][1] - 1.0) < 1e-9 and intervals[0][0] > 1e-12:
-        boundary["x0"] = intervals[0][0]
-    elif len(intervals) == 2:
-        boundary["b0"] = intervals[0][1]
-        boundary["a0"] = intervals[1][0]
-    elif len(intervals) == 1 and intervals[0][0] <= 1e-12 and intervals[0][1] < 1.0 - 1e-9:
-        boundary["b0"] = intervals[0][1]
-        boundary["a0"] = 1.0
-    return ParticipationSet(intervals=tuple(intervals), boundary=boundary)
+    return ParticipationSet(intervals=tuple(intervals))

@@ -28,9 +28,14 @@ from .model import (
 from .solver_const_h import build_tariff_const_h, solve_x0_star
 from .solver_typed_h import build_tariff_typed_h, mu_zero_residual, solve_a0_b0_star
 from .tariff import TariffSegment
-from .uconvex import check_u_convexity
+from .uconvex import C_MAX, check_u_convexity
 
 SCHEMA_VERSION = 1
+# every key load_config reads; any other key is refused
+CONFIG_KEYS = ("gamma", "horizon", "time_grid", "time_nodes", "n", "cost_table",
+               "phi", "k", "g", "f", "reservation", "solver")
+SOLVER_KEYS = ("force_general_route",)
+TYPE_SAMPLES = 201   # rows of indirect_utility.csv, types per time node of consumption.csv
 
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
@@ -59,7 +64,7 @@ def _number(doc, key, default=None, field=None):
     return float(val)
 
 
-def _count(doc, key, default, minimum=1):
+def _count(doc, key, default, minimum):
     val = doc.get(key, default)
     if isinstance(val, bool) or not isinstance(val, int) or val < minimum:
         raise ConfigError(key, f"expected an integer >= {minimum}, got {val!r}")
@@ -71,6 +76,13 @@ def _flag(doc, key, default):
     if not isinstance(val, bool):
         raise ConfigError(key, f"expected true or false, got {val!r}")
     return val
+
+
+def _known(block, keys, prefix=""):
+    """Refuse the first key of ``block`` that is not in ``keys``."""
+    for key in block:
+        if key not in keys:
+            raise ConfigError(prefix + key, "unknown key")
 
 
 def _block(doc, key, default):
@@ -153,6 +165,9 @@ def load_config(path):
         raise ConfigError("<file>", str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError("<file>", "expected a JSON object")
+    _known(doc, CONFIG_KEYS)
+    solver = _block(doc, "solver", {})
+    _known(solver, SOLVER_KEYS, "solver.")
     gamma = _number(doc, "gamma")
     horizon = _number(doc, "horizon", 1.0)
     if "time_grid" in doc:
@@ -175,19 +190,7 @@ def load_config(path):
         reservation=_reservation(doc),
         cost_table=cost_table,
     )
-    solver = _block(doc, "solver", {})
-    outputs = _block(doc, "outputs", {})
-    return ScenarioConfig(
-        params=params,
-        x_grid_size=_count(solver, "x_grid_size", 2001),
-        c_grid_size=_count(solver, "c_grid_size", 513),
-        c_min=_number(solver, "c_min", 1e-4),
-        c_max=_number(solver, "c_max", 1e3),
-        simplified_tariff=_flag(solver, "simplified_tariff", True),
-        force_general_route=_flag(solver, "force_general_route", False),
-        tariff_samples=_count(outputs, "tariff_samples", 200),
-        type_samples=_count(outputs, "type_samples", 201),
-    )
+    return ScenarioConfig(params=params, force_general_route=_flag(solver, "force_general_route", False))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +282,9 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    _write_tariff_csv(out / "tariff.csv", tariff, config)
-    _write_indirect_csv(out / "indirect_utility.csv", p_star, part, params, config)
-    _write_consumption_csv(out / "consumption.csv", p_star, part, params, config)
+    _write_tariff_csv(out / "tariff.csv", tariff)
+    _write_indirect_csv(out / "indirect_utility.csv", p_star, part, params)
+    _write_consumption_csv(out / "consumption.csv", p_star, part, params)
     return report
 
 
@@ -293,15 +296,17 @@ def _typed_scan_audit(params):
     return {"value": float(vals[i]), "a0": float(a_flat[i]), "b0": float(b_flat[i]), "grid": a.size}
 
 
-def _selected_c_samples(tariff, config):
+def _selected_c_samples(tariff):
+    """200 consumptions up to 1.25 times the top of the selected range, or of
+    the default consumption grid of a sampled tariff."""
     if tariff.selected_range:
         tops = [np.max(band[:, 1][np.isfinite(band[:, 1])], initial=0.0) for band in tariff.selected_range]
         c_top = max(tops)
     else:
-        c_top = config.c_max
+        c_top = C_MAX
     if not np.isfinite(c_top) or c_top <= 0:
         c_top = 1.0
-    return np.linspace(0.0 if tariff.gamma > 0 else c_top * 1e-4, c_top * 1.25, config.tariff_samples)
+    return np.linspace(0.0 if tariff.gamma > 0 else c_top * 1e-4, c_top * 1.25, 200)
 
 
 def _write_table(path, header, fmt, *columns):
@@ -324,16 +329,16 @@ def _grid_text(values, each=1):
     return [text for text in texts for _ in range(each)]
 
 
-def _write_tariff_csv(path, tariff, config):
-    cs = _selected_c_samples(tariff, config)
+def _write_tariff_csv(path, tariff):
+    cs = _selected_c_samples(tariff)
     prices = tariff.sample(cs).values
     _write_table(path, ["schema_version", "t", "c", "price"], f"{SCHEMA_VERSION},%s,%s,%.12g",
                  _grid_text(tariff.time_grid, cs.size),
                  _grid_text(cs) * tariff.time_grid.size, prices.ravel().tolist())
 
 
-def _write_indirect_csv(path, p_star, part, params, config):
-    xs = np.linspace(0.0, 1.0, config.type_samples)
+def _write_indirect_csv(path, p_star, part, params):
+    xs = np.linspace(0.0, 1.0, TYPE_SAMPLES)
     P = p_star.P_star(xs)
     H = params.reservation(xs)
     member = part.contains(xs)
@@ -342,8 +347,8 @@ def _write_indirect_csv(path, p_star, part, params, config):
                  xs.tolist(), P.tolist(), H.tolist(), member.tolist())
 
 
-def _write_consumption_csv(path, p_star, part, params, config):
-    xs = np.linspace(0.0, 1.0, config.type_samples)
+def _write_consumption_csv(path, p_star, part, params):
+    xs = np.linspace(0.0, 1.0, TYPE_SAMPLES)
     member = part.contains(xs)
     slopes = p_star.slopes(xs)
     cons = evaluation.consumption_from_slopes(slopes, xs, params)

@@ -42,11 +42,7 @@ class AssumptionViolation(NLTariffError):
 
 
 class InfeasibleSet(NLTariffError):
-    """No boundary pair satisfies the slope constraints; degenerate corners reported."""
-
-    def __init__(self, message, corner_candidates=None):
-        self.corner_candidates = corner_candidates or []
-        super().__init__(message)
+    """No boundary pair satisfies the slope constraints."""
 
 
 class NonConvergence(NLTariffError):

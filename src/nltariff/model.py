@@ -352,32 +352,12 @@ def canonical_params(gamma, horizon=1.0, n=2.0, phi=1.0, k=1.0, reservation=None
 
 @dataclass(frozen=True, eq=False)
 class ScenarioConfig:
-    """Solver tolerances and output selections wrapped around ModelParams."""
+    """ModelParams plus the two switches a caller sets: ``simplified_tariff``
+    (off with ``--full-tariff``) and ``force_general_route``."""
 
     params: ModelParams
-    x_grid_size: int = 2001
-    c_grid_size: int = 513
-    c_min: float = 1e-4
-    c_max: float = 1e3
     simplified_tariff: bool = True
     force_general_route: bool = False
-    boundary_split: np.ndarray | None = None  # optional weights w(t), int w dt = 1
-    tariff_samples: int = 200
-    type_samples: int = 201
-
-    def __post_init__(self):
-        for name in ("x_grid_size", "c_grid_size"):
-            if getattr(self, name) < 16:
-                raise InvalidParams(name, "grid sizes must be at least 16")
-        if self.c_min <= 0 or self.c_max <= self.c_min:
-            raise InvalidParams("c_grid", "need 0 < c_min < c_max")
-        if self.boundary_split is not None:
-            w = np.asarray(self.boundary_split, dtype=float)
-            if w.shape != self.params.time_grid.shape or np.any(w < 0):
-                raise InvalidParams("boundary_split", "weights must be nonnegative on the time grid")
-            if abs(self.params.time_integral(w) - 1.0) > 1e-10:
-                raise InvalidParams("boundary_split", "weights must integrate to 1 over [0,T]")
-            object.__setattr__(self, "boundary_split", w)
 
 
 # ---------------------------------------------------------------------------

@@ -266,14 +266,6 @@ def _solve_general(config, H):
 # tariff construction
 # ---------------------------------------------------------------------------
 
-def _boundary_split(config, H):
-    """Per-time allocation s(t) of the binding reservation level, int s dt = H."""
-    params = config.params
-    if config.boundary_split is None:
-        return np.full(params.time_grid.size, H / params.horizon)
-    return H * config.boundary_split
-
-
 def M_profile(params, x0):
     """Nonlinear-part scale M(t) on the industrial branch."""
     g, n = params.gamma, params.n
@@ -307,8 +299,8 @@ def build_tariff_const_h(config, report):
     and conjugates it numerically.
     """
     params = config.params
-    H = params.reservation.H
-    s = _boundary_split(config, H)
+    # the binding reservation level, spread evenly over time: int s dt = H
+    s = np.full(params.time_grid.size, params.reservation.H / params.horizon)
     if report.route == "general":
         return _build_general(config, report, s)
     return _build_closed_form(config, report, s)
@@ -386,7 +378,7 @@ def _build_closed_form(config, report, s):
 
     branch = "industrial" if g > 0 else "residential"
     p_star = IndirectUtility.from_callables(
-        params.time_grid, values_fn, slopes_fn, kinks=(), meta={"x0": x0, "branch": branch}
+        params.time_grid, values_fn, slopes_fn, meta={"x0": x0, "branch": branch}
     )
     return tariff, p_star
 
@@ -401,7 +393,7 @@ def _build_general(config, report, s):
     ell = ell_const(x0, params)
     # residential slopes are singular at x=1; stop the sample grid just short
     x_top = 1.0 if g > 0 else 1.0 - 1e-9
-    xs = np.linspace(0.0, x_top, config.x_grid_size)
+    xs = np.linspace(0.0, x_top, 2001)
     if x0 not in xs:
         xs = np.sort(np.append(xs, x0))
     if x0 >= 1.0 - 1e-9 or ell <= 0.0:
@@ -428,10 +420,10 @@ def _build_general(config, report, s):
 
 def sampled_tariff(config, samples, meta):
     """Fully sampled tariff: the u-conjugate of the sampled indirect utility
-    ``samples`` on the configured consumption grid, linear between the knots
+    ``samples`` on the default consumption grid, linear between the knots
     and held flat above the top one."""
     params = config.params
-    c_grid = default_c_grid(params, config.c_min, config.c_max, config.c_grid_size)
+    c_grid = default_c_grid(params)
     price, _ = u_transform_indirect_to_price(samples, params, c_grid=c_grid)
     nt = params.time_grid.size
     seg = TabulatedSegment(

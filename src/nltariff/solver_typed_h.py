@@ -250,8 +250,7 @@ def solve_a0_b0_star(config):
     a_flat, b_flat = _pair_mesh(grid, grid)
     obj = _evaluate_mesh(a_flat, b_flat, params)
     if not np.any(np.isfinite(obj)):
-        corners = [(1.0, b) for b in (0.0, 0.25, 0.5)] + [(a, 0.0) for a in (0.5, 0.75, 1.0)]
-        raise InfeasibleSet("no feasible boundary pair on the scan grid", corner_candidates=corners)
+        raise InfeasibleSet("no feasible boundary pair on the scan grid")
     idx, best = _best_with_ties(a_flat, b_flat, obj)
     a_star, b_star = float(a_flat[idx]), float(b_flat[idx])
 
@@ -525,7 +524,7 @@ def build_tariff_typed_h(config, solution):
             label=f"{bottom}_selected",
         ))
         selected_range.append(np.column_stack([np.zeros(nt), c_bot]))
-    segs.append(_bridge_segment(params, p_star, c_bot, c_sel))
+    segs.append(_bridge_segment(params, p_star, a0, b0, c_bot, c_sel))
     segs.append(TariffSegment(
         c_lo=c_sel,
         c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_top,
@@ -554,16 +553,15 @@ def build_tariff_typed_h(config, solution):
     return tariff, p_star
 
 
-def _bridge_segment(params, p_star, c_lo, c_hi):
+def _bridge_segment(params, p_star, a0, b0, c_lo, c_hi):
     """Tabulated tariff piece over the never-selected consumption range,
     obtained by conjugating the glued indirect utility.
 
-    The boundary types are inserted into the conjugation grid so junction
-    prices coincide with the adjacent polynomial segments to float precision.
+    The boundary types a0, b0 are inserted into the conjugation grid so
+    junction prices coincide with the adjacent polynomial segments to float
+    precision.
     """
-    xg = np.linspace(0.0, 1.0, 1501)
-    inserts = [p_star.meta.get("a0"), p_star.meta.get("b0")]
-    xg = np.unique(np.concatenate([xg, [v for v in inserts if v is not None]]))
+    xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [a0, b0]]))
     lo = np.maximum(c_lo, 1e-9 if params.gamma < 0 else 0.0)
     hi = np.where(lo > 0, np.maximum(c_hi, lo * (1.0 + 1e-12)), np.maximum(c_hi, 1e-9))
     c_knots = np.linspace(lo, hi, 65, axis=1)
@@ -617,10 +615,8 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
                 out[:, up] = upper.slope(Nt, x[up])
         return out
 
-    kinks = tuple(k for k in (b0, a0) if 0.0 < k < 1.0)
     return IndirectUtility.from_callables(
-        params.time_grid, values_fn, slopes_fn, kinks=kinks,
-        meta={"a0": a0, "b0": b0, "branch": "typed"},
+        params.time_grid, values_fn, slopes_fn, meta={"a0": a0, "b0": b0, "branch": "typed"},
     )
 
 
@@ -629,12 +625,13 @@ def mu_zero_residual(solution, p_star, params):
     with zero multipliers, on interior nodes of each live component.
 
     The built surface is differentiated by central finite differences, so the
-    check is independent of the closed-form slope callables.
+    check is independent of the closed-form slope callables. A NaN anywhere
+    makes the residual NaN.
     """
     a0, b0 = solution.a0, solution.b0
     h = 1e-7
     interior_margin, nodes = 0.05, 200
-    worst = 0.0
+    residuals = [0.0]
     segments = []
     if b0 > interior_margin:
         xs = np.linspace(b0 * interior_margin, b0 * (1.0 - interior_margin), nodes)
@@ -654,5 +651,5 @@ def mu_zero_residual(solution, p_star, params):
         formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.pdf(xs), Kc,
                                  params.g.prime(xs), params.gamma)
         denom = np.maximum(np.abs(formula), 1e-12)
-        worst = max(worst, float(np.max(np.abs(fd - formula) / denom)))
-    return worst
+        residuals.append(np.max(np.abs(fd - formula) / denom))
+    return float(np.max(residuals))

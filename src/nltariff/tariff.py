@@ -71,8 +71,6 @@ class Tariff:
         for seg in self.segments:
             if seg.c_lo.shape != (nt,) or seg.c_hi.shape != (nt,):
                 raise InvalidParams("segments", "segment ranges must match the time grid")
-        if self.selected_range is not None and not isinstance(self.selected_range, list):
-            self.selected_range = [self.selected_range]
 
     # -- evaluation ----------------------------------------------------------
     def price(self, t_index, c):
@@ -103,13 +101,7 @@ class Tariff:
 
     def coefficients_at(self, t_index, label="selected"):
         """(p1, p2, p3) of the polynomial segment with the given label."""
-        fallback = None
         for s in self.segments:
-            if not isinstance(s, TariffSegment):
-                continue
-            if s.label == label:
+            if isinstance(s, TariffSegment) and s.label == label:
                 return float(s.p1[t_index]), float(s.p2[t_index]), float(s.p3[t_index])
-            fallback = fallback or s
-        if fallback is None:
-            raise InvalidParams("segments", "tariff has no polynomial segment")
-        return float(fallback.p1[t_index]), float(fallback.p2[t_index]), float(fallback.p3[t_index])
+        raise InvalidParams("segments", f"tariff has no polynomial segment labelled {label!r}")

@@ -12,6 +12,7 @@ import numpy as np
 from .errors import InvalidParams
 
 CONVEXITY_REL_TOL = 1e-9   # slack on second differences, scaled by local slope size
+C_MIN, C_MAX = 1e-4, 1e3   # consumption range of the default grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,15 +57,15 @@ class SampledFunctionOfConsumption:
         object.__setattr__(self, "values", v)
 
 
-def default_c_grid(params, c_min=1e-4, c_max=1e3, size=513):
-    """Consumption grid suited to the utility branch.
+def default_c_grid(params, size=513):
+    """Consumption grid suited to the utility branch, up to C_MAX.
 
-    gamma < 0 needs geometric spacing (utility singular at 0); gamma in (0,1)
-    gets a linear grid that includes zero consumption.
+    gamma < 0 needs geometric spacing from C_MIN (utility singular at 0);
+    gamma in (0,1) gets a linear grid that includes zero consumption.
     """
     if params.gamma < 0:
-        return np.geomspace(c_min, c_max, size)
-    return np.linspace(0.0, c_max, size)
+        return np.geomspace(C_MIN, C_MAX, size)
+    return np.linspace(0.0, C_MAX, size)
 
 
 def _utility_surface(params, x_grid, c_grid):

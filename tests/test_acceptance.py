@@ -212,7 +212,7 @@ def test_criterion_7_perturbation_audit(bench1_solution, bench2_solution,
                                          (typed_a_solution, typed_a_config)):
         params = cfg.params
         xg = np.linspace(0.0, 1.0, 8001)
-        kinks = [k for k in getattr(p_star, "kinks", ()) if 0.0 < k < 1.0]
+        kinks = [p_star.meta[k] for k in ("b0", "a0") if 0.0 < p_star.meta.get(k, 0.0) < 1.0]
         xg = np.unique(np.concatenate([xg, kinks])) if kinks else xg
         base_surface = p_star.values(xg)
         sampled = IndirectUtility.from_samples(params.time_grid, xg, base_surface)

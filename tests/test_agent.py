@@ -123,7 +123,6 @@ def test_participation_direct_crossing():
     lo, hi = ps.intervals[0]
     assert_allclose(lo, 0.5, atol=1e-9)
     assert hi == 1.0
-    assert ps.boundary["x0"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_participation_upward_closed_for_constant_reservation(bench2_solution, bench2_config):

@@ -2,12 +2,23 @@
 import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nltariff.cli import _fmt, _grid_text, _write_table, load_config, main, run_scenario, run_sweep
+from nltariff.cli import (
+    CONFIG_KEYS,
+    SOLVER_KEYS,
+    _fmt,
+    _grid_text,
+    _write_table,
+    load_config,
+    main,
+    run_scenario,
+    run_sweep,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,18 +118,6 @@ def test_write_table_keeps_the_csv_module_bytes(tmp_path, rows):
     _write_table(got, header, "1,%s,%.12g,%.12g,%d,%s", _grid_text(values), values, reverse,
                  np.asarray(flags).tolist(), [_fmt(opt) for opt in optional])
     assert got.read_bytes() == ref.read_bytes()
-
-
-@pytest.mark.parametrize("doc", [BASE_DOC, json.loads((CONFIG_DIR / "residential_log_h.json").read_text())],
-                         ids=["constant_h", "residential_log_h"])
-def test_one_sample_tables(tmp_path, doc):
-    path = write_config(tmp_path, dict(doc, outputs={"tariff_samples": 1, "type_samples": 1}))
-    out = tmp_path / "o"
-    assert main(["solve", str(path), "--out", str(out)]) == 0
-    n_t = load_config(path).params.time_grid.size
-    assert len(read_csv(out / "tariff.csv")) == n_t
-    assert len(read_csv(out / "consumption.csv")) == n_t
-    assert len(read_csv(out / "indirect_utility.csv")) == 1
 
 
 # sha256 of every CSV that `solve` (plain and --full-tariff) and an H_scale
@@ -258,8 +257,7 @@ def test_k_sweep_monotone_columns(tmp_path):
 
 def test_oracle_flag_appends_audit(tmp_path):
     out = tmp_path / "out"
-    doc = dict(BASE_DOC, solver={"c_grid_size": 129})
-    path = write_config(tmp_path, doc)
+    path = write_config(tmp_path, BASE_DOC)
     import nltariff.cli as cli_mod
     import nltariff.oracle as oracle_mod
 
@@ -466,6 +464,12 @@ BAD_CONFIGS = [
     ("time_nodes-1", {"time_nodes": 1}, "time_nodes"),
     ("time_nodes-0", {"time_nodes": 0}, "time_nodes"),
     ("time_nodes-negative", {"time_nodes": -3}, "time_nodes"),
+    # keys the loader does not read, which would otherwise be ignored
+    ("time_node", {"time_node": 129}, "'time_node'"),
+    ("solver.c_grid_size", {"solver": {"c_grid_size": 129}}, "'solver.c_grid_size'"),
+    ("solver.root_tol", {"solver": {"root_tol": 1e-12}}, "'solver.root_tol'"),
+    ("solver.simplified_tariff", {"solver": {"simplified_tariff": False}}, "'solver.simplified_tariff'"),
+    ("outputs", {"outputs": {"type_samples": 11}}, "'outputs'"),
 ]
 
 
@@ -477,6 +481,18 @@ def test_config_fuzz_exits_2(tmp_path, capsys, fields, named):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_schema_names_the_keys_the_loader_accepts():
+    """The config schema in README.md lists, at the top level and under
+    "solver", exactly the keys load_config reads and does not refuse."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    schema = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    top = re.findall(r'^  "(\w+)":', schema, flags=re.MULTILINE)
+    solver = re.findall(r'"(\w+)":', re.search(r'"solver": \{([^}]*)\}', schema).group(1))
+    assert sorted(top) == sorted(CONFIG_KEYS)
+    assert sorted(solver) == sorted(SOLVER_KEYS)
 
 
 @pytest.mark.parametrize("fields, named", [

@@ -8,7 +8,6 @@ from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
     ModelParams,
-    ScenarioConfig,
     TabulatedCost,
     TasteMap,
     TypeDistribution,
@@ -167,22 +166,6 @@ def test_concave_reservation_negative_interior_for_residential():
     )
     with pytest.raises(InvalidReservation):
         canonical_params(-1.0, reservation=res)
-
-
-def test_scenario_config_guards():
-    p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    with pytest.raises(InvalidParams):
-        ScenarioConfig(params=p, x_grid_size=8)
-    with pytest.raises(InvalidParams):
-        ScenarioConfig(params=p, boundary_split=np.ones(p.time_grid.size) * 2.0)
-
-
-def test_boundary_split_accepted_when_normalized():
-    p = canonical_params(0.5, reservation=ConstantReservation(0.05), time_nodes=5)
-    w = np.linspace(0.5, 1.5, 5)
-    w = w / np.trapezoid(w, p.time_grid)
-    cfg = ScenarioConfig(params=p, boundary_split=w)
-    assert_allclose(np.trapezoid(cfg.boundary_split, p.time_grid), 1.0, atol=1e-12)
 
 
 def test_utility_monotone_in_type_both_branches():

@@ -167,19 +167,6 @@ def test_indirect_utility_binds_at_threshold(bench1_solution, bench2_solution):
         assert_allclose(P, H, atol=1e-8)
 
 
-def test_boundary_split_override(bench1_config):
-    params = bench1_config.params
-    w = np.linspace(0.5, 1.5, params.time_grid.size)
-    w = w / np.trapezoid(w, params.time_grid)
-    cfg = ScenarioConfig(params=params, boundary_split=w)
-    report = solve_x0_star(cfg)
-    _, p_star = build_tariff_const_h(cfg, report)
-    x0 = report.boundary["x0"]
-    vals = p_star.values(np.asarray([x0]))[:, 0]
-    assert_allclose(vals, 0.05 * w, rtol=1e-12)                      # split shape respected
-    assert_allclose(np.trapezoid(vals, params.time_grid), 0.05, atol=1e-10)
-
-
 def test_built_p_star_is_u_convex(bench1_solution, bench2_solution, bench1_config, bench2_config):
     for (report, tariff, p_star), cfg in ((bench1_solution, bench1_config),
                                           (bench2_solution, bench2_config)):

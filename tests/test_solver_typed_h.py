@@ -525,6 +525,24 @@ def test_mu_zero_residuals_small(typed_a_solution, typed_b_solution,
         assert mu_zero_residual(sol, p_star, cfg.params) <= 1e-6
 
 
+def test_mu_zero_residual_reports_nan(monkeypatch):
+    """A NaN in the built surface makes the residual NaN: a running maximum
+    started at 0.0 would drop it and report a perfect fit."""
+    config = load_config(CONFIG_DIR / "industrial_sqrt_h.json")
+    sol = solve_a0_b0_star(config)
+    _, p_star = build_tariff_typed_h(config, sol)
+    assert mu_zero_residual(sol, p_star, config.params) < 1e-8
+    values = p_star.values
+
+    def nan_above_a0(x):
+        out = values(x)
+        out[:, np.asarray(x) > sol.a0] = np.nan
+        return out
+
+    monkeypatch.setattr(p_star, "values", nan_above_a0)
+    assert np.isnan(mu_zero_residual(sol, p_star, config.params))
+
+
 def test_glued_surface_u_convex_under_gap_condition(typed_a_solution, typed_a_config):
     sol, tariff, p_star = typed_a_solution
     assert sol.assumption_flags["b0_le_a0_minus_half"]
