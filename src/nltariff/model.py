@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidParams, InvalidReservation
-from .numerics import bisect, cumtrapz, expand_bracket_increasing, trapezoid
+from .errors import DomainError, InvalidParams, InvalidReservation
+from .numerics import cumtrapz, invert_increasing, trapezoid
 
 DENSITY_MASS_TOL = 1e-8       # mass check after renormalization
 DENSITY_RENORM_TOL = 1e-4     # tabulated density may be off by this much before rejection
@@ -409,21 +409,23 @@ def g_K(t, c, params):
 
 
 def g_K_inverse(t, y, gamma, params, root_tol=1e-12):
-    """Aggregate level c >= 0 with g_K(c) = y.
+    """Aggregate level c >= 0 with g_K(c) = y, elementwise in ``y``; a float
+    for a scalar ``y``.
 
-    Power cost admits the closed form c = (y / k(t)^(1/(1-gamma)))^((1-gamma)/(n-gamma));
-    a tabulated cost is inverted by bisection after bracket expansion.
+    Power cost admits the closed form c = (y / k(t)^(1/(1-gamma)))^((1-gamma)/(n-gamma)),
+    with ``t`` broadcasting against ``y``. A tabulated cost has no time
+    dependence; every y > 0 is inverted in one bracket-and-bisect.
     """
-    if y < 0:
-        raise DomainError("g_K inverse needs y >= 0")
-    if y == 0.0:
-        return 0.0
+    ys = np.asarray(y, dtype=float)
+    # NaN fails every comparison, so test for what must hold
+    if not np.all((ys >= 0.0) & (ys < np.inf)):
+        raise DomainError("g_K inverse needs a finite y >= 0")
     if params.is_power_cost:
         k = params.k_at(t)
-        return float((y / k ** (1.0 / (1.0 - gamma))) ** ((1.0 - gamma) / (params.n - gamma)))
-    fwd = lambda c: float(g_K(t, c, params))
-    try:
-        hi = expand_bracket_increasing(fwd, y, hi0=max(params.cost_table.c[1], 1e-6))
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"g_K bracket expansion failed for y={y:.6g}") from exc
-    return bisect(lambda c: fwd(c) - y, 0.0, hi, xtol=root_tol)
+        c = (ys / k ** (1.0 / (1.0 - gamma))) ** ((1.0 - gamma) / (params.n - gamma))
+    else:
+        c = np.zeros(ys.shape)
+        pos = ys > 0.0
+        c[pos] = invert_increasing(lambda c: g_K(t, c, params), ys[pos],
+                                   hi0=max(params.cost_table.c[1], 1e-6), xtol=root_tol)
+    return float(c) if ys.ndim == 0 else c

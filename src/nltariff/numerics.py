@@ -1,8 +1,8 @@
 """Small deterministic numerical kernels: quadrature, root finding, 1D search.
 
 All quadrature in the library is composite trapezoid on explicit grids, and
-scalar equations are solved by plain bisection so results are bit-stable
-across platforms.
+equations are solved by plain bisection, one at a time or elementwise over
+an array, so results are bit-stable across platforms.
 """
 import numpy as np
 
@@ -80,10 +80,12 @@ def golden_max(f, lo, hi, xtol=1e-10, max_iter=200):
 def grid_then_golden_max(f, lo, hi, grid_size, xtol=1e-10):
     """Global 1D maximization: dense scan, then golden-section refinement.
 
-    Returns (x_star, value).
+    ``f`` is called once on the whole scan grid and must then return one
+    value per point; the refinement calls it on scalars. Returns
+    (x_star, value).
     """
     xs = np.linspace(lo, hi, grid_size)
-    vals = np.array([f(x) for x in xs])
+    vals = np.asarray(f(xs))
     i = int(np.argmax(vals))
     a = xs[max(i - 1, 0)]
     b = xs[min(i + 1, grid_size - 1)]
@@ -93,11 +95,41 @@ def grid_then_golden_max(f, lo, hi, grid_size, xtol=1e-10):
     return x_star, v_star
 
 
-def expand_bracket_increasing(f, target, hi0=1.0, max_doublings=300):
-    """Find hi with f(hi) >= target for an increasing f starting from hi0."""
-    hi = float(hi0)
+def invert_increasing(f, y, hi0, xtol, max_doublings=300, max_iter=200):
+    """Solve f(c) = y on c >= 0 for every element of the 1D array ``y``;
+    f is increasing, elementwise, and f(0) < y.
+
+    Each element doubles its upper end from ``hi0`` until f(hi) >= y and
+    returns hi if that is an exact hit. Otherwise it bisects [0, hi] and
+    returns the first midpoint that hits y exactly or whose bracket is
+    narrower than ``xtol``, or the bracket's midpoint after ``max_iter``
+    steps. Each step calls ``f`` once on the elements still running.
+    """
+    hi = np.full(y.shape, float(hi0))
+    run = np.arange(y.size)
     for _ in range(max_doublings):
-        if f(hi) >= target:
-            return hi
-        hi *= 2.0
-    raise ConvergenceError(f"could not bracket target {target:.6g} by doubling")
+        # not (f >= y), so a NaN keeps doubling
+        short = ~(f(hi[run]) >= y[run])
+        if not short.any():
+            break
+        run = run[short]
+        hi[run] *= 2.0
+    else:
+        raise ConvergenceError(f"could not bracket target {y[run[0]]:.6g} by doubling")
+    out = hi.copy()
+    run = np.flatnonzero(f(hi) != y)
+    lo, hi, y = np.zeros(run.size), hi[run], y[run]
+    for _ in range(max_iter):
+        if run.size == 0:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        stop = (fm == y) | (hi - lo < xtol)
+        below = fm < y
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if stop.any():
+            out[run[stop]] = mid[stop]
+            run, lo, hi, y = run[~stop], lo[~stop], hi[~stop], y[~stop]
+    out[run] = 0.5 * (lo + hi)
+    return out

@@ -167,8 +167,7 @@ def _closed_form_slope_scale(params, x0):
 
     t = params.time_grid
     ell = ell_const(x0, params)
-    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
-    Kc = np.maximum(eval_marginal_cost(t, A, params), 1e-12)
+    Kc = np.maximum(eval_marginal_cost(t, capacity_A(t, x0, params, ell=ell), params), 1e-12)
     xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
     with np.errstate(divide="ignore"):
         s = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs), Kc[:, None],

@@ -86,19 +86,29 @@ def ell_const(x0, params, nodes=4001):
 
 
 def capacity_A(t, x0, params, ell=None):
-    """Aggregate consumption at the optimum for threshold x0.
+    """Aggregate consumption at the optimum for threshold x0 at time ``t``.
 
-    Power cost: A = (phi/k)^(1/(n-gamma)) ell^((1-gamma)/(n-gamma)); general
-    cost goes through the increasing-map inverse.
+    ``t`` may be the time grid and ``ell`` an array of ell(x0) values, one
+    per threshold; the result then has shape ell.shape + t.shape, and is a
+    float when both are scalars. Power cost:
+    A = (phi/k)^(1/(n-gamma)) ell^((1-gamma)/(n-gamma)); general cost goes
+    through the increasing-map inverse. The powers stay scalar per node and
+    per threshold: numpy's scalar and array pow differ in the last bit.
     """
     gamma = params.gamma
     if ell is None:
         ell = ell_const(x0, params)
+    shape = np.shape(ell) + np.shape(t)
+    ts, ells = np.atleast_1d(t), np.atleast_1d(ell)
     if params.is_power_cost:
-        phi, k = params.phi_at(t), params.k_at(t)
-        return float((phi / k) ** (1.0 / (params.n - gamma)) * ell ** ((1.0 - gamma) / (params.n - gamma)))
-    y = params.phi_at(t) ** (1.0 / (1.0 - gamma)) * ell
-    return g_K_inverse(t, y, gamma, params)
+        n = params.n
+        level = [e ** ((1.0 - gamma) / (n - gamma)) for e in ells]
+        node = [(params.phi_at(ti) / params.k_at(ti)) ** (1.0 / (n - gamma)) for ti in ts]
+        A = np.multiply.outer(level, node)
+    else:
+        node = [params.phi_at(ti) ** (1.0 / (1.0 - gamma)) for ti in ts]
+        A = g_K_inverse(ts, np.multiply.outer(ells, node), gamma, params)
+    return float(A[0, 0]) if shape == () else A.reshape(shape)
 
 
 def time_weight(params):
@@ -140,13 +150,16 @@ def chi(y0, params):
 
 def alpha_objective(x0, params):
     """General reduced objective: time integral of (1/gamma) A dK/dc(A) - K(A)
-    plus the boundary term (F(x0) - 1) H."""
-    ell = ell_const(x0, params, nodes=2001)
+    plus the boundary term (F(x0) - 1) H. Elementwise in ``x0``; a float for
+    a scalar ``x0``."""
+    x0s = np.asarray(x0, dtype=float)
+    ell = np.reshape([ell_const(x, params, nodes=2001) for x in x0s.flat], x0s.shape)
     t = params.time_grid
-    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
+    A = capacity_A(t, x0s, params, ell=ell)
     vals = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)
     H = params.reservation.H
-    return params.time_integral(vals) + (float(params.f.cdf(x0)) - 1.0) * H
+    out = trapezoid(vals, t) + (params.f.cdf(x0s) - 1.0) * H
+    return float(out) if x0s.ndim == 0 else out
 
 
 def _uniqueness_conditions(params):
@@ -406,8 +419,7 @@ def _build_general(config, report, s):
         tariff = Tariff(gamma=g, time_grid=params.time_grid, segments=[seg],
                         simplified=True, meta={"x0": x0, "route": "general"})
         return tariff, p_star
-    A = np.array([capacity_A(ti, x0, params, ell=ell) for ti in t])
-    Kc = eval_marginal_cost(t, A, params)
+    Kc = eval_marginal_cost(t, capacity_A(t, x0, params, ell=ell), params)
     slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs),
                             Kc[:, None], params.g.prime(xs), g)
     # integrate from x0 so the binding constraint lands exactly on s(t)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nltariff.errors import DomainError, InvalidParams, InvalidReservation
+from nltariff import model
+from nltariff.errors import ConvergenceError, DomainError, InvalidParams, InvalidReservation
 from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
@@ -102,6 +103,120 @@ def test_g_K_roundtrip_log_grid():
     ys = np.asarray(g_K(0.0, cs, p))
     back = np.array([g_K_inverse(0.0, y, -0.5, p) for y in ys])
     assert_allclose(back, cs, rtol=1e-8)
+
+
+def _tabulated_params(gamma, c, Kc):
+    K = np.concatenate([[0.0], np.cumsum(0.5 * (Kc[1:] + Kc[:-1]) * np.diff(c))])
+    t = np.linspace(0.0, 1.0, 3)
+    return ModelParams(
+        gamma=gamma, horizon=1.0, time_grid=t, phi=np.ones(3), k=np.ones(3),
+        n=None, cost_table=TabulatedCost.from_samples(c, K, Kc),
+        g=TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1),
+        f=TypeDistribution.uniform(),
+        reservation=ConstantReservation(0.05 if gamma > 0 else -0.05),
+    )
+
+
+def _scalar_g_K_inverse(y, params, root_tol=1e-12):
+    """The tabulated inversion one target at a time, as a scalar bracket
+    expansion and bisection: the reference for the array kernel.
+
+    g_K runs on a one-element array. numpy's scalar pow and its array pow
+    differ in the last bit on about 0.1% of inputs, and above the top knot,
+    where the bisection runs down to adjacent doubles, that alone moves the
+    root by an ulp.
+    """
+    fwd = lambda c: g_K(0.0, np.array([c]), params)[0]
+    if y == 0.0:
+        return 0.0
+    hi = max(params.cost_table.c[1], 1e-6)
+    for _ in range(300):
+        if fwd(hi) >= y:
+            break
+        hi *= 2.0
+    else:
+        raise ConvergenceError(f"could not bracket target {y:.6g} by doubling")
+    lo = 0.0
+    flo, fhi = fwd(lo) - y, fwd(hi) - y
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fwd(mid) - y
+        if fm == 0.0 or (hi - lo) < root_tol:
+            return mid
+        if np.sign(fm) == np.sign(flo):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _inverse_cases(gamma, seed):
+    """Random convex tables and the targets that exercise every exit of the
+    inversion: y = 0, targets inside and far above the table (where the
+    marginal cost is held flat and the bisection runs out of digits),
+    targets that need many doublings, and exact hits of g_K at the first
+    bracket end and at bisection midpoints."""
+    rng = np.random.default_rng(seed)
+    for first in (2.0 ** -rng.integers(1, 4), 1e-7, rng.uniform(0.01, 1.0)):
+        m = int(rng.integers(4, 300))
+        c = np.concatenate([[0.0, first], first + np.cumsum(rng.uniform(0.01, 1.0, m - 2))])
+        Kc = np.cumsum(rng.uniform(0.0, 2.0, m))
+        p = _tabulated_params(gamma, c, Kc)
+        hi0 = max(c[1], 1e-6)
+        top = float(g_K(0.0, c[-1:], p)[0])
+        dyadic = hi0 * np.array([1.0, 2.0, 4.0, 0.5, 0.75, 0.625, 3.0, 5.5, 2.0 ** 20])
+        ys = np.concatenate([
+            [0.0, 0.0],
+            rng.uniform(0.0, top, 25),
+            top * np.array([1.0, 1.5, 1e3, 1e9, 1e15]),
+            10.0 ** rng.uniform(-12, 12, 12),
+            [1e-60, 1e-200],
+            g_K(0.0, dyadic, p),
+        ])
+        yield p, ys
+
+
+@pytest.mark.parametrize("root_tol", [1e-12, 2.0 ** -30, 0.0])
+@pytest.mark.parametrize("gamma, seed", [(0.5, 3), (0.5, 11), (-1.0, 5), (-1.0, 17)])
+def test_g_K_inverse_array_matches_scalar_bisection_bitwise(gamma, seed, root_tol):
+    for p, ys in _inverse_cases(gamma, seed):
+        got = g_K_inverse(0.0, ys, gamma, p, root_tol=root_tol)
+        ref = np.array([_scalar_g_K_inverse(y, p, root_tol) for y in ys])
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+        for y, r in zip(ys[::7], ref[::7]):
+            c = g_K_inverse(0.0, float(y), gamma, p, root_tol=root_tol)
+            assert type(c) is float and c == r
+
+
+def test_g_K_inverse_keeps_the_shape_of_y():
+    p = _tabulated_params(-1.0, np.linspace(0.0, 20.0, 401), np.linspace(0.0, 20.0, 401))
+    ys = np.array([[0.0, 0.5, 2.0], [3.0, 0.0, 1e4]])
+    got = g_K_inverse(np.linspace(0.0, 1.0, 3), ys, -1.0, p)
+    assert got.shape == ys.shape
+    assert got[0, 0] == got[1, 1] == 0.0
+    assert_allclose(g_K(0.0, got, p), ys, rtol=1e-10)
+
+
+@pytest.mark.parametrize("y", [np.nan, np.inf, -1.0, [0.5, np.nan]])
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_g_K_inverse_refuses_y_outside_its_domain(y, tabulated, monkeypatch):
+    """A NaN used to run 300 doublings before a ConvergenceError (tabulated
+    cost) or come back as NaN (power cost)."""
+    if tabulated:
+        p = _tabulated_params(0.5, np.linspace(0.0, 20.0, 401), np.linspace(0.0, 20.0, 401))
+    else:
+        p = canonical_params(0.5, reservation=ConstantReservation(0.05))
+
+    def forward_map_called(*args):
+        raise AssertionError("g_K evaluated before the domain check")
+
+    monkeypatch.setattr(model, "g_K", forward_map_called)
+    with pytest.raises(DomainError):
+        g_K_inverse(0.0, y, 0.5, p)
 
 
 # -- validation -----------------------------------------------------------

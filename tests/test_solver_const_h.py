@@ -1,8 +1,13 @@
 """Constant-reservation solver: closed forms against independent oracles."""
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nltariff.cli import load_config
 from nltariff.errors import InvalidReservation
 from nltariff.model import (
     ConstantReservation,
@@ -11,7 +16,9 @@ from nltariff.model import (
     canonical_params,
 )
 from nltariff.solver_const_h import (
+    ALPHA_GRID,
     B_gamma,
+    alpha_objective,
     build_tariff_const_h,
     capacity_A,
     chi,
@@ -229,7 +236,6 @@ def test_uniqueness_flag_cleared_for_wavy_density():
     assert not report.uniqueness
     assert report.warnings
     # the returned point is still the best on a fresh audit grid
-    from nltariff.solver_const_h import alpha_objective
     audit = max(alpha_objective(x, p) for x in np.linspace(0.0, 1.0, 400))
     assert report.principal_utility >= audit - 1e-6
 
@@ -249,3 +255,31 @@ def test_general_route_with_tabulated_cost_matches_power(bench1_config):
     general = solve_x0_star(ScenarioConfig(params=tabbed))
     assert abs(general.boundary["x0"] - closed.boundary["x0"]) < 1e-3
     assert abs(general.principal_utility - closed.principal_utility) < 1e-4
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _coarse_mix_cost_table_params(tmp_path, power):
+    """The cost-table request of the benchmark's seed-1 coarse_mix stream, or
+    its twin with the family's power cost in place of the table."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = next(r.config for r in workloads.build("coarse_mix", ROOT, 1) if r.name.endswith("-cost_table"))
+    if power:
+        del doc["cost_table"]
+        doc["n"] = json.loads((ROOT / "configs" / "residential_constant_h.json").read_text())["n"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path).params
+
+
+@pytest.mark.parametrize("power", [False, True], ids=["table", "power"])
+def test_alpha_objective_on_the_grid_matches_the_per_threshold_loop(power, tmp_path):
+    params = _coarse_mix_cost_table_params(tmp_path, power)
+    assert params.is_power_cost == power
+    xs = np.linspace(0.0, 1.0, ALPHA_GRID)
+    grid = alpha_objective(xs, params)
+    loop = np.array([alpha_objective(x, params) for x in xs])
+    np.testing.assert_array_equal(grid.view(np.uint64), loop.view(np.uint64))
