@@ -13,6 +13,7 @@ from .agent import (
     best_response_grid,
     participation_set,
 )
+from .closed_form import R_gamma, ell_ab
 from .errors import (
     AssumptionViolation,
     ConfigError,
@@ -49,11 +50,9 @@ from .solver_const_h import (
 )
 from .solver_typed_h import (
     TypedHSolution,
-    R_gamma,
     build_bridge,
     build_tariff_typed_h,
     constraint_check_A2prime,
-    ell_ab,
     solve_a0_b0_star,
     validate_assumptions,
 )

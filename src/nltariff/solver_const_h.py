@@ -3,15 +3,18 @@
 Two routes. The canonical power/uniform setting admits explicit formulas:
 a scalar root equation locates the participation threshold on the industrial
 branch and a closed form (with a positive-part clamp) on the residential
-branch, after which the optimal tariff is polynomial in consumption. The
-general route maximizes the reduced one-dimensional objective by quadrature
-plus golden-section refinement and emits a sampled tariff.
+branch. Everything after the threshold (the objective, the scales and the
+polynomial tariff) is the one-component case [x0, 1] of the typed closed
+forms in ``closed_form``. The general route maximizes the reduced
+one-dimensional objective by quadrature plus golden-section refinement and
+emits a sampled tariff.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import IndirectUtility
+from .closed_form import B_gamma, L_gamma_profile, N_gamma_profile, component_shapes, objective_ab, selected_segments
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
@@ -111,29 +114,9 @@ def capacity_A(t, x0, params, ell=None):
     return float(A[0, 0]) if shape == () else A.reshape(shape)
 
 
-def time_weight(params):
-    """((phi^n / k^gamma))^(1/(n-gamma)) on the time grid (power cost only)."""
-    return (params.phi ** params.n / params.k ** params.gamma) ** (1.0 / (params.n - params.gamma))
-
-
-def B_gamma(params):
-    """(1/gamma - 1/n) * int (phi^n / k^gamma)^(1/(n-gamma)) dt; positive on the
-    industrial branch, negative on the residential one."""
-    g, n = params.gamma, params.n
-    return (1.0 / g - 1.0 / n) * params.time_integral(time_weight(params))
-
-
 def A_gamma(params):
     g, n = params.gamma, params.n
     return B_gamma(params) * ((1.0 - g) / (2.0 * (2.0 - g))) ** (n * (1.0 - g) / (n - g))
-
-
-def phi_objective(x0, params):
-    """Reduced objective Phi(x0) = B ell^(n(1-gamma)/(n-gamma)) + (x0 - 1) H
-    (canonical power/uniform setting)."""
-    g, n = params.gamma, params.n
-    H = params.reservation.H
-    return B_gamma(params) * ell_const(x0, params) ** (n * (1.0 - g) / (n - g)) + (x0 - 1.0) * H
 
 
 def chi(y0, params):
@@ -191,68 +174,54 @@ def solve_x0_star(config):
     if params.reservation.kind != "constant":
         raise InvalidParams("reservation", "solve_x0_star needs a constant reservation utility")
     H = params.reservation.H
-
-    if params.is_canonical_uniform_power and not config.force_general_route:
-        if params.gamma > 0:
-            return _solve_industrial(config, H)
-        return _solve_residential(config, H)
-    return _solve_general(config, H)
-
-
-def _solve_industrial(config, H):
-    params = config.params
-    g = params.gamma
-    if H < 0:
-        raise InvalidReservation("H must be >= 0 when gamma in (0,1)")
-    if H == 0.0:
-        y0 = 0.0
-        residual = 0.0
-    else:
-        f = lambda y: chi(y, params)
-        y0 = bisect(f, CHI_BRACKET_EPS, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
-        residual = abs(chi(y0, params))
-    x0 = 0.5 * (y0 ** (1.0 - g) + 1.0)
-    up = phi_objective(x0, params)
-    return SolveReport(
-        boundary={"x0": float(x0), "y0": float(y0)},
-        principal_utility=float(up),
+    if not params.is_canonical_uniform_power or config.force_general_route:
+        return _solve_general(config, H)
+    industrial = params.gamma > 0
+    boundary, residual = (_industrial_threshold if industrial else _residential_threshold)(params, H)
+    x0 = boundary["x0"]
+    report = SolveReport(
+        boundary=boundary,
+        principal_utility=float(objective_ab(x0, 0.0, params)),
         foc_residual=float(residual),
         uniqueness=True,
-        route="closed_form_industrial",
+        route="closed_form_industrial" if industrial else "closed_form_residential",
     )
+    if x0 == 0.0:
+        report.warnings.append("corner solution x0*=0: every type is served")
+    return report
 
 
-def _solve_residential(config, H):
-    params = config.params
+def _industrial_threshold(params, H):
+    """({x0, y0}, |chi(y0)|) at the root y0 of chi, x0 = (y0^(1-gamma) + 1)/2."""
+    if H < 0:
+        raise InvalidReservation("H must be >= 0 when gamma in (0,1)")
+    y0, residual = 0.0, 0.0
+    if H != 0.0:
+        y0 = bisect(lambda y: chi(y, params), CHI_BRACKET_EPS, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
+        residual = abs(chi(y0, params))
+    x0 = 0.5 * (y0 ** (1.0 - params.gamma) + 1.0)
+    return {"x0": float(x0), "y0": float(y0)}, residual
+
+
+def _residential_threshold(params, H):
+    """({x0}, residual): the explicit threshold, clamped at 0, and the central
+    difference quotient of the objective there (0 at the corner)."""
     g, n = params.gamma, params.n
     if H >= 0:
         raise InvalidReservation("H must be negative when gamma < 0")
-    B = B_gamma(params)
     denom = n * (1.0 - g) + g
     raw = (
-        (H / B * (n - g) / (n * (1.0 - g))) ** ((n - g) / denom)
+        (H / B_gamma(params) * (n - g) / (n * (1.0 - g))) ** ((n - g) / denom)
         * ((2.0 - g) / (1.0 - g)) ** (-g * (n - 1.0) / denom)
         * 2.0 ** (-n / denom)
     )
     x0 = max(1.0 - raw, 0.0)
-    clamped = x0 == 0.0
-    if clamped:
-        residual = 0.0
-    else:
+    residual = 0.0
+    if x0 > 0.0:
         h = 1e-6 * max(x0, 1.0 - x0)
         lo, hi = max(x0 - h, 0.0), min(x0 + h, 1.0)
-        residual = abs((phi_objective(hi, params) - phi_objective(lo, params)) / (hi - lo))
-    up = phi_objective(x0, params)
-    report = SolveReport(
-        boundary={"x0": float(x0)},
-        principal_utility=float(up),
-        foc_residual=float(residual),
-        uniqueness=True,
-        route="closed_form_residential",
-    )
-    if clamped:
-        report.warnings.append("corner solution x0*=0: every type is served")
-    return report
+        residual = abs((objective_ab(hi, 0.0, params) - objective_ab(lo, 0.0, params)) / (hi - lo))
+    return {"x0": float(x0)}, residual
 
 
 def _solve_general(config, H):
@@ -279,31 +248,6 @@ def _solve_general(config, H):
 # tariff construction
 # ---------------------------------------------------------------------------
 
-def M_profile(params, x0):
-    """Nonlinear-part scale M(t) on the industrial branch."""
-    g, n = params.gamma, params.n
-    y0q = max(2.0 * x0 - 1.0, 0.0) ** ((2.0 - g) / (1.0 - g))
-    e = g * (n - 1.0) / (n - g)
-    return (
-        (1.0 - g) / (2.0 * g)
-        * (2.0 * (2.0 - g) / (1.0 - g)) ** e
-        * time_weight(params)
-        * (1.0 - y0q) ** (-e)
-    )
-
-
-def M_hat_profile(params, x0):
-    """Linear-tariff scale on the residential branch (positive)."""
-    g, n = params.gamma, params.n
-    e = g * (n - 1.0) / (n - g)
-    return (
-        -(1.0 - g) / g
-        * ((2.0 - g) / (1.0 - g)) ** e
-        * (2.0 ** g * params.phi ** n / params.k ** g) ** (1.0 / (n - g))
-        * (1.0 - x0) ** (-g * (2.0 - g) * (n - 1.0) / ((n - g) * (1.0 - g)))
-    )
-
-
 def build_tariff_const_h(config, report):
     """Emit the optimal tariff and its indirect utility.
 
@@ -311,83 +255,45 @@ def build_tariff_const_h(config, report):
     segments; the general route samples the optimal indirect-utility surface
     and conjugates it numerically.
     """
-    params = config.params
-    # the binding reservation level, spread evenly over time: int s dt = H
-    s = np.full(params.time_grid.size, params.reservation.H / params.horizon)
     if report.route == "general":
-        return _build_general(config, report, s)
-    return _build_closed_form(config, report, s)
+        return _build_general(config, report)
+    return _build_closed_form(config, report)
 
 
-def _build_closed_form(config, report, s):
-    """Polynomial tariff of the canonical routes. On the served types
-    p*(t, x) = s(t) + K(t) (u(x)^m - u(x0)^m), m = 1/(1-gamma), with
-    u(x) = (2x - 1)^+ and K = M on the industrial branch, u(x) = 1 - x and
-    K = -M_hat on the residential one."""
+def _build_closed_form(config, report):
+    """Polynomial tariff of the canonical routes: the one-component case
+    [x0, 1] of the typed closed forms, served by the upper shape on both
+    branches. On the served types p*(t, x) = H/T + N(t) (upper(x) - upper(x0))."""
     params = config.params
     g = params.gamma
     x0 = report.boundary["x0"]
-    phi = params.phi
+    H = params.reservation.H
     nt = params.time_grid.size
-    m = 1.0 / (1.0 - g)
-    u = (lambda x: np.maximum(2.0 * x - 1.0, 0.0)) if g > 0 else (lambda x: 1.0 - x)
-    q0 = u(x0) ** m
-    if g > 0:
-        M = M_profile(params, x0)
-        K = M
-        dK = M * (2.0 / (1.0 - g))
-        c_hat = (2.0 * g * M / ((1.0 - g) * phi)) ** (1.0 / g)
-        p1 = phi / (2.0 * g)
-        p2 = (phi / 2.0) * ((1.0 - g) * phi / (2.0 * g * M)) ** ((1.0 - g) / g)
-        p3_top = M * q0 - M - s
-        band = [c_hat * q0, c_hat]
-        meta = {"x0": x0, "y0": q0, "M": M}
-    else:
-        Mh = M_hat_profile(params, x0)
-        K = -Mh
-        dK = Mh / (1.0 - g)
-        c_hat = (-g * Mh / (phi * (1.0 - g))) ** (1.0 / g)
-        p1 = np.zeros(nt)
-        p2 = phi * (-(phi * (1.0 - g)) / (g * Mh)) ** ((1.0 - g) / g)
-        p3_top = -s - Mh * q0 + Mh
-        band = [np.zeros(nt), c_hat * q0]
-        meta = {"x0": x0, "M_hat": Mh}
-
-    selected = TariffSegment(
-        c_lo=np.zeros(nt),
-        c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_hat,
-        p1=p1,
-        p2=p2,
-        p3=-s + K * q0,
-        label="selected",
-    )
-    segments = [selected]
-    if not config.simplified_tariff:
-        segments.append(TariffSegment(
-            c_lo=c_hat,
-            c_hi=np.full(nt, np.inf),
-            p1=phi / g,
-            p2=np.zeros(nt),
-            p3=p3_top,
-            label="top",
-        ))
+    _, upper, _ = component_shapes(g)
+    N = N_gamma_profile(params, x0, 0.0)
+    L = L_gamma_profile(params, N)
+    segments, c_top = selected_segments(params, upper, x0, H, N, L, np.zeros(nt), config.simplified_tariff)
+    # the served types [x0, 1] consume between L upper(x0) and L upper(1)
+    band = [L * upper(x0), L * upper(1.0)]
     tariff = Tariff(
         gamma=g,
         time_grid=params.time_grid,
         segments=segments,
         simplified=config.simplified_tariff,
-        selected_range=[np.column_stack(band)],
-        breakpoints={"c_hat": c_hat},
-        meta=meta,
+        selected_range=[np.column_stack(band if g > 0 else band[::-1])],
+        breakpoints={"c_top": c_top},
+        meta={"x0": x0, "N": N, "L": L},
     )
+    level = H / params.horizon
+    Nt = N[:, None]
 
     def values_fn(x):
-        return s[:, None] + K[:, None] * ((u(x) ** m)[None, :] - q0)
+        return level + Nt * (upper(x) - upper(x0))
 
     def slopes_fn(x):
         # the residential slope is infinite at x = 1
         with np.errstate(divide="ignore"):
-            return dK[:, None] * (u(x) ** (g / (1.0 - g)))[None, :]
+            return upper.slope(Nt, x)
 
     branch = "industrial" if g > 0 else "residential"
     p_star = IndirectUtility.from_callables(
@@ -396,12 +302,14 @@ def _build_closed_form(config, report, s):
     return tariff, p_star
 
 
-def _build_general(config, report, s):
+def _build_general(config, report):
     """Sampled emission for non-canonical primitives or tabulated costs."""
     params = config.params
     g = params.gamma
     t = params.time_grid
     nt = t.size
+    # the binding reservation level, spread evenly over time: int s dt = H
+    s = np.full(nt, params.reservation.H / params.horizon)
     x0 = report.boundary["x0"]
     ell = ell_const(x0, params)
     # residential slopes are singular at x=1; stop the sample grid just short

@@ -4,20 +4,24 @@ Participation splits into at most a low-type and a high-type component. The
 boundary pair is found by an exhaustive feasibility-filtered grid scan with
 local zoom refinement, after which the indirect utility has explicit lower
 and upper pieces joined by a bridge over the excluded middle interval. The
-bridge is any continuous nondecreasing curve matching the reservation level
-at the boundaries and staying strictly below it inside; candidates are
-validated numerically rather than assumed.
+objective, the scales and the polynomial segments of the two pieces are the
+closed forms of ``closed_form``, which also serve the constant reservation
+as their one-component case. The bridge is any continuous nondecreasing
+curve matching the reservation level at the boundaries and staying strictly
+below it inside; candidates are validated numerically rather than assumed.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import IndirectUtility
+from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, ell_ab, objective_ab,
+                          polynomial_segment, selected_segments, theta_term, time_weight)
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_marginal_cost
 from .numerics import trapezoid
-from .solver_const_h import B_gamma, lower_bracket, optimal_slopes, sampled_tariff, time_weight, upper_bracket
-from .tariff import TabulatedSegment, Tariff, TariffSegment
+from .solver_const_h import lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
+from .tariff import TabulatedSegment, Tariff
 # perfbench/tracing.py looks up _utility_surface in this module by name
 from .uconvex import _u_conjugate, _utility_surface  # noqa: F401
 
@@ -91,27 +95,8 @@ def validate_assumptions(params):
 
 
 # ---------------------------------------------------------------------------
-# closed forms and quadrature pieces
+# capacity and boundary certificates
 # ---------------------------------------------------------------------------
-
-def R_gamma(a0, b0, params):
-    """Coverage polynomial: dimensionless, equals 2(2-gamma)/(1-gamma) ell
-    under the canonical power/uniform setting."""
-    g = params.gamma
-    q = (2.0 - g) / (1.0 - g)
-    a0 = np.asarray(a0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    if g > 0:
-        return 1.0 + (2.0 * b0) ** q - np.maximum(2.0 * a0 - 1.0, 0.0) ** q
-    return 1.0 - np.maximum(1.0 - 2.0 * b0, 0.0) ** q + (2.0 - 2.0 * a0) ** q
-
-
-def ell_ab(a0, b0, params):
-    """ell(a0, b0): low-component integral up to b0 plus high-component
-    integral from a0, in closed form."""
-    g = params.gamma
-    return (1.0 - g) / (2.0 * (2.0 - g)) * R_gamma(a0, b0, params)
-
 
 def capacity_A_typed(t_index, ell, params):
     """Aggregate consumption for coverage ell, per time node (vectorized)."""
@@ -156,29 +141,6 @@ def constraint_check_A2prime(a0, b0, params):
     if scalar:
         return {"Xi": float(Xi[0]), "Psi": float(Psi[0]), "feasible": bool(feasible[0])}
     return {"Xi": Xi, "Psi": Psi, "feasible": feasible}
-
-
-def theta_term(a0, b0, params):
-    """Boundary payoff theta = -F(b0) H(b0) + (F(a0) - 1) H(a0), with the
-    degenerate ends contributing zero."""
-    a0 = np.asarray(a0, dtype=float)
-    b0 = np.asarray(b0, dtype=float)
-    Fa = params.f.cdf(a0)
-    Fb = params.f.cdf(b0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        Ha = params.reservation(a0)
-        Hb = params.reservation(b0)
-        low = np.where(Fb > 0.0, -Fb * Hb, 0.0)
-        up = np.where(Fa < 1.0, (Fa - 1.0) * Ha, 0.0)
-    return low + up
-
-
-def objective_ab(a0, b0, params):
-    """Reduced relaxed objective over boundary pairs (vectorized)."""
-    g, n = params.gamma, params.n
-    ell = np.asarray(ell_ab(a0, b0, params), dtype=float)
-    core = B_gamma(params) * ell ** (n * (1.0 - g) / (n - g))
-    return core + theta_term(a0, b0, params)
 
 
 # ---------------------------------------------------------------------------
@@ -291,69 +253,6 @@ def solve_a0_b0_star(config):
     return sol
 
 
-def N_gamma_profile(params, a0, b0):
-    """Per-time scale of the x^(1/(1-gamma)) part of the indirect utility.
-
-    Positive on the industrial branch, negative on the residential branch.
-    """
-    g, n = params.gamma, params.n
-    e = g * (n - 1.0) / (n - g)
-    R = float(R_gamma(a0, b0, params))
-    return (
-        2.0 ** (g / (1.0 - g)) * (1.0 - g) / g
-        * (2.0 * (2.0 - g) / (1.0 - g)) ** e
-        * time_weight(params)
-        * R ** (-e)
-    )
-
-
-def L_gamma_profile(params, N):
-    """Consumption scale L(t) = (gamma N / ((1-gamma) phi))^(1/gamma)."""
-    g = params.gamma
-    return (g * N / ((1.0 - g) * params.phi)) ** (1.0 / g)
-
-
-# ---------------------------------------------------------------------------
-# closed-form components
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class _Shape:
-    """u(x)^m, the x-dependence of one closed-form component of p*, with the
-    x-derivative du m u(x)^e. Boundary types go in as Python floats, not
-    arrays: scalar and array powers can differ in the last bit."""
-
-    u: object
-    du: float
-    m: float
-    e: float
-
-    def __call__(self, x):
-        return self.u(x) ** self.m
-
-    def slope(self, N, x):
-        """N times the derivative, N broadcasting against u(x)."""
-        return self.du * N * self.m * self.u(x) ** self.e
-
-
-def _component_shapes(gamma):
-    """(lower, upper, bottom): the shapes of the components on [0, b0] and
-    [a0, 1], and which of the two ("lower" or "upper") serves the smallest
-    tastes. On [0, b0], p* = H(b0)/T - N (lower(b0) - lower(x)); on [a0, 1],
-    p* = H(a0)/T + N (upper(x) - upper(a0)).
-
-    The residential branch is the industrial one mirrored in the taste
-    g(x) = 1 - x: its bottom component is [a0, 1] instead of [0, b0].
-    """
-    m = 1.0 / (1.0 - gamma)
-    if gamma > 0:
-        e = gamma * m
-        return _Shape(lambda x: x, 1.0, m, e), _Shape(lambda x: x - 0.5, 1.0, m, e), "lower"
-    e = m - 1.0
-    return (_Shape(lambda x: 0.5 - np.minimum(x, 0.5), -1.0, m, e),
-            _Shape(lambda x: 1.0 - x, -1.0, m, e), "upper")
-
-
 def _levels(H, a0, b0):
     """(H(a0), H(b0)) as Python floats; an unbounded-below H(b0) at the
     corner b0 = 0 is taken just inside it."""
@@ -379,7 +278,7 @@ class BridgeReport:
 
 def _piece_boundary_data(params, a0, b0, N):
     """Values and slopes of the closed-form pieces at the glue points."""
-    lower, upper, _ = _component_shapes(params.gamma)
+    lower, upper, _ = component_shapes(params.gamma)
     T = params.horizon
     nt = params.time_grid.size
     Ha, Hb = _levels(params.reservation, a0, b0)
@@ -487,8 +386,6 @@ def build_tariff_typed_h(config, solution):
     g = params.gamma
     a0, b0 = solution.a0, solution.b0
     N, L = solution.N_gamma, solution.L_gamma
-    T = params.horizon
-    phi = params.phi
     nt = params.time_grid.size
 
     bridge = solution.bridge or build_bridge(params, a0, b0, N=N)
@@ -498,7 +395,7 @@ def build_tariff_typed_h(config, solution):
 
     # (boundary, H at it, shape, live) of each component; the one that is not
     # the bottom component is the selected one
-    lower, upper, bottom = _component_shapes(g)
+    lower, upper, bottom = component_shapes(g)
     Ha, Hb = _levels(params.reservation, a0, b0)
     pieces = {"lower": (b0, Hb, lower, b0 > 0.0), "upper": (a0, Ha, upper, a0 < 1.0)}
     x_bot, H_bot, shape_bot, bottom_live = pieces[bottom]
@@ -507,38 +404,17 @@ def build_tariff_typed_h(config, solution):
         meta = {"a0": a0, "b0": b0, "bridge": bridge.name, "route": "sampled"}
         return sampled_tariff(config, p_star.sample(np.linspace(0.0, 1.0, 2001)), meta), p_star
 
-    m = shape_sel.m
-    s_bot = shape_bot(x_bot)
-    s_sel = shape_sel(x_sel)
-    c_bot = L * s_bot if bottom_live else np.zeros(nt)
-    c_sel = L * s_sel
-    c_top = L * 2.0 ** (-m)
-    p2 = phi * L ** (g - 1.0)
+    c_bot = L * shape_bot(x_bot) if bottom_live else np.zeros(nt)
+    c_sel = L * shape_sel(x_sel)
     segs = []
     selected_range = []
     if bottom_live:
-        segs.append(TariffSegment(
-            c_lo=np.zeros(nt), c_hi=c_bot,
-            p1=np.zeros(nt), p2=p2,
-            p3=N * s_bot - H_bot / T,
-            label=f"{bottom}_selected",
-        ))
+        segs.append(polynomial_segment(params, shape_bot, x_bot, H_bot, N, L, np.zeros(nt), c_bot,
+                                       f"{bottom}_selected"))
         selected_range.append(np.column_stack([np.zeros(nt), c_bot]))
     segs.append(_bridge_segment(params, p_star, a0, b0, c_bot, c_sel))
-    segs.append(TariffSegment(
-        c_lo=c_sel,
-        c_hi=np.full(nt, np.inf) if config.simplified_tariff else c_top,
-        p1=phi / (2.0 * g), p2=p2,
-        p3=N * s_sel - H_sel / T,
-        label="selected",
-    ))
-    if not config.simplified_tariff:
-        segs.append(TariffSegment(
-            c_lo=c_top, c_hi=np.full(nt, np.inf),
-            p1=phi / g, p2=np.zeros(nt),
-            p3=N * (s_sel - 2.0 ** (-m)) - H_sel / T,
-            label="top",
-        ))
+    top_segs, c_top = selected_segments(params, shape_sel, x_sel, H_sel, N, L, c_sel, config.simplified_tariff)
+    segs.extend(top_segs)
     selected_range.append(np.column_stack([c_sel, c_top]))
 
     tariff = Tariff(
@@ -572,7 +448,7 @@ def _bridge_segment(params, p_star, a0, b0, c_lo, c_hi):
 
 def _glued_indirect_utility(params, a0, b0, N, bridge):
     """Closed-form lower/upper pieces with the bridge interpolated between."""
-    lower, upper, _ = _component_shapes(params.gamma)
+    lower, upper, _ = component_shapes(params.gamma)
     T = params.horizon
     nt = params.time_grid.size
     Ha, Hb = _levels(params.reservation, a0, b0)

@@ -9,6 +9,7 @@ several brute-force maximizations.
 import numpy as np
 
 from nltariff.agent import best_response_closed_form, participation_set
+from nltariff.closed_form import B_gamma
 from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
@@ -19,7 +20,7 @@ from nltariff.model import (
     g_K,
     g_K_inverse,
 )
-from nltariff.solver_const_h import B_gamma, build_tariff_const_h, solve_x0_star
+from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.solver_typed_h import build_tariff_typed_h, solve_a0_b0_star, validate_assumptions
 from nltariff.uconvex import (
     SampledFunctionOfConsumption,
@@ -160,7 +161,7 @@ def check_const_solver_invariants(params):
     slopes = np.diff(sample.values, axis=1)
     assert np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))), \
         "emitted indirect utility convex"
-    c_top = float(tariff.breakpoints["c_hat"].max())
+    c_top = float(tariff.breakpoints["c_top"].max())
     c_grid = (np.linspace(0.0, c_top * 1.2, 201) if params.gamma > 0
               else np.geomspace(c_top * 1e-5, c_top * 1.2, 201))
     conv = check_u_convexity(sample, params, c_grid=c_grid)

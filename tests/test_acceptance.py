@@ -14,11 +14,12 @@ from nltariff.cli import run_sweep
 from nltariff.evaluation import principal_utility, relaxed_objective
 from nltariff.model import ScenarioConfig
 from nltariff.oracle import oracle_relaxed_maximize_const_h
-from nltariff.solver_const_h import chi, phi_objective
+from nltariff.solver_const_h import chi
 from nltariff.solver_typed_h import build_tariff_typed_h, mu_zero_residual
 from nltariff.uconvex import check_u_convexity, u_transform_price_to_indirect
 from tests.conftest import TYPED_A, TYPED_B
 from tests.property_harness import run_const_suite, run_oracle_suite, run_typed_suite
+from tests.test_solver_const_h import phi_objective
 from tests.test_solver_typed_h import make_feasible_pair_solution, shifted_sqrt_params
 
 CONFIG_DIR = None  # configs resolved through test_cli paths where needed
@@ -77,8 +78,7 @@ def test_criterion_3_u_convexity_round_trip(bench1_solution, bench2_solution,
     details = []
     for name, (sol, tariff, p_star), cfg in scenarios:
         params = cfg.params
-        key = "c_hat" if "c_hat" in tariff.breakpoints else "c_top"
-        c_top = float(tariff.breakpoints[key].max()) * 1.3
+        c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
         grid = (np.linspace(0.0, c_top, 3001) if params.gamma > 0
                 else np.geomspace(c_top * 1e-5, c_top, 3001))
         sampled = tariff.sample(grid)
@@ -103,7 +103,7 @@ def test_criterion_4_agent_oracle_agreement(bench1_solution, bench2_solution,
     for (report, tariff, p_star), cfg, name in ((bench1_solution, bench1_config, "bench1"),
                                                 (bench2_solution, bench2_config, "bench2")):
         params = cfg.params
-        c_top = float(tariff.breakpoints["c_hat"].max()) * 1.3
+        c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
         grid = (np.linspace(0.0, c_top, 3001) if params.gamma > 0
                 else np.geomspace(c_top * 1e-8, c_top, 4001))
         xs = np.linspace(0.0, 1.0, 1000)

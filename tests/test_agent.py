@@ -76,7 +76,7 @@ def test_free_power_maxes_out_grid():
 def test_closed_form_vs_grid_at_benchmark(bench1_solution, bench1_config):
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
-    grid = np.linspace(0.0, float(tariff.breakpoints["c_hat"].max()) * 1.3, 3001)
+    grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 3001)
     c_cf = best_response_closed_form(p_star, 0.0, 0.9, params)
     c_gr, value = best_response_grid(tariff, 0.0, 0.9, grid, params, refine=True)
     assert abs(c_cf - c_gr) <= np.diff(grid).max()
@@ -212,7 +212,7 @@ def test_grid_value_never_exceeds_indirect_utility(bench1_solution, bench1_confi
     emitted surface attains; refinement closes the gap from below."""
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
-    grid = np.linspace(0.0, float(tariff.breakpoints["c_hat"].max()) * 1.3, 700)
+    grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 700)
     xs = np.linspace(0.0, 1.0, 120)
     exact = p_star.values(xs)[0]
     coarse_gap, refined_gap = 0.0, 0.0

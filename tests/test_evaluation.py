@@ -39,7 +39,7 @@ def test_quadrature_matches_closed_form_residential(bench2_solution, bench2_conf
 
 def test_grid_mode_agrees_with_closed_form_mode(bench1_solution, bench1_config):
     report, tariff, p_star = bench1_solution
-    c_top = float(tariff.breakpoints["c_hat"].max()) * 1.3
+    c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
     grid = np.linspace(0.0, c_top, 1500)
     up_grid = principal_utility(tariff, bench1_config.params, p_star=p_star,
                                 mode="grid", c_grid=grid)
@@ -86,7 +86,7 @@ def test_relaxed_objective_consistent_with_priced_transform(bench1_solution, ben
     it independently: both routes value the contract the same."""
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
-    c_top = float(tariff.breakpoints["c_hat"].max()) * 1.2
+    c_top = float(tariff.breakpoints["c_top"].max()) * 1.2
     price, _ = u_transform_indirect_to_price(
         p_star.sample(np.linspace(0.0, 1.0, 3001)), params,
         c_grid=np.linspace(0.0, c_top, 3001))
@@ -109,14 +109,14 @@ def test_profit_invariant_to_prices_outside_selected_range(bench1_solution, benc
     params = bench1_config.params
     nt = params.time_grid.size
     base = principal_utility(tariff, params, p_star=p_star)
-    c_hat = tariff.breakpoints["c_hat"]
+    c_top = tariff.breakpoints["c_top"]
     sel = tariff.segments[0]
     bumped = Tariff(
         gamma=params.gamma, time_grid=params.time_grid,
         segments=[
-            TariffSegment(c_lo=sel.c_lo, c_hi=c_hat, p1=sel.p1, p2=sel.p2, p3=sel.p3,
+            TariffSegment(c_lo=sel.c_lo, c_hi=c_top, p1=sel.p1, p2=sel.p2, p3=sel.p3,
                           label="selected"),
-            TariffSegment(c_lo=c_hat, c_hi=np.full(nt, np.inf), p1=sel.p1, p2=sel.p2,
+            TariffSegment(c_lo=c_top, c_hi=np.full(nt, np.inf), p1=sel.p1, p2=sel.p2,
                           p3=sel.p3 + 5.0, label="expensive top"),
         ],
         selected_range=tariff.selected_range,

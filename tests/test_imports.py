@@ -1,16 +1,19 @@
 """Every module-level import in the package, its tests and its tools is used
-by its module.
+by its module, and the oracle stays independent of the closed forms it audits.
 
 The package's ``__init__.py`` is exempt (its imports are the public
 re-exports), and so is any import line marked ``# noqa`` (a name kept for a
 lookup by name).
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+ORACLE = ROOT / "src" / "nltariff" / "oracle.py"
+SOLVER_MODULES = ("solver_const_h", "solver_typed_h", "closed_form")
 MODULES = (sorted(p for p in (ROOT / "src" / "nltariff").glob("*.py") if p.name != "__init__.py")
            + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")))
 
@@ -38,3 +41,28 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def solver_mentions(source):
+    """(line, text) of each line that names a solver module or the closed-form
+    core, apart from the import inside ``_closed_form_slope_scale``: the one
+    grid-size hint the oracle may take from the solvers."""
+    tree = ast.parse(source)
+    hint = {node.lineno for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_closed_form_slope_scale"
+            for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)}
+    pattern = re.compile(r"\b(%s)\b" % "|".join(SOLVER_MODULES))
+    return [(i, line) for i, line in enumerate(source.splitlines(), 1)
+            if pattern.search(line) and i not in hint]
+
+
+def test_solver_mention_is_found():
+    source = ('"""Audits nltariff.closed_form."""\n'
+              "from . import solver_typed_h\n"
+              "def _closed_form_slope_scale(params):\n"
+              "    from .solver_const_h import capacity_A\n")
+    assert [line for line, _ in solver_mentions(source)] == [1, 2]
+
+
+def test_oracle_names_no_solver_outside_the_grid_hint():
+    assert solver_mentions(ORACLE.read_text()) == []

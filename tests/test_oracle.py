@@ -215,7 +215,7 @@ def test_sweep_reproduces_linear_tariff_optimum():
 def test_sweep_industrial_low_types_consume_nothing(bench1_solution, bench1_config):
     report, tariff, _ = bench1_solution
     xs = np.linspace(0.0, 0.5, 400)
-    cs = np.linspace(0.0, float(tariff.breakpoints["c_hat"].max()), 1000)
+    cs = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()), 1000)
     _, c_opt, _ = oracle_agent_sweep(tariff, bench1_config.params, xs, cs)
     assert np.all(c_opt == 0.0)
 
@@ -234,6 +234,6 @@ def test_sweep_excluded_middle_stays_below_reservation(typed_b_solution, typed_b
 def test_sweep_consumption_nondecreasing_on_served_range(bench1_solution, bench1_config):
     report, tariff, _ = bench1_solution
     xs = np.linspace(0.5, 1.0, 300)
-    cs = np.linspace(0.0, float(tariff.breakpoints["c_hat"].max()) * 1.1, 2000)
+    cs = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.1, 2000)
     _, c_opt, _ = oracle_agent_sweep(tariff, bench1_config.params, xs, cs)
     assert np.all(np.diff(c_opt[0]) >= 0.0)

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.cli import load_config
+from nltariff.closed_form import B_gamma
 from nltariff.errors import InvalidReservation
 from nltariff.model import (
     ConstantReservation,
@@ -17,18 +18,125 @@ from nltariff.model import (
 )
 from nltariff.solver_const_h import (
     ALPHA_GRID,
-    B_gamma,
     alpha_objective,
     build_tariff_const_h,
     capacity_A,
     chi,
     ell_const,
-    phi_objective,
     solve_x0_star,
 )
 from nltariff.uconvex import check_u_convexity
 from tests.conftest import BENCH1, BENCH2
 from tests.property_harness import continuity_gaps, shape_report
+
+
+# -- reference: the paper's explicit constant-H formulas ------------------------
+# The closed-form route emits the one-component case [x0, 1] of the typed
+# closed forms. These are the explicit formulas of the paper it replaced,
+# kept as an independent reference.
+
+def phi_objective(x0, params):
+    """Reduced objective Phi(x0) = B ell^(n(1-gamma)/(n-gamma)) + (x0 - 1) H."""
+    g, n = params.gamma, params.n
+    return B_gamma(params) * ell_const(x0, params) ** (n * (1.0 - g) / (n - g)) + (x0 - 1.0) * params.reservation.H
+
+
+def M_profile(params, x0):
+    """Nonlinear-part scale M(t) on the industrial branch."""
+    g, n = params.gamma, params.n
+    y0q = max(2.0 * x0 - 1.0, 0.0) ** ((2.0 - g) / (1.0 - g))
+    e = g * (n - 1.0) / (n - g)
+    w = (params.phi ** n / params.k ** g) ** (1.0 / (n - g))
+    return (1.0 - g) / (2.0 * g) * (2.0 * (2.0 - g) / (1.0 - g)) ** e * w * (1.0 - y0q) ** (-e)
+
+
+def M_hat_profile(params, x0):
+    """Linear-tariff scale on the residential branch (positive)."""
+    g, n = params.gamma, params.n
+    e = g * (n - 1.0) / (n - g)
+    return (-(1.0 - g) / g * ((2.0 - g) / (1.0 - g)) ** e
+            * (2.0 ** g * params.phi ** n / params.k ** g) ** (1.0 / (n - g))
+            * (1.0 - x0) ** (-g * (2.0 - g) * (n - 1.0) / ((n - g) * (1.0 - g))))
+
+
+def reference_closed_form(params, x0, xs):
+    """The explicit full tariff at threshold x0: rows (p1, p2, p3, c_lo, c_hi)
+    per segment, the selected band, and p* with its slope on the types xs.
+    p*(t, x) = s + K (u(x)^m - u(x0)^m) with u = (2x - 1)^+, K = M on the
+    industrial branch and u = 1 - x, K = -M_hat on the residential one."""
+    g, phi, nt = params.gamma, params.phi, params.time_grid.size
+    m = 1.0 / (1.0 - g)
+    s = np.full(nt, params.reservation.H / params.horizon)
+    u = (lambda x: np.maximum(2.0 * x - 1.0, 0.0)) if g > 0 else (lambda x: 1.0 - x)
+    q0 = u(x0) ** m
+    if g > 0:
+        K = M_profile(params, x0)
+        dK = K * (2.0 / (1.0 - g))
+        c_hat = (2.0 * g * K / ((1.0 - g) * phi)) ** (1.0 / g)
+        p1 = phi / (2.0 * g)
+        p2 = (phi / 2.0) * ((1.0 - g) * phi / (2.0 * g * K)) ** ((1.0 - g) / g)
+        band = [c_hat * q0, c_hat]
+    else:
+        Mh = M_hat_profile(params, x0)
+        K, dK = -Mh, Mh / (1.0 - g)
+        c_hat = (-g * Mh / (phi * (1.0 - g))) ** (1.0 / g)
+        p1 = np.zeros(nt)
+        p2 = phi * (-(phi * (1.0 - g)) / (g * Mh)) ** ((1.0 - g) / g)
+        band = [np.zeros(nt), c_hat * q0]
+    segments = [(p1, p2, K * q0 - s, np.zeros(nt), c_hat),
+                (phi / g, np.zeros(nt), K * q0 - K - s, c_hat, np.full(nt, np.inf))]
+    values = s[:, None] + K[:, None] * (u(xs) ** m - q0)
+    with np.errstate(divide="ignore"):
+        slopes = dK[:, None] * u(xs) ** (g / (1.0 - g))
+    return segments, np.column_stack(band), values, slopes
+
+
+def _const_h_cases(count=200, seed=20261018):
+    """Seeded canonical configs with time-varying phi and k, plus the corners
+    industrial H = 0 (x0 = 1/2) and residential H = -1e6 (x0 clamped to 0)."""
+    rng = np.random.default_rng(seed)
+    cases = [canonical_params(0.5, reservation=ConstantReservation(0.0), time_nodes=3),
+             canonical_params(-1.0, reservation=ConstantReservation(-1e6), time_nodes=3)]
+    for i in range(count - len(cases)):
+        industrial = i % 2 == 0
+        gamma = rng.uniform(0.05, 0.95) if industrial else rng.uniform(-4.0, -0.1)
+        nodes = (3, 9, 33)[i % 3]
+        p = canonical_params(gamma, n=rng.uniform(1.2, 5.0), phi=rng.uniform(0.5, 1.5, nodes),
+                             k=rng.uniform(0.5, 1.5, nodes), time_nodes=nodes)
+        H = B_gamma(p) * (rng.uniform(0.01, 0.9) if industrial else rng.uniform(0.01, 2.0))
+        cases.append(canonical_params(gamma, n=p.n, phi=p.phi, k=p.k, time_nodes=nodes,
+                                      reservation=ConstantReservation(H)))
+    return cases
+
+
+def _assert_close(got, ref, what):
+    got, ref = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(ref, dtype=float))
+    with np.errstate(invalid="ignore"):
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+    ok = (got == ref) | (err <= 1e-14)
+    assert ok.all(), f"{what}: worst scaled difference {np.nanmax(np.where(ok, 0.0, err)):.3g}"
+
+
+def test_closed_form_route_matches_the_explicit_formulas():
+    """The one-component typed core reproduces the paper's explicit profit,
+    full tariff and p* within 1e-14 max(1, |ref|)."""
+    xs = np.linspace(0.0, 1.0, 201)
+    for params in _const_h_cases():
+        cfg = ScenarioConfig(params=params, simplified_tariff=False)
+        report = solve_x0_star(cfg)
+        x0 = report.boundary["x0"]
+        _assert_close(report.principal_utility, phi_objective(x0, params), "principal utility")
+        tariff, p_star = build_tariff_const_h(cfg, report)
+        segments, band, values, slopes = reference_closed_form(params, x0, xs)
+        assert len(tariff.segments) == len(segments)
+        for seg, ref in zip(tariff.segments, segments):
+            for name, r in zip(("p1", "p2", "p3", "c_lo", "c_hi"), ref):
+                _assert_close(getattr(seg, name), r, f"{seg.label} {name}")
+        # a zero coefficient is +0.0, so report.json never prints -0.0
+        assert not np.signbit(tariff.segments[0].p1).any()
+        _assert_close(tariff.selected_range[0], band, "selected range")
+        _assert_close(p_star.values(xs), values, "p* values")
+        _assert_close(p_star.slopes(xs), slopes, "p* slopes")
 
 
 # -- ell ---------------------------------------------------------------------
@@ -157,7 +265,7 @@ def test_tariff_slope_positive(bench1_solution, bench2_solution):
 def test_residential_fixed_charge_formula(bench2_solution, bench2_config):
     report, tariff, _ = bench2_solution
     params = bench2_config.params
-    Mh = tariff.meta["M_hat"]
+    Mh = -tariff.meta["N"]
     x0 = report.boundary["x0"]
     H = params.reservation.H
     for i in range(params.time_grid.size):
@@ -177,7 +285,7 @@ def test_indirect_utility_binds_at_threshold(bench1_solution, bench2_solution):
 def test_built_p_star_is_u_convex(bench1_solution, bench2_solution, bench1_config, bench2_config):
     for (report, tariff, p_star), cfg in ((bench1_solution, bench1_config),
                                           (bench2_solution, bench2_config)):
-        c_top = float(tariff.breakpoints["c_hat"].max()) * 1.3
+        c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
         c_grid = (np.linspace(0.0, c_top, 801) if cfg.params.gamma > 0
                   else np.geomspace(c_top * 1e-5, c_top, 801))
         rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 801)), cfg.params, c_grid=c_grid)
@@ -205,7 +313,7 @@ def test_simplified_and_full_equilibria_match(bench1_config):
     up_full = principal_utility(full_t, bench1_config.params, p_star=p_star)
     assert_allclose(up_simple, up_full, rtol=1e-12)
     # on the selected range the two price schedules coincide
-    cs = np.linspace(0.0, float(simple_t.breakpoints["c_hat"][0]), 101)
+    cs = np.linspace(0.0, float(simple_t.breakpoints["c_top"][0]), 101)
     assert_allclose(simple_t.price(0, cs), full_t.price(0, cs), rtol=1e-12)
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from nltariff.agent import participation_set
 from nltariff.cli import load_config
+from nltariff.closed_form import L_gamma_profile, N_gamma_profile, R_gamma, ell_ab, objective_ab, theta_term
 from nltariff.errors import AssumptionViolation
 from nltariff.model import (
     ConcaveReservation,
@@ -23,13 +24,11 @@ from nltariff.solver_const_h import lower_bracket, optimal_slopes, upper_bracket
 from nltariff.solver_typed_h import (
     DEGENERATE_TOL,
     GRID_SIZE,
-    R_gamma,
     _pair_mesh,
     build_bridge,
     build_tariff_typed_h,
     capacity_A_typed,
     constraint_check_A2prime,
-    ell_ab,
     mu_zero_residual,
     solve_a0_b0_star,
     validate_assumptions,
@@ -264,8 +263,6 @@ def test_log_scenario_serves_low_types_only(typed_b_config):
 
 def test_shifted_sqrt_scenario_against_fresh_dense_scan():
     """Solver vs a 2048-cell brute-force scan of the same filtered objective."""
-    from nltariff.solver_typed_h import objective_ab
-
     params = shifted_sqrt_params(offset=0.02)
     cfg = ScenarioConfig(params=params)
     sol = solve_a0_b0_star(cfg)
@@ -303,7 +300,7 @@ def test_chord_strictly_below_reservation(typed_b_solution, typed_b_config):
 def test_two_slope_bridge_available_with_live_boundaries():
     # force b0 > 0 and a0 < 1 and ask for the two-slope candidate directly
     params = shifted_sqrt_params(offset=0.1)
-    from nltariff.solver_typed_h import N_gamma_profile, _validate_bridge, _piece_boundary_data, BridgeReport
+    from nltariff.solver_typed_h import _validate_bridge, _piece_boundary_data, BridgeReport
 
     a0, b0 = 0.8, 0.1
     N = N_gamma_profile(params, a0, b0)
@@ -327,13 +324,7 @@ def test_two_slope_bridge_available_with_live_boundaries():
 def make_feasible_pair_solution(params, a0, b0):
     """TypedHSolution at a chosen feasible (not necessarily optimal) pair,
     for exercising the live-lower-component emission path."""
-    from nltariff.solver_typed_h import (
-        L_gamma_profile,
-        N_gamma_profile,
-        TypedHSolution,
-        objective_ab,
-        theta_term,
-    )
+    from nltariff.solver_typed_h import TypedHSolution
 
     chk = constraint_check_A2prime(a0, b0, params)
     assert chk["feasible"]
@@ -554,7 +545,7 @@ def test_glued_surface_u_convex_under_gap_condition(typed_a_solution, typed_a_co
 
 def test_non_convex_glue_flagged_when_gap_condition_fails():
     """With b0* > a0* - 1/2 the solver must warn that no convex glue exists."""
-    from nltariff.solver_typed_h import TypedHSolution, N_gamma_profile, _glued_indirect_utility
+    from nltariff.solver_typed_h import TypedHSolution, _glued_indirect_utility
 
     params = shifted_sqrt_params(offset=0.1)
     a0, b0 = 0.7, 0.35  # violates the gap condition

@@ -76,7 +76,7 @@ def test_closed_form_round_trips_within_grid_resolution(gamma):
     cfg = ScenarioConfig(params=params)
     report = solve_x0_star(cfg)
     tariff, p_star = build_tariff_const_h(cfg, report)
-    c_top = float(tariff.breakpoints["c_hat"].max()) * 1.2
+    c_top = float(tariff.breakpoints["c_top"].max()) * 1.2
     c = np.linspace(0.0, c_top, 512) if gamma > 0 else np.geomspace(c_top * 1e-5, c_top, 512)
     xg = np.linspace(0.0, 1.0, 601)
 
