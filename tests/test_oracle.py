@@ -1,8 +1,15 @@
 """Brute-force certification of the constant-reservation optimum."""
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nltariff import oracle
+from nltariff.cli import load_config
 from nltariff.model import ConstantReservation, canonical_params
 from nltariff.oracle import (
     _objective_given_slopes,
@@ -13,6 +20,8 @@ from nltariff.oracle import (
 from nltariff.solver_const_h import solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 
 def test_two_type_toy_matches_exhaustive_enumeration():
     """Two narrow type bins, one time slice: the fixed point must find the
@@ -22,8 +31,9 @@ def test_two_type_toy_matches_exhaustive_enumeration():
     x_nodes = np.concatenate([np.linspace(0.69, 0.71, 9), np.linspace(0.89, 0.91, 9)])
     slope_grid = np.concatenate([[0.0], np.geomspace(1e-3, 3.0, 60)])
 
-    from nltariff.oracle import _solve_fixed_point
+    from nltariff.oracle import _screening_weight, _solve_fixed_point
     value, slopes, agg, _ = _solve_fixed_point(params, x_nodes, slope_grid)
+    w, fvals = _screening_weight(params, x_nodes), params.f.pdf(x_nodes)
 
     # enumeration over slope pairs (one slope per bin)
     best = -np.inf
@@ -33,7 +43,7 @@ def test_two_type_toy_matches_exhaustive_enumeration():
             svals = np.tile(s, (params.time_grid.size, 1))
             base = params.gamma / (params.phi[:, None] * params.g.prime(x_nodes)[None, :]) * svals
             cons = np.where(base > 0, base, 0.0) ** (1.0 / params.gamma)
-            v, _ = _objective_given_slopes(params, x_nodes, svals, cons)
+            v, _ = _objective_given_slopes(params, x_nodes, svals, cons, w, fvals)
             best = max(best, v)
     assert value >= best - 1e-3 * max(1.0, abs(best))
 
@@ -91,8 +101,9 @@ def _slope_tables(gamma, rows, slope_grid):
     return cons, ~np.isfinite(cons) | ~np.isfinite(ws), ws
 
 
-def _dense_best_slopes(rows, slope_grid, gamma, kf):
-    """Reference for ``_pointwise_best_slopes``: np.argmax over every slope."""
+def _dense_best_slopes(rows, slope_grid, gamma, kf, seed=None):
+    """Reference for ``_pointwise_best_slopes``: np.argmax over every slope
+    (``seed`` is ignored)."""
     cons, never, ws = _slope_tables(gamma, rows, slope_grid)
     with np.errstate(over="ignore", invalid="ignore"):
         gain = ws - kf[:, None] * cons
@@ -172,6 +183,91 @@ def test_oracle_result_identical_with_full_scan(bench, request, monkeypatch):
         (dense.value, dense.x0, dense.iterations, dense.x0_values)
     for name in ("slopes", "x_nodes", "aggregate"):
         assert np.array_equal(getattr(fast, name), getattr(dense, name))
+
+
+
+def _seed_test_grid(gamma, size):
+    if size == 61:
+        slope_grid = np.geomspace(1e-3, 3.0, 60)
+        return np.concatenate([[0.0], slope_grid]) if gamma > 0 else slope_grid
+    return _slope_grid_for(canonical_params(0.5 if gamma > 0 else -1.0), 3.0, size)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3, -1.0, -0.5, -2.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
+@pytest.mark.parametrize("size", [61, 200, 1500])
+def test_slope_search_from_a_seed_matches_full_scan(gamma, size):
+    """Seeds 0..6 slopes off the first maximum, on either side, and random
+    seeds, on the rows of the full-scan tests. At gamma = 1 - 1e-12 the peak
+    is flat to a few ulp: a seed there must not settle for a neighbour that
+    is higher by rounding alone."""
+    rng = np.random.default_rng([size, int(1e3 * abs(gamma))])
+    slope_grid = _seed_test_grid(gamma, size)
+    rows = [_peaked_rows(rng, gamma, slope_grid, 200)]
+    if gamma < 0.9:     # the overflow block of _random_rows overflows a itself near gamma = 1
+        rows.append(_random_rows(rng, gamma, slope_grid))
+    a, w, kf = (np.concatenate(column) for column in zip(*rows))
+    ref_slopes, ref_cons = _dense_best_slopes((a, w), slope_grid, gamma, kf)
+    first = np.searchsorted(slope_grid, ref_slopes)
+    seeds = [np.clip(first + offset, 0, size - 1) for offset in range(-6, 7)]
+    seeds += [rng.integers(0, size, a.size) for _ in range(3)]
+    for seed in seeds:
+        slopes, cons = _pointwise_best_slopes((a, w), slope_grid, gamma, kf, seed=seed)
+        np.testing.assert_array_equal(slopes, ref_slopes)
+        assert np.array_equal(cons.view(np.uint64), ref_cons.view(np.uint64))
+
+
+# Measured share of the row solves that reach the bisection: 7.1% (industrial)
+# and 9.2% (residential); the bounds are about twice that.
+BISECTED_SHARE_BOUND = {"industrial_constant_h": 0.15, "residential_constant_h": 0.18}
+
+
+@pytest.mark.parametrize("family", sorted(BISECTED_SHARE_BOUND))
+def test_seeded_slope_search_skips_most_bisections(family, monkeypatch):
+    """The seeded window settles most rows of a CLI-sized oracle run; the
+    bisection sees the first round and the rows the margin leaves open."""
+    params = load_config(CONFIG_DIR / f"{family}.json").params
+    assert params.time_grid.size == 3
+    solved = {"all": 0, "bisected": 0}
+    search, bisect = oracle._pointwise_best_slopes, oracle._bisected_best_slopes
+
+    def counting(key, fn):
+        def wrapped(rows, *args, **kwargs):
+            solved[key] += rows[0].size
+            return fn(rows, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_pointwise_best_slopes", counting("all", search))
+    monkeypatch.setattr(oracle, "_bisected_best_slopes", counting("bisected", bisect))
+    oracle_relaxed_maximize_const_h(params)
+    assert 0 < solved["bisected"] < BISECTED_SHARE_BOUND[family] * solved["all"]
+
+
+def _oracle_bytes(config_path):
+    """The oracle's result on a config at the CLI's grid sizes, as bytes."""
+    res = oracle_relaxed_maximize_const_h(load_config(config_path).params)
+    return pickle.dumps((res.value, res.x0, res.iterations, res.x0_values,
+                         res.slopes.tobytes(), res.x_nodes.tobytes(), res.aggregate.tobytes()))
+
+
+def test_oracle_state_does_not_leak_across_scenarios():
+    """A, then B, then A again in one process: each result is bit for bit the
+    result of a fresh process. At the CLI's grid sizes an aggregate left over
+    from B would move the first threshold's fixed point, and with it A's
+    threshold values."""
+    paths = [CONFIG_DIR / f"{family}.json" for family in ("industrial_constant_h", "residential_constant_h")]
+    src = Path(oracle.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    code = "import sys; from test_oracle import _oracle_bytes; sys.stdout.buffer.write(_oracle_bytes(sys.argv[1]))"
+    procs = [subprocess.Popen([sys.executable, "-c", code, str(path)], env=env, stdout=subprocess.PIPE)
+             for path in paths]
+    try:
+        in_process = [_oracle_bytes(paths[i]) for i in (0, 1, 0)]
+        fresh = [proc.communicate(timeout=300)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert in_process == [fresh[0], fresh[1], fresh[0]]
 
 
 # -- agent sweeps ---------------------------------------------------------------
