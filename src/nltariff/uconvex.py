@@ -34,10 +34,6 @@ class SampledFunctionOfType:
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "values", v)
 
-    def forward_slopes(self):
-        """Per-time forward differences, the derivative proxy on the grid."""
-        return np.diff(self.values, axis=1) / np.diff(self.x_grid)
-
 
 @dataclass(frozen=True, eq=False)
 class SampledFunctionOfConsumption:
@@ -89,34 +85,41 @@ def _lower_hull(a, v):
     """Mask of the vertices of the lower convex hull of the points
     (a[j], v[i, j]), one hull per row i; ``a`` is nondecreasing.
 
-    A point on or above the chord between its live neighbours is dropped;
-    after the first sweep only the neighbours of dropped points are tested
-    again, until none drops. The two end points of a row always stay. The
-    work is O(n) per row plus a constant per sweep, and a concave pocket of
-    depth d takes d sweeps.
+    A point on or above the chord between its live neighbours is dropped.
+    The first sweep tests every inner point against its grid neighbours on
+    contiguous slices. Later sweeps test only the live neighbours of the
+    runs just dropped: a run never crosses a row, since the two end points
+    of a row always stay, and the runs come in order, so their neighbour
+    lists merge in order without a sort. The work is O(n) per row plus a
+    constant per sweep, and a concave pocket of depth d takes d sweeps.
     """
     nt, n = v.shape
-    live = np.ones(nt * n, dtype=bool)
+    live = np.ones((nt, n), dtype=bool)
+    live[:, 1:-1] = ~((v[:, 1:-1] - v[:, :-2]) * (a[2:] - a[:-2])
+                      >= (v[:, 2:] - v[:, :-2]) * (a[1:-1] - a[:-2]))
+    live = live.ravel()
+    drop = np.flatnonzero(~live)
     flat = v.ravel()
+    a_t = np.tile(a, nt)
+    inner = np.tile((np.arange(n) > 0) & (np.arange(n) < n - 1), nt)
     prv = np.arange(-1, nt * n - 1)
     nxt = np.arange(1, nt * n + 1)
-    test = np.flatnonzero(np.tile((np.arange(n) > 0) & (np.arange(n) < n - 1), nt))
-    while test.size:
-        lo, hi = prv[test], nxt[test]
-        a_lo = a[lo % n]
-        v_lo = flat[lo]
-        drop = test[(flat[test] - v_lo) * (a[hi % n] - a_lo) >= (flat[hi] - v_lo) * (a[test % n] - a_lo)]
-        if not drop.size:
-            break
-        live[drop] = False
+    while drop.size:
         # unlink each maximal run of dropped points from the live points around it
         linked = nxt[drop[:-1]] == drop[1:]
         left = prv[drop[np.concatenate([[True], ~linked])]]
         right = nxt[drop[np.concatenate([~linked, [True]])]]
         nxt[left] = right
         prv[right] = left
-        test = np.union1d(left, right)
-        test = test[(test % n > 0) & (test % n < n - 1)]
+        # left[r] < right[r] <= left[r + 1], so only adjacent entries repeat
+        test = np.column_stack([left, right]).ravel()
+        test = test[np.concatenate([[True], test[1:] != test[:-1]])]
+        test = test[inner[test]]
+        lo, hi = prv[test], nxt[test]
+        a_lo = a_t[lo]
+        v_lo = flat[lo]
+        drop = test[(flat[test] - v_lo) * (a_t[hi] - a_lo) >= (flat[hi] - v_lo) * (a_t[test] - a_lo)]
+        live[drop] = False
     return live.reshape(nt, n)
 
 
@@ -142,25 +145,29 @@ def _u_conjugate(phi, gx, cpow, gamma, values, over_x):
     a, q = (gx, cpow) if over_x else (cpow, gx)
     flip = a[-1] < a[0]
     a_up, v_up = (a[::-1], values[:, ::-1]) if flip else (a, values)
-    hull = _lower_hull(a_up, v_up)
+    rows, cols = np.nonzero(_lower_hull(a_up, v_up))
+    first = np.searchsorted(rows, np.arange(nt + 1))
     slopes = np.broadcast_to(phi[:, None] * q / gamma, (nt, q.shape[-1]))
-    cand = np.empty(slopes.shape + (3,), dtype=np.intp)
+    # edges between the rows' last and next first vertices are never read
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(nt):
-            verts = np.flatnonzero(hull[i])
-            edge = np.diff(v_up[i, verts]) / np.diff(a_up[verts])
-            k = np.searchsorted(edge, slopes[i])
-            cand[i] = verts[np.clip(k[:, None] + np.array([-1, 0, 1]), 0, verts.size - 1)]
-    if flip:
-        cand = a.size - 1 - cand
-    taken = np.take_along_axis(values, cand.reshape(nt, -1), axis=1).reshape(cand.shape)
-    if over_x:
-        u = phi[:, None, None] * gx[cand] * cpow[..., None] / gamma
-    else:
-        u = phi[:, None, None] * gx[None, :, None] * cpow[cand] / gamma
-    cand_vals = u - taken
-    best = np.max(cand_vals, axis=2)
-    arg = np.min(np.where(cand_vals == best[:, :, None], cand, a.size), axis=2)
+        edge = np.diff(v_up[rows, cols]) / np.diff(a_up[cols])
+    pos = np.empty(slopes.shape, dtype=np.intp)
+    for i in range(nt):
+        pos[i] = np.searchsorted(edge[first[i]:first[i + 1] - 1], slopes[i]) + first[i]
+    cand = (cols[np.maximum(pos - 1, first[:-1, None])], cols[pos],
+            cols[np.minimum(pos + 1, first[1:, None] - 1)])
+    if flip:  # reversed, so the planes stay in increasing index order for the tie rule
+        cand = tuple(a.size - 1 - c for c in cand[::-1])
+    scores = []
+    for c in cand:
+        if over_x:
+            u = phi[:, None] * gx[c] * cpow / gamma
+        else:
+            u = phi[:, None] * gx * cpow[c] / gamma
+        scores.append(u - np.take_along_axis(values, c, axis=1))
+    v0, v1, v2 = scores
+    best = np.maximum(np.maximum(v0, v1), v2)
+    arg = np.where(v0 == best, cand[0], np.where(v1 == best, cand[1], cand[2]))
     return best, arg
 
 
@@ -204,8 +211,9 @@ def check_u_convexity(p_star, params, c_grid=None):
     the biconjugation gap max |(p*)** - p*| is also computed; the function is
     declared u-convex when the relevant criterion passes within tolerance.
     """
-    slopes = p_star.forward_slopes()
-    scale = np.maximum(1.0, np.max(np.abs(slopes), axis=1, keepdims=True))
+    d = np.diff(p_star.values, axis=1)
+    slopes = d / np.diff(p_star.x_grid)
+    scale = np.maximum(1.0, np.max(np.abs(slopes), axis=1, keepdims=True, initial=0.0))
     violations = []
     if p_star.x_grid.size >= 3:
         curv = np.diff(slopes, axis=1)
@@ -219,7 +227,7 @@ def check_u_convexity(p_star, params, c_grid=None):
     gap = float(np.max(np.abs(back.values - p_star.values)))
 
     # biconjugation through grids loses up to one local increment of p*
-    incr = np.max(np.abs(np.diff(p_star.values, axis=1))) if p_star.x_grid.size > 1 else 0.0
+    incr = np.max(np.abs(d), initial=0.0)
     gap_tol = 2.0 * incr + 1e-9
 
     if params.g.form == "canonical":

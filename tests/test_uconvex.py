@@ -1,9 +1,12 @@
 """Grid transforms between price schedules and indirect utilities."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
+from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.uconvex import (
     SampledFunctionOfConsumption,
@@ -269,3 +272,133 @@ def test_bridge_knots_equal_dense_reference(case, request):
     for i in range(params.time_grid.size):
         dense = _utility_surface(params, xg, bridge.c_knots[i])[i] - vals[i][:, None]
         np.testing.assert_array_equal(bridge.p_knots[i], np.max(dense, axis=0))
+
+
+@pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7]])
+@pytest.mark.parametrize("g_form", ["canonical", "tabulated"])
+def test_check_on_one_and_two_node_grids(nodes, g_form):
+    """Too few nodes for a slope or a curvature: the check passes, and the
+    biconjugation gap is rounding."""
+    for gamma in (0.5, -1.0):
+        params = make_params(gamma)
+        if g_form == "tabulated":
+            xs, sign = np.linspace(0.0, 1.0, 5), np.sign(gamma)
+            params = dataclasses.replace(params, g=TasteMap(
+                form="tabulated", x=xs, values=(1.0 - sign) / 2 + sign * xs,
+                derivative=np.full_like(xs, sign)))
+        x = np.array(nodes)
+        p_star = SampledFunctionOfType(x_grid=x, values=0.1 * np.arange(1.0, 4.0)[:, None] + 0.3 * x)
+        rep = check_u_convexity(p_star, params)
+        assert rep.is_u_convex
+        assert rep.convexity_violations == []
+        assert rep.max_biconjugation_gap <= 1e-9
+
+
+# -- the hull kernel against its union1d form ------------------------------------
+
+def lower_hull_reference(a, v):
+    """The hull mask as first written: every sweep gathers neighbours through
+    the link arrays and merges the next test list with ``np.union1d``."""
+    nt, n = v.shape
+    live = np.ones(nt * n, dtype=bool)
+    flat = v.ravel()
+    prv = np.arange(-1, nt * n - 1)
+    nxt = np.arange(1, nt * n + 1)
+    test = np.flatnonzero(np.tile((np.arange(n) > 0) & (np.arange(n) < n - 1), nt))
+    while test.size:
+        lo, hi = prv[test], nxt[test]
+        a_lo = a[lo % n]
+        v_lo = flat[lo]
+        drop = test[(flat[test] - v_lo) * (a[hi % n] - a_lo) >= (flat[hi] - v_lo) * (a[test % n] - a_lo)]
+        if not drop.size:
+            break
+        live[drop] = False
+        linked = nxt[drop[:-1]] == drop[1:]
+        left = prv[drop[np.concatenate([[True], ~linked])]]
+        right = nxt[drop[np.concatenate([~linked, [True]])]]
+        nxt[left] = right
+        prv[right] = left
+        test = np.union1d(left, right)
+        test = test[(test % n > 0) & (test % n < n - 1)]
+    return live.reshape(nt, n)
+
+
+def hull_rows(rng, n):
+    """Rows of the shapes that stress the sweeps; all but the first are exact
+    on integer abscissae."""
+    j = np.arange(n, dtype=float)
+    return [
+        rng.normal(size=n),
+        np.cumsum(rng.integers(-1, 2, size=n)).astype(float),  # exact collinear runs
+        rng.integers(0, 2, size=n).astype(float),               # exact ties
+        np.concatenate([j[:-1] ** 2, [-1e6]]),                  # one point dropped per sweep
+        (j - n // 2) ** 2,                                      # convex: nothing dropped
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 97, 1502])
+@pytest.mark.parametrize("nt", [1, 3, 129])
+def test_lower_hull_equals_reference(nt, n):
+    from nltariff.uconvex import _lower_hull
+
+    rng = np.random.default_rng(1000 * nt + n)
+    for a in (np.arange(n, dtype=float), np.sort(rng.normal(size=n))):
+        for shift in range(5):
+            rows = hull_rows(rng, n)
+            v = np.array([rows[(shift + i) % 5] for i in range(nt)])
+            np.testing.assert_array_equal(_lower_hull(a, v), lower_hull_reference(a, v))
+
+
+def test_lower_hull_temporaries_stay_linear():
+    """Each sweep tests the live neighbours of the dropped runs once each.
+    Tied rows put one live point between two runs, and without the merge's
+    dedupe that point would be tested twice and the test list would grow
+    from sweep to sweep; the mask is the same either way, but a 1502-point
+    tied row then held about 40 MB."""
+    from nltariff.uconvex import _lower_hull
+
+    n = 1502
+    v = np.random.default_rng(0).integers(0, 2, size=(1, n)).astype(float)
+    tracemalloc.start()
+    try:
+        _lower_hull(np.arange(n, dtype=float), v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * v.size
+
+
+# -- the hull conjugate's row layout against the dense surface -------------------
+
+def test_hull_conjugate_row_layout_matches_dense():
+    """Rows with different hull sizes share one call: a two-vertex row, an
+    all-vertex row and a tied row, on grids down to one point, both
+    branches (gamma < 0 flips the decreasing g and c^gamma)."""
+    for gamma in (0.5, -1.0):
+        params, x, c = kernel_grids(gamma)
+        gx = params.g(x)
+        rows_x = np.array([-(gx - 0.5) ** 2, gx ** 2, np.round(np.sin(9.0 * x), 1)])
+        assert_matches_dense(params, x, c, rows_x, over_x=True, same_arg=True)
+        u = c ** gamma / gamma
+        rows_c = np.array([-(u - u.mean()) ** 2, u ** 2 * np.sign(gamma), np.round(np.cos(7.0 * c), 1)])
+        assert_matches_dense(params, x, c, rows_c, over_x=False, same_arg=True)
+        for m in (1, 2):
+            values = np.arange(3.0 * m).reshape(3, m) % 2
+            assert_matches_dense(params, x[-m:], c, values, over_x=True, same_arg=True)
+            assert_matches_dense(params, x, c[-m:], values, over_x=False, same_arg=True)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
+    """The bridge passes one consumption grid per time row, cpow of shape (n_t, 65)."""
+    from nltariff.uconvex import _u_conjugate, _utility_surface
+
+    params, x, _ = kernel_grids(gamma)
+    rng = np.random.default_rng(5)
+    c = np.sort(rng.uniform(0.01, 4.0, size=(3, 65)), axis=1)
+    values = np.array([np.round(np.sin(6.0 * x), 1), x ** 2, rng.normal(size=x.size)])
+    got, arg = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values, over_x=True)
+    for i in range(3):
+        dense = _utility_surface(params, x, c[i])[i] - values[i][:, None]
+        np.testing.assert_array_equal(got[i], np.max(dense, axis=0))
+        np.testing.assert_array_equal(arg[i], np.argmax(dense, axis=0))
