@@ -290,10 +290,9 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
 
 def _typed_scan_audit(params):
     a = np.linspace(0.0, 1.0, 512)
-    a_flat, b_flat = solver_typed_h._pair_mesh(a, a)
-    vals = solver_typed_h._evaluate_mesh(a_flat, b_flat, params)
-    i = int(np.argmax(vals))
-    return {"value": float(vals[i]), "a0": float(a_flat[i]), "b0": float(b_flat[i]), "grid": a.size}
+    vals = solver_typed_h._evaluate_mesh(a, a, params)
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    return {"value": float(vals[i, j]), "a0": float(a[i]), "b0": float(a[j]), "grid": a.size}
 
 
 def _selected_c_samples(tariff):

@@ -163,40 +163,43 @@ class TypedHSolution:
     warnings: list = field(default_factory=list)
 
 
-def _pair_mesh(a_lin, b_lin):
-    """The pairs of the grid a_lin x b_lin with b0 <= a0, flattened."""
-    A, B = np.meshgrid(a_lin, b_lin, indexing="ij")
-    mask = B <= A + 1e-15
-    return A[mask], B[mask]
+def _evaluate_mesh(a_lin, b_lin, params):
+    """The objective on the grid a_lin x b_lin, -inf where b0 > a0 or the
+    pair is infeasible. The certificates broadcast a column of a0 against a
+    row of b0, so each per-type factor runs once per grid value and only
+    ell(a0, b0) and its certificate power once per cell; the objective runs
+    on the feasible pairs only."""
+    A, B = a_lin[:, None], b_lin[None, :]
+    feasible = constraint_check_A2prime(A, B, params)["feasible"] & (B <= A + 1e-15)
+    i, j = np.nonzero(feasible)
+    obj = np.full(feasible.shape, -np.inf)
+    obj[i, j] = objective_ab(a_lin[i], b_lin[j], params)
+    return obj
 
 
-def _evaluate_mesh(a_flat, b_flat, params):
-    """The objective on each pair, -inf where the pair is infeasible."""
-    feasible = constraint_check_A2prime(a_flat, b_flat, params)["feasible"]
-    return np.where(feasible, objective_ab(a_flat, b_flat, params), -np.inf)
-
-
-def _best_with_ties(a_flat, b_flat, obj, tol=1e-12):
-    """Argmax within tol of the best, preferring a degenerate corner (a0 = 1
-    or b0 = 0), then smaller a0, then larger b0: a pair a hair inside a tied
-    corner would serve a spurious sliver of types."""
+def _best_with_ties(a_lin, b_lin, obj, tol=1e-12):
+    """(a0, b0, best) of the grid objective ``obj``: the pair within tol of
+    the best, preferring a degenerate corner (a0 = 1 or b0 = 0), then
+    smaller a0, then larger b0: a pair a hair inside a tied corner would
+    serve a spurious sliver of types."""
     best = np.max(obj)
-    cand = np.flatnonzero(obj >= best - tol)
-    corner = cand[(a_flat[cand] == 1.0) | (b_flat[cand] == 0.0)]
-    if corner.size:
-        cand = corner
-    order = np.lexsort((-b_flat[cand], a_flat[cand]))
-    return cand[order[0]], best
+    i, j = np.nonzero(obj >= best - tol)
+    a, b = a_lin[i], b_lin[j]
+    corner = (a == 1.0) | (b == 0.0)
+    if np.any(corner):
+        a, b = a[corner], b[corner]
+    k = np.lexsort((-b, a))[0]
+    return float(a[k]), float(b[k]), best
 
 
 def solve_a0_b0_star(config):
     """Search the feasible boundary set for the optimal participation pair.
 
-    Exhaustive 256x256 scan over {b0 <= a0} filtered by the slope
-    constraints, then local zoom refinement. The returned solution records
-    the feasibility certificates and whether the convex-glue condition
-    b0* <= a0* - 1/2 holds (when it fails the relaxed solution is returned
-    with a non-u-convexity warning).
+    Exhaustive scan of the 256 x 256 grid, scored along its axes by
+    ``_evaluate_mesh`` on {b0 <= a0} filtered by the slope constraints, then
+    seven 33 x 33 zooms. The solution records the feasibility certificates
+    and whether the convex-glue condition b0* <= a0* - 1/2 holds (when it
+    fails the relaxed solution is returned with a non-u-convexity warning).
     """
     params = config.params
     # the search and the emission use the closed forms of this setting only
@@ -209,23 +212,20 @@ def solve_a0_b0_star(config):
     flags = validate_assumptions(params)
 
     grid = np.linspace(0.0, 1.0, GRID_SIZE)
-    a_flat, b_flat = _pair_mesh(grid, grid)
-    obj = _evaluate_mesh(a_flat, b_flat, params)
+    obj = _evaluate_mesh(grid, grid, params)
     if not np.any(np.isfinite(obj)):
         raise InfeasibleSet("no feasible boundary pair on the scan grid")
-    idx, best = _best_with_ties(a_flat, b_flat, obj)
-    a_star, b_star = float(a_flat[idx]), float(b_flat[idx])
+    a_star, b_star, best = _best_with_ties(grid, grid, obj)
 
     span = 2.0 / (GRID_SIZE - 1)
     for _ in range(ZOOM_ROUNDS):
-        a_lo, a_hi = max(a_star - span, 0.0), min(a_star + span, 1.0)
-        b_lo, b_hi = max(b_star - span, 0.0), min(b_star + span, 1.0)
-        af, bf = _pair_mesh(np.linspace(a_lo, a_hi, 33), np.linspace(b_lo, b_hi, 33))
-        obj_z = _evaluate_mesh(af, bf, params)
+        a_z = np.linspace(max(a_star - span, 0.0), min(a_star + span, 1.0), 33)
+        b_z = np.linspace(max(b_star - span, 0.0), min(b_star + span, 1.0), 33)
+        obj_z = _evaluate_mesh(a_z, b_z, params)
         if np.any(np.isfinite(obj_z)):
-            idx, best_z = _best_with_ties(af, bf, obj_z)
+            a_new, b_new, best_z = _best_with_ties(a_z, b_z, obj_z)
             if best_z >= best - 1e-15:
-                a_star, b_star, best = float(af[idx]), float(bf[idx]), max(best, best_z)
+                a_star, b_star, best = a_new, b_new, max(best, best_z)
         span /= 8.0
 
     chk = constraint_check_A2prime(a_star, b_star, params)

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.agent import participation_set
-from nltariff.cli import load_config
+from nltariff.cli import _typed_scan_audit, load_config
 from nltariff.closed_form import L_gamma_profile, N_gamma_profile, R_gamma, ell_ab, objective_ab, theta_term
 from nltariff.errors import AssumptionViolation
 from nltariff.model import (
@@ -24,7 +24,8 @@ from nltariff.solver_const_h import lower_bracket, optimal_slopes, upper_bracket
 from nltariff.solver_typed_h import (
     DEGENERATE_TOL,
     GRID_SIZE,
-    _pair_mesh,
+    _best_with_ties,
+    _evaluate_mesh,
     build_bridge,
     build_tariff_typed_h,
     capacity_A_typed,
@@ -201,14 +202,25 @@ def varying_typed_params(branch, nodes):
                             reservation=reservation, time_nodes=nodes)
 
 
-def certificate_pairs():
-    """The boundary scan's pairs plus pairs at and next to the corners and
-    the zeros of the screening weights, where the certificates are 0, inf or nan."""
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+def _pair_mesh(a_lin, b_lin):
+    """The pairs of the grid a_lin x b_lin with b0 <= a0, flattened row by row."""
+    A, B = np.meshgrid(a_lin, b_lin, indexing="ij")
+    mask = B <= A + 1e-15
+    return A[mask], B[mask]
+
+
+def edge_values():
+    """Types at and next to the corners and the zeros of the screening
+    weights, where the certificates are 0, inf or nan."""
     ends = np.array([0.0, 1e-15, 1e-12, 1e-9, 1e-6])
-    edges = np.concatenate([ends, 0.5 - ends, 0.5 + ends, 1.0 - ends])
+    return np.concatenate([ends, 0.5 - ends, 0.5 + ends, 1.0 - ends])
+
+
+def certificate_pairs():
+    """The boundary scan's pairs plus the pairs of the edge values."""
+    grid = np.linspace(0.0, 1.0, GRID_SIZE)
     a_scan, b_scan = _pair_mesh(grid, grid)
-    a_edge, b_edge = _pair_mesh(edges, edges)
+    a_edge, b_edge = _pair_mesh(edge_values(), edge_values())
     return np.concatenate([a_scan, a_edge]), np.concatenate([b_scan, b_edge])
 
 
@@ -242,6 +254,88 @@ def test_certificates_hold_no_time_by_pair_array(nodes):
 
 
 # -- boundary search ---------------------------------------------------------------
+
+def flat_pair_objective(a_lin, b_lin, params):
+    """The pair-by-pair scan: the pairs with b0 <= a0 flattened row by row,
+    and the objective on each, -inf where the pair is infeasible."""
+    af, bf = _pair_mesh(a_lin, b_lin)
+    feasible = constraint_check_A2prime(af, bf, params)["feasible"]
+    return af, bf, np.where(feasible, objective_ab(af, bf, params), -np.inf)
+
+
+def zoom_window(a0, b0, span=2.0 / (GRID_SIZE - 1)):
+    """The 33 x 33 zoom grids of solve_a0_b0_star around (a0, b0)."""
+    return (np.linspace(max(a0 - span, 0.0), min(a0 + span, 1.0), 33),
+            np.linspace(max(b0 - span, 0.0), min(b0 + span, 1.0), 33))
+
+
+def mesh_grids():
+    scan, audit = np.linspace(0.0, 1.0, GRID_SIZE), np.linspace(0.0, 1.0, 512)
+    windows = [zoom_window(a0, b0) for a0, b0 in ((0.7, 0.2), (1.0, 0.3), (0.8, 0.0), (1.0, 0.0))]
+    return [(scan, scan), (audit, audit), *windows, (edge_values(), edge_values())]
+
+
+@pytest.mark.parametrize("nodes", [3, 33, 129])
+@pytest.mark.parametrize("branch", ["industrial", "residential"])
+def test_grid_mesh_matches_the_flat_pair_form(branch, nodes):
+    """The grid objective is bit for bit the pair-by-pair one on b0 <= a0
+    and -inf on every cell above the diagonal."""
+    params = varying_typed_params(branch, nodes)
+    for a_lin, b_lin in mesh_grids():
+        obj = _evaluate_mesh(a_lin, b_lin, params)
+        assert obj.shape == (a_lin.size, b_lin.size)
+        below = b_lin[None, :] <= a_lin[:, None] + 1e-15
+        _, _, flat = flat_pair_objective(a_lin, b_lin, params)
+        np.testing.assert_array_equal(obj[below].view(np.uint64), flat.view(np.uint64))
+        assert np.all(obj[~below] == -np.inf)
+
+
+@pytest.mark.parametrize("branch", ["industrial", "residential"])
+def test_mesh_holds_no_pair_meshgrid(branch):
+    """Scoring the 512 x 512 audit grid stays below 8 MB: a full pair
+    meshgrid, or the objective broadcast over the square, exceeds it."""
+    params = varying_typed_params(branch, 33)
+    grid = np.linspace(0.0, 1.0, 512)
+    tracemalloc.start()
+    try:
+        obj = _evaluate_mesh(grid, grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obj.shape == (512, 512)
+    assert peak < 8e6
+
+
+def tie_grid(cells):
+    """An objective on a = (0.5, 0.7, 1.0) x b = (0.0, 0.2, 0.4), -inf
+    outside the given {(i, j): value} cells."""
+    obj = np.full((3, 3), -np.inf)
+    for ij, v in cells.items():
+        obj[ij] = v
+    return np.array([0.5, 0.7, 1.0]), np.array([0.0, 0.2, 0.4]), obj
+
+
+@pytest.mark.parametrize("cells, winner", [
+    ({(1, 1): 1.0, (2, 2): 1.0 - 5e-13, (0, 1): 1.0 - 5e-13}, (1.0, 0.4)),
+    ({(1, 1): 1.0, (0, 1): 1.0 - 5e-13, (0, 2): 1.0 - 2e-12}, (0.5, 0.2)),
+    ({(1, 1): 1.0, (1, 2): 1.0 - 5e-13}, (0.7, 0.4)),
+], ids=["corner-first", "smaller-a0", "larger-b0"])
+def test_best_with_ties_prefers_corner_then_smaller_a0_then_larger_b0(cells, winner):
+    a_lin, b_lin, obj = tie_grid(cells)
+    assert _best_with_ties(a_lin, b_lin, obj) == (*winner, 1.0)
+    # the rule reads pairs, not grid positions
+    assert _best_with_ties(a_lin[::-1], b_lin[::-1], obj[::-1, ::-1]) == (*winner, 1.0)
+
+
+@pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
+def test_typed_scan_audit_matches_the_flat_argmax(family):
+    params = load_config(CONFIG_DIR / f"{family}.json").params
+    grid = np.linspace(0.0, 1.0, 512)
+    af, bf, flat = flat_pair_objective(grid, grid, params)
+    i = int(np.argmax(flat))
+    audit = _typed_scan_audit(params)
+    assert (audit["value"], audit["a0"], audit["b0"]) == (float(flat[i]), float(af[i]), float(bf[i]))
+
 
 def test_sqrt_scenario_matches_dense_scan(typed_a_config):
     sol = solve_a0_b0_star(typed_a_config)
