@@ -4,7 +4,10 @@ The oracle maximizes the discretized screening objective without touching any
 closed form: for a candidate threshold it alternates between a pointwise
 slope choice on a finite slope grid (given the current marginal cost) and a
 recomputation of the aggregate, a damped fixed point that lands on the
-discrete optimum because the objective is concave in the slopes.
+discrete optimum because the objective is concave in the slopes. Each row's
+slope is the one ``np.argmax`` over its whole grid picks; the grid's
+breakpoints only predict it, and a prediction that is not a strict peak by a
+margin far above rounding sends the row to that whole-row scan.
 """
 from dataclasses import dataclass, field
 
@@ -17,7 +20,7 @@ from .numerics import trapezoid
 FIXED_POINT_DAMPING = 0.5
 FIXED_POINT_CAP = 100
 FIXED_POINT_TOL = 1e-10
-SEED_MARGIN = 1e-12           # relative drop at a seeded peak, far above rounding
+PEAK_MARGIN = 1e-12           # relative drop at a kept peak, far above rounding
 
 
 @dataclass(eq=False)
@@ -57,111 +60,79 @@ def _gain(gamma, a, w, kf, s):
     return gain, cons
 
 
-def _bisected_best_slopes(rows, slope_grid, gamma, kf):
-    """Grid index of the first maximizer of each row's gain, as ``np.argmax``
-    over the whole row finds it, and its consumption.
+def _breakpoints(rows, slope_grid, gamma):
+    """The slope grid's breakpoints E_k = (s_{k+1}^(1/gamma) - s_k^(1/gamma))
+    / (s_{k+1} - s_k), and per row its level w / a^(1/gamma).
 
-    The gain is concave in s (c is convex on both branches), so the sign of
-    gain[k+1] - gain[k] changes at most once: a bisection on that sign,
-    vectorized over the rows, finds the peak, and a scan of five indices
-    around it absorbs rounding at the top. A row is scanned whole when one of
-    its probe pairs compared equal or unordered, when its window maximum sits
-    on a window edge inside the grid, or when its kf is not finite.
+    With c(s) = (a s)^(1/gamma) and a, kf > 0, gain[k+1] > gain[k] holds
+    exactly when kf E_k < w / a^(1/gamma). s^(1/gamma) is convex on both
+    branches, so the E_k increase and the count of breakpoints below
+    level / kf predicts the row's first maximizer. Both depend on the grid
+    and the rows only, so they are computed once per threshold; kf is what
+    changes from round to round.
     """
     a, w = rows
-    n = slope_grid.size
-    pos = np.zeros(a.size, dtype=np.intp)
-    closest = np.full(a.size, np.inf)      # smallest |gain[k+1] - gain[k]| probed
-    if n > 1:
-        # count the leading k with gain[k+1] > gain[k]: a first probe at
-        # h - 1 leaves a range of h candidates, then steps h/2, ..., 1
-        pair = np.array([[0], [1]])
-        h = 1 << ((n - 1).bit_length() - 1)
-        step = h
-        while step:
-            gain, _ = _gain(gamma, a, w, kf, slope_grid.take(pos + (step - 1) + pair))
-            d = gain[1] - gain[0]
-            np.minimum(closest, np.abs(d), out=closest)
-            if step == h:
-                pos[d > 0] = n - h
-            else:
-                pos += step * (d > 0)
-            step >>= 1
-    width = min(5, n)
-    start = np.clip(pos - 2, 0, n - width)
-    gain, cons = _gain(gamma, a, w, kf, slope_grid.take(start + np.arange(width)[:, None]))
-    j = np.argmax(gain, axis=0)
-    cols = np.arange(a.size)
-    whole = (~(closest > 0) | np.isnan(gain[j, cols]) | ~np.isfinite(kf)
-             | ((j == 0) & (start > 0)) | ((j == width - 1) & (start < n - width)))
-    best = start + j
-    cons = cons[j, cols]
-    if whole.any():
-        r = np.flatnonzero(whole)
-        gain, cons_r = _gain(gamma, a[r], w[r], kf[r], slope_grid[:, None])
-        best[r] = np.argmax(gain, axis=0)
-        cons[r] = cons_r[best[r], np.arange(r.size)]
-    return best, cons
+    p = 1.0 / gamma
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.diff(slope_grid ** p) / np.diff(slope_grid), w / a ** p
 
 
-def _pointwise_best_slopes(rows, slope_grid, gamma, kf, seed=None):
+def _scanned_best_slopes(rows, slope_grid, gamma, kf):
+    """Grid index of each row's first maximizer by ``np.argmax`` over the whole
+    grid, and its consumption."""
+    a, w = rows
+    gain, cons = _gain(gamma, a, w, kf, slope_grid[:, None])
+    best = np.argmax(gain, axis=0)
+    return best, cons[best, np.arange(a.size)]
+
+
+def _pointwise_best_slopes(rows, slope_grid, gamma, kf, breaks=None):
     """Per row of ``_row_constants``, the first maximizer over the slope grid of
     the gain w s - kf c(s), as ``np.argmax`` over the whole row finds it, and
     its consumption.
 
-    ``seed`` holds a grid index per row, say the row's previous choice. The
-    five slopes around it are scored first, and a row keeps its window
-    maximum j when kf and gain[j] are finite, j is not on a window edge inside
-    the grid, and the gain drops on both grid neighbours of j by more than
-    ``SEED_MARGIN`` (|w s_j| + |kf c_j|). A drop that large is no rounding of
-    the gain, so j is the strict peak of the concave gain and every other
-    slope gains less. All other rows, or every row without a seed, go through
-    ``_bisected_best_slopes``.
+    ``breaks`` is ``_breakpoints(rows, slope_grid, gamma)``, computed here
+    when not given. Its prediction k for a row is kept when kf and gain[k]
+    are finite and the gain drops on both grid neighbours of k (a neighbour
+    outside the grid passes) by more than ``PEAK_MARGIN`` (|w s_k| + |kf c_k|).
+    A drop that large is no rounding of the gain, so k is the strict peak of
+    the concave gain and every other slope gains less. Every other row, such
+    as one whose peak is flat to a few ulp, is scanned over the whole grid.
+    The prediction sets the cost of the search, never its answer.
     """
     a, w = rows
     n = slope_grid.size
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if seed is None:
-            best, cons = _bisected_best_slopes(rows, slope_grid, gamma, kf)
-            return slope_grid[best], cons
-        width = min(5, n)
-        start = np.clip(seed - 2, 0, n - width)
-        s = slope_grid.take(start + np.arange(width)[:, None])
+        edges, level = _breakpoints(rows, slope_grid, gamma) if breaks is None else breaks
+        best = np.searchsorted(edges, level / kf)
+        s = slope_grid.take(best + np.array([[-1], [0], [1]]), mode="clip")
         gain, cons = _gain(gamma, a, w, kf, s)
-        j = np.argmax(gain, axis=0)
-        cols = np.arange(a.size)
-        top = gain[j, cols]
-        best = start + j
-        cons = cons[j, cols]
-        margin = SEED_MARGIN * (np.abs(w * s[j, cols]) + np.abs(kf * cons))
-        # a neighbour outside the window passes only where it is outside the grid
-        left = np.where(j > 0, top - gain[np.maximum(j - 1, 0), cols] > margin, best == 0)
-        right = np.where(j < width - 1, top - gain[np.minimum(j + 1, width - 1), cols] > margin,
-                         best == n - 1)
-        r = np.flatnonzero(~(np.isfinite(kf) & np.isfinite(top) & left & right))
+        top, cons = gain[1], cons[1]
+        margin = PEAK_MARGIN * (np.abs(w * s[1]) + np.abs(kf * cons))
+        kept = (np.isfinite(kf) & np.isfinite(top) & ((best == 0) | (top - gain[0] > margin))
+                & ((best == n - 1) | (top - gain[2] > margin)))
+        r = np.flatnonzero(~kept)
         if r.size:
-            best[r], cons[r] = _bisected_best_slopes((a[r], w[r]), slope_grid, gamma, kf[r])
+            best[r], cons[r] = _scanned_best_slopes((a[r], w[r]), slope_grid, gamma, kf[r])
     return slope_grid[best], cons
 
 
 def _objective_given_slopes(params, x_nodes, slopes, cons, w, fvals):
     """Objective and aggregate of the slopes, given the screening weight
     w(x) and the density f(x) on ``x_nodes``."""
-    flow = trapezoid(w[None, :] * slopes, x_nodes)
-    aggregate = trapezoid(cons * fvals[None, :], x_nodes)
+    flow, aggregate = trapezoid(np.stack([w[None, :] * slopes, cons * fvals[None, :]]), x_nodes)
     cost = eval_cost(params.time_grid, aggregate, params)
     return float(params.time_integral(flow - cost)), aggregate
 
 
-def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None, warm_slopes=None):
+def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
     """Damped alternation between slope choice and aggregate recomputation.
 
     The slope grid is discrete, so the aggregate can settle into a micro
     cycle between adjacent grid slopes; convergence is therefore judged on
-    the objective, which is what the oracle certifies. Each round seeds the
-    slope search with the previous round's slopes, the first with
-    ``warm_slopes`` (a previous threshold's, on its own grid); a seed changes
-    the cost of the search, never its answer.
+    the objective, which is what the oracle certifies. The grid's
+    breakpoints and the rows' levels are computed once here; each round
+    brings only a new marginal cost.
     """
     if warm_start is not None and np.all(np.isfinite(warm_start)) and np.any(warm_start > 0):
         aggregate = np.maximum(warm_start, 1e-9)
@@ -170,18 +141,15 @@ def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None, warm_slopes
     w = _screening_weight(params, x_nodes)
     fvals = params.f.pdf(x_nodes)
     rows = _row_constants(params, x_nodes, w)
+    breaks = _breakpoints(rows, slope_grid, params.gamma)
     shape = (params.time_grid.size, x_nodes.size)
     best = (-np.inf, None, None, 0)
     stall = 0
     step = np.inf
-    slopes = warm_slopes
     for it in range(1, FIXED_POINT_CAP + 1):
         kappa = np.maximum(eval_marginal_cost(params.time_grid, aggregate, params), 1e-12)
         kf = (kappa[:, None] * fvals[None, :]).ravel()
-        # the previous round's slopes are values of this increasing grid, so
-        # this recovers their indices exactly; a previous threshold's land near
-        seed = None if slopes is None else np.searchsorted(slope_grid, slopes.ravel())
-        slopes, cons = _pointwise_best_slopes(rows, slope_grid, params.gamma, kf, seed=seed)
+        slopes, cons = _pointwise_best_slopes(rows, slope_grid, params.gamma, kf, breaks)
         slopes, cons = slopes.reshape(shape), cons.reshape(shape)
         value, agg_actual = _objective_given_slopes(params, x_nodes, slopes, cons, w, fvals)
         if best[1] is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
@@ -239,18 +207,18 @@ def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid_size=
                         x_nodes=np.asarray([1.0]), aggregate=np.zeros(params.time_grid.size),
                         iterations=0)
     evaluated = []
-    warm = {"agg": None, "slopes": None}     # carried from one threshold to the next
+    warm_agg = None     # the aggregate carried from one threshold to the next
 
     def eval_x0(x0):
+        nonlocal warm_agg
         if x0 >= 1.0 - 1e-12:
             return 0.0, None
         x_top = 1.0 if params.gamma > 0 else 1.0 - 1e-9
         x_nodes = np.linspace(x0, x_top, type_grid_size)
         s_max = 10.0 * _closed_form_slope_scale(params, x0)
         grid = _slope_grid_for(params, s_max, slope_grid_size)
-        value, slopes, agg, iters = _solve_fixed_point(params, x_nodes, grid, warm_start=warm["agg"],
-                                                       warm_slopes=warm["slopes"])
-        warm["agg"], warm["slopes"] = agg, slopes
+        value, slopes, agg, iters = _solve_fixed_point(params, x_nodes, grid, warm_start=warm_agg)
+        warm_agg = agg
         value += (float(params.f.cdf(x0)) - 1.0) * H
         return value, (slopes, x_nodes, agg, iters)
 

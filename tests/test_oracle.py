@@ -1,4 +1,5 @@
 """Brute-force certification of the constant-reservation optimum."""
+import json
 import os
 import pickle
 import subprocess
@@ -12,6 +13,7 @@ from nltariff import oracle
 from nltariff.cli import load_config
 from nltariff.model import ConstantReservation, canonical_params
 from nltariff.oracle import (
+    _breakpoints,
     _objective_given_slopes,
     _pointwise_best_slopes,
     _slope_grid_for,
@@ -196,10 +198,12 @@ def _seed_test_grid(gamma, size):
 @pytest.mark.parametrize("gamma", [0.5, 0.3, -1.0, -0.5, -2.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
 @pytest.mark.parametrize("size", [61, 200, 1500])
 def test_slope_search_from_a_seed_matches_full_scan(gamma, size):
-    """Seeds 0..6 slopes off the first maximum, on either side, and random
-    seeds, on the rows of the full-scan tests. At gamma = 1 - 1e-12 the peak
-    is flat to a few ulp: a seed there must not settle for a neighbour that
-    is higher by rounding alone."""
+    """The breakpoint search, then the same search seeded with a predicted
+    index 0..6 slopes off the first maximum, on either side, or at random,
+    on the rows of the full-scan tests: a prediction sets the cost of the
+    search, never its answer. At gamma = 1 - 1e-12 the peak is flat to a
+    few ulp: a prediction there must not settle for a neighbour that is
+    higher by rounding alone."""
     rng = np.random.default_rng([size, int(1e3 * abs(gamma))])
     slope_grid = _seed_test_grid(gamma, size)
     rows = [_peaked_rows(rng, gamma, slope_grid, 200)]
@@ -210,36 +214,94 @@ def test_slope_search_from_a_seed_matches_full_scan(gamma, size):
     first = np.searchsorted(slope_grid, ref_slopes)
     seeds = [np.clip(first + offset, 0, size - 1) for offset in range(-6, 7)]
     seeds += [rng.integers(0, size, a.size) for _ in range(3)]
-    for seed in seeds:
-        slopes, cons = _pointwise_best_slopes((a, w), slope_grid, gamma, kf, seed=seed)
+    # breakpoints at the half-integers and levels seed * kf predict the seed
+    # (the rows with kf = 0 predict the last slope)
+    halves = np.arange(size - 1) + 0.5
+    for breaks in [None, _breakpoints((a, w), slope_grid, gamma)] + [(halves, seed * kf) for seed in seeds]:
+        slopes, cons = _pointwise_best_slopes((a, w), slope_grid, gamma, kf, breaks)
         np.testing.assert_array_equal(slopes, ref_slopes)
         assert np.array_equal(cons.view(np.uint64), ref_cons.view(np.uint64))
 
 
-# Measured share of the row solves that reach the bisection: 7.1% (industrial)
-# and 9.2% (residential); the bounds are about twice that.
-BISECTED_SHARE_BOUND = {"industrial_constant_h": 0.15, "residential_constant_h": 0.18}
-
-
-@pytest.mark.parametrize("family", sorted(BISECTED_SHARE_BOUND))
-def test_seeded_slope_search_skips_most_bisections(family, monkeypatch):
-    """The seeded window settles most rows of a CLI-sized oracle run; the
-    bisection sees the first round and the rows the margin leaves open."""
-    params = load_config(CONFIG_DIR / f"{family}.json").params
-    assert params.time_grid.size == 3
-    solved = {"all": 0, "bisected": 0}
-    search, bisect = oracle._pointwise_best_slopes, oracle._bisected_best_slopes
+def _count_scanned_rows(monkeypatch):
+    """Count the rows the slope search solves and those it scans whole."""
+    solved = {"all": 0, "scanned": 0}
+    search, scan = oracle._pointwise_best_slopes, oracle._scanned_best_slopes
 
     def counting(key, fn):
-        def wrapped(rows, *args, **kwargs):
+        def wrapped(rows, *args):
             solved[key] += rows[0].size
-            return fn(rows, *args, **kwargs)
+            return fn(rows, *args)
         return wrapped
 
     monkeypatch.setattr(oracle, "_pointwise_best_slopes", counting("all", search))
-    monkeypatch.setattr(oracle, "_bisected_best_slopes", counting("bisected", bisect))
+    monkeypatch.setattr(oracle, "_scanned_best_slopes", counting("scanned", scan))
+    return solved
+
+
+@pytest.mark.parametrize("family", ["industrial_constant_h", "residential_constant_h"])
+def test_breakpoint_search_rarely_scans_whole_rows(family, monkeypatch):
+    """At the CLI's grid sizes the breakpoints settle the row solves: none
+    took the whole-row scan when this was written, and at most 1% may."""
+    params = load_config(CONFIG_DIR / f"{family}.json").params
+    assert params.time_grid.size == 3
+    solved = _count_scanned_rows(monkeypatch)
     oracle_relaxed_maximize_const_h(params)
-    assert 0 < solved["bisected"] < BISECTED_SHARE_BOUND[family] * solved["all"]
+    assert solved["all"] > 0
+    assert solved["scanned"] <= 0.01 * solved["all"]
+
+
+def test_flat_peaks_take_the_whole_row_scan(monkeypatch):
+    """With gamma = 1 - 1e-12 the gain at its peak is flat to a few ulp, so
+    no predicted peak clears the margin: those rows are scanned whole, and
+    the scan still finds the full scan's first maximum."""
+    gamma = 1.0 - 1e-12
+    slope_grid = _slope_grid_for(canonical_params(0.5), 3.0, 1500)
+    a, w, kf = _peaked_rows(np.random.default_rng(7), gamma, slope_grid, 500)
+    solved = _count_scanned_rows(monkeypatch)
+    _assert_matches_full_scan((a, w), slope_grid, gamma, kf)
+    assert solved["scanned"] > 0.5 * solved["all"]
+
+
+def _non_power_params(tmp_path, family, variant):
+    """A shipped constant-H family on a tabulated cost, or with tabulated g
+    and f, at 3 time nodes."""
+    doc = json.loads((CONFIG_DIR / f"{family}.json").read_text())
+    if variant == "cost_table":
+        n = doc.pop("n")
+        c = np.linspace(0.0, 20.0, 401)
+        doc["cost_table"] = {"c": c.tolist(), "K": (c ** n / n).tolist(), "marginal": (c ** (n - 1.0)).tolist()}
+    else:
+        x = np.linspace(0.0, 1.0, 257)
+        sign = 1.0 if doc["gamma"] > 0 else -1.0
+        g = (x if sign > 0 else 1.0 - x) + 0.1 * x * (1.0 - x)
+        doc["g"] = {"form": "tabulated", "x": x.tolist(), "values": g.tolist(),
+                    "derivative": (sign + 0.1 * (1.0 - 2.0 * x)).tolist()}
+        doc["f"] = {"form": "tabulated", "x": x.tolist(), "density": (1.0 - 0.2 * sign * (x - 0.5)).tolist()}
+    path = tmp_path / f"{family}-{variant}.json"
+    path.write_text(json.dumps(doc))
+    return load_config(path).params
+
+
+@pytest.mark.parametrize("variant", ["cost_table", "tabulated_g_f"])
+@pytest.mark.parametrize("family", ["industrial_constant_h", "residential_constant_h"])
+def test_oracle_result_identical_with_full_scan_off_the_power_path(family, variant, tmp_path, monkeypatch):
+    """The tabulated cost, taste map and density reach the rows through other
+    code than the power/uniform configs: the result is still the full scan's."""
+    params = _non_power_params(tmp_path, family, variant)
+
+    def run():
+        return oracle_relaxed_maximize_const_h(params, type_grid_size=60, slope_grid_size=300,
+                                               x0_candidates=np.linspace(0.0, 1.0, 11))
+
+    fast = run()
+    monkeypatch.setattr(oracle, "_pointwise_best_slopes", _dense_best_slopes)
+    dense = run()
+    assert fast.x0 < 1.0      # a contract is offered, so the slopes matter
+    assert (fast.value, fast.x0, fast.iterations, fast.x0_values) == \
+        (dense.value, dense.x0, dense.iterations, dense.x0_values)
+    for name in ("slopes", "x_nodes", "aggregate"):
+        assert np.array_equal(getattr(fast, name), getattr(dense, name))
 
 
 def _oracle_bytes(config_path):
