@@ -9,7 +9,6 @@ forms. See the README for the CLI entry points.
 from .agent import (
     IndirectUtility,
     ParticipationSet,
-    best_response_closed_form,
     best_response_grid,
     participation_set,
 )

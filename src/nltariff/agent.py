@@ -128,29 +128,6 @@ def _time_index(params, t):
     return i
 
 
-def best_response_closed_form(p_star, t, x, params):
-    """Optimal consumption from the envelope formula.
-
-    c*(t,x) = (gamma / (phi(t) g'(x)) * dp*/dx(t,x)) ** (1/gamma). A zero
-    marginal indirect utility yields c* = 0 on the industrial branch and is a
-    domain error on the residential branch (consumption would diverge, so the
-    type cannot be a participating one).
-    """
-    i = _time_index(params, t)
-    slope = float(p_star.slopes(np.asarray([x]))[i, 0])
-    gamma = params.gamma
-    base = gamma / (params.phi[i] * float(params.g.prime(np.asarray([x]))[0])) * slope
-    if gamma > 0:
-        if base <= 0.0:
-            return 0.0
-        return float(base ** (1.0 / gamma))
-    if base <= 0.0:
-        raise DomainError(
-            f"zero marginal indirect utility at x={x:.6g} with gamma<0: non-participating type"
-        )
-    return float(base ** (1.0 / gamma))
-
-
 def best_response_grid(p, t, x, c_grid, params, refine=False):
     """Grid-search best response: maximize u(t,x,c) - p(t,c) over c_grid.
 

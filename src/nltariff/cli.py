@@ -128,12 +128,11 @@ def _time_profile(doc, key, time_grid):
 def _taste_map(doc, gamma):
     block = _block(doc, "g", {"form": "canonical"})
     form = block.get("form", "canonical")
-    sign = 1 if gamma > 0 else -1
     if form == "canonical":
-        return TasteMap(form="canonical", gamma_sign=sign)
+        return TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1)
     if form == "tabulated":
         x, values, derivative = _samples(block, "g", "x", "values", "derivative")
-        return TasteMap(form="tabulated", gamma_sign=sign, x=x, values=values, derivative=derivative)
+        return TasteMap.tabulated(x, values, derivative)
     raise ConfigError("g", f"unknown form {form!r}")
 
 

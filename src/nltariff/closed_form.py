@@ -96,9 +96,7 @@ def L_gamma_profile(params, N):
 @dataclass(frozen=True, eq=False)
 class Shape:
     """u(x)^m, the x-dependence of one closed-form component of p*, with the
-    x-derivative du m u(x)^e and the linear offset g(x) - u(x) of the taste.
-    Boundary types go in as Python floats, not arrays: scalar and array
-    powers can differ in the last bit."""
+    x-derivative du m u(x)^e and the linear offset g(x) - u(x) of the taste."""
 
     u: object
     du: float

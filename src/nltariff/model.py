@@ -26,7 +26,8 @@ class TasteMap:
 
     Canonical form: g(x) = x for the industrial branch (gamma in (0,1)),
     g(x) = 1 - x for the residential branch (gamma < 0). A tabulated form
-    carries explicit samples of g and g' on an x-grid.
+    carries explicit samples of g and g' on a strictly increasing x-grid
+    spanning [0, 1].
     """
 
     form: str  # "canonical" | "tabulated"
@@ -34,6 +35,16 @@ class TasteMap:
     x: np.ndarray | None = None
     values: np.ndarray | None = None
     derivative: np.ndarray | None = None
+
+    @staticmethod
+    def tabulated(x, values, derivative):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
+            raise InvalidParams("g", "x grid must be strictly increasing")
+        if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
+            raise InvalidParams("g", "x grid must span [0,1]")
+        return TasteMap(form="tabulated", x=x, values=np.asarray(values, dtype=float),
+                        derivative=np.asarray(derivative, dtype=float))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -70,15 +81,15 @@ class TypeDistribution:
         x = np.asarray(x, dtype=float)
         density = np.asarray(density, dtype=float)
         if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise InvalidParams("f_form", "x grid must be strictly increasing")
+            raise InvalidParams("f", "x grid must be strictly increasing")
         if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-            raise InvalidParams("f_form", "x grid must span [0,1]")
+            raise InvalidParams("f", "x grid must span [0,1]")
         if np.any(density < 0):
-            raise InvalidParams("f_form", "density must be nonnegative")
+            raise InvalidParams("f", "density must be nonnegative")
         mass = trapezoid(density, x)
         if abs(mass - 1.0) > DENSITY_RENORM_TOL:
             raise InvalidParams(
-                "f_form", f"density mass {mass:.6g} differs from 1 by more than {DENSITY_RENORM_TOL}"
+                "f", f"density mass {mass:.6g} differs from 1 by more than {DENSITY_RENORM_TOL}"
             )
         density = density / mass
         cdf = cumtrapz(density, x)
@@ -264,18 +275,18 @@ class ModelParams:
         xs = self.f.x if self.f.form == "tabulated" else np.linspace(0.0, 1.0, 2001)
         dens = self.f.pdf(xs)
         if np.any(dens < 0):
-            raise InvalidParams("f_form", "density must be nonnegative")
+            raise InvalidParams("f", "density must be nonnegative")
         mass = trapezoid(dens, xs)
         if abs(mass - 1.0) > DENSITY_MASS_TOL:
-            raise InvalidParams("f_form", f"density integrates to {mass:.8g}, not 1")
+            raise InvalidParams("f", f"density integrates to {mass:.8g}, not 1")
 
     def _validate_g(self):
         xs = np.linspace(0.0, 1.0, 257)
         gp = self.g.prime(xs)
         if self.gamma > 0 and np.any(gp <= 0):
-            raise InvalidParams("g_form", "g must be increasing when gamma in (0,1)")
+            raise InvalidParams("g", "g must be increasing when gamma in (0,1)")
         if self.gamma < 0 and np.any(gp >= 0):
-            raise InvalidParams("g_form", "g must be decreasing when gamma < 0")
+            raise InvalidParams("g", "g must be decreasing when gamma < 0")
 
     def _validate_reservation(self):
         res = self.reservation

@@ -180,8 +180,7 @@ def _closed_form_slope_scale(params, x0):
     from .solver_const_h import capacity_A, ell_const, optimal_slopes, upper_bracket
 
     t = params.time_grid
-    ell = ell_const(x0, params)
-    Kc = np.maximum(eval_marginal_cost(t, capacity_A(t, x0, params, ell=ell), params), 1e-12)
+    Kc = np.maximum(eval_marginal_cost(t, capacity_A(t, ell_const(x0, params), params), params), 1e-12)
     xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
     with np.errstate(divide="ignore"):
         s = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs), Kc[:, None],

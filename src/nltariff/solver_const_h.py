@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agent import IndirectUtility
-from .closed_form import B_gamma, L_gamma_profile, N_gamma_profile, component_shapes, objective_ab, selected_segments
+from .closed_form import (B_gamma, L_gamma_profile, N_gamma_profile, component_shapes, ell_ab, objective_ab,
+                          selected_segments)
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
@@ -23,6 +24,8 @@ from .uconvex import default_c_grid, u_transform_indirect_to_price
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
+ELL_NODES = 2001     # trapezoid nodes of ell(x0) off the closed form
+ELL_BLOCK = 16       # thresholds per ell mesh, which bounds its memory at 16 x ELL_NODES values
 
 
 @dataclass(eq=False)
@@ -67,51 +70,49 @@ def beta_fn(x, params):
         return upper_bracket(x, params) / params.f.pdf(x) ** params.gamma
 
 
-def ell_const(x0, params, nodes=4001):
+def ell_const(x0, params):
     """ell(x0): integral of ([g f + g' F - g']^+ / f^gamma)^(1/(1-gamma)) over [x0, 1].
 
-    Canonical power/uniform closed forms:
-      gamma in (0,1): (1-gamma)/(2(2-gamma)) * (1 - ((2 x0 - 1)^+)^((2-gamma)/(1-gamma)))
-      gamma < 0:      2^(1/(1-gamma)) (1-gamma)/(2-gamma) * (1 - x0)^((2-gamma)/(1-gamma))
+    Elementwise on a 1-D array of thresholds; a float for a scalar. The
+    canonical power/uniform setting takes the closed form ell_ab(x0, 0);
+    otherwise each threshold gets the trapezoid on ELL_NODES nodes, a block
+    of thresholds at a time.
     """
-    gamma = params.gamma
+    x0s = np.atleast_1d(np.asarray(x0, dtype=float))
     if params.is_canonical_uniform_power:
-        if gamma > 0:
-            q = (2.0 - gamma) / (1.0 - gamma)
-            return (1.0 - gamma) / (2.0 * (2.0 - gamma)) * (1.0 - max(2.0 * x0 - 1.0, 0.0) ** q)
-        q = (2.0 - gamma) / (1.0 - gamma)
-        return 2.0 ** (1.0 / (1.0 - gamma)) * (1.0 - gamma) / (2.0 - gamma) * (1.0 - x0) ** q
-    if x0 >= 1.0:
-        return 0.0
-    xs = np.linspace(x0, 1.0, nodes)
-    integrand = (np.maximum(beta_fn(xs, params), 0.0)) ** (1.0 / (1.0 - gamma))
-    return float(trapezoid(integrand, xs))
+        ell = ell_ab(x0s, 0.0, params)
+    else:
+        ell = np.zeros(x0s.shape)
+        live = np.flatnonzero(x0s < 1.0)
+        for i in range(0, live.size, ELL_BLOCK):
+            rows = live[i:i + ELL_BLOCK]
+            # row-major, so each row sums in the order of a threshold alone
+            xs = np.ascontiguousarray(np.linspace(x0s[rows], 1.0, ELL_NODES, axis=-1))
+            integrand = np.maximum(beta_fn(xs, params), 0.0) ** (1.0 / (1.0 - params.gamma))
+            ell[rows] = trapezoid(integrand, xs)
+    return float(ell[0]) if np.ndim(x0) == 0 else ell
 
 
-def capacity_A(t, x0, params, ell=None):
-    """Aggregate consumption at the optimum for threshold x0 at time ``t``.
+def capacity_A(t, ell, params):
+    """Aggregate consumption at the optimum for coverage ``ell`` at time ``t``.
 
-    ``t`` may be the time grid and ``ell`` an array of ell(x0) values, one
-    per threshold; the result then has shape ell.shape + t.shape, and is a
-    float when both are scalars. Power cost:
+    Elementwise: the result has shape ell.shape + t.shape, and is a float
+    when both are scalars. Power cost:
     A = (phi/k)^(1/(n-gamma)) ell^((1-gamma)/(n-gamma)); general cost goes
-    through the increasing-map inverse. The powers stay scalar per node and
-    per threshold: numpy's scalar and array pow differ in the last bit.
+    through the increasing-map inverse.
     """
     gamma = params.gamma
-    if ell is None:
-        ell = ell_const(x0, params)
-    shape = np.shape(ell) + np.shape(t)
-    ts, ells = np.atleast_1d(t), np.atleast_1d(ell)
+    t = np.asarray(t, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    ell = ell.reshape(ell.shape + (1,) * t.ndim)
     if params.is_power_cost:
         n = params.n
-        level = [e ** ((1.0 - gamma) / (n - gamma)) for e in ells]
-        node = [(params.phi_at(ti) / params.k_at(ti)) ** (1.0 / (n - gamma)) for ti in ts]
-        A = np.multiply.outer(level, node)
+        node = np.asarray(params.phi_at(t) / params.k_at(t)) ** (1.0 / (n - gamma))
+        A = ell ** ((1.0 - gamma) / (n - gamma)) * node
     else:
-        node = [params.phi_at(ti) ** (1.0 / (1.0 - gamma)) for ti in ts]
-        A = g_K_inverse(ts, np.multiply.outer(ells, node), gamma, params)
-    return float(A[0, 0]) if shape == () else A.reshape(shape)
+        node = np.asarray(params.phi_at(t)) ** (1.0 / (1.0 - gamma))
+        A = g_K_inverse(t, ell * node, gamma, params)
+    return float(A) if np.ndim(A) == 0 else A
 
 
 def A_gamma(params):
@@ -133,16 +134,14 @@ def chi(y0, params):
 
 def alpha_objective(x0, params):
     """General reduced objective: time integral of (1/gamma) A dK/dc(A) - K(A)
-    plus the boundary term (F(x0) - 1) H. Elementwise in ``x0``; a float for
-    a scalar ``x0``."""
-    x0s = np.asarray(x0, dtype=float)
-    ell = np.reshape([ell_const(x, params, nodes=2001) for x in x0s.flat], x0s.shape)
+    plus the boundary term (F(x0) - 1) H. Elementwise on a 1-D array of
+    thresholds; a float for a scalar ``x0``."""
+    x0s = np.atleast_1d(np.asarray(x0, dtype=float))
     t = params.time_grid
-    A = capacity_A(t, x0s, params, ell=ell)
+    A = capacity_A(t, ell_const(x0s, params), params)
     vals = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)
-    H = params.reservation.H
-    out = trapezoid(vals, t) + (params.f.cdf(x0s) - 1.0) * H
-    return float(out) if x0s.ndim == 0 else out
+    out = trapezoid(vals, t) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
+    return float(out[0]) if np.ndim(x0) == 0 else out
 
 
 def _uniqueness_conditions(params):
@@ -327,7 +326,7 @@ def _build_general(config, report):
         tariff = Tariff(gamma=g, time_grid=params.time_grid, segments=[seg],
                         simplified=True, meta={"x0": x0, "route": "general"})
         return tariff, p_star
-    Kc = eval_marginal_cost(t, capacity_A(t, x0, params, ell=ell), params)
+    Kc = eval_marginal_cost(t, capacity_A(t, ell, params), params)
     slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs),
                             Kc[:, None], params.g.prime(xs), g)
     # integrate from x0 so the binding constraint lands exactly on s(t)

@@ -20,7 +20,7 @@ from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, el
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_marginal_cost
 from .numerics import trapezoid
-from .solver_const_h import lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
+from .solver_const_h import capacity_A, lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
 from .tariff import TabulatedSegment, Tariff
 # perfbench/tracing.py looks up _utility_surface in this module by name
 from .uconvex import _u_conjugate, _utility_surface  # noqa: F401
@@ -66,15 +66,12 @@ def validate_assumptions(params):
         raise AssumptionViolation("elasticity (hg)", (xs[i[0]], xs[i[-1]]),
                                   "g/g' must not exceed H/H'")
 
-    # screening weights
-    e = gamma / (1.0 - gamma)
+    # screening weights: v_i / gamma is the optimal slope at phi = K_c = 1
     f = params.f.pdf(xs)
-    with np.errstate(divide="ignore"):
-        v1 = gp * (np.maximum(lower_bracket(xs, params), 0.0) / f) ** e
-        v2 = gp * (np.maximum(upper_bracket(xs, params), 0.0) / f) ** e
     flags = {}
-    for name, v in (("v1", v1), ("v2", v2)):
-        vv = v / gamma
+    for name, bracket in (("v1", lower_bracket), ("v2", upper_bracket)):
+        with np.errstate(divide="ignore"):
+            vv = optimal_slopes(1.0, bracket(xs, params), f, 1.0, gp, gamma)
         finite = np.isfinite(vv)
         dv = np.diff(vv[finite])
         scale = np.maximum(1.0, np.max(np.abs(vv[finite]))) if np.any(finite) else 1.0
@@ -95,17 +92,8 @@ def validate_assumptions(params):
 
 
 # ---------------------------------------------------------------------------
-# capacity and boundary certificates
+# boundary certificates
 # ---------------------------------------------------------------------------
-
-def capacity_A_typed(t_index, ell, params):
-    """Aggregate consumption for coverage ell, per time node (vectorized)."""
-    g = params.gamma
-    ell = np.asarray(ell, dtype=float)
-    phi = params.phi[t_index]
-    k = params.k[t_index]
-    return (phi / k) ** (1.0 / (params.n - g)) * ell ** ((1.0 - g) / (params.n - g))
-
 
 def constraint_check_A2prime(a0, b0, params):
     """Boundary slope certificates and membership in the feasible pair set.
@@ -518,10 +506,8 @@ def mu_zero_residual(solution, p_star, params):
         lo = a0 + (1.0 - a0) * interior_margin
         hi = 1.0 - (1.0 - a0) * interior_margin
         segments.append((upper_bracket, np.linspace(lo, hi, nodes)))
-    ell = float(ell_ab(a0, b0, params))
     t = params.time_grid
-    A = np.array([capacity_A_typed(i, ell, params) for i in range(t.size)])
-    Kc = eval_marginal_cost(t, A, params)[:, None]
+    Kc = eval_marginal_cost(t, capacity_A(t, ell_ab(a0, b0, params), params), params)[:, None]
     for bracket, xs in segments:
         fd = (p_star.values(xs + h) - p_star.values(xs - h)) / (2.0 * h)
         formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.pdf(xs), Kc,

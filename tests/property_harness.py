@@ -8,8 +8,9 @@ several brute-force maximizations.
 """
 import numpy as np
 
-from nltariff.agent import best_response_closed_form, participation_set
+from nltariff.agent import participation_set
 from nltariff.closed_form import B_gamma
+from nltariff.evaluation import consumption_from_slopes
 from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
@@ -169,8 +170,8 @@ def check_const_solver_invariants(params):
 
     # envelope identity at a few random participating types
     if x0 < 1.0 - 1e-6:
-        for x in np.linspace(x0 + 1e-6, 1.0 - 1e-6, 5):
-            c = best_response_closed_form(p_star, 0.0, float(x), params)
+        xs = np.linspace(x0 + 1e-6, 1.0 - 1e-6, 5)
+        for x, c in zip(xs, consumption_from_slopes(p_star.slopes(xs), xs, params)[0]):
             if c <= 0:
                 continue
             u = float(eval_utility(0.0, float(x), c, params))

@@ -6,11 +6,11 @@ from numpy.testing import assert_allclose
 from nltariff.agent import (
     IndirectUtility,
     ParticipationSet,
-    best_response_closed_form,
     best_response_grid,
     participation_set,
 )
 from nltariff.errors import DomainError
+from nltariff.evaluation import consumption_from_slopes
 from nltariff.model import ConstantReservation, canonical_params
 from nltariff.tariff import Tariff, TariffSegment
 
@@ -22,6 +22,12 @@ def flat_slope_utility(params, slope):
         lambda x: np.tile(slope * np.asarray(x), (nt, 1)),
         lambda x: np.full((nt, np.asarray(x).size), slope),
     )
+
+
+def envelope_consumption(p_star, xs, params):
+    """c*(t_0, x) on the types xs from the envelope formula."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return consumption_from_slopes(p_star.slopes(xs), xs, params)[0]
 
 
 def linear_tariff(params, p2, p3=0.0):
@@ -36,21 +42,22 @@ def linear_tariff(params, p2, p3=0.0):
 def test_zero_marginal_rent_means_zero_consumption_industrial():
     params = canonical_params(0.5, reservation=ConstantReservation(0.05))
     p_star = flat_slope_utility(params, 0.0)
-    assert best_response_closed_form(p_star, 0.0, 0.3, params) == 0.0
+    assert envelope_consumption(p_star, 0.3, params)[0] == 0.0
 
 
 def test_unit_slope_residential_example():
     params = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
     p_star = flat_slope_utility(params, 1.0)
     # c* = ((-1 / -1) * 1)^(1/-1) = 1
-    assert_allclose(best_response_closed_form(p_star, 0.0, 0.4, params), 1.0)
+    assert_allclose(envelope_consumption(p_star, 0.4, params), 1.0)
 
 
 def test_zero_slope_residential_flags_nonparticipation():
+    # consumption would diverge, so the type cannot be a participating one:
+    # the kernel gives it consumption 0, as consumption.csv writes it
     params = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
     p_star = flat_slope_utility(params, 0.0)
-    with pytest.raises(DomainError):
-        best_response_closed_form(p_star, 0.0, 0.4, params)
+    assert envelope_consumption(p_star, 0.4, params)[0] == 0.0
 
 
 def test_linear_tariff_analytic_best_response():
@@ -77,7 +84,7 @@ def test_closed_form_vs_grid_at_benchmark(bench1_solution, bench1_config):
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
     grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 3001)
-    c_cf = best_response_closed_form(p_star, 0.0, 0.9, params)
+    c_cf = envelope_consumption(p_star, 0.9, params)[0]
     c_gr, value = best_response_grid(tariff, 0.0, 0.9, grid, params, refine=True)
     assert abs(c_cf - c_gr) <= np.diff(grid).max()
     # achieved value equals the indirect utility after refinement
@@ -88,12 +95,9 @@ def test_envelope_identity_on_participation_set(bench1_solution, bench1_config):
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
     xs = np.linspace(report.boundary["x0"] + 1e-6, 1.0, 41)
-    for x in xs:
-        c = best_response_closed_form(p_star, 0.0, float(x), params)
-        u = params.g(np.asarray([x]))[0] * params.phi[0] * c ** params.gamma / params.gamma
-        lhs = float(tariff.price(0, np.asarray([c]))[0])
-        rhs = u - p_star.values(np.asarray([x]))[0, 0]
-        assert abs(lhs - rhs) <= 1e-8
+    c = envelope_consumption(p_star, xs, params)
+    u = params.g(xs) * params.phi[0] * c ** params.gamma / params.gamma
+    assert np.all(np.abs(tariff.price(0, c) - (u - p_star.values(xs)[0])) <= 1e-8)
 
 
 # -- participation ----------------------------------------------------------
@@ -203,8 +207,8 @@ def test_staple_consumption_positive_for_participants(bench2_solution, bench2_co
     report, _, p_star = bench2_solution
     params = bench2_config.params
     xs = np.linspace(report.boundary["x0"] + 1e-9, 1.0 - 1e-9, 100)
-    for x in xs:
-        assert best_response_closed_form(p_star, 0.0, float(x), params) > 0.0
+    c = envelope_consumption(p_star, xs, params)
+    assert np.all((c > 0.0) & np.isfinite(c))
 
 
 def test_grid_value_never_exceeds_indirect_utility(bench1_solution, bench1_config):

@@ -383,7 +383,7 @@ PINNED_REPORTS = {
         "[{'x0': 0.9647940442438017}, 0.0017602977878099172, 2.2475308154946991e-13, None, "
         "[[0.0, 0.017742689895560743, 0.0552912230376519, 0.0, None]]]",
     ("residential_constant_h", "general"):
-        "[{'x0': 0.964794043528709}, 0.0017602977878099155, 2.0311660339870375e-09, None, "
+        "[{'x0': 0.9647940445795213}, 0.0017602977878099163, 9.535774947487907e-10, None, "
         "[[None, None, None, 0.0001, None]]]",
     ("residential_log_h", "shipped"):
         "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699155224, 2.1440285188872623e-09, "
@@ -486,6 +486,37 @@ def test_config_fuzz_exits_2(tmp_path, capsys, fields, named):
     assert code == 2, err
     assert err.startswith("config error:") and named in err
     assert not (tmp_path / "o").exists()
+
+
+def _residential_taste_table(x):
+    """The residential canonical taste g = 1 - x, tabulated on the nodes x."""
+    x = np.asarray(x, dtype=float)
+    return {"form": "tabulated", "x": x.tolist(), "values": (1.0 - x).tolist(), "derivative": [-1.0] * x.size}
+
+
+@pytest.mark.parametrize("x", [np.linspace(1.0, 0.0, 257), np.linspace(0.0, 0.5, 129), [0.0, 0.5, 0.5, 1.0]],
+                         ids=["decreasing", "half", "repeated"])
+def test_tabulated_taste_map_needs_an_increasing_grid_over_the_unit_interval(tmp_path, capsys, x):
+    """np.interp reads a table only on an increasing grid and holds its end
+    values outside it: a table listed from x = 1 down to 0 used to solve to
+    x0 = 0.99988 (0.96394 in increasing order), and one on [0, 0.5] to a
+    wrong x0, both with exit 0."""
+    doc = json.loads((CONFIG_DIR / "residential_constant_h.json").read_text())
+    doc["g"] = _residential_taste_table(x)
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: g: x grid must")
+    assert not (tmp_path / "o").exists()
+
+
+def test_tabulated_taste_map_in_increasing_order_solves(tmp_path):
+    doc = json.loads((CONFIG_DIR / "residential_constant_h.json").read_text())
+    doc["g"] = _residential_taste_table(np.linspace(0.0, 1.0, 257))
+    assert main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["route"] == "general"
+    assert abs(report["boundary"]["x0"] - 0.96394) < 1e-5
 
 
 def test_readme_schema_names_the_keys_the_loader_accepts():

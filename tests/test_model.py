@@ -265,6 +265,22 @@ def test_tabulated_density_renormalized_and_validated():
         TypeDistribution.tabulated(x, 2.0 * x * 1.01)  # off by 1e-2: rejected
 
 
+@pytest.mark.parametrize("x", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.5], [0.1, 0.5, 1.0], [0.0]],
+                         ids=["decreasing", "repeated", "short-top", "short-bottom", "one-node"])
+def test_tabulated_taste_map_refuses_a_grid_that_is_not_increasing_over_0_1(x):
+    with pytest.raises(InvalidParams) as exc:
+        TasteMap.tabulated(x, np.zeros(len(x)), np.ones(len(x)))
+    assert exc.value.field == "g"
+
+
+def test_tabulated_taste_map_keeps_its_samples():
+    x = np.linspace(0.0, 1.0, 5)
+    g = TasteMap.tabulated(x, x ** 2, 2.0 * x)
+    assert g.form == "tabulated"
+    assert_allclose(g(np.array([0.25, 0.6])), [0.0625, 0.375])
+    assert_allclose(g.prime(np.array([0.25, 0.6])), [0.5, 1.2])
+
+
 def test_concave_reservation_needs_strict_concavity():
     x = np.linspace(0.0, 1.0, 51)
     with pytest.raises(InvalidReservation):

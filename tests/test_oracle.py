@@ -161,8 +161,10 @@ def test_slope_search_matches_full_scan(gamma, size):
 
 def test_slope_search_window_absorbs_rounding_at_a_flat_peak():
     """With gamma = 1 - 1e-12 the gain at its peak is flat to a few ulp, so
-    the sign of gain[k+1] - gain[k] flips back and forth there and the
-    bisection can stop one or two slopes away from the first maximum."""
+    a breakpoint prediction can land one or two slopes away from the first
+    maximum, and a neighbour can look higher by rounding alone. Such a peak
+    never drops by the margin on both sides, so the row goes to the
+    whole-row scan, which returns the first maximum as np.argmax does."""
     gamma = 1.0 - 1e-12
     rng = np.random.default_rng(7)
     slope_grid = _slope_grid_for(canonical_params(0.5), 3.0, 1500)

@@ -1,6 +1,8 @@
 """Constant-reservation solver: closed forms against independent oracles."""
+import dataclasses
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +11,20 @@ from numpy.testing import assert_allclose
 
 from nltariff.cli import load_config
 from nltariff.closed_form import B_gamma
+from nltariff import solver_const_h
 from nltariff.errors import InvalidReservation
 from nltariff.model import (
     ConstantReservation,
     ScenarioConfig,
+    TabulatedCost,
     TypeDistribution,
     canonical_params,
 )
+from nltariff.numerics import trapezoid
 from nltariff.solver_const_h import (
     ALPHA_GRID,
     alpha_objective,
+    beta_fn,
     build_tariff_const_h,
     capacity_A,
     chi,
@@ -153,27 +159,73 @@ def test_ell_closed_form_at_half():
     assert_allclose(ell_const(0.5, p), 0.5 / 3.0, rtol=1e-14)
 
 
-def test_ell_quadrature_matches_riemann_oracle_for_linear_density():
+def test_ell_quadrature_matches_riemann_oracle_for_linear_density(monkeypatch):
     # f(x) = 2x: the integrand reduces to ((3x^2-1)^+)^2/(2x); the dense
     # Riemann value equals ln(3)/4 (frozen from a 4e6-node oracle)
     x = np.linspace(0.0, 1.0, 4001)
     dist = TypeDistribution.tabulated(x, 2.0 * x)
     p = canonical_params(0.5, reservation=ConstantReservation(0.05), f=dist)
-    val = ell_const(0.0, p, nodes=400_001)
+    monkeypatch.setattr(solver_const_h, "ELL_NODES", 400_001)
+    val = ell_const(0.0, p)
     assert_allclose(val, np.log(3.0) / 4.0, atol=1e-7)
+
+
+def reference_ell(x0, params):
+    """ell(x0) one threshold at a time: the trapezoid on its own grid."""
+    if x0 >= 1.0:
+        return 0.0
+    xs = np.linspace(x0, 1.0, solver_const_h.ELL_NODES)
+    integrand = np.maximum(beta_fn(xs, params), 0.0) ** (1.0 / (1.0 - params.gamma))
+    return float(trapezoid(integrand, xs))
+
+
+def quadrature_params(gamma, off):
+    """A setting whose ell takes the quadrature: a tilted tabulated density,
+    or uniform types (whose density keeps the mesh's memory layout) with a
+    tabulated cost."""
+    if off == "f":
+        x = np.linspace(0.0, 1.0, 257)
+        return canonical_params(gamma, f=TypeDistribution.tabulated(x, 1.0 + 0.2 * (x - 0.5)))
+    c = np.linspace(0.0, 20.0, 401)
+    return dataclasses.replace(canonical_params(gamma), n=None,
+                               cost_table=TabulatedCost.from_samples(c, c ** 2 / 2, c))
+
+
+@pytest.mark.parametrize("off", ["f", "cost_table"])
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_ell_on_a_threshold_grid_matches_one_threshold_at_a_time(gamma, off):
+    p = quadrature_params(gamma, off)
+    x0 = np.concatenate([np.linspace(0.0, 1.0, 101), [0.5 + 1e-15, 1.0 - 1e-12, 1.0]])
+    grid = ell_const(x0, p)
+    loop = np.array([reference_ell(x, p) for x in x0])
+    np.testing.assert_array_equal(grid.view(np.uint64), loop.view(np.uint64))
+    assert grid[-1] == 0.0
+
+
+def test_ell_mesh_memory_stays_bounded():
+    """The threshold grid is integrated a block at a time: one mesh of all
+    1024 thresholds would hold 16 MB per temporary (65 MB traced peak)."""
+    p = quadrature_params(0.5, "cost_table")
+    tracemalloc.start()
+    try:
+        ell_const(np.linspace(0.0, 1.0, ALPHA_GRID), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # -- capacity -----------------------------------------------------------------
 
 def test_capacity_zero_at_empty_market():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    assert capacity_A(0.0, 1.0, p) == 0.0
+    assert capacity_A(0.0, ell_const(1.0, p), p) == 0.0
 
 
 def test_capacity_closed_form_benchmark():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
     # A = (1/6)^(1/3), and it must equal the aggregated optimal consumptions
-    assert_allclose(capacity_A(0.0, 0.5, p), (1.0 / 6.0) ** (1.0 / 3.0), rtol=1e-12)
+    assert_allclose(capacity_A(0.0, ell_const(0.5, p), p), (1.0 / 6.0) ** (1.0 / 3.0), rtol=1e-12)
     cfg = ScenarioConfig(params=p)
     report = solve_x0_star(cfg)
     _, p_star = build_tariff_const_h(cfg, report)
@@ -182,7 +234,7 @@ def test_capacity_closed_form_benchmark():
     slopes = p_star.slopes(xs)[0]
     cons = (p.gamma / (p.phi[0] * p.g.prime(xs)) * slopes) ** (1.0 / p.gamma)
     A_num = np.trapezoid(cons * p.f.pdf(xs), xs)
-    assert_allclose(A_num, capacity_A(0.0, x0, p), rtol=1e-7)
+    assert_allclose(A_num, capacity_A(0.0, ell_const(x0, p), p), rtol=1e-7)
 
 
 # -- threshold solve -----------------------------------------------------------

@@ -20,7 +20,7 @@ from nltariff.model import (
     eval_marginal_cost,
 )
 from nltariff.numerics import trapezoid
-from nltariff.solver_const_h import lower_bracket, optimal_slopes, upper_bracket
+from nltariff.solver_const_h import capacity_A, lower_bracket, optimal_slopes, upper_bracket
 from nltariff.solver_typed_h import (
     DEGENERATE_TOL,
     GRID_SIZE,
@@ -28,7 +28,6 @@ from nltariff.solver_typed_h import (
     _evaluate_mesh,
     build_bridge,
     build_tariff_typed_h,
-    capacity_A_typed,
     constraint_check_A2prime,
     mu_zero_residual,
     solve_a0_b0_star,
@@ -177,16 +176,16 @@ def test_certificates_match_fine_quadrature_oracle():
 
 def row_loop_certificates(a0, b0, params):
     """Xi and Psi one time row at a time, the reference for the factorized
-    certificates: the slope at each node from capacity_A_typed and
+    certificates: the slope at each node from capacity_A and
     eval_marginal_cost, then a trapezoid over time."""
-    ell = ell_ab(a0, b0, params)
+    t = params.time_grid
+    Kc = eval_marginal_cost(t, capacity_A(t, ell_ab(a0, b0, params), params), params)
     out = []
     for bracket, x in ((upper_bracket, a0), (lower_bracket, b0)):
-        rows = np.empty((params.time_grid.size, x.size))
-        for i, t in enumerate(params.time_grid):
-            Kc = eval_marginal_cost(t, capacity_A_typed(i, ell, params), params)
+        rows = np.empty((t.size, x.size))
+        for i in range(t.size):
             with np.errstate(divide="ignore", invalid="ignore"):
-                rows[i] = optimal_slopes(params.phi[i], bracket(x, params), params.f.pdf(x), Kc,
+                rows[i] = optimal_slopes(params.phi[i], bracket(x, params), params.f.pdf(x), Kc[:, i],
                                          params.g.prime(x), params.gamma)
         with np.errstate(invalid="ignore"):
             out.append(trapezoid(rows.T, params.time_grid))
