@@ -123,19 +123,14 @@ class ParticipationSet:
 # best responses
 # ---------------------------------------------------------------------------
 
-def _time_index(params, t):
-    i = int(np.argmin(np.abs(params.time_grid - t)))
-    return i
-
-
-def best_response_grid(p, t, x, c_grid, params, refine=False):
-    """Grid-search best response: maximize u(t,x,c) - p(t,c) over c_grid.
+def best_response_grid(p, i, x, c_grid, params, refine=False):
+    """Grid-search best response at time node ``i``: maximize
+    u(t_i,x,c) - p(t_i,c) over c_grid.
 
     Independent oracle for the closed-form consumption claims. With
     ``refine`` the argmax bracket is polished by golden-section on the
     continuous objective.
     """
-    i = _time_index(params, t)
     c_grid = np.asarray(c_grid, dtype=float)
     if isinstance(p, Tariff):
         prices = p.price(i, c_grid)

@@ -171,6 +171,8 @@ def load_config(path):
     horizon = _number(doc, "horizon", 1.0)
     if "time_grid" in doc:
         time_grid = _floats(doc["time_grid"], "time_grid")
+        if "time_nodes" in doc:
+            raise ConfigError("time_nodes", "give time_grid or time_nodes, not both")
     else:
         time_grid = np.linspace(0.0, horizon, _count(doc, "time_nodes", 9, minimum=2))
     cost_table = None

@@ -8,7 +8,7 @@ boundary. The two together referee closed forms against oracles.
 """
 import numpy as np
 
-from .agent import participation_set
+from .agent import IndirectUtility, participation_set
 from .errors import DomainError
 from .model import eval_cost
 from .numerics import golden_max, trapezoid
@@ -57,13 +57,12 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
             raise DomainError("grid mode needs a consumption grid when p_star is absent")
         sampled = tariff.sample(c_grid)
         ind, _ = u_transform_price_to_indirect(sampled, params, x_grid=np.linspace(0.0, 1.0, 2001))
-        from .agent import IndirectUtility
         p_star = IndirectUtility.from_samples(params.time_grid, ind.x_grid, ind.values)
         mode = "grid"
     part = participation_set(p_star, params)
     nt = params.time_grid.size
     if part.empty:
-        return float(-params.time_integral(eval_cost(params.time_grid, np.zeros(nt), params)))
+        return float(-params.time_integral(eval_cost(np.zeros(nt), params)))
 
     revenue = np.zeros(nt)
     aggregate = np.zeros(nt)
@@ -89,7 +88,7 @@ def principal_utility(tariff, params, p_star=None, mode="closed_form", c_grid=No
         revenue += trapezoid(prices * fvals[None, :], xs)
         aggregate += trapezoid(cons * fvals[None, :], xs)
 
-    profit_t = revenue - eval_cost(params.time_grid, aggregate, params)
+    profit_t = revenue - eval_cost(aggregate, params)
     return float(params.time_integral(profit_t))
 
 
@@ -160,5 +159,5 @@ def relaxed_objective(p_star, boundary, params, type_nodes=TYPE_NODES_PER_COMPON
             if Fb > 0.0:
                 boundary_term += -Fb * float(res(np.asarray([b0]))[0])
 
-    cost_t = eval_cost(params.time_grid, aggregate, params)
+    cost_t = eval_cost(aggregate, params)
     return float(params.time_integral(flow - cost_t) + boundary_term)

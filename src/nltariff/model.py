@@ -282,10 +282,11 @@ class ModelParams:
 
     def _validate_g(self):
         xs = np.linspace(0.0, 1.0, 257)
-        gp = self.g.prime(xs)
-        if self.gamma > 0 and np.any(gp <= 0):
+        # g' on the probe grid and the steps of g itself, a table's on its own grid
+        steps = np.concatenate([self.g.prime(xs), np.diff(self.g(xs if self.g.x is None else self.g.x))])
+        if self.gamma > 0 and not np.all(steps > 0):
             raise InvalidParams("g", "g must be increasing when gamma in (0,1)")
-        if self.gamma < 0 and np.any(gp >= 0):
+        if self.gamma < 0 and not np.all(steps < 0):
             raise InvalidParams("g", "g must be decreasing when gamma < 0")
 
     def _validate_reservation(self):
@@ -325,12 +326,6 @@ class ModelParams:
     def is_canonical_uniform_power(self):
         """True when the explicit closed forms apply."""
         return self.is_power_cost and self.g.form == "canonical" and self.f.form == "uniform"
-
-    def phi_at(self, t):
-        return np.interp(t, self.time_grid, self.phi)
-
-    def k_at(self, t):
-        return np.interp(t, self.time_grid, self.k)
 
     def time_integral(self, values_on_grid):
         return float(trapezoid(values_on_grid, self.time_grid))
@@ -375,8 +370,9 @@ class ScenarioConfig:
 # operations
 # ---------------------------------------------------------------------------
 
-def eval_utility(t, x, c, params):
-    """Instantaneous consumer utility g(x) phi(t) c^gamma / gamma.
+def eval_utility(x, c, params):
+    """Instantaneous consumer utility g(x) phi(t) c^gamma / gamma on every
+    time node; time is the last axis of the result.
 
     For gamma < 0 consumption must be strictly positive (utility diverges to
     -inf at zero consumption); for gamma in (0,1) zero consumption is allowed
@@ -388,55 +384,55 @@ def eval_utility(t, x, c, params):
         raise DomainError("consumption must be > 0 when gamma < 0")
     if gamma > 0 and np.any(c_arr < 0):
         raise DomainError("consumption must be >= 0")
-    phi = params.phi_at(t)
-    return params.g(x) * phi * c_arr ** gamma / gamma
+    return params.g(x) * params.phi * c_arr ** gamma / gamma
 
 
-def eval_cost(t, c_agg, params):
-    """Aggregate production cost K(t, c)."""
+def eval_cost(c_agg, params):
+    """Aggregate production cost K(t, c); a power cost puts time on the last
+    axis, so ``c_agg`` broadcasts against the time grid."""
     c = np.asarray(c_agg, dtype=float)
     if np.any(c < 0):
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
-        return params.k_at(t) * c ** params.n / params.n
+        return params.k * c ** params.n / params.n
     return params.cost_table.cost(c)
 
 
-def eval_marginal_cost(t, c_agg, params):
-    """Marginal production cost dK/dc(t, c); strictly increasing in c."""
+def eval_marginal_cost(c_agg, params):
+    """Marginal production cost dK/dc(t, c); strictly increasing in c.
+    Broadcasts like :func:`eval_cost`."""
     c = np.asarray(c_agg, dtype=float)
     if np.any(c < 0):
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
-        return params.k_at(t) * c ** (params.n - 1.0)
+        return params.k * c ** (params.n - 1.0)
     return params.cost_table.marginal(c)
 
 
-def g_K(t, c, params):
+def g_K(c, params):
     """Auxiliary increasing map c * (dK/dc)^(1/(1-gamma)) whose inverse gives
     the optimal aggregate consumption."""
     c = np.asarray(c, dtype=float)
-    return c * eval_marginal_cost(t, c, params) ** (1.0 / (1.0 - params.gamma))
+    return c * eval_marginal_cost(c, params) ** (1.0 / (1.0 - params.gamma))
 
 
-def g_K_inverse(t, y, gamma, params, root_tol=1e-12):
-    """Aggregate level c >= 0 with g_K(c) = y, elementwise in ``y``; a float
-    for a scalar ``y``.
+def g_K_inverse(y, params, root_tol=1e-12):
+    """Aggregate level c >= 0 with g_K(c) = y, elementwise in ``y``.
 
     Power cost admits the closed form c = (y / k(t)^(1/(1-gamma)))^((1-gamma)/(n-gamma)),
-    with ``t`` broadcasting against ``y``. A tabulated cost has no time
-    dependence; every y > 0 is inverted in one bracket-and-bisect.
+    with time on the last axis of ``y``. A tabulated cost has no time
+    dependence; every y > 0 is inverted in one bracket-and-bisect, and a
+    scalar ``y`` gives a float.
     """
     ys = np.asarray(y, dtype=float)
     # NaN fails every comparison, so test for what must hold
     if not np.all((ys >= 0.0) & (ys < np.inf)):
         raise DomainError("g_K inverse needs a finite y >= 0")
+    gamma = params.gamma
     if params.is_power_cost:
-        k = params.k_at(t)
-        c = (ys / k ** (1.0 / (1.0 - gamma))) ** ((1.0 - gamma) / (params.n - gamma))
-    else:
-        c = np.zeros(ys.shape)
-        pos = ys > 0.0
-        c[pos] = invert_increasing(lambda c: g_K(t, c, params), ys[pos],
-                                   hi0=max(params.cost_table.c[1], 1e-6), xtol=root_tol)
+        return (ys / params.k ** (1.0 / (1.0 - gamma))) ** ((1.0 - gamma) / (params.n - gamma))
+    c = np.zeros(ys.shape)
+    pos = ys > 0.0
+    c[pos] = invert_increasing(lambda c: g_K(c, params), ys[pos],
+                               hi0=max(params.cost_table.c[1], 1e-6), xtol=root_tol)
     return float(c) if ys.ndim == 0 else c

@@ -121,7 +121,7 @@ def _objective_given_slopes(params, x_nodes, slopes, cons, w, fvals):
     """Objective and aggregate of the slopes, given the screening weight
     w(x) and the density f(x) on ``x_nodes``."""
     flow, aggregate = trapezoid(np.stack([w[None, :] * slopes, cons * fvals[None, :]]), x_nodes)
-    cost = eval_cost(params.time_grid, aggregate, params)
+    cost = eval_cost(aggregate, params)
     return float(params.time_integral(flow - cost)), aggregate
 
 
@@ -147,7 +147,7 @@ def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
     stall = 0
     step = np.inf
     for it in range(1, FIXED_POINT_CAP + 1):
-        kappa = np.maximum(eval_marginal_cost(params.time_grid, aggregate, params), 1e-12)
+        kappa = np.maximum(eval_marginal_cost(aggregate, params), 1e-12)
         kf = (kappa[:, None] * fvals[None, :]).ravel()
         slopes, cons = _pointwise_best_slopes(rows, slope_grid, params.gamma, kf, breaks)
         slopes, cons = slopes.reshape(shape), cons.reshape(shape)
@@ -179,8 +179,7 @@ def _closed_form_slope_scale(params, x0):
     utility scaled by ten (only a bracket hint, never an answer)."""
     from .solver_const_h import capacity_A, ell_const, optimal_slopes, upper_bracket
 
-    t = params.time_grid
-    Kc = np.maximum(eval_marginal_cost(t, capacity_A(t, ell_const(x0, params), params), params), 1e-12)
+    Kc = np.maximum(eval_marginal_cost(capacity_A(ell_const(x0, params), params), params), 1e-12)
     xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
     with np.errstate(divide="ignore"):
         s = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs), Kc[:, None],

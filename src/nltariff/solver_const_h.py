@@ -93,26 +93,21 @@ def ell_const(x0, params):
     return float(ell[0]) if np.ndim(x0) == 0 else ell
 
 
-def capacity_A(t, ell, params):
-    """Aggregate consumption at the optimum for coverage ``ell`` at time ``t``.
+def capacity_A(ell, params):
+    """Aggregate consumption at the optimum for coverage ``ell`` on every
+    time node.
 
-    Elementwise: the result has shape ell.shape + t.shape, and is a float
-    when both are scalars. Power cost:
+    Elementwise: the result has shape ell.shape + (n_t,). Power cost:
     A = (phi/k)^(1/(n-gamma)) ell^((1-gamma)/(n-gamma)); general cost goes
     through the increasing-map inverse.
     """
     gamma = params.gamma
-    t = np.asarray(t, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    ell = ell.reshape(ell.shape + (1,) * t.ndim)
+    ell = np.asarray(ell, dtype=float)[..., None]
     if params.is_power_cost:
         n = params.n
-        node = np.asarray(params.phi_at(t) / params.k_at(t)) ** (1.0 / (n - gamma))
-        A = ell ** ((1.0 - gamma) / (n - gamma)) * node
-    else:
-        node = np.asarray(params.phi_at(t)) ** (1.0 / (1.0 - gamma))
-        A = g_K_inverse(t, ell * node, gamma, params)
-    return float(A) if np.ndim(A) == 0 else A
+        node = (params.phi / params.k) ** (1.0 / (n - gamma))
+        return ell ** ((1.0 - gamma) / (n - gamma)) * node
+    return g_K_inverse(ell * params.phi ** (1.0 / (1.0 - gamma)), params)
 
 
 def A_gamma(params):
@@ -137,10 +132,9 @@ def alpha_objective(x0, params):
     plus the boundary term (F(x0) - 1) H. Elementwise on a 1-D array of
     thresholds; a float for a scalar ``x0``."""
     x0s = np.atleast_1d(np.asarray(x0, dtype=float))
-    t = params.time_grid
-    A = capacity_A(t, ell_const(x0s, params), params)
-    vals = A * eval_marginal_cost(t, A, params) / params.gamma - eval_cost(t, A, params)
-    out = trapezoid(vals, t) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
+    A = capacity_A(ell_const(x0s, params), params)
+    vals = A * eval_marginal_cost(A, params) / params.gamma - eval_cost(A, params)
+    out = trapezoid(vals, params.time_grid) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
     return float(out[0]) if np.ndim(x0) == 0 else out
 
 
@@ -305,8 +299,7 @@ def _build_general(config, report):
     """Sampled emission for non-canonical primitives or tabulated costs."""
     params = config.params
     g = params.gamma
-    t = params.time_grid
-    nt = t.size
+    nt = params.time_grid.size
     # the binding reservation level, spread evenly over time: int s dt = H
     s = np.full(nt, params.reservation.H / params.horizon)
     x0 = report.boundary["x0"]
@@ -326,7 +319,7 @@ def _build_general(config, report):
         tariff = Tariff(gamma=g, time_grid=params.time_grid, segments=[seg],
                         simplified=True, meta={"x0": x0, "route": "general"})
         return tariff, p_star
-    Kc = eval_marginal_cost(t, capacity_A(t, ell, params), params)
+    Kc = eval_marginal_cost(capacity_A(ell, params), params)
     slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs),
                             Kc[:, None], params.g.prime(xs), g)
     # integrate from x0 so the binding constraint lands exactly on s(t)

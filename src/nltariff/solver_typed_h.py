@@ -506,8 +506,7 @@ def mu_zero_residual(solution, p_star, params):
         lo = a0 + (1.0 - a0) * interior_margin
         hi = 1.0 - (1.0 - a0) * interior_margin
         segments.append((upper_bracket, np.linspace(lo, hi, nodes)))
-    t = params.time_grid
-    Kc = eval_marginal_cost(t, capacity_A(t, ell_ab(a0, b0, params), params), params)[:, None]
+    Kc = eval_marginal_cost(capacity_A(ell_ab(a0, b0, params), params), params)[:, None]
     for bracket, xs in segments:
         fd = (p_star.values(xs + h) - p_star.values(xs - h)) / (2.0 * h)
         formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.pdf(xs), Kc,

@@ -4,7 +4,11 @@ import pytest
 from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
+    ModelParams,
     ScenarioConfig,
+    TabulatedCost,
+    TasteMap,
+    TypeDistribution,
     canonical_params,
 )
 
@@ -47,6 +51,27 @@ def log_reservation():
 
     return ConcaveReservation.from_callables(
         h, lambda x: 1.0 / np.maximum(np.asarray(x, dtype=float), 1e-300)
+    )
+
+
+def varying_profile_params(gamma, tabulated_cost):
+    """Canonical taste and uniform types with phi(t) and k(t) that vary over
+    5 time nodes, and either the power cost n = 2.5 or a tabulated cost with
+    marginal cost c/2 + c^2/10."""
+    t = np.linspace(0.0, 1.0, 5)
+    if tabulated_cost:
+        c = np.linspace(0.0, 20.0, 401)
+        cost = {"n": None, "cost_table": TabulatedCost.from_samples(c, c ** 2 / 4.0 + c ** 3 / 30.0,
+                                                                    c / 2.0 + c ** 2 / 10.0)}
+    else:
+        cost = {"n": 2.5}
+    return ModelParams(
+        gamma=gamma, horizon=1.0, time_grid=t,
+        phi=np.array([0.7, 1.3, 0.9, 2.1, 1.1]), k=np.array([1.6, 0.6, 1.2, 0.8, 2.4]),
+        g=TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1),
+        f=TypeDistribution.uniform(),
+        reservation=ConstantReservation(0.05 if gamma > 0 else -0.05),
+        **cost,
     )
 
 

@@ -111,23 +111,23 @@ def vectorized_phi(params, xs):
 
 def check_model_invariants(params):
     cs = np.geomspace(1e-3, 1e3, 31)
-    mc = np.asarray(eval_marginal_cost(0.0, cs, params))
-    assert np.all(np.diff(mc) > 0), "marginal cost must be strictly increasing"
+    mc = np.asarray(eval_marginal_cost(cs[:, None], params))
+    assert np.all(np.diff(mc, axis=0) > 0), "marginal cost must be strictly increasing"
 
-    ys = np.asarray(g_K(0.0, cs, params))
-    back = np.array([g_K_inverse(0.0, float(y), params.gamma, params) for y in ys])
-    assert np.max(np.abs(back - cs) / cs) < 1e-8, "g_K inverse round trip"
+    ys = np.asarray(g_K(cs[:, None], params))
+    back = np.array([g_K_inverse(y, params) for y in ys])
+    assert np.max(np.abs(back - cs[:, None]) / cs[:, None]) < 1e-8, "g_K inverse round trip"
 
     grid = np.linspace(0.2, 3.0, 41)
-    u = np.asarray(eval_utility(0.0, 0.6, grid, params))
-    d1 = np.diff(u)
-    d2 = np.diff(d1)
+    u = np.asarray(eval_utility(0.6, grid[:, None], params))
+    d1 = np.diff(u, axis=0)
+    d2 = np.diff(d1, axis=0)
     assert np.all(d1 > -1e-10), "utility increasing in consumption"
     assert np.all(d2 < 1e-10), "utility concave in consumption"
 
     xs = np.linspace(0.0, 1.0, 17)
-    ux = np.array([eval_utility(0.0, float(x), 0.7, params) for x in xs])
-    assert np.all(np.diff(ux) > 0), "utility increasing in type on both branches"
+    ux = np.array([eval_utility(float(x), 0.7, params) for x in xs])
+    assert np.all(np.diff(ux, axis=0) > 0), "utility increasing in type on both branches"
 
 
 def check_const_solver_invariants(params):
@@ -174,7 +174,7 @@ def check_const_solver_invariants(params):
         for x, c in zip(xs, consumption_from_slopes(p_star.slopes(xs), xs, params)[0]):
             if c <= 0:
                 continue
-            u = float(eval_utility(0.0, float(x), c, params))
+            u = float(eval_utility(float(x), c, params)[0])
             lhs = float(tariff.price(0, np.asarray([c]))[0])
             rhs = u - p_star.values(np.asarray([x]))[0, 0]
             assert abs(lhs - rhs) <= 1e-8, "envelope identity"

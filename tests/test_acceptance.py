@@ -116,7 +116,7 @@ def test_criterion_4_agent_oracle_agreement(bench1_solution, bench2_solution,
         cons = np.where(np.isfinite(cons), cons, 0.0)
         for j, x in enumerate(xs):
             c_cf = cons[j]
-            c_gr, val = best_response_grid(tariff, 0.0, float(x), grid, params, refine=True)
+            c_gr, val = best_response_grid(tariff, 0, float(x), grid, params, refine=True)
             i = int(np.searchsorted(grid, c_gr))
             local = np.max(np.diff(grid[max(i - 2, 0):i + 2])) if grid.size > 3 else np.inf
             # the staple-good domain is open at 0: clamp the closed form into
@@ -127,7 +127,7 @@ def test_criterion_4_agent_oracle_agreement(bench1_solution, bench2_solution,
         zero_below_half = True
         if params.gamma > 0:
             for x in np.linspace(0.0, 0.5, 100):
-                c_gr, _ = best_response_grid(tariff, 0.0, float(x), grid, params)
+                c_gr, _ = best_response_grid(tariff, 0, float(x), grid, params)
                 zero_below_half = zero_below_half and (c_gr == 0.0)
         ok_here = worst_step <= 0.0 and worst_val <= 1e-6 and zero_below_half
         ok = ok and ok_here

@@ -65,10 +65,10 @@ def test_linear_tariff_analytic_best_response():
     params = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
     tariff = linear_tariff(params, p2=4.0)
     grid = np.geomspace(1e-4, 10.0, 4001)
-    c_opt, _ = best_response_grid(tariff, 0.0, 0.0, grid, params)
+    c_opt, _ = best_response_grid(tariff, 0, 0.0, grid, params)
     step = np.max(np.diff(grid[(grid > 0.4) & (grid < 0.6)]))
     assert abs(c_opt - 0.5) <= step
-    c_ref, _ = best_response_grid(tariff, 0.0, 0.0, grid, params, refine=True)
+    c_ref, _ = best_response_grid(tariff, 0, 0.0, grid, params, refine=True)
     assert_allclose(c_ref, 0.5, atol=1e-9)
 
 
@@ -76,7 +76,7 @@ def test_free_power_maxes_out_grid():
     params = canonical_params(0.5, reservation=ConstantReservation(0.05))
     tariff = linear_tariff(params, p2=0.0)
     grid = np.linspace(0.0, 7.0, 500)
-    c_opt, _ = best_response_grid(tariff, 0.0, 0.8, grid, params)
+    c_opt, _ = best_response_grid(tariff, 0, 0.8, grid, params)
     assert c_opt == grid[-1]
 
 
@@ -85,7 +85,7 @@ def test_closed_form_vs_grid_at_benchmark(bench1_solution, bench1_config):
     params = bench1_config.params
     grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 3001)
     c_cf = envelope_consumption(p_star, 0.9, params)[0]
-    c_gr, value = best_response_grid(tariff, 0.0, 0.9, grid, params, refine=True)
+    c_gr, value = best_response_grid(tariff, 0, 0.9, grid, params, refine=True)
     assert abs(c_cf - c_gr) <= np.diff(grid).max()
     # achieved value equals the indirect utility after refinement
     assert_allclose(value, p_star.values(np.asarray([0.9]))[0, 0], atol=1e-6)
@@ -221,8 +221,8 @@ def test_grid_value_never_exceeds_indirect_utility(bench1_solution, bench1_confi
     exact = p_star.values(xs)[0]
     coarse_gap, refined_gap = 0.0, 0.0
     for j, x in enumerate(xs):
-        _, v0 = best_response_grid(tariff, 0.0, float(x), grid, params)
-        _, v1 = best_response_grid(tariff, 0.0, float(x), grid, params, refine=True)
+        _, v0 = best_response_grid(tariff, 0, float(x), grid, params)
+        _, v1 = best_response_grid(tariff, 0, float(x), grid, params, refine=True)
         assert v0 <= exact[j] + 1e-12
         assert v1 <= exact[j] + 1e-12
         coarse_gap = max(coarse_gap, exact[j] - v0)

@@ -464,10 +464,14 @@ BAD_CONFIGS = [
     ("horizon-inf", {"horizon": float("inf")}, "horizon"),
     ("reservation-inf", {"reservation": {"form": "constant", "value": float("inf")}}, "reservation"),
     ("g-nan", {"g": dict(TABLE, values=[0.0, float("nan"), 1.0])}, "g"),
+    # values against the branch: g' > 0 but g decreasing on the industrial branch
+    ("g-values-decreasing", {"g": dict(TABLE, values=[1.0, 0.5, 0.0])}, "g"),
     # too few time nodes
     ("time_nodes-1", {"time_nodes": 1}, "time_nodes"),
     ("time_nodes-0", {"time_nodes": 0}, "time_nodes"),
     ("time_nodes-negative", {"time_nodes": -3}, "time_nodes"),
+    # a node count next to an explicit grid, which would otherwise be ignored
+    ("time_grid-and-time_nodes", {"time_grid": [0.0, 0.25, 1.0], "time_nodes": 9}, "time_nodes"),
     # keys the loader does not read, which would otherwise be ignored
     ("time_node", {"time_node": 129}, "'time_node'"),
     ("solver.c_grid_size", {"solver": {"c_grid_size": 129}}, "'solver.c_grid_size'"),
@@ -517,6 +521,19 @@ def test_tabulated_taste_map_in_increasing_order_solves(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["route"] == "general"
     assert abs(report["boundary"]["x0"] - 0.96394) < 1e-5
+
+
+def test_tabulated_taste_values_must_run_in_the_branch_direction(tmp_path, capsys):
+    """The table of the test above with values x, which increase against
+    g' = -1, used to solve to x0 = 0.999875 with exit 0."""
+    doc = json.loads((CONFIG_DIR / "residential_constant_h.json").read_text())
+    x = np.linspace(0.0, 1.0, 257)
+    doc["g"] = dict(_residential_taste_table(x), values=x.tolist())
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: g: g must be decreasing")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_schema_names_the_keys_the_loader_accepts():

@@ -1,5 +1,6 @@
 """Every module-level import in the package, its tests and its tools is used
-by its module, and the oracle stays independent of the closed forms it audits.
+by its module, the package imports at module level only, and the oracle
+stays independent of the closed forms it audits.
 
 The package's ``__init__.py`` is exempt (its imports are the public
 re-exports), and so is any import line marked ``# noqa`` (a name kept for a
@@ -14,8 +15,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 ORACLE = ROOT / "src" / "nltariff" / "oracle.py"
 SOLVER_MODULES = ("solver_const_h", "solver_typed_h", "closed_form")
-MODULES = (sorted(p for p in (ROOT / "src" / "nltariff").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "nltariff").glob("*.py"))
+MODULES = ([p for p in PACKAGE if p.name != "__init__.py"]
            + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")))
+# the oracle's one grid-size hint from the solvers, imported where it is used
+GRID_HINT = ("oracle.py", "_closed_form_slope_scale")
 
 
 def unused_imports(source):
@@ -43,14 +47,37 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def function_imports(source):
+    """(line, outermost function) of each import inside a function body."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.setdefault(node.lineno, fn.name)
+    return sorted(found.items())
+
+
+def test_function_import_is_found():
+    source = ("import os\n"
+              "def f():\n"
+              "    def g():\n"
+              "        from . import a\n"
+              "    import sys\n")
+    assert function_imports(source) == [(4, "f"), (5, "f")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_package_imports_at_module_level(path):
+    found = function_imports(path.read_text())
+    assert [(line, fn) for line, fn in found if (path.name, fn) != GRID_HINT] == []
+
+
 def solver_mentions(source):
     """(line, text) of each line that names a solver module or the closed-form
     core, apart from the import inside ``_closed_form_slope_scale``: the one
     grid-size hint the oracle may take from the solvers."""
-    tree = ast.parse(source)
-    hint = {node.lineno for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name == "_closed_form_slope_scale"
-            for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)}
+    hint = {line for line, fn in function_imports(source) if fn == GRID_HINT[1]}
     pattern = re.compile(r"\b(%s)\b" % "|".join(SOLVER_MODULES))
     return [(i, line) for i, line in enumerate(source.splitlines(), 1)
             if pattern.search(line) and i not in hint]

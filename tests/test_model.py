@@ -19,27 +19,31 @@ from nltariff.model import (
     g_K,
     g_K_inverse,
 )
+from tests.conftest import varying_profile_params
+
+# both signs of gamma on both cost branches, power (False) and tabulated (True)
+COST_BRANCHES = pytest.mark.parametrize("gamma, tabulated", [(0.5, False), (-1.0, False), (0.5, True), (-1.0, True)])
 
 
 def test_eval_utility_industrial():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    assert_allclose(eval_utility(0.0, 0.5, 1.0, p), 1.0)   # 0.5 * 1 * 1 / 0.5
+    assert_allclose(eval_utility(0.5, 1.0, p), 1.0)   # 0.5 * 1 * 1 / 0.5
 
 
 def test_eval_utility_residential():
     p = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
-    assert_allclose(eval_utility(0.0, 0.0, 1.0, p), -1.0)  # (1-0) * 1 * 1^-1 / -1
+    assert_allclose(eval_utility(0.0, 1.0, p), -1.0)  # (1-0) * 1 * 1^-1 / -1
 
 
 def test_eval_utility_zero_consumption_rejected_when_staple():
     p = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
     with pytest.raises(DomainError):
-        eval_utility(0.0, 0.5, 0.0, p)
+        eval_utility(0.5, 0.0, p)
 
 
 def test_eval_utility_zero_consumption_ok_industrial():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    assert eval_utility(0.0, 0.5, 0.0, p) == 0.0
+    assert np.all(eval_utility(0.5, 0.0, p) == 0.0)
 
 
 @pytest.mark.parametrize("k, n, c, K_exp, Kc_exp", [
@@ -49,29 +53,29 @@ def test_eval_utility_zero_consumption_ok_industrial():
 ])
 def test_eval_cost_power(k, n, c, K_exp, Kc_exp):
     p = canonical_params(0.5, n=n, k=k, reservation=ConstantReservation(0.05))
-    assert_allclose(eval_cost(0.0, c, p), K_exp)
-    assert_allclose(eval_marginal_cost(0.0, c, p), Kc_exp)
+    assert_allclose(eval_cost(c, p), K_exp)
+    assert_allclose(eval_marginal_cost(c, p), Kc_exp)
 
 
 def test_eval_cost_rejects_negative():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
     with pytest.raises(DomainError):
-        eval_cost(0.0, -1.0, p)
+        eval_cost(-1.0, p)
 
 
 def test_g_K_inverse_power_closed_form():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    assert_allclose(g_K_inverse(0.0, 1.0, 0.5, p), 1.0)    # g_K(1) = 1 * 1^2 = 1
-    assert g_K_inverse(0.0, 0.0, 0.5, p) == 0.0
+    assert_allclose(g_K_inverse(1.0, p), 1.0)    # g_K(1) = 1 * 1^2 = 1
+    assert np.all(g_K_inverse(0.0, p) == 0.0)
 
 
 def test_g_K_inverse_example_residential():
     # c solving c (2 c^2)^(1/2) = 3, i.e. (3/sqrt(2))^(1/2); frozen from a
     # bisection oracle on the forward map
     p = canonical_params(-1.0, n=3.0, k=2.0, reservation=ConstantReservation(-0.1))
-    c = g_K_inverse(0.0, 3.0, -1.0, p)
+    c = g_K_inverse(3.0, p)
     assert_allclose(c, 1.4564753151219703, rtol=1e-12)
-    assert_allclose(g_K(0.0, c, p), 3.0, rtol=1e-12)
+    assert_allclose(g_K(c, p), 3.0, rtol=1e-12)
 
 
 def test_g_K_inverse_tabulated_cost_forward_check():
@@ -86,23 +90,23 @@ def test_g_K_inverse_tabulated_cost_forward_check():
         reservation=ConstantReservation(0.05),
     )
     for y in [0.03, 0.8, 5.0]:
-        c = g_K_inverse(0.0, y, 0.5, p, root_tol=1e-13)
-        assert_allclose(g_K(0.0, c, p), y, atol=1e-8, rtol=1e-8)
+        c = g_K_inverse(y, p, root_tol=1e-13)
+        assert_allclose(g_K(c, p), y, atol=1e-8, rtol=1e-8)
 
 
 def test_marginal_cost_strictly_increasing():
     p = canonical_params(0.5, n=1.7, reservation=ConstantReservation(0.05))
     cs = np.linspace(0.0, 10.0, 200)
-    mc = eval_marginal_cost(0.0, cs, p)
-    assert np.all(np.diff(mc) > 0)
+    mc = eval_marginal_cost(cs[:, None], p)
+    assert np.all(np.diff(mc, axis=0) > 0)
 
 
 def test_g_K_roundtrip_log_grid():
     p = canonical_params(-0.5, n=2.5, k=1.3, reservation=ConstantReservation(-0.1))
     cs = np.geomspace(1e-3, 1e3, 61)
-    ys = np.asarray(g_K(0.0, cs, p))
-    back = np.array([g_K_inverse(0.0, y, -0.5, p) for y in ys])
-    assert_allclose(back, cs, rtol=1e-8)
+    ys = np.asarray(g_K(cs[:, None], p))
+    back = np.array([g_K_inverse(y, p) for y in ys])
+    assert_allclose(back, np.broadcast_to(cs[:, None], back.shape), rtol=1e-8)
 
 
 def _tabulated_params(gamma, c, Kc):
@@ -126,7 +130,7 @@ def _scalar_g_K_inverse(y, params, root_tol=1e-12):
     where the bisection runs down to adjacent doubles, that alone moves the
     root by an ulp.
     """
-    fwd = lambda c: g_K(0.0, np.array([c]), params)[0]
+    fwd = lambda c: g_K(np.array([c]), params)[0]
     if y == 0.0:
         return 0.0
     hi = max(params.cost_table.c[1], 1e-6)
@@ -167,7 +171,7 @@ def _inverse_cases(gamma, seed):
         Kc = np.cumsum(rng.uniform(0.0, 2.0, m))
         p = _tabulated_params(gamma, c, Kc)
         hi0 = max(c[1], 1e-6)
-        top = float(g_K(0.0, c[-1:], p)[0])
+        top = float(g_K(c[-1:], p)[0])
         dyadic = hi0 * np.array([1.0, 2.0, 4.0, 0.5, 0.75, 0.625, 3.0, 5.5, 2.0 ** 20])
         ys = np.concatenate([
             [0.0, 0.0],
@@ -175,7 +179,7 @@ def _inverse_cases(gamma, seed):
             top * np.array([1.0, 1.5, 1e3, 1e9, 1e15]),
             10.0 ** rng.uniform(-12, 12, 12),
             [1e-60, 1e-200],
-            g_K(0.0, dyadic, p),
+            g_K(dyadic, p),
         ])
         yield p, ys
 
@@ -184,21 +188,67 @@ def _inverse_cases(gamma, seed):
 @pytest.mark.parametrize("gamma, seed", [(0.5, 3), (0.5, 11), (-1.0, 5), (-1.0, 17)])
 def test_g_K_inverse_array_matches_scalar_bisection_bitwise(gamma, seed, root_tol):
     for p, ys in _inverse_cases(gamma, seed):
-        got = g_K_inverse(0.0, ys, gamma, p, root_tol=root_tol)
+        got = g_K_inverse(ys, p, root_tol=root_tol)
         ref = np.array([_scalar_g_K_inverse(y, p, root_tol) for y in ys])
         np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         for y, r in zip(ys[::7], ref[::7]):
-            c = g_K_inverse(0.0, float(y), gamma, p, root_tol=root_tol)
+            c = g_K_inverse(float(y), p, root_tol=root_tol)
             assert type(c) is float and c == r
 
 
 def test_g_K_inverse_keeps_the_shape_of_y():
     p = _tabulated_params(-1.0, np.linspace(0.0, 20.0, 401), np.linspace(0.0, 20.0, 401))
     ys = np.array([[0.0, 0.5, 2.0], [3.0, 0.0, 1e4]])
-    got = g_K_inverse(np.linspace(0.0, 1.0, 3), ys, -1.0, p)
+    got = g_K_inverse(ys, p)
     assert got.shape == ys.shape
     assert got[0, 0] == got[1, 1] == 0.0
-    assert_allclose(g_K(0.0, got, p), ys, rtol=1e-10)
+    assert_allclose(g_K(got, p), ys, rtol=1e-10)
+
+
+def assert_bitwise(got, ref):
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@COST_BRANCHES
+def test_cost_kernels_follow_time_varying_profiles(gamma, tabulated):
+    """K, dK/dc and g_K on an (m, n_t) grid equal, bit for bit, the same
+    formulas evaluated one time node at a time with that node's k."""
+    p = varying_profile_params(gamma, tabulated)
+    c = np.random.default_rng(7).uniform(0.0, 5.0, (40, p.time_grid.size))
+    K, Kc, G = np.empty_like(c), np.empty_like(c), np.empty_like(c)
+    for i in range(c.shape[1]):
+        ci = c[:, i].copy()
+        if tabulated:
+            K[:, i] = np.interp(ci, p.cost_table.c, p.cost_table.K)
+            Kc[:, i] = np.interp(ci, p.cost_table.c, p.cost_table.Kc)
+        else:
+            K[:, i] = p.k[i] * ci ** p.n / p.n
+            Kc[:, i] = p.k[i] * ci ** (p.n - 1.0)
+        G[:, i] = ci * Kc[:, i] ** (1.0 / (1.0 - gamma))
+    assert_bitwise(eval_cost(c, p), K)
+    assert_bitwise(eval_marginal_cost(c, p), Kc)
+    assert_bitwise(g_K(c, p), G)
+
+
+@COST_BRANCHES
+def test_g_K_inverse_round_trip_on_time_varying_profiles(gamma, tabulated):
+    """g_K_inverse(g_K(c)) returns c, and equals, bit for bit, the inverse
+    taken one time node at a time: the closed form with that node's k, or
+    the scalar bisection of a tabulated cost."""
+    p = varying_profile_params(gamma, tabulated)
+    c = np.random.default_rng(8).uniform(0.01, 5.0, (40, p.time_grid.size))
+    y = g_K(c, p)
+    ref = np.empty_like(y)
+    for i in range(y.shape[1]):
+        if tabulated:
+            ref[:, i] = [_scalar_g_K_inverse(v, p) for v in y[:, i]]
+        else:
+            # a one-node slice of k keeps the array pow of the kernel
+            ref[:, i] = (y[:, i] / p.k[i:i + 1] ** (1.0 / (1.0 - gamma))) ** ((1.0 - gamma) / (p.n - gamma))
+    back = g_K_inverse(y, p)
+    assert_bitwise(back, ref)
+    assert_allclose(back, c, rtol=1e-9)
 
 
 @pytest.mark.parametrize("y", [np.nan, np.inf, -1.0, [0.5, np.nan]])
@@ -216,7 +266,7 @@ def test_g_K_inverse_refuses_y_outside_its_domain(y, tabulated, monkeypatch):
 
     monkeypatch.setattr(model, "g_K", forward_map_called)
     with pytest.raises(DomainError):
-        g_K_inverse(0.0, y, 0.5, p)
+        g_K_inverse(y, p)
 
 
 # -- validation -----------------------------------------------------------
@@ -304,5 +354,5 @@ def test_utility_monotone_in_type_both_branches():
     for gamma, H in [(0.5, 0.05), (-1.0, -0.1)]:
         p = canonical_params(gamma, reservation=ConstantReservation(H))
         xs = np.linspace(0.0, 1.0, 21)
-        u = np.array([eval_utility(0.0, x, 0.7, p) for x in xs])
-        assert np.all(np.diff(u) > 0)
+        u = np.array([eval_utility(x, 0.7, p) for x in xs])
+        assert np.all(np.diff(u, axis=0) > 0)

@@ -19,6 +19,7 @@ from nltariff.model import (
     TabulatedCost,
     TypeDistribution,
     canonical_params,
+    g_K_inverse,
 )
 from nltariff.numerics import trapezoid
 from nltariff.solver_const_h import (
@@ -32,7 +33,7 @@ from nltariff.solver_const_h import (
     solve_x0_star,
 )
 from nltariff.uconvex import check_u_convexity
-from tests.conftest import BENCH1, BENCH2
+from tests.conftest import BENCH1, BENCH2, varying_profile_params
 from tests.property_harness import continuity_gaps, shape_report
 
 
@@ -219,13 +220,13 @@ def test_ell_mesh_memory_stays_bounded():
 
 def test_capacity_zero_at_empty_market():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
-    assert capacity_A(0.0, ell_const(1.0, p), p) == 0.0
+    assert np.all(capacity_A(ell_const(1.0, p), p) == 0.0)
 
 
 def test_capacity_closed_form_benchmark():
     p = canonical_params(0.5, reservation=ConstantReservation(0.05))
     # A = (1/6)^(1/3), and it must equal the aggregated optimal consumptions
-    assert_allclose(capacity_A(0.0, ell_const(0.5, p), p), (1.0 / 6.0) ** (1.0 / 3.0), rtol=1e-12)
+    assert_allclose(capacity_A(ell_const(0.5, p), p), (1.0 / 6.0) ** (1.0 / 3.0), rtol=1e-12)
     cfg = ScenarioConfig(params=p)
     report = solve_x0_star(cfg)
     _, p_star = build_tariff_const_h(cfg, report)
@@ -234,7 +235,27 @@ def test_capacity_closed_form_benchmark():
     slopes = p_star.slopes(xs)[0]
     cons = (p.gamma / (p.phi[0] * p.g.prime(xs)) * slopes) ** (1.0 / p.gamma)
     A_num = np.trapezoid(cons * p.f.pdf(xs), xs)
-    assert_allclose(A_num, capacity_A(0.0, ell_const(x0, p), p), rtol=1e-7)
+    assert_allclose(A_num, capacity_A(ell_const(x0, p), p)[0], rtol=1e-7)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+@pytest.mark.parametrize("tabulated", [False, True], ids=["power", "tabulated"])
+def test_capacity_on_time_varying_profiles_matches_node_by_node(gamma, tabulated):
+    """capacity_A on a threshold grid equals, bit for bit, the capacity
+    computed one time node at a time from that node's phi and k."""
+    p = varying_profile_params(gamma, tabulated)
+    ell = ell_const(np.linspace(0.0, 1.0, 12), p)
+    ref = np.empty((ell.size, p.time_grid.size))
+    for i in range(p.time_grid.size):
+        # one-node slices keep the array pow of the kernel
+        phi, k = p.phi[i:i + 1], p.k[i:i + 1]
+        if tabulated:
+            ref[:, i] = g_K_inverse(ell * phi ** (1.0 / (1.0 - gamma)), p)
+        else:
+            ref[:, i] = ell ** ((1.0 - gamma) / (p.n - gamma)) * (phi / k) ** (1.0 / (p.n - gamma))
+    got = capacity_A(ell, p)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # -- threshold solve -----------------------------------------------------------

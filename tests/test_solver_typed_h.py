@@ -179,7 +179,7 @@ def row_loop_certificates(a0, b0, params):
     certificates: the slope at each node from capacity_A and
     eval_marginal_cost, then a trapezoid over time."""
     t = params.time_grid
-    Kc = eval_marginal_cost(t, capacity_A(t, ell_ab(a0, b0, params), params), params)
+    Kc = eval_marginal_cost(capacity_A(ell_ab(a0, b0, params), params), params)
     out = []
     for bracket, x in ((upper_bracket, a0), (lower_bracket, b0)):
         rows = np.empty((t.size, x.size))
