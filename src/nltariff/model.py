@@ -391,7 +391,7 @@ def eval_cost(c_agg, params):
     """Aggregate production cost K(t, c); a power cost puts time on the last
     axis, so ``c_agg`` broadcasts against the time grid."""
     c = np.asarray(c_agg, dtype=float)
-    if np.any(c < 0):
+    if (c < 0).any():
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
         return params.k * c ** params.n / params.n
@@ -402,7 +402,7 @@ def eval_marginal_cost(c_agg, params):
     """Marginal production cost dK/dc(t, c); strictly increasing in c.
     Broadcasts like :func:`eval_cost`."""
     c = np.asarray(c_agg, dtype=float)
-    if np.any(c < 0):
+    if (c < 0).any():
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
         return params.k * c ** (params.n - 1.0)

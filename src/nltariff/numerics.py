@@ -12,10 +12,15 @@ _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0  # golden ratio conjugate
 
 
 def trapezoid(y, x):
-    """Composite trapezoid of samples ``y`` over grid ``x`` (last axis)."""
+    """Composite trapezoid of samples ``y`` over grid ``x`` (last axis).
+
+    The expression ``np.trapezoid(y, x, axis=-1)`` evaluates, in its order
+    of operations, without its generic wrapper, so the result is bitwise
+    np.trapezoid's.
+    """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    return np.trapezoid(y, x, axis=-1)
+    return ((x[..., 1:] - x[..., :-1]) * (y[..., 1:] + y[..., :-1]) / 2.0).sum(-1)
 
 
 def cumtrapz(y, x):

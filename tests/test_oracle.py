@@ -9,18 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nltariff import oracle
+from nltariff import cli, oracle
 from nltariff.cli import load_config
-from nltariff.model import ConstantReservation, canonical_params
+from nltariff.errors import NonConvergence
+from nltariff.model import ConstantReservation, canonical_params, eval_cost, eval_marginal_cost
 from nltariff.oracle import (
+    OracleResult,
     _breakpoints,
     _objective_given_slopes,
     _pointwise_best_slopes,
+    _row_constants,
+    _screening_weight,
     _slope_grid_for,
     oracle_relaxed_maximize_const_h,
 )
-from nltariff.solver_const_h import solve_x0_star
+from nltariff.solver_const_h import capacity_A, ell_const, optimal_slopes, solve_x0_star, upper_bracket
 from nltariff.tariff import Tariff, TariffSegment
+from tests.conftest import varying_profile_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -86,6 +91,46 @@ def test_oracle_converges_under_refinement(bench1_config):
         errors.append(abs(res.value - report.principal_utility))
     assert errors[2] <= errors[0] + 1e-6
     assert errors[2] <= errors[1] + 1e-6
+
+
+# -- the fixed point's cap ------------------------------------------------------
+
+def _residential_fixed_point_case():
+    """A residential threshold whose fixed point takes 19 rounds from a cold
+    start and 10 from its own converged aggregate, neither within 3."""
+    params = canonical_params(-1.0, reservation=ConstantReservation(-0.1), time_nodes=3)
+    return params, np.linspace(0.6, 1.0 - 1e-9, 60), _slope_grid_for(params, 3.0, 300)
+
+
+def test_fixed_point_still_moving_at_the_cap_raises(monkeypatch):
+    params, x_nodes, grid = _residential_fixed_point_case()
+    monkeypatch.setattr(oracle, "FIXED_POINT_CAP", 3)
+    with pytest.raises(NonConvergence, match="after 3 rounds"):
+        oracle._solve_fixed_point(params, x_nodes, grid)
+
+
+def test_warm_start_at_a_converged_aggregate_returns_at_the_cap(monkeypatch):
+    """Settled within 1e-3 but not yet stalled for 8 rounds: the cap returns
+    the best round, which is the converged one."""
+    params, x_nodes, grid = _residential_fixed_point_case()
+    value, slopes, agg, iterations = oracle._solve_fixed_point(params, x_nodes, grid)
+    assert iterations > 3
+    assert oracle._solve_fixed_point(params, x_nodes, grid, warm_start=agg)[3] > 3
+    monkeypatch.setattr(oracle, "FIXED_POINT_CAP", 3)
+    capped = oracle._solve_fixed_point(params, x_nodes, grid, warm_start=agg)
+    assert capped[3] == 3
+    assert capped[0] == value
+    assert np.array_equal(capped[1], slopes) and np.array_equal(capped[2], agg)
+
+
+def test_cli_reports_a_fixed_point_at_its_cap_as_a_solver_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "FIXED_POINT_CAP", 1)
+    out = tmp_path / "out"
+    assert cli.main(["solve", str(CONFIG_DIR / "industrial_constant_h.json"), "--oracle", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: aggregate fixed point still moving")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # -- the slope search against a full scan --------------------------------------
@@ -253,6 +298,28 @@ def test_breakpoint_search_rarely_scans_whole_rows(family, monkeypatch):
     assert solved["scanned"] <= 0.01 * solved["all"]
 
 
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_peaks_at_the_grid_ends_take_no_scan(gamma, monkeypatch):
+    """A row whose gain peaks at the first or the last slope has one
+    neighbour outside the grid, which drops by +inf: the prediction is kept
+    without the whole-row scan, and it is the full scan's answer."""
+    slope_grid = _slope_grid_for(canonical_params(gamma), 3.0, 1500)
+    rng = np.random.default_rng(11)
+    p, half = 1.0 / gamma, 100
+    a = np.exp(rng.uniform(-3.0, 3.0, 2 * half))
+    kf = np.exp(rng.uniform(-3.0, 3.0, 2 * half))
+    # the gain's stationary slope far below, then far above the grid
+    stationary = np.repeat([slope_grid[1] * 1e-3, slope_grid[-1] * 1e3], half)
+    w = kf * p * a ** p * stationary ** (p - 1.0)
+    if gamma > 0:
+        w[:half] *= -1.0      # no stationary slope at all: the gain falls from s = 0
+    solved = _count_scanned_rows(monkeypatch)
+    _assert_matches_full_scan((a, w), slope_grid, gamma, kf)
+    slopes, _ = oracle._pointwise_best_slopes((a, w), slope_grid, gamma, kf)
+    assert (slopes[:half] == slope_grid[0]).all() and (slopes[half:] == slope_grid[-1]).all()
+    assert solved == {"all": 2 * half, "scanned": 0}
+
+
 def test_flat_peaks_take_the_whole_row_scan(monkeypatch):
     """With gamma = 1 - 1e-12 the gain at its peak is flat to a few ulp, so
     no predicted peak clears the margin: those rows are scanned whole, and
@@ -265,10 +332,10 @@ def test_flat_peaks_take_the_whole_row_scan(monkeypatch):
     assert solved["scanned"] > 0.5 * solved["all"]
 
 
-def _non_power_params(tmp_path, family, variant):
-    """A shipped constant-H family on a tabulated cost, or with tabulated g
-    and f, at 3 time nodes."""
-    doc = json.loads((CONFIG_DIR / f"{family}.json").read_text())
+def _non_power_params(tmp_path, family, variant, config_dir=CONFIG_DIR):
+    """A constant-H family on a tabulated cost, or with tabulated g and f,
+    from ``config_dir`` (the shipped configs, at 3 time nodes)."""
+    doc = json.loads((config_dir / f"{family}.json").read_text())
     if variant == "cost_table":
         n = doc.pop("n")
         c = np.linspace(0.0, 20.0, 401)
@@ -332,6 +399,138 @@ def test_oracle_state_does_not_leak_across_scenarios():
             proc.kill()
     assert [proc.returncode for proc in procs] == [0, 0]
     assert in_process == [fresh[0], fresh[1], fresh[0]]
+
+
+# -- the loop before one-pass rounds and per-stage hints ------------------------
+
+def _reference_slope_scale(params, x0):
+    """The slope-grid hint as it was computed for one threshold at a time."""
+    Kc = np.maximum(eval_marginal_cost(capacity_A(ell_const(x0, params), params), params), 1e-12)
+    xs = np.linspace(min(x0 + 1e-6, 1.0), 1.0 - 1e-9, 64)
+    with np.errstate(divide="ignore"):
+        s = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs), Kc[:, None],
+                           params.g.prime(xs), params.gamma)
+    s = s[np.isfinite(s)]
+    return max(float(np.max(s, initial=0.0)), 1e-6)
+
+
+def _reference_fixed_point(params, x_nodes, slope_grid, warm_start=None):
+    """The fixed point as its rounds were written before they were made
+    one-pass: a fresh slope search, np.stack and np.trapezoid every round.
+    The search is the full scan, which the breakpoint search equals."""
+    if warm_start is not None and np.all(np.isfinite(warm_start)) and np.any(warm_start > 0):
+        aggregate = np.maximum(warm_start, 1e-9)
+    else:
+        aggregate = np.full(params.time_grid.size, 1e-3)
+    w = _screening_weight(params, x_nodes)
+    fvals = params.f.pdf(x_nodes)
+    rows = _row_constants(params, x_nodes, w)
+    shape = (params.time_grid.size, x_nodes.size)
+    best = (-np.inf, None, None, 0)
+    stall = 0
+    for it in range(1, oracle.FIXED_POINT_CAP + 1):
+        kappa = np.maximum(eval_marginal_cost(aggregate, params), 1e-12)
+        kf = (kappa[:, None] * fvals[None, :]).ravel()
+        slopes, cons = _dense_best_slopes(rows, slope_grid, params.gamma, kf)
+        slopes, cons = slopes.reshape(shape), cons.reshape(shape)
+        flow, agg_actual = np.trapezoid(np.stack([w[None, :] * slopes, cons * fvals[None, :]]), x_nodes, axis=-1)
+        value = float(np.trapezoid(flow - eval_cost(agg_actual, params), params.time_grid, axis=-1))
+        if best[1] is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
+            best = (value, slopes, agg_actual, it)
+            stall = 0
+        else:
+            stall += 1
+        step = np.max(np.abs(agg_actual - aggregate)) / max(1e-12, np.max(np.abs(aggregate)))
+        aggregate = oracle.FIXED_POINT_DAMPING * aggregate + (1.0 - oracle.FIXED_POINT_DAMPING) * agg_actual
+        if step < oracle.FIXED_POINT_TOL or stall >= 8:
+            return best[0], best[1], best[2], it
+    raise AssertionError("the reference fixed point reached its cap")
+
+
+def _reference_oracle(params, type_grid_size, slope_grid_size, x0_candidates):
+    """``oracle_relaxed_maximize_const_h`` as it evaluated one threshold at a
+    time (``eval_x0``), each with its own slope-grid hint."""
+    H = params.reservation.H
+    best = OracleResult(value=0.0, x0=1.0, slopes=np.zeros((params.time_grid.size, 1)),
+                        x_nodes=np.asarray([1.0]), aggregate=np.zeros(params.time_grid.size), iterations=0)
+    evaluated = []
+    warm_agg = None
+
+    def eval_x0(x0):
+        nonlocal warm_agg
+        if x0 >= 1.0 - 1e-12:
+            return 0.0, None
+        x_top = 1.0 if params.gamma > 0 else 1.0 - 1e-9
+        x_nodes = np.linspace(x0, x_top, type_grid_size)
+        s_max = 10.0 * _reference_slope_scale(params, x0)
+        grid = _slope_grid_for(params, s_max, slope_grid_size)
+        value, slopes, agg, iters = _reference_fixed_point(params, x_nodes, grid, warm_start=warm_agg)
+        warm_agg = agg
+        value += (float(params.f.cdf(x0)) - 1.0) * H
+        return value, (slopes, x_nodes, agg, iters)
+
+    def visit(x0s):
+        nonlocal best
+        for x0 in x0s:
+            v, payload = eval_x0(float(x0))
+            evaluated.append((float(x0), v))
+            if v > best.value and payload is not None:
+                best = OracleResult(value=v, x0=float(x0), slopes=payload[0], x_nodes=payload[1],
+                                    aggregate=payload[2], iterations=payload[3])
+
+    visit(x0_candidates)
+    span = float(x0_candidates[1] - x0_candidates[0])
+    for _ in range(3):
+        visit(np.linspace(max(best.x0 - span, 0.0), min(best.x0 + span, 1.0), 9))
+        span /= 4.0
+    best.x0_values = sorted(evaluated)
+    return best
+
+
+def _profile_params(tmp_path, family, nodes, seed, variant=None):
+    """A shipped constant-H family on seeded smooth phi(t), k(t) over
+    ``nodes`` time nodes, optionally on a tabulated cost or taste map and
+    density (as ``_non_power_params``)."""
+    rng = np.random.default_rng([seed, nodes])
+    t = np.linspace(0.0, 1.0, nodes)
+    doc = json.loads((CONFIG_DIR / f"{family}.json").read_text())
+    amp, shift = rng.uniform(0.05, 0.35, 2), rng.uniform(0.0, 2.0 * np.pi, 2)
+    doc["time_nodes"] = nodes
+    doc["phi"] = (1.0 + amp[0] * np.sin(2.0 * np.pi * t + shift[0])).tolist()
+    doc["k"] = (rng.uniform(0.6, 1.6) * (1.0 + amp[1] * np.cos(2.0 * np.pi * t + shift[1]))).tolist()
+    path = tmp_path / f"{family}-{nodes}-{seed}.json"
+    path.write_text(json.dumps(doc))
+    if variant is None:
+        return load_config(path).params
+    return _non_power_params(tmp_path, path.stem, variant, config_dir=tmp_path)
+
+
+@pytest.mark.parametrize("case", ["3-1", "3-2", "9-1", "3-1-cost_table", "3-1-tabulated_g_f"])
+@pytest.mark.parametrize("family", ["industrial_constant_h", "residential_constant_h"])
+def test_oracle_result_identical_to_the_per_threshold_loop(family, case, tmp_path):
+    """The one-pass rounds, the per-stage slope-grid hint and the reuse of a
+    round whose slopes repeat give the result of the loop they replaced, bit
+    for bit, on varying profiles and off the power path."""
+    nodes, seed, *variant = case.split("-", 2)
+    params = _profile_params(tmp_path, family, int(nodes), int(seed), *variant)
+    sizes = dict(type_grid_size=60, slope_grid_size=300, x0_candidates=np.linspace(0.0, 1.0, 11))
+    fast = oracle_relaxed_maximize_const_h(params, **sizes)
+    ref = _reference_oracle(params, **sizes)
+    assert fast.x0 < 1.0
+    assert (fast.value, fast.x0, fast.iterations, fast.x0_values) == \
+        (ref.value, ref.x0, ref.iterations, ref.x0_values)
+    for name in ("slopes", "x_nodes", "aggregate"):
+        assert np.array_equal(getattr(fast, name), getattr(ref, name))
+
+
+def test_slope_scale_is_elementwise():
+    """One call over a stage's thresholds gives each threshold's hint of a
+    call of its own, in blocks and off the power path alike."""
+    params = varying_profile_params(-1.0, tabulated_cost=True)
+    x0s = np.concatenate([np.linspace(0.0, 1.0 - 1e-9, 37), [1.0 - 1e-9 - 1e-6]])
+    hint = oracle._closed_form_slope_scale(params, x0s)
+    assert hint.tolist() == [_reference_slope_scale(params, x0) for x0 in x0s.tolist()]
+    assert oracle._closed_form_slope_scale(params, 0.3) == _reference_slope_scale(params, 0.3)
 
 
 # -- agent sweeps ---------------------------------------------------------------
