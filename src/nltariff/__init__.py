@@ -2,8 +2,9 @@
 
 The library solves the provider's contract-design problem against a continuum
 of private types, for constant or strictly concave type-dependent outside
-options, and ships independent brute-force oracles that certify the closed
-forms. See the README for the CLI entry points.
+options, and ships independent checks that certify the closed forms: a
+Lagrangian-dual upper bound on the constant-reservation optimum and
+grid-search best responses. See the README for the CLI entry points.
 """
 
 from .agent import (
@@ -21,7 +22,6 @@ from .errors import (
     InfeasibleSet,
     InvalidParams,
     InvalidReservation,
-    NonConvergence,
 )
 from .evaluation import principal_utility, relaxed_objective
 from .model import (

@@ -433,7 +433,7 @@ def build_parser():
     solve = sub.add_parser("solve", help="solve one scenario and write report files")
     solve.add_argument("config", help="scenario configuration (JSON)")
     solve.add_argument("--out", default="out", help="output directory")
-    solve.add_argument("--oracle", action="store_true", help="also run the brute-force audit")
+    solve.add_argument("--oracle", action="store_true", help="also run the independent audit")
     solve.add_argument("--full-tariff", action="store_true", help="disable simplified emission")
 
     sweep = sub.add_parser("sweep", help="comparative-statics sweep")

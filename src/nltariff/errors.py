@@ -45,10 +45,6 @@ class InfeasibleSet(NLTariffError):
     """No boundary pair satisfies the slope constraints."""
 
 
-class NonConvergence(NLTariffError):
-    """The oracle's aggregate fixed point oscillated beyond its iteration cap."""
-
-
 class ConfigError(NLTariffError):
     """A scenario configuration file failed validation."""
 

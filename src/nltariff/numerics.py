@@ -82,18 +82,19 @@ def golden_max(f, lo, hi, xtol=1e-10, max_iter=200):
     return x, f(x)
 
 
-def grid_then_golden_max(f, lo, hi, grid_size, xtol=1e-10):
-    """Global 1D maximization: dense scan, then golden-section refinement.
+def grid_then_golden_max(f, xs, xtol=1e-10):
+    """Global 1D maximization: a scan of the increasing grid ``xs``, then
+    golden-section refinement between the best point's neighbours.
 
     ``f`` is called once on the whole scan grid and must then return one
     value per point; the refinement calls it on scalars. Returns
     (x_star, value).
     """
-    xs = np.linspace(lo, hi, grid_size)
+    xs = np.asarray(xs, dtype=float)
     vals = np.asarray(f(xs))
     i = int(np.argmax(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_size - 1)]
+    b = xs[min(i + 1, xs.size - 1)]
     x_star, v_star = golden_max(f, a, b, xtol=xtol)
     if vals[i] > v_star:
         x_star, v_star = xs[i], vals[i]

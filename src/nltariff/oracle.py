@@ -1,49 +1,57 @@
-"""Brute-force verification of the constant-reservation optimum.
+"""Lagrangian-dual certificate of the constant-reservation optimum.
 
-The oracle maximizes the discretized screening objective without touching any
-closed form: for a candidate threshold it alternates between a pointwise
-slope choice on a finite slope grid (given the current marginal cost) and a
-recomputation of the aggregate, a damped fixed point that lands on the
-discrete optimum because the objective is concave in the slopes. Each row's
-slope is the one ``np.argmax`` over its whole grid picks; the grid's
-breakpoints only predict it, and a prediction that is not a strict peak by a
-margin far above rounding sends the row to that whole-row scan.
+Fix the threshold x0 and a time node t. By the envelope formula a type's
+indirect utility has slope phi_t g' c^gamma / gamma at consumption c, so the
+relaxed screening problem, in the served types' consumptions on [x0, 1], is
 
-The thresholds come in stages: the coarse candidates, then three zooms of 9
-around the best so far. Per stage, one call of the slope-grid hint sizes the
-slope grids of all its thresholds below 1. Per threshold, the type grid, the
-slope grid, its breakpoints, the rows' constants and levels and a scratch
-array for the flow and consumption planes are made once. Per round, only the
-marginal cost is new: one breakpoint search with its three-slope check, then,
-unless the slopes repeat the last round's, one trapezoid of both planes. The
-thresholds are evaluated one after another, because each fixed point starts
-from the aggregate of the one before: that warm start is part of the result,
-so neither the order of the thresholds nor the count of rounds may change.
+    max_c  int B c^gamma dx - K_t(int c f dx),   B = w phi_t g' / gamma,
+
+with the screening weight w = (g f + g'(F - 1)) / g'. Each row term is
+concave in c where gamma B > 0 and best left at c = 0 elsewhere, and the rows
+share one coupling, the aggregate cost. Pricing the aggregate at a marginal
+cost kappa separates them: by weak duality, for every kappa > 0
+
+    D_t(kappa) = max_c int (B c^gamma - kappa c f) dx + K_t*(kappa)
+
+bounds the node's optimum from above, and the best kappa attains it. The
+best rows consume c* = (gamma B / (kappa f))^(1/(1-gamma)), that is
+(phi_t / kappa)^(1/(1-gamma)) h with h = (max(w g', 0) / f)^(1/(1-gamma)).
+So one time-free quadrature, J(x0) = int_{x0}^{1} h f dx, gives every node's
+consumption C_t(kappa) = (phi_t / kappa)^(1/(1-gamma)) J, and the rows'
+value is (1-gamma)/gamma kappa C_t. D_t is convex, with derivative
+A(kappa) - C_t(kappa) for A the inverse marginal cost: its minimum is the
+root of A^(1-gamma) K_t'(A) = phi_t J^(1-gamma), explicit for the power cost
+and bisected for a cost table. At kappa = K_t'(A), K_t*(kappa) =
+kappa A - K_t(A), and the threshold's bound is
+
+    Phi(x0) = int_0^T D_t dt + (F(x0) - 1) H,   0 at x0 = 1 (no contract).
+
+Any kappa gives a bound, so an inexact root only loosens it, and a search
+that misses the maximum of Phi reads below the solver's profit: an alarm,
+not a false pass. No threshold equation, tariff or indirect utility enters.
+
+Phi is maximized on one quadrature that every threshold shares: a cumulative
+trapezoid of h f on a grid over [0, 1] graded toward x = 1, where the served
+set ends and the residential h f has a square-root end, plus the threshold's
+partial cell. A scan of the candidates and a golden-section refinement
+locate x0; the reported value is one trapezoid of h f on a grid of its own
+over [x0, 1]. Phi is flat at its peak, so the shared grid costs no value.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence
 from .model import eval_cost, eval_marginal_cost
-from .numerics import trapezoid
+from .numerics import cumtrapz, grid_then_golden_max, invert_increasing, trapezoid
 
-FIXED_POINT_DAMPING = 0.5
-FIXED_POINT_CAP = 100
-FIXED_POINT_TOL = 1e-10
-PEAK_MARGIN = 1e-12           # relative drop at a kept peak, far above rounding
-NEIGHBOURS = np.array([[0], [1], [2]])  # k - 1, k, k + 1 in the NaN-padded slope grid
-HINT_BLOCK = 16               # thresholds per block of the slope-grid hint's block x n_t x 64 arrays
+ROOT_TOL = 1e-12    # bisection tolerance of a cost table's dual root
 
 
 @dataclass(eq=False)
 class OracleResult:
     value: float
     x0: float
-    slopes: np.ndarray          # (n_t, n_x) best discretized dp*/dx
-    x_nodes: np.ndarray
-    aggregate: np.ndarray       # A(t) at the fixed point
-    iterations: int
+    iterations: int               # thresholds the search evaluated
     x0_values: list = field(default_factory=list)
 
 
@@ -52,235 +60,75 @@ def _screening_weight(params, x_nodes):
     return (params.g(x_nodes) * params.f.pdf(x_nodes) + gp * (params.f.cdf(x_nodes) - 1.0)) / gp
 
 
-def _row_constants(params, x_nodes, w):
-    """Per (t, x) row, time-major: a = gamma / (phi(t) g'(x)), so that the
-    consumption at slope s is c(s) = (a s)^(1/gamma), and the weight w(x)."""
-    gp = params.g.prime(x_nodes)
-    a = params.gamma / (params.phi[:, None] * gp[None, :])
-    return a.ravel(), np.tile(w, params.time_grid.size)
+def _coverage_density(params, x_nodes):
+    """h f on ``x_nodes``, h = (max(w g', 0) / f)^(1/(1-gamma))."""
+    fx = params.f.pdf(x_nodes)
+    weight = np.maximum(_screening_weight(params, x_nodes) * params.g.prime(x_nodes), 0.0)
+    return (weight / fx) ** (1.0 / (1.0 - params.gamma)) * fx
 
 
-def _gain(gamma, a, w, kf, s):
-    """Gain w s - kf c(s) of the rows (a, w, kf) at slopes s, one column per
-    row, with its terms w s and kf c(s) and the consumption c(s). c(s) is 0
-    where a s <= 0 or is NaN; the gain is not masked, so a pair whose c(s)
-    or w s is not finite may gain NaN or +inf."""
-    base = a * s
-    cons = base ** (1.0 / gamma)
-    cons[~(base > 0)] = 0.0
-    ws = w * s
-    kfc = kf * cons
-    return ws - kfc, ws, kfc, cons
+def _dual_aggregates(params, J):
+    """The aggregate A at each node's dual minimum, where
+    A^(1-gamma) K_t'(A) = phi_t J^(1-gamma); one row per coverage in the 1-D
+    array ``J``, one column per time node."""
+    gamma = params.gamma
+    y = params.phi * J[:, None] ** (1.0 - gamma)
+    if params.is_power_cost:
+        return (y / params.k) ** (1.0 / (params.n - gamma))
+    A = np.zeros(y.shape)
+    pos = y > 0.0
+    A[pos] = invert_increasing(lambda a: a ** (1.0 - gamma) * eval_marginal_cost(a, params), y[pos],
+                               hi0=max(params.cost_table.c[1], 1e-6), xtol=ROOT_TOL)
+    return A
 
 
-def _breakpoints(rows, slope_grid, gamma):
-    """The slope grid's breakpoints E_k = (s_{k+1}^(1/gamma) - s_k^(1/gamma))
-    / (s_{k+1} - s_k), and per row its level w / a^(1/gamma).
+def _dual_bound(params, x0s, J):
+    """Phi at the 1-D array of thresholds ``x0s`` with coverages ``J``."""
+    gamma = params.gamma
+    A = _dual_aggregates(params, J)
+    kappa = eval_marginal_cost(A, params)
+    # no consumption where A = 0, and kappa = K'(0) may be 0 there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = (params.phi / kappa) ** (1.0 / (1.0 - gamma)) * J[:, None]
+        rows = np.where(A > 0.0, (1.0 - gamma) / gamma * kappa * C, 0.0)
+    D = rows + kappa * A - eval_cost(A, params)
+    out = trapezoid(D, params.time_grid) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
+    return np.where(x0s < 1.0, out, 0.0)
 
-    With c(s) = (a s)^(1/gamma) and a, kf > 0, gain[k+1] > gain[k] holds
-    exactly when kf E_k < w / a^(1/gamma). s^(1/gamma) is convex on both
-    branches, so the E_k increase and the count of breakpoints below
-    level / kf predicts the row's first maximizer. Both depend on the grid
-    and the rows only, so they are computed once per threshold; kf is what
-    changes from round to round.
+
+def oracle_relaxed_maximize_const_h(params, type_grid_size=20001, x0_candidates=None):
+    """Maximize the dual bound Phi(x0) over thresholds.
+
+    ``type_grid_size`` is the node count of both quadratures of h f: the
+    shared grid over [0, 1] and the reported threshold's own grid.
+    ``x0_candidates`` is the increasing scan grid (41 points on [0, 1] by
+    default). Returns an OracleResult whose ``value`` bounds the optimum
+    from above, up to quadrature, and is attained at ``x0``; x0 = 1 with
+    value 0 is the empty contract, which wins when no threshold bounds
+    above 0. ``x0_values`` lists every threshold the search evaluated with
+    its bound on the shared grid.
     """
-    a, w = rows
-    p = 1.0 / gamma
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.diff(slope_grid ** p) / np.diff(slope_grid), w / a ** p
-
-
-def _scanned_best_slopes(rows, slope_grid, gamma, kf):
-    """Grid index of each row's first maximizer by ``np.argmax`` over the whole
-    grid, and its consumption. A pair whose c(s) or w s is not finite gains
-    -inf."""
-    a, w = rows
-    gain, ws, _, cons = _gain(gamma, a, w, kf, slope_grid[:, None])
-    gain[~(np.isfinite(cons) & np.isfinite(ws))] = -np.inf
-    best = np.argmax(gain, axis=0)
-    return best, cons[best, np.arange(a.size)]
-
-
-def _pointwise_best_slopes(rows, slope_grid, gamma, kf, breaks=None):
-    """Per row of ``_row_constants``, the first maximizer over the slope grid of
-    the gain w s - kf c(s), as ``np.argmax`` over the whole row finds it, and
-    its consumption.
-
-    ``breaks`` is ``_breakpoints(rows, slope_grid, gamma)``, computed here
-    when not given. Its prediction k for a row is kept when the gain at k
-    drops on both grid neighbours of k by more than ``PEAK_MARGIN``
-    (|w s_k| + |kf c_k|). A drop that large is no rounding of the gain, so
-    k is the strict peak of the concave gain and every other slope gains
-    less. The neighbours come from the grid padded by a NaN slope at each
-    end, whose NaN gain ``np.fmax`` passes over: a neighbour outside the
-    grid drops by +inf. A NaN, infinite or overflowing gain or margin fails
-    the test, so a kept k has a finite kf and finite terms at k. Every other
-    row, such as one whose peak is flat to a few ulp, is scanned over the
-    whole grid. The prediction sets the cost of the search, never its answer.
-    """
-    a, w = rows
-    padded = np.concatenate(([np.nan], slope_grid, [np.nan]))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        edges, level = _breakpoints(rows, slope_grid, gamma) if breaks is None else breaks
-        best = np.searchsorted(edges, level / kf)
-        s = padded.take(best + NEIGHBOURS, mode="clip")
-        gain, ws, kfc, cons = _gain(gamma, a, w, kf, s)
-        slopes, cons = s[1], cons[1]
-        margin = PEAK_MARGIN * (np.abs(ws[1]) + np.abs(kfc[1]))
-        r = (~(gain[1] - np.fmax(gain[0], gain[2]) > margin)).nonzero()[0]
-        if r.size:
-            k, cons[r] = _scanned_best_slopes((a[r], w[r]), slope_grid, gamma, kf[r])
-            slopes[r] = slope_grid[k]
-    return slopes, cons
-
-
-def _objective_given_slopes(params, x_nodes, slopes, cons, w, fvals, planes=None):
-    """Objective and aggregate of the (n_t, n_x) slopes and consumptions,
-    given the screening weight w(x) and the density f(x) on ``x_nodes``.
-    The flow and consumption planes are written into ``planes``, a
-    (2, n_t, n_x) scratch array, allocated here when not given."""
-    if planes is None:
-        planes = np.empty((2,) + slopes.shape)
-    np.multiply(w, slopes, out=planes[0])
-    np.multiply(cons, fvals, out=planes[1])
-    flow, aggregate = trapezoid(planes, x_nodes)
-    return float(params.time_integral(flow - eval_cost(aggregate, params))), aggregate
-
-
-def _solve_fixed_point(params, x_nodes, slope_grid, warm_start=None):
-    """Damped alternation between slope choice and aggregate recomputation.
-
-    The slope grid is discrete, so the aggregate can settle into a micro
-    cycle between adjacent grid slopes; convergence is therefore judged on
-    the objective, which is what the oracle certifies. The grid's
-    breakpoints, the rows' levels and the planes' scratch array are made
-    once here; each round brings only a new marginal cost. A round writes
-    into no array that an earlier round returned, so ``best`` can keep its
-    slopes and aggregate.
-    """
-    if warm_start is not None and np.all(np.isfinite(warm_start)) and np.any(warm_start > 0):
-        aggregate = np.maximum(warm_start, 1e-9)
-    else:
-        aggregate = np.full(params.time_grid.size, 1e-3)
-    w = _screening_weight(params, x_nodes)
-    fvals = params.f.pdf(x_nodes)
-    rows = _row_constants(params, x_nodes, w)
-    breaks = _breakpoints(rows, slope_grid, params.gamma)
-    shape = (params.time_grid.size, x_nodes.size)
-    planes = np.empty((2,) + shape)
-    last = (np.full(shape, np.nan),)      # the last round's slopes (NaN: none yet), objective, aggregate
-    best = (-np.inf, None, None, 0)
-    stall = 0
-    step = np.inf
-    for it in range(1, FIXED_POINT_CAP + 1):
-        kappa = np.maximum(eval_marginal_cost(aggregate, params), 1e-12)
-        kf = np.multiply.outer(kappa, fvals).ravel()
-        slopes, cons = _pointwise_best_slopes(rows, slope_grid, params.gamma, kf, breaks)
-        slopes = slopes.reshape(shape)
-        if (slopes == last[0]).all():
-            # the same slopes, hence the same consumptions: the same objective
-            value, agg_actual = last[1:]
-        else:
-            value, agg_actual = _objective_given_slopes(params, x_nodes, slopes, cons.reshape(shape), w, fvals,
-                                                        planes)
-        last = (slopes, value, agg_actual)
-        if best[1] is None or value > best[0] + 1e-12 * max(1.0, abs(best[0])):
-            best = (value, slopes, agg_actual, it)
-            stall = 0
-        else:
-            stall += 1
-        step = np.abs(agg_actual - aggregate).max() / max(1e-12, np.abs(aggregate).max())
-        aggregate = FIXED_POINT_DAMPING * aggregate + (1.0 - FIXED_POINT_DAMPING) * agg_actual
-        if step < FIXED_POINT_TOL or stall >= 8:
-            return best[0], best[1], best[2], it
-    if step > 1e-3:
-        raise NonConvergence(
-            f"aggregate fixed point still moving by {step:.3g} after {FIXED_POINT_CAP} rounds"
-        )
-    return best[0], best[1], best[2], FIXED_POINT_CAP
-
-
-def _slope_grid_for(params, s_max, size):
-    if params.gamma < 0:
-        return np.geomspace(max(s_max * 1e-8, 1e-12), s_max, size)
-    return np.concatenate([[0.0], np.geomspace(max(s_max * 1e-8, 1e-12), s_max, size - 1)])
-
-
-def _closed_form_slope_scale(params, x0):
-    """Upper bound for the slope grid, from the solved marginal indirect
-    utility scaled by ten (only a bracket hint, never an answer).
-
-    Elementwise on a 1-D array of thresholds below 1, a block of
-    ``HINT_BLOCK`` thresholds at a time; a float for a scalar.
-    """
-    from .solver_const_h import capacity_A, ell_const, optimal_slopes, upper_bracket
-
-    x0s = np.atleast_1d(np.asarray(x0, dtype=float))
-    Kc = np.maximum(eval_marginal_cost(capacity_A(ell_const(x0s, params), params), params), 1e-12)
-    start = np.minimum(x0s + 1e-6, 1.0)[:, None]
-    stop = 1.0 - 1e-9
-    # np.linspace(start, stop, 64) of each threshold: k * step + start, then
-    # stop; a batched np.linspace would change every row's formula if one
-    # row's step were 0
-    xs = np.arange(64.0) * ((stop - start) / 63) + start
-    xs[:, -1] = stop
-    scale = np.empty(x0s.shape)
-    for i in range(0, x0s.size, HINT_BLOCK):
-        block = xs[i:i + HINT_BLOCK, None, :]
-        with np.errstate(divide="ignore"):
-            s = optimal_slopes(params.phi[:, None], upper_bracket(block, params), params.f.pdf(block),
-                               Kc[i:i + HINT_BLOCK, :, None], params.g.prime(block), params.gamma)
-        scale[i:i + HINT_BLOCK] = np.where(np.isfinite(s), s, 0.0).max(axis=(1, 2))
-    scale = np.maximum(scale, 1e-6)
-    return float(scale[0]) if np.ndim(x0) == 0 else scale
-
-
-def oracle_relaxed_maximize_const_h(params, type_grid_size=200, slope_grid_size=1500, x0_candidates=None):
-    """Maximize the discretized relaxed objective over thresholds and slopes.
-
-    Completely independent of the closed forms (the solved slope scale is used
-    only to size the search grid). Returns an OracleResult whose ``value``
-    certifies the solver's optimum up to the discretization bound.
-    """
-    H = params.reservation.H
     if x0_candidates is None:
         x0_candidates = np.linspace(0.0, 1.0, 41)
-    x_top = 1.0 if params.gamma > 0 else 1.0 - 1e-9
-
-    # baseline: empty participation, zero revenue, zero production
-    best = OracleResult(value=0.0, x0=1.0,
-                        slopes=np.zeros((params.time_grid.size, 1)),
-                        x_nodes=np.asarray([1.0]), aggregate=np.zeros(params.time_grid.size),
-                        iterations=0)
+    xs = 1.0 - np.linspace(1.0, 0.0, type_grid_size) ** 2
+    hf = _coverage_density(params, xs)
+    cum = cumtrapz(hf, xs)
     evaluated = []
-    warm_agg = None     # the aggregate carried from one threshold to the next
 
-    def stage(x0s):
-        """Evaluate the thresholds in order, each fixed point warm-started
-        from the last one's aggregate; one slope-scale hint for the stage."""
-        nonlocal best, warm_agg
-        x0s = np.asarray(x0s, dtype=float)
-        live = x0s < 1.0 - 1e-12
-        s_max = iter((10.0 * _closed_form_slope_scale(params, x0s[live])).tolist())
-        for x0, alive in zip(x0s.tolist(), live.tolist()):
-            if not alive:
-                evaluated.append((x0, 0.0))
-                continue
-            x_nodes = np.linspace(x0, x_top, type_grid_size)
-            grid = _slope_grid_for(params, next(s_max), slope_grid_size)
-            value, slopes, agg, iters = _solve_fixed_point(params, x_nodes, grid, warm_start=warm_agg)
-            warm_agg = agg
-            value += (float(params.f.cdf(x0)) - 1.0) * H
-            evaluated.append((x0, value))
-            if value > best.value:
-                best = OracleResult(value=value, x0=x0, slopes=slopes, x_nodes=x_nodes,
-                                    aggregate=agg, iterations=iters)
+    def bound(x0):
+        x0s = np.atleast_1d(np.asarray(x0, dtype=float))
+        i = np.minimum(np.searchsorted(xs, x0s, side="right"), xs.size - 1)
+        J = cum[-1] - cum[i] + (xs[i] - x0s) * (_coverage_density(params, x0s) + hf[i]) / 2.0
+        vals = _dual_bound(params, x0s, J)
+        evaluated.extend(zip(x0s.tolist(), vals.tolist()))
+        return vals if np.ndim(x0) else float(vals[0])
 
-    # coarse scan, then refine around the best candidate
-    stage(x0_candidates)
-    span = float(x0_candidates[1] - x0_candidates[0]) if len(x0_candidates) > 1 else 0.1
-    for _ in range(3):
-        stage(np.linspace(max(best.x0 - span, 0.0), min(best.x0 + span, 1.0), 9))
-        span /= 4.0
-    best.x0_values = sorted(evaluated)
-    return best
+    x0, value = grid_then_golden_max(bound, x0_candidates)
+    x0 = float(x0)
+    if x0 < 1.0:
+        nodes = np.linspace(x0, 1.0, type_grid_size)
+        J = np.array([trapezoid(_coverage_density(params, nodes), nodes)])
+        value = float(_dual_bound(params, np.array([x0]), J)[0])
+    if not value > 0.0:
+        x0, value = 1.0, 0.0
+    return OracleResult(value=value, x0=x0, iterations=len(evaluated), x0_values=sorted(evaluated))

@@ -220,7 +220,7 @@ def _residential_threshold(params, H):
 def _solve_general(config, H):
     params = config.params
     obj = lambda x0: alpha_objective(x0, params)
-    x0, v0 = grid_then_golden_max(obj, 0.0, 1.0, ALPHA_GRID, xtol=1e-10)
+    x0, v0 = grid_then_golden_max(obj, np.linspace(0.0, 1.0, ALPHA_GRID), xtol=1e-10)
     unique = _uniqueness_conditions(params)
     h = 1e-5
     lo_r, hi_r = max(x0 - h, 0.0), min(x0 + h, 1.0)

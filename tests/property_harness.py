@@ -307,10 +307,8 @@ def run_oracle_suite(n_draws=3, seed=5):
         hi = min(report.boundary["x0"] + 0.1, 1.0)
         cands = np.linspace(lo, hi, 7)
         errors = []
-        for nodes, slopes in [(60, 300), (120, 600)]:
-            res = oracle_relaxed_maximize_const_h(params, type_grid_size=nodes,
-                                                  slope_grid_size=slopes,
-                                                  x0_candidates=cands)
+        for nodes in (60, 120):
+            res = oracle_relaxed_maximize_const_h(params, type_grid_size=nodes, x0_candidates=cands)
             scale = max(abs(report.principal_utility), 1e-3)
             assert res.value <= report.principal_utility + 1e-3 * scale, \
                 "oracle bounded by the optimum up to discretization"

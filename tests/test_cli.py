@@ -266,8 +266,7 @@ def test_oracle_flag_appends_audit(tmp_path):
     orig = oracle_mod.oracle_relaxed_maximize_const_h
 
     def small_oracle(params, **kw):
-        return orig(params, type_grid_size=60, slope_grid_size=220,
-                    x0_candidates=np.linspace(0.5, 0.7, 5))
+        return orig(params, type_grid_size=60, x0_candidates=np.linspace(0.5, 0.7, 5))
 
     cli_mod.oracle.oracle_relaxed_maximize_const_h = small_oracle
     try:
@@ -331,14 +330,14 @@ def test_h_sweep_scales_a_tabulated_reservation(tmp_path):
     assert float(rows[2]["U_P"]) == float(f"{report['principal_utility']:.12g}")
 
 
-# the oracle block of `solve --oracle` on the shipped constant-H configs, as
-# computed by the full scan over the slope grid before the bisection search;
-# relative_gap follows the closed-form profit, now that of the typed core
+# the oracle block of `solve --oracle` on the shipped constant-H configs: the
+# dual bound at its located threshold, and the number of thresholds the
+# search evaluated
 PINNED_ORACLE = {
-    "industrial_constant_h": {"value": "0.4320420714361879", "x0": "0.5828125000000001",
-                              "relative_gap": "3.9033187301368606e-06", "iterations": "12"},
-    "residential_constant_h": {"value": "0.0018030376985333555", "x0": "0.9640625",
-                               "relative_gap": "0.00012521308585865728", "iterations": "15"},
+    "industrial_constant_h": {"value": "0.43204375806081385", "x0": "0.5828767556971948",
+                              "relative_gap": "5.095172434996132e-10", "iterations": "86"},
+    "residential_constant_h": {"value": "0.001802812227518002", "x0": "0.9639437597612113",
+                               "relative_gap": "1.467894309934583e-07", "iterations": "86"},
 }
 
 

@@ -18,8 +18,6 @@ SOLVER_MODULES = ("solver_const_h", "solver_typed_h", "closed_form")
 PACKAGE = sorted((ROOT / "src" / "nltariff").glob("*.py"))
 MODULES = ([p for p in PACKAGE if p.name != "__init__.py"]
            + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")))
-# the oracle's one grid-size hint from the solvers, imported where it is used
-GRID_HINT = ("oracle.py", "_closed_form_slope_scale")
 
 
 def unused_imports(source):
@@ -69,27 +67,23 @@ def test_function_import_is_found():
 
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_package_imports_at_module_level(path):
-    found = function_imports(path.read_text())
-    assert [(line, fn) for line, fn in found if (path.name, fn) != GRID_HINT] == []
+    assert function_imports(path.read_text()) == []
 
 
 def solver_mentions(source):
     """(line, text) of each line that names a solver module or the closed-form
-    core, apart from the import inside ``_closed_form_slope_scale``: the one
-    grid-size hint the oracle may take from the solvers."""
-    hint = {line for line, fn in function_imports(source) if fn == GRID_HINT[1]}
+    core."""
     pattern = re.compile(r"\b(%s)\b" % "|".join(SOLVER_MODULES))
-    return [(i, line) for i, line in enumerate(source.splitlines(), 1)
-            if pattern.search(line) and i not in hint]
+    return [(i, line) for i, line in enumerate(source.splitlines(), 1) if pattern.search(line)]
 
 
 def test_solver_mention_is_found():
     source = ('"""Audits nltariff.closed_form."""\n'
               "from . import solver_typed_h\n"
-              "def _closed_form_slope_scale(params):\n"
+              "def scale(params):\n"
               "    from .solver_const_h import capacity_A\n")
-    assert [line for line, _ in solver_mentions(source)] == [1, 2]
+    assert [line for line, _ in solver_mentions(source)] == [1, 2, 4]
 
 
-def test_oracle_names_no_solver_outside_the_grid_hint():
+def test_oracle_names_no_solver():
     assert solver_mentions(ORACLE.read_text()) == []
