@@ -12,10 +12,18 @@ import pytest
 
 from nltariff import oracle, solver_const_h
 from nltariff.cli import load_config
-from nltariff.model import ConstantReservation, ScenarioConfig, TabulatedCost, canonical_params
+from nltariff.model import (
+    ConstantReservation,
+    ScenarioConfig,
+    TabulatedCost,
+    canonical_params,
+    eval_cost,
+    eval_marginal_cost,
+)
 from nltariff.oracle import oracle_relaxed_maximize_const_h
 from nltariff.solver_const_h import alpha_objective, solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
+from tests.conftest import varying_profile_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FAMILIES = ("industrial_constant_h", "residential_constant_h")
@@ -24,6 +32,34 @@ FAMILIES = ("industrial_constant_h", "residential_constant_h")
 # as O(h^1.5) on the residential one, whose h f has a square-root end at x = 1
 GAP_BOUND = {"industrial_constant_h": 1e-8, "residential_constant_h": 2e-7}
 BELOW = -1e-12          # the dual bounds the optimum from above, to rounding
+
+
+def test_two_type_toy_matches_exhaustive_enumeration():
+    """Types on [0.6, 1] in two bins, each bin at one consumption per time
+    node: every consumption pair that exhaustive enumeration tries is a
+    feasible plan of the relaxed problem at x0 = 0.6, so by weak duality
+    none beats the dual at x0 = 0.6, nor the oracle's maximum over x0. The
+    best pair comes within 5% of the dual, which serves each type its own
+    consumption."""
+    params = canonical_params(0.5, reservation=ConstantReservation(0.01), time_nodes=2)
+    x0 = 0.6
+    weights, masses = [], []
+    for lo, hi in [(x0, 0.8), (0.8, 1.0)]:
+        x = np.linspace(lo, hi, 2001)
+        weights.append(np.trapezoid(oracle._screening_weight(params, x) * params.g.prime(x), x))
+        masses.append(np.trapezoid(params.f.pdf(x), x))
+    c = np.linspace(0.0, 4.0, 401)
+    c1, c2 = (pair[..., None] for pair in np.meshgrid(c, c, indexing="ij"))
+    flow = (weights[0] * c1 ** params.gamma + weights[1] * c2 ** params.gamma) * params.phi / params.gamma
+    aggregate = np.broadcast_to(masses[0] * c1 + masses[1] * c2, flow.shape)
+    profit = np.trapezoid(flow - eval_cost(aggregate, params), params.time_grid, axis=-1)
+    best = float(profit.max()) + (float(params.f.cdf(x0)) - 1.0) * params.reservation.H
+
+    nodes = np.linspace(x0, 1.0, 20001)
+    J = np.array([np.trapezoid(oracle._coverage_density(params, nodes), nodes)])
+    dual = float(oracle._dual_bound(params, np.array([x0]), J)[0])
+    assert 0.95 * dual <= best <= dual
+    assert best <= oracle_relaxed_maximize_const_h(params).value
 
 
 def test_oracle_tracks_closed_form_quickly(bench1_config):
@@ -81,8 +117,9 @@ def test_oracle_converges_under_refinement(bench1_config):
 # -- the dual against the solver, route by route ---------------------------------
 
 def _non_power_params(tmp_path, family, variant, config_dir=CONFIG_DIR):
-    """A constant-H family on a tabulated cost, taste map or density, from
-    ``config_dir`` (the shipped configs, at 3 time nodes)."""
+    """A constant-H family on a tabulated cost, taste map, density, or taste
+    map and density (``tabulated_g_f``), from ``config_dir`` (the shipped
+    configs, at 3 time nodes)."""
     doc = json.loads((config_dir / f"{family}.json").read_text())
     x = np.linspace(0.0, 1.0, 257)
     sign = 1.0 if doc["gamma"] > 0 else -1.0
@@ -90,20 +127,21 @@ def _non_power_params(tmp_path, family, variant, config_dir=CONFIG_DIR):
         n = doc.pop("n")
         c = np.linspace(0.0, 20.0, 401)
         doc["cost_table"] = {"c": c.tolist(), "K": (c ** n / n).tolist(), "marginal": (c ** (n - 1.0)).tolist()}
-    elif variant == "tabulated_g":
+    if variant in ("tabulated_g", "tabulated_g_f"):
         g = (x if sign > 0 else 1.0 - x) + 0.1 * x * (1.0 - x)
         doc["g"] = {"form": "tabulated", "x": x.tolist(), "values": g.tolist(),
                     "derivative": (sign + 0.1 * (1.0 - 2.0 * x)).tolist()}
-    else:
+    if variant in ("tabulated_f", "tabulated_g_f"):
         doc["f"] = {"form": "tabulated", "x": x.tolist(), "density": (1.0 - 0.2 * sign * (x - 0.5)).tolist()}
     path = tmp_path / f"{family}-{variant}.json"
     path.write_text(json.dumps(doc))
     return load_config(path).params
 
 
-def _profile_params(tmp_path, family, nodes, seed):
+def _profile_params(tmp_path, family, nodes, seed, variant=None):
     """A shipped constant-H family on seeded smooth phi(t), k(t) over
-    ``nodes`` time nodes."""
+    ``nodes`` time nodes, optionally off the power path (as
+    ``_non_power_params``)."""
     rng = np.random.default_rng([seed, nodes])
     t = np.linspace(0.0, 1.0, nodes)
     doc = json.loads((CONFIG_DIR / f"{family}.json").read_text())
@@ -113,7 +151,9 @@ def _profile_params(tmp_path, family, nodes, seed):
     doc["k"] = (rng.uniform(0.6, 1.6) * (1.0 + amp[1] * np.cos(2.0 * np.pi * t + shift[1]))).tolist()
     path = tmp_path / f"{family}-{nodes}-{seed}.json"
     path.write_text(json.dumps(doc))
-    return load_config(path)
+    if variant is None:
+        return load_config(path)
+    return ScenarioConfig(params=_non_power_params(tmp_path, path.stem, variant, config_dir=tmp_path))
 
 
 def _shipped(family, force_general=False):
@@ -176,6 +216,156 @@ def test_gap_shrinks_under_refinement(family):
     coarse, fine = (_gap(oracle_relaxed_maximize_const_h(config.params, type_grid_size=nodes), primal)
                     for nodes in (2001, 20001))
     assert coarse >= fine >= BELOW
+
+
+# -- the dual's root and search against brute force ------------------------------
+
+def _node_dual(params, J, A):
+    """D_t at the marginal cost kappa = K'(A), written out from the
+    derivation: (1-gamma)/gamma kappa C_t(kappa) + kappa A - K_t(A). ``J``
+    and ``A`` broadcast, with time on the last axis."""
+    gamma = params.gamma
+    kappa = eval_marginal_cost(A, params)
+    C = (params.phi / kappa) ** (1.0 / (1.0 - gamma)) * J
+    return (1.0 - gamma) / gamma * kappa * C + kappa * A - eval_cost(A, params)
+
+
+def _coverages(rng, size=16):
+    return np.exp(rng.uniform(-4.0, 2.0, size))
+
+
+def _assert_root_in_scan_cell(params, J, A, grid):
+    """Each node's root A of A^(1-gamma) K'(A) = phi_t J^(1-gamma) lies in
+    the cell of the scan ``grid`` where the residual changes sign."""
+    a = grid[None, :, None]
+    residual = a ** (1.0 - params.gamma) * eval_marginal_cost(a, params) - params.phi * J[:, None, None] ** (
+        1.0 - params.gamma)
+    cell = np.sum(residual < 0.0, axis=1)
+    assert ((cell > 0) & (cell < grid.size)).all()
+    assert (grid[cell - 1] <= A).all() and (A <= grid[np.minimum(cell, grid.size - 1)]).all()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3, -1.0, -0.5, -2.5])
+@pytest.mark.parametrize("size", [61, 200, 1500])
+def test_slope_search_matches_full_scan(gamma, size):
+    """Each node's dual slope kappa = K'(A) against a full scan of ``size``
+    aggregates. On the power cost, where the root is closed-form, the scan's
+    best D_t is a neighbour of the root and lies above D_t at the root (D_t
+    is convex in kappa). On a cost table, whose K and K' are interpolated
+    apart and so agree only to O(h^2), the bisected root sits in the scan
+    cell where the first-order condition changes sign. On both, the
+    threshold's bound is the time integral of D_t at the root."""
+    rng = np.random.default_rng([size, int(100 * abs(gamma))])
+    J = _coverages(rng)
+    x0s = rng.uniform(0.0, 1.0, J.size)
+    grid = np.geomspace(1e-4, 20.0, size)
+    for params in (varying_profile_params(gamma, tabulated_cost=False),
+                   varying_profile_params(gamma, tabulated_cost=True)):
+        A = oracle._dual_aggregates(params, J)
+        _assert_root_in_scan_cell(params, J, A, grid)
+        at_root = _node_dual(params, J[:, None], A)
+        if params.is_power_cost:
+            scanned = _node_dual(params, J[:, None, None], grid[None, :, None])
+            best = np.argmin(scanned, axis=1)
+            assert ((best > 0) & (best < size - 1)).all()
+            assert (grid[best - 1] <= A).all() and (A <= grid[best + 1]).all()
+            lowest = scanned.min(axis=1)
+            assert (at_root <= lowest + 1e-12 * np.abs(lowest)).all()
+        outside = (params.f.cdf(x0s) - 1.0) * params.reservation.H
+        np.testing.assert_allclose(oracle._dual_bound(params, x0s, J),
+                                   np.trapezoid(at_root, params.time_grid) + outside, rtol=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.3, -1.0, -0.5, -2.5, 0.999, 1.0 - 1e-9, 1.0 - 1e-12])
+@pytest.mark.parametrize("size", [61, 200, 1500])
+def test_slope_search_from_a_seed_matches_full_scan(gamma, size, monkeypatch):
+    """The cost table's root bisection, started from its default bracket and
+    then from upper ends 2^-6 to 2^6 times the median root and at random: a
+    starting bracket sets the cost of the bisection, never its answer beyond
+    ROOT_TOL, and every root lies in the sign-change cell of a full scan of
+    ``size`` aggregates. This holds as gamma nears 1, where C_t itself is
+    out of floating-point range."""
+    rng = np.random.default_rng([size, int(1e3 * abs(gamma))])
+    params = varying_profile_params(gamma, tabulated_cost=True)
+    J = _coverages(rng)
+    grid = np.geomspace(1e-4, 20.0, size)
+    A = oracle._dual_aggregates(params, J)
+    _assert_root_in_scan_cell(params, J, A, grid)
+    bisect = oracle.invert_increasing
+    for start in [np.median(A) * 2.0 ** k for k in range(-6, 7)] + rng.uniform(1e-6, 20.0, 3).tolist():
+        monkeypatch.setattr(oracle, "invert_increasing",
+                            lambda f, y, hi0, xtol, start=start: bisect(f, y, hi0=start, xtol=xtol))
+        seeded = oracle._dual_aggregates(params, J)
+        assert np.abs(seeded - A).max() <= oracle.ROOT_TOL
+        _assert_root_in_scan_cell(params, J, seeded, grid)
+
+
+def _searched_bound(params, monkeypatch):
+    """The oracle's result at the CLI's grid sizes, and the bound Phi that
+    its search maximized."""
+    captured = []
+    search = oracle.grid_then_golden_max
+
+    def capturing(f, xs):
+        captured.append(f)
+        return search(f, xs)
+
+    monkeypatch.setattr(oracle, "grid_then_golden_max", capturing)
+    res = oracle_relaxed_maximize_const_h(params)
+    monkeypatch.setattr(oracle, "grid_then_golden_max", search)
+    return res, captured[0]
+
+
+def _assert_search_matches_full_scan(params, monkeypatch):
+    """Phi at every threshold the search evaluated, again in one pass, is
+    identical to what the search logged; a full scan of Phi on 4,001
+    thresholds finds no higher value, and its best threshold is within one
+    scan step of the oracle's x0."""
+    res, bound = _searched_bound(params, monkeypatch)
+    searched = np.array(res.x0_values)
+    assert bound(searched[:, 0]).tolist() == searched[:, 1].tolist()
+    scan = np.linspace(0.0, 1.0, 4001)
+    vals = bound(scan)
+    best = int(np.argmax(vals))
+    assert searched[:, 1].max() >= vals[best] - 1e-12 * abs(vals[best])
+    assert abs(res.x0 - scan[best]) <= scan[1] - scan[0]
+    assert res.x0 < 1.0
+
+
+@pytest.mark.parametrize("bench", ["bench1_config", "bench2_config"])
+def test_oracle_result_identical_with_full_scan(bench, request, monkeypatch):
+    _assert_search_matches_full_scan(request.getfixturevalue(bench).params, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", ["cost_table", "tabulated_g_f"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_result_identical_with_full_scan_off_the_power_path(family, variant, tmp_path, monkeypatch):
+    """The tabulated cost, taste map and density reach Phi through other
+    code than the power/uniform configs: the search still finds the full
+    scan's maximum."""
+    _assert_search_matches_full_scan(_non_power_params(tmp_path, family, variant), monkeypatch)
+
+
+@pytest.mark.parametrize("case", ["3-1", "3-2", "9-1", "3-1-cost_table", "3-1-tabulated_g_f"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_result_identical_to_the_per_threshold_loop(family, case, tmp_path, monkeypatch):
+    """The scan stage evaluates Phi on all its thresholds in one pass, with
+    one root per threshold and node; a search that evaluates them one at a
+    time gives the same result, bit for bit, on varying profiles and off
+    the power path."""
+    nodes, seed, *variant = case.split("-", 2)
+    params = _profile_params(tmp_path, family, int(nodes), int(seed), *variant).params
+    one_pass = oracle_relaxed_maximize_const_h(params)
+    search = oracle.grid_then_golden_max
+
+    def one_at_a_time(f, xs):
+        return search(lambda x: np.array([f(v) for v in x.tolist()]) if np.ndim(x) else f(x), xs)
+
+    monkeypatch.setattr(oracle, "grid_then_golden_max", one_at_a_time)
+    looped = oracle_relaxed_maximize_const_h(params)
+    assert one_pass.x0 < 1.0
+    assert (one_pass.value, one_pass.x0, one_pass.iterations, one_pass.x0_values) == \
+        (looped.value, looped.x0, looped.iterations, looped.x0_values)
 
 
 def _oracle_bytes(config_path):
