@@ -186,18 +186,13 @@ def participation_set(p_star, params):
         except ConvergenceError:
             return lo if abs(f(lo)) < abs(f(hi)) else hi
 
-    intervals = []
-    i = 0
+    # each run of participating probe points [i, j] starts where the mask
+    # steps up and ends before it steps down
+    steps = np.diff(mask.astype(np.int8), prepend=0, append=0)
     npts = x_probe.size
-    while i < npts:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < npts and mask[j + 1]:
-            j += 1
+    intervals = []
+    for i, j in zip(np.flatnonzero(steps > 0), np.flatnonzero(steps < 0) - 1):
         lo = x_probe[i] if i == 0 else refine(x_probe[i - 1], x_probe[i])
         hi = x_probe[j] if j == npts - 1 else refine(x_probe[j], x_probe[j + 1])
         intervals.append((float(lo), float(hi)))
-        i = j + 1
     return ParticipationSet(intervals=tuple(intervals))

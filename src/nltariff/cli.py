@@ -223,7 +223,7 @@ def _solve(config):
             "warnings": list(sol.warnings),
             "certificates": {"Xi": sol.Xi, "Psi": sol.Psi, "theta": sol.theta},
             "assumption_flags": sol.assumption_flags,
-            "bridge": None if sol.bridge is None else {
+            "bridge": {
                 "name": sol.bridge.name, "valid": sol.bridge.valid,
                 "checks": {k: bool(v) for k, v in sol.bridge.checks.items()},
             },

@@ -111,12 +111,17 @@ class Shape:
         """N times the derivative, N broadcasting against u(x)."""
         return self.du * N * self.m * self.u(x) ** self.e
 
+    def values(self, N, x, x_b, level):
+        """p* = level + N (u(x)^m - u(x_b)^m) on the component whose binding
+        type x_b holds the per-time reservation ``level``."""
+        return level + N * (self(x) - self(x_b))
+
 
 def component_shapes(gamma):
     """(lower, upper, bottom): the shapes of the components on [0, b0] and
     [a0, 1], and which of the two ("lower" or "upper") serves the smallest
-    tastes. On [0, b0], p* = H(b0)/T - N (lower(b0) - lower(x)); on [a0, 1],
-    p* = H(a0)/T + N (upper(x) - upper(a0)).
+    tastes. On [0, b0], p* = lower.values(N, x, b0, H(b0)/T); on [a0, 1],
+    p* = upper.values(N, x, a0, H(a0)/T).
 
     The residential branch is the industrial one mirrored in the taste
     g(x) = 1 - x: its bottom component is [a0, 1] instead of [0, b0]. The

@@ -20,7 +20,7 @@ from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
 from .tariff import TabulatedSegment, Tariff, TariffSegment
-from .uconvex import default_c_grid, u_transform_indirect_to_price
+from .uconvex import _c_power, _u_conjugate, default_c_grid
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
@@ -281,7 +281,7 @@ def _build_closed_form(config, report):
     Nt = N[:, None]
 
     def values_fn(x):
-        return level + Nt * (upper(x) - upper(x0))
+        return upper.values(Nt, x, x0, level)
 
     def slopes_fn(x):
         # the residential slope is infinite at x = 1
@@ -332,19 +332,13 @@ def _build_general(config, report):
 
 def sampled_tariff(config, samples, meta):
     """Fully sampled tariff: the u-conjugate of the sampled indirect utility
-    ``samples`` on the default consumption grid, linear between the knots
-    and held flat above the top one."""
+    ``samples`` on the default consumption grid at every time node, held
+    flat above the top knot."""
     params = config.params
     c_grid = default_c_grid(params)
-    price, _ = u_transform_indirect_to_price(samples, params, c_grid=c_grid)
     nt = params.time_grid.size
-    seg = TabulatedSegment(
-        c_lo=np.full(nt, c_grid[0]),
-        c_hi=np.full(nt, np.inf),
-        c_knots=np.tile(c_grid, (nt, 1)),
-        p_knots=price.values,
-        label="sampled",
-    )
+    seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
+                            np.full(nt, np.inf), "sampled")
     return Tariff(
         gamma=params.gamma,
         time_grid=params.time_grid,
@@ -352,3 +346,12 @@ def sampled_tariff(config, samples, meta):
         simplified=True,
         meta=meta,
     )
+
+
+def conjugate_segment(params, samples, c_knots, c_lo, c_hi, label):
+    """The tabulated tariff piece on [c_lo, c_hi] through the u-conjugate of
+    the sampled indirect utility ``samples`` at the per-time knots
+    ``c_knots`` (shape (n_t, m)), linear between the knots."""
+    p_knots, _ = _u_conjugate(params.phi, params.g(samples.x_grid), _c_power(params, c_knots), params.gamma,
+                              samples.values, over_x=True)
+    return TabulatedSegment(c_lo=c_lo, c_hi=c_hi, c_knots=c_knots, p_knots=p_knots, label=label)

@@ -20,10 +20,11 @@ from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, el
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_marginal_cost
 from .numerics import trapezoid
-from .solver_const_h import capacity_A, lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
-from .tariff import TabulatedSegment, Tariff
+from .solver_const_h import (capacity_A, conjugate_segment, lower_bracket, optimal_slopes, sampled_tariff,
+                             upper_bracket)
+from .tariff import Tariff
 # perfbench/tracing.py looks up _utility_surface in this module by name
-from .uconvex import _u_conjugate, _utility_surface  # noqa: F401
+from .uconvex import _utility_surface  # noqa: F401
 
 GRID_SIZE = 256
 ZOOM_ROUNDS = 7
@@ -147,7 +148,8 @@ class TypedHSolution:
     assumption_flags: dict
     N_gamma: np.ndarray
     L_gamma: np.ndarray
-    bridge: object = None
+    levels: tuple                    # (H(a0), H(b0))
+    bridge: "BridgeReport"
     warnings: list = field(default_factory=list)
 
 
@@ -185,7 +187,8 @@ def solve_a0_b0_star(config):
 
     Exhaustive scan of the 256 x 256 grid, scored along its axes by
     ``_evaluate_mesh`` on {b0 <= a0} filtered by the slope constraints, then
-    seven 33 x 33 zooms. The solution records the feasibility certificates
+    seven 33 x 33 zooms. The solution records the feasibility certificates,
+    the reservation levels at the pair, the bridge over the excluded middle
     and whether the convex-glue condition b0* <= a0* - 1/2 holds (when it
     fails the relaxed solution is returned with a non-u-convexity warning).
     """
@@ -219,6 +222,7 @@ def solve_a0_b0_star(config):
     chk = constraint_check_A2prime(a_star, b_star, params)
     theta = float(theta_term(a_star, b_star, params))
     N = N_gamma_profile(params, a_star, b_star)
+    levels = _levels(params.reservation, a_star, b_star)
     sol = TypedHSolution(
         a0=a_star,
         b0=b_star,
@@ -230,6 +234,8 @@ def solve_a0_b0_star(config):
         assumption_flags=dict(flags),
         N_gamma=N,
         L_gamma=L_gamma_profile(params, N),
+        levels=levels,
+        bridge=build_bridge(params, a_star, b_star, N, levels),
     )
     glue_ok = b_star <= a_star - 0.5 + 1e-9
     sol.assumption_flags["b0_le_a0_minus_half"] = bool(glue_ok)
@@ -264,22 +270,9 @@ class BridgeReport:
     checks: dict
 
 
-def _piece_boundary_data(params, a0, b0, N):
-    """Values and slopes of the closed-form pieces at the glue points."""
-    lower, upper, _ = component_shapes(params.gamma)
-    T = params.horizon
-    nt = params.time_grid.size
-    Ha, Hb = _levels(params.reservation, a0, b0)
-    return {
-        "slope_low": lower.slope(N, b0) if b0 > 0 else np.zeros(nt),
-        "slope_up": upper.slope(N, a0) if a0 < 1.0 else np.full(nt, np.inf),
-        "val_low": np.full(nt, Hb / T) if b0 > 0 else None,
-        "val_up": np.full(nt, Ha / T) if a0 < 1.0 else None,
-    }
-
-
-def build_bridge(params, a0, b0, N=None):
-    """Construct and validate bridge candidates for the excluded middle.
+def build_bridge(params, a0, b0, N, levels):
+    """Construct and validate bridge candidates for the excluded middle,
+    given the scales N and the reservation levels (H(a0), H(b0)).
 
     Candidates: the time-uniform chord of H between the boundaries (dipped
     slightly at a degenerate end so the excluded side stays strictly below
@@ -290,12 +283,12 @@ def build_bridge(params, a0, b0, N=None):
     if b0 >= a0:
         return BridgeReport(name="empty", x_knots=np.array([b0]), values=np.zeros((params.time_grid.size, 1)),
                             valid=True, checks={"empty": True})
-    if N is None:
-        N = N_gamma_profile(params, a0, b0)
-    data = _piece_boundary_data(params, a0, b0, N)
+    lower, upper, _ = component_shapes(params.gamma)
     T = params.horizon
     nt = params.time_grid.size
-    Ha, Hb = _levels(params.reservation, a0, b0)
+    Ha, Hb = levels
+    # slopes of the closed-form pieces at their live boundaries
+    boundary_slopes = (lower.slope(N, b0) if b0 > 0 else None, upper.slope(N, a0) if a0 < 1.0 else None)
     candidates = []
 
     # endpoint targets: exact at live boundaries, dipped at degenerate ones
@@ -313,19 +306,18 @@ def build_bridge(params, a0, b0, N=None):
     if b0 > 0 and a0 < 1.0:
         # two-slope candidate: leave b0 with the lower-piece slope, arrive at a0
         # with the upper-piece slope, meeting where the lines cross
-        s1, s2 = data["slope_low"][:, None], data["slope_up"][:, None]
+        s1, s2 = boundary_slopes[0][:, None], boundary_slopes[1][:, None]
         if np.all(np.isfinite(s1) & np.isfinite(s2) & (s1 <= s2)):
-            v1 = data["val_low"][:, None] + s1 * (xk - b0)
-            v2 = data["val_up"][:, None] + s2 * (xk - a0)
-            overshoot = (np.any(v2[:, 0] > data["val_low"] + 1e-12)
-                         or np.any(v1[:, -1] > data["val_up"] + 1e-12))
+            v1 = Hb / T + s1 * (xk - b0)
+            v2 = Ha / T + s2 * (xk - a0)
+            overshoot = np.any(v2[:, 0] > Hb / T + 1e-12) or np.any(v1[:, -1] > Ha / T + 1e-12)
             if not overshoot:
                 candidates.append(BridgeReport(name="two_slope", x_knots=xk, values=np.maximum(v1, v2),
                                                valid=False, checks={}))
 
     best = None
     for cand in candidates:
-        cand.checks = _validate_bridge(params, cand, a0, b0, data)
+        cand.checks = _validate_bridge(params, cand, a0, b0, levels, boundary_slopes)
         cand.valid = all(cand.checks.values())
         if cand.valid:
             return cand
@@ -334,14 +326,15 @@ def build_bridge(params, a0, b0, N=None):
     return best
 
 
-def _validate_bridge(params, cand, a0, b0, data):
+def _validate_bridge(params, cand, a0, b0, levels, boundary_slopes):
     """Endpoint integrals, strict interior inferiority, monotonicity, and the
-    per-time convexity of the glued surface."""
+    per-time convexity of the glued surface, given the reservation levels
+    (H(a0), H(b0)) and the slopes (at b0, at a0) of the live pieces."""
     H = params.reservation
     xk, vals = cand.x_knots, cand.values
     integ = trapezoid(vals.T, params.time_grid)
     checks = {}
-    Ha, Hb = _levels(H, a0, b0)
+    Ha, Hb = levels
     checks["left_endpoint"] = (abs(integ[0] - Hb) <= 1e-9 * max(1.0, abs(Hb))) if b0 > 0 else (integ[0] < Hb)
     checks["right_endpoint"] = (abs(integ[-1] - Ha) <= 1e-9 * max(1.0, abs(Ha))) if a0 < 1.0 else (integ[-1] < Ha)
     interior = (xk > b0 + 1e-12) & (xk < a0 - 1e-12)
@@ -351,9 +344,9 @@ def _validate_bridge(params, cand, a0, b0, data):
     checks["monotone"] = bool(np.all(slopes >= -1e-12))
     ok = bool(np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))))
     if b0 > 0:
-        ok = ok and bool(np.all(slopes[:, 0] >= data["slope_low"] - 1e-9))
+        ok = ok and bool(np.all(slopes[:, 0] >= boundary_slopes[0] - 1e-9))
     if a0 < 1.0:
-        ok = ok and bool(np.all(slopes[:, -1] <= data["slope_up"] + 1e-9))
+        ok = ok and bool(np.all(slopes[:, -1] <= boundary_slopes[1] + 1e-9))
     checks["glued_convexity"] = ok
     return checks
 
@@ -375,16 +368,13 @@ def build_tariff_typed_h(config, solution):
     a0, b0 = solution.a0, solution.b0
     N, L = solution.N_gamma, solution.L_gamma
     nt = params.time_grid.size
-
-    bridge = solution.bridge or build_bridge(params, a0, b0, N=N)
-    solution.bridge = bridge
-
-    p_star = _glued_indirect_utility(params, a0, b0, N, bridge)
+    bridge = solution.bridge
+    p_star = _glued_indirect_utility(params, a0, b0, N, solution.levels, bridge)
 
     # (boundary, H at it, shape, live) of each component; the one that is not
     # the bottom component is the selected one
     lower, upper, bottom = component_shapes(g)
-    Ha, Hb = _levels(params.reservation, a0, b0)
+    Ha, Hb = solution.levels
     pieces = {"lower": (b0, Hb, lower, b0 > 0.0), "upper": (a0, Ha, upper, a0 < 1.0)}
     x_bot, H_bot, shape_bot, bottom_live = pieces[bottom]
     x_sel, H_sel, shape_sel, selected_live = pieces["upper" if bottom == "lower" else "lower"]
@@ -428,18 +418,16 @@ def _bridge_segment(params, p_star, a0, b0, c_lo, c_hi):
     xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [a0, b0]]))
     lo = np.maximum(c_lo, 1e-9 if params.gamma < 0 else 0.0)
     hi = np.where(lo > 0, np.maximum(c_hi, lo * (1.0 + 1e-12)), np.maximum(c_hi, 1e-9))
-    c_knots = np.linspace(lo, hi, 65, axis=1)
-    p_knots, _ = _u_conjugate(params.phi, params.g(xg), c_knots ** params.gamma, params.gamma,
-                              p_star.values(xg), over_x=True)
-    return TabulatedSegment(c_lo=c_lo, c_hi=c_hi, c_knots=c_knots, p_knots=p_knots, label="bridge")
+    return conjugate_segment(params, p_star.sample(xg), np.linspace(lo, hi, 65, axis=1), c_lo, c_hi, "bridge")
 
 
-def _glued_indirect_utility(params, a0, b0, N, bridge):
-    """Closed-form lower/upper pieces with the bridge interpolated between."""
+def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
+    """Closed-form lower/upper pieces with the bridge interpolated between,
+    given the reservation levels (H(a0), H(b0))."""
     lower, upper, _ = component_shapes(params.gamma)
     T = params.horizon
     nt = params.time_grid.size
-    Ha, Hb = _levels(params.reservation, a0, b0)
+    Ha, Hb = levels
     bx, bv = bridge.x_knots, bridge.values
 
     Nt = N[:, None]
@@ -451,12 +439,12 @@ def _glued_indirect_utility(params, a0, b0, N, bridge):
         mid = (x >= b0) & (x <= a0)
         up = x > a0
         if np.any(low):
-            out[:, low] = Hb / T - Nt * (lower(b0) - lower(x[low]))
+            out[:, low] = lower.values(Nt, x[low], b0, Hb / T)
         if np.any(mid):
             # np.interp is one-dimensional: one call per time row
             out[:, mid] = [np.interp(x[mid], bx, row) for row in bv]
         if np.any(up):
-            out[:, up] = Ha / T + Nt * (upper(x[up]) - upper(a0))
+            out[:, up] = upper.values(Nt, x[up], a0, Ha / T)
         return out
 
     def slopes_fn(x):

@@ -200,7 +200,6 @@ class UConvexityReport:
     is_u_convex: bool
     max_biconjugation_gap: float
     convexity_violations: list
-    route: str
 
 
 def check_u_convexity(p_star, params, c_grid=None):
@@ -232,13 +231,10 @@ def check_u_convexity(p_star, params, c_grid=None):
 
     if params.g.form == "canonical":
         ok = (len(violations) == 0) and monotone_ok
-        route = "canonical-convexity"
     else:
         ok = gap <= gap_tol
-        route = "biconjugation"
     return UConvexityReport(
         is_u_convex=ok,
         max_biconjugation_gap=gap,
         convexity_violations=violations,
-        route=route,
     )

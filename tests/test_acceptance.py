@@ -232,7 +232,8 @@ def test_criterion_7_perturbation_audit(bench1_solution, bench2_solution,
 
 
 def test_criterion_8_bridge_invariance():
-    from nltariff.solver_typed_h import BridgeReport, _piece_boundary_data, _validate_bridge
+    from nltariff.closed_form import component_shapes
+    from nltariff.solver_typed_h import BridgeReport, _validate_bridge
 
     params = shifted_sqrt_params(offset=0.2)
     cfg = ScenarioConfig(params=params)
@@ -242,17 +243,18 @@ def test_criterion_8_bridge_invariance():
 
     # bridge 1: default (chord); bridge 2: per-time two-slope construction
     tariff1, p1 = build_tariff_typed_h(cfg, sol1)
-    data = _piece_boundary_data(params, a0, b0, sol2.N_gamma)
+    lower, upper, _ = component_shapes(params.gamma)
+    slope_low, slope_up = lower.slope(sol2.N_gamma, b0), upper.slope(sol2.N_gamma, a0)
     xk = np.linspace(b0, a0, 33)
     Hb = float(params.reservation(np.asarray([b0]))[0])
     Ha = float(params.reservation(np.asarray([a0]))[0])
     vals = np.empty((params.time_grid.size, xk.size))
     for i in range(params.time_grid.size):
-        v1 = Hb / params.horizon + data["slope_low"][i] * (xk - b0)
-        v2 = Ha / params.horizon + data["slope_up"][i] * (xk - a0)
+        v1 = Hb / params.horizon + slope_low[i] * (xk - b0)
+        v2 = Ha / params.horizon + slope_up[i] * (xk - a0)
         vals[i] = np.maximum(v1, v2)
     bridge2 = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    bridge2.checks = _validate_bridge(params, bridge2, a0, b0, data)
+    bridge2.checks = _validate_bridge(params, bridge2, a0, b0, (Ha, Hb), (slope_low, slope_up))
     bridge2.valid = all(bridge2.checks.values())
     assert sol1.bridge.name == "chord" and bridge2.valid
     assert np.abs(vals - sol1.bridge.values[:, :]).max() > 1e-4  # genuinely distinct

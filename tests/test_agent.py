@@ -166,6 +166,23 @@ def test_ties_included_weakly():
     assert ps.intervals == ((0.0, 1.0),)
 
 
+def test_participation_runs_at_both_ends_and_between():
+    """P* - H = 0.1 cos(6 pi x) participates on four runs of probe points, the
+    first starting at 0 and the last ending at 1: each inner end is the root
+    (2k + 1)/12 and the outer ends are the probe grid's own."""
+    params = canonical_params(0.5, reservation=ConstantReservation(0.05))
+    nt = params.time_grid.size
+    p_star = IndirectUtility.from_callables(
+        params.time_grid,
+        lambda x: np.tile((0.05 + 0.1 * np.cos(6.0 * np.pi * np.asarray(x))) / params.horizon, (nt, 1)),
+        lambda x: np.zeros((nt, np.asarray(x).size)),
+    )
+    ps = participation_set(p_star, params)
+    roots = np.arange(1, 12, 2) / 12.0
+    assert_allclose(np.ravel(ps.intervals), np.concatenate([[0.0], roots, [1.0]]), rtol=0, atol=1e-9)
+    assert ps.intervals[0][0] == 0.0 and ps.intervals[-1][1] == 1.0
+
+
 def test_participation_set_rejects_overlapping_intervals():
     with pytest.raises(DomainError):
         ParticipationSet(intervals=((0.0, 0.6), (0.5, 1.0)))

@@ -29,10 +29,11 @@ from nltariff.solver_const_h import (
     build_tariff_const_h,
     capacity_A,
     chi,
+    conjugate_segment,
     ell_const,
     solve_x0_star,
 )
-from nltariff.uconvex import check_u_convexity
+from nltariff.uconvex import check_u_convexity, default_c_grid, u_transform_indirect_to_price
 from tests.conftest import BENCH1, BENCH2, varying_profile_params
 from tests.property_harness import continuity_gaps, shape_report
 
@@ -403,6 +404,21 @@ def test_B_gamma_signs():
     assert B_gamma(p_neg) < 0.0
     assert_allclose(B_gamma(p_pos), 1.5, rtol=1e-12)
     assert_allclose(B_gamma(p_neg), -1.5, rtol=1e-12)
+
+
+@pytest.mark.parametrize("solution", ["bench1_solution", "bench2_solution"])
+def test_conjugate_segment_on_tiled_knots_is_the_price_transform(solution, request):
+    """The tabulated builder at one knot row per time node gives the price
+    transform on that row's grid bit for bit, on both branches."""
+    _, _, p_star = request.getfixturevalue(solution)
+    params = request.getfixturevalue(solution.replace("solution", "config")).params
+    samples = p_star.sample()
+    c_grid = default_c_grid(params)
+    nt = params.time_grid.size
+    seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
+                            np.full(nt, np.inf), "sampled")
+    price, _ = u_transform_indirect_to_price(samples, params, c_grid=c_grid)
+    assert seg.p_knots.tobytes() == price.values.tobytes()
 
 
 def test_uniqueness_flag_cleared_for_wavy_density():

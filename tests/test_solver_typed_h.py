@@ -1,5 +1,6 @@
 """Typed-reservation solver: feasibility, boundary search, bridge, emission."""
 import hashlib
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -9,7 +10,8 @@ from numpy.testing import assert_allclose
 
 from nltariff.agent import participation_set
 from nltariff.cli import _typed_scan_audit, load_config
-from nltariff.closed_form import L_gamma_profile, N_gamma_profile, R_gamma, ell_ab, objective_ab, theta_term
+from nltariff.closed_form import (L_gamma_profile, N_gamma_profile, R_gamma, component_shapes, ell_ab,
+                                  objective_ab, theta_term)
 from nltariff.errors import AssumptionViolation
 from nltariff.model import (
     ConcaveReservation,
@@ -26,6 +28,7 @@ from nltariff.solver_typed_h import (
     GRID_SIZE,
     _best_with_ties,
     _evaluate_mesh,
+    _levels,
     build_bridge,
     build_tariff_typed_h,
     constraint_check_A2prime,
@@ -374,7 +377,7 @@ def test_shifted_sqrt_scenario_against_fresh_dense_scan():
 
 def test_empty_bridge_when_boundaries_touch():
     p = shifted_sqrt_params()
-    rep = build_bridge(p, 0.6, 0.6)
+    rep = build_bridge(p, 0.6, 0.6, N_gamma_profile(p, 0.6, 0.6), _levels(p.reservation, 0.6, 0.6))
     assert rep.name == "empty" and rep.valid
 
 
@@ -393,22 +396,23 @@ def test_chord_strictly_below_reservation(typed_b_solution, typed_b_config):
 def test_two_slope_bridge_available_with_live_boundaries():
     # force b0 > 0 and a0 < 1 and ask for the two-slope candidate directly
     params = shifted_sqrt_params(offset=0.1)
-    from nltariff.solver_typed_h import _validate_bridge, _piece_boundary_data, BridgeReport
+    from nltariff.solver_typed_h import _validate_bridge, BridgeReport
 
     a0, b0 = 0.8, 0.1
     N = N_gamma_profile(params, a0, b0)
-    data = _piece_boundary_data(params, a0, b0, N)
+    lower, upper, _ = component_shapes(params.gamma)
+    slope_low, slope_up = lower.slope(N, b0), upper.slope(N, a0)
     xk = np.linspace(b0, a0, 33)
     Hb = float(params.reservation(np.asarray([b0]))[0])
     Ha = float(params.reservation(np.asarray([a0]))[0])
     nt = params.time_grid.size
     vals = np.empty((nt, xk.size))
     for i in range(nt):
-        v1 = Hb / params.horizon + data["slope_low"][i] * (xk - b0)
-        v2 = Ha / params.horizon + data["slope_up"][i] * (xk - a0)
+        v1 = Hb / params.horizon + slope_low[i] * (xk - b0)
+        v2 = Ha / params.horizon + slope_up[i] * (xk - a0)
         vals[i] = np.maximum(v1, v2)
     cand = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    cand.checks = _validate_bridge(params, cand, a0, b0, data)
+    cand.checks = _validate_bridge(params, cand, a0, b0, (Ha, Hb), (slope_low, slope_up))
     assert all(cand.checks.values())
 
 
@@ -422,11 +426,13 @@ def make_feasible_pair_solution(params, a0, b0):
     chk = constraint_check_A2prime(a0, b0, params)
     assert chk["feasible"]
     N = N_gamma_profile(params, a0, b0)
+    levels = _levels(params.reservation, a0, b0)
     return TypedHSolution(
         a0=a0, b0=b0, objective=float(objective_ab(a0, b0, params)),
         Xi=chk["Xi"], Psi=chk["Psi"], theta=float(theta_term(a0, b0, params)),
         feasible=True, assumption_flags={"b0_le_a0_minus_half": b0 <= a0 - 0.5},
         N_gamma=N, L_gamma=L_gamma_profile(params, N),
+        levels=levels, bridge=build_bridge(params, a0, b0, N, levels),
     )
 
 
@@ -451,6 +457,44 @@ def test_lowest_segment_breakpoint_identity():
     assert len(part.intervals) == 2
     assert abs(part.intervals[0][1] - sol.b0) <= 1e-6
     assert abs(part.intervals[1][0] - sol.a0) <= 1e-6
+
+
+def test_emission_leaves_the_solution_unchanged():
+    """The solve carries the bridge and the levels; emitting reads them and
+    rebinds or mutates no field of the solution."""
+    params = shifted_sqrt_params(offset=0.2)
+    sol = make_feasible_pair_solution(params, 0.8, 0.1)
+    fields = dict(vars(sol))
+    frozen = pickle.dumps(sol)
+    build_tariff_typed_h(ScenarioConfig(params=params), sol)
+    assert vars(sol).keys() == fields.keys()
+    assert all(vars(sol)[k] is v for k, v in fields.items())
+    assert pickle.dumps(sol) == frozen
+
+
+@pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
+def test_typed_request_evaluates_levels_once_and_builds_one_bridge(family, tmp_path, monkeypatch):
+    """One typed solve request evaluates H at its boundary pair once, builds
+    one bridge and conjugates once per tabulated tariff segment."""
+    from nltariff import cli, solver_const_h, solver_typed_h
+
+    calls = {"levels": 0, "bridge": 0, "conjugate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver_typed_h, "_levels", counted("levels", solver_typed_h._levels))
+    monkeypatch.setattr(solver_typed_h, "build_bridge", counted("bridge", solver_typed_h.build_bridge))
+    conjugate = counted("conjugate", solver_const_h.conjugate_segment)
+    for module in (solver_const_h, solver_typed_h):
+        monkeypatch.setattr(module, "conjugate_segment", conjugate)
+    report = cli.run_scenario(CONFIG_DIR / f"{family}.json", tmp_path)
+    tabulated = sum(seg["p1_t0"] is None for seg in report["tariff"]["segments"])
+    assert tabulated >= 1
+    assert calls == {"levels": 1, "bridge": 1, "conjugate": tabulated}
 
 
 def test_emitted_tariff_continuous_and_shaped(typed_a_solution, typed_b_solution):
@@ -638,14 +682,15 @@ def test_glued_surface_u_convex_under_gap_condition(typed_a_solution, typed_a_co
 
 def test_non_convex_glue_flagged_when_gap_condition_fails():
     """With b0* > a0* - 1/2 the solver must warn that no convex glue exists."""
-    from nltariff.solver_typed_h import TypedHSolution, _glued_indirect_utility
+    from nltariff.solver_typed_h import _glued_indirect_utility
 
     params = shifted_sqrt_params(offset=0.1)
     a0, b0 = 0.7, 0.35  # violates the gap condition
     N = N_gamma_profile(params, a0, b0)
-    bridge = build_bridge(params, a0, b0, N=N)
+    levels = _levels(params.reservation, a0, b0)
+    bridge = build_bridge(params, a0, b0, N, levels)
     assert not bridge.checks.get("glued_convexity", False)
-    p_star = _glued_indirect_utility(params, a0, b0, N, bridge)
+    p_star = _glued_indirect_utility(params, a0, b0, N, levels, bridge)
     rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 1601)), params,
                             c_grid=np.linspace(0.0, 4.0, 1201))
     assert not rep.is_u_convex
