@@ -5,6 +5,7 @@ of u(t,x,c) - p(t,c) over consumption only. ``best_response_grid`` is the
 formula-free oracle used to audit every closed-form consumption claim.
 """
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -14,74 +15,63 @@ from .tariff import Tariff
 from .uconvex import SampledFunctionOfConsumption, SampledFunctionOfType
 
 
+def _interp_rows(x_grid, rows, x):
+    """Each row of ``rows``, sampled on ``x_grid``, interpolated linearly at x."""
+    out = np.empty((len(rows), x.size))
+    # np.interp is one-dimensional: one call per time row
+    for i, row in enumerate(rows):
+        out[i] = np.interp(x, x_grid, row)
+    return out
+
+
+def _interp_row_slopes(x_grid, rows, x):
+    """Central differences of the interpolated rows with half the smallest
+    grid step, one-sided at the grid ends."""
+    h = 0.5 * np.min(np.diff(x_grid))
+    xl = np.maximum(x - h, x_grid[0])
+    xr = np.minimum(x + h, x_grid[-1])
+    return (_interp_rows(x_grid, rows, xr) - _interp_rows(x_grid, rows, xl)) / (xr - xl)
+
+
 @dataclass(eq=False)
 class IndirectUtility:
     """The surface p*(t,x) plus its time aggregate P*(x).
 
-    representation "closed_form": value/slope callables map an x-array to a
-    (n_times, n_x) array exactly. "sampled": values live on x_grid and
-    derivatives come from finite differences (central inside, one-sided at
-    the boundary).
+    ``values_fn`` and ``slopes_fn`` map an x-array to a (n_times, n_x)
+    array; ``x_grid`` is the type grid of ``sample``. ``from_samples``
+    builds both from values on a grid: linear interpolation per time row,
+    slopes by finite differences. Module-level functions bound with
+    ``partial`` keep a sampled surface picklable.
     """
 
     time_grid: np.ndarray
-    representation: str  # "closed_form" | "sampled"
     x_grid: np.ndarray
-    _values_fn: object = None
-    _slopes_fn: object = None
-    _sampled_values: np.ndarray | None = None
+    values_fn: object
+    slopes_fn: object
     meta: dict = field(default_factory=dict)
 
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def from_callables(time_grid, values_fn, slopes_fn, meta=None):
-        return IndirectUtility(
-            time_grid=np.asarray(time_grid, dtype=float),
-            representation="closed_form",
-            x_grid=np.linspace(0.0, 1.0, 1001),
-            _values_fn=values_fn,
-            _slopes_fn=slopes_fn,
-            meta=meta or {},
-        )
+        return IndirectUtility(np.asarray(time_grid, dtype=float), np.linspace(0.0, 1.0, 1001),
+                               values_fn, slopes_fn, meta or {})
 
     @staticmethod
     def from_samples(time_grid, x_grid, values, meta=None):
+        x_grid = np.asarray(x_grid, dtype=float)
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        return IndirectUtility(
-            time_grid=np.asarray(time_grid, dtype=float),
-            representation="sampled",
-            x_grid=np.asarray(x_grid, dtype=float),
-            _sampled_values=values,
-            meta=meta or {},
-        )
+        return IndirectUtility(np.asarray(time_grid, dtype=float), x_grid,
+                               partial(_interp_rows, x_grid, values),
+                               partial(_interp_row_slopes, x_grid, values), meta or {})
 
     # -- evaluation -----------------------------------------------------------
     def values(self, x):
         """p*(t_i, x_j) as an (n_times, n_x) array."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.representation == "closed_form":
-            return self._values_fn(x)
-        out = np.empty((self.time_grid.size, x.size))
-        for i in range(self.time_grid.size):
-            out[i] = np.interp(x, self.x_grid, self._sampled_values[i])
-        return out
+        return self.values_fn(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def slopes(self, x):
-        """dp*/dx at every time node; one-sided near sampled boundaries."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.representation == "closed_form":
-            return self._slopes_fn(x)
-        out = np.empty((self.time_grid.size, x.size))
-        for i in range(self.time_grid.size):
-            out[i] = self._fd_slope(self._sampled_values[i], x)
-        return out
-
-    def _fd_slope(self, row, x):
-        g = self.x_grid
-        h = 0.5 * np.min(np.diff(g))
-        xl = np.maximum(x - h, g[0])
-        xr = np.minimum(x + h, g[-1])
-        return (np.interp(xr, g, row) - np.interp(xl, g, row)) / (xr - xl)
+        """dp*/dx at every time node."""
+        return self.slopes_fn(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def P_star(self, x):
         """Time aggregate int_0^T p*(t,x) dt."""

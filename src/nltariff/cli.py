@@ -284,8 +284,7 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_tariff_csv(out / "tariff.csv", tariff)
-    _write_indirect_csv(out / "indirect_utility.csv", p_star, part, params)
-    _write_consumption_csv(out / "consumption.csv", p_star, part, params)
+    _write_type_csvs(out, p_star, part, params)
     return report
 
 
@@ -337,28 +336,23 @@ def _write_tariff_csv(path, tariff):
                  _grid_text(cs) * tariff.time_grid.size, prices.ravel().tolist())
 
 
-def _write_indirect_csv(path, p_star, part, params):
+def _write_type_csvs(out, p_star, part, params):
+    """indirect_utility.csv (P*, H and participation per type) and
+    consumption.csv (c* and p* per time node and type) on one type grid;
+    non-participating types consume 0."""
     xs = np.linspace(0.0, 1.0, TYPE_SAMPLES)
-    P = p_star.P_star(xs)
-    H = params.reservation(xs)
     member = part.contains(xs)
-    _write_table(path, ["schema_version", "x", "P_star", "H", "participates"],
+    _write_table(out / "indirect_utility.csv", ["schema_version", "x", "P_star", "H", "participates"],
                  f"{SCHEMA_VERSION},%.12g,%.12g,%.12g,%d",
-                 xs.tolist(), P.tolist(), H.tolist(), member.tolist())
-
-
-def _write_consumption_csv(path, p_star, part, params):
-    xs = np.linspace(0.0, 1.0, TYPE_SAMPLES)
-    member = part.contains(xs)
-    slopes = p_star.slopes(xs)
-    cons = evaluation.consumption_from_slopes(slopes, xs, params)
+                 xs.tolist(), p_star.P_star(xs).tolist(), params.reservation(xs).tolist(), member.tolist())
+    cons = evaluation.consumption_from_slopes(p_star.slopes(xs), xs, params)
     cons = np.where(np.isfinite(cons), cons, 0.0)
     cons[:, ~member] = 0.0
-    vals = p_star.values(xs)
-    _write_table(path, ["schema_version", "t", "x", "c_star", "p_star"],
+    _write_table(out / "consumption.csv", ["schema_version", "t", "x", "c_star", "p_star"],
                  f"{SCHEMA_VERSION},%s,%s,%.12g,%.12g",
                  _grid_text(params.time_grid, xs.size),
-                 _grid_text(xs) * params.time_grid.size, cons.ravel().tolist(), vals.ravel().tolist())
+                 _grid_text(xs) * params.time_grid.size, cons.ravel().tolist(),
+                 p_star.values(xs).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ general tabulated form. All objects are immutable after construction and all
 operations are pure functions, so values can be shared freely across threads.
 """
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -132,13 +133,14 @@ class ConstantReservation:
 class ConcaveReservation:
     """Nondecreasing strictly concave outside option H(x) with derivative H'(x).
 
-    Either closed-form callables or tabulated samples. Tabulated samples are
-    interpolated linearly; H' samples must be strictly decreasing (strict
-    concavity) and nonnegative.
+    ``h`` and ``h_prime`` map an x-array to H and H'. ``from_table`` binds
+    them to the linear interpolation of tabulated samples, which it keeps
+    as ``x``, ``values`` and ``derivative``; H' samples must be strictly
+    decreasing (strict concavity) and nonnegative.
     """
 
-    h: object = None          # callable x -> H(x)
-    h_prime: object = None    # callable x -> H'(x)
+    h: object                 # callable x -> H(x)
+    h_prime: object           # callable x -> H'(x)
     x: np.ndarray | None = None
     values: np.ndarray | None = None
     derivative: np.ndarray | None = None
@@ -156,19 +158,15 @@ class ConcaveReservation:
         derivative = np.asarray(derivative, dtype=float)
         if x.ndim != 1 or x.size < 3 or np.any(np.diff(x) <= 0):
             raise InvalidReservation("tabulated H needs a strictly increasing x grid (>= 3 nodes)")
-        return ConcaveReservation(x=x, values=values, derivative=derivative)
+        return ConcaveReservation(h=partial(np.interp, xp=x, fp=values),
+                                  h_prime=partial(np.interp, xp=x, fp=derivative),
+                                  x=x, values=values, derivative=derivative)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.h is not None:
-            return np.asarray(self.h(x), dtype=float)
-        return np.interp(x, self.x, self.values)
+        return np.asarray(self.h(np.asarray(x, dtype=float)), dtype=float)
 
     def prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.h_prime is not None:
-            return np.asarray(self.h_prime(x), dtype=float)
-        return np.interp(x, self.x, self.derivative)
+        return np.asarray(self.h_prime(np.asarray(x, dtype=float)), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -429,6 +429,7 @@ def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
     nt = params.time_grid.size
     Ha, Hb = levels
     bx, bv = bridge.x_knots, bridge.values
+    middle = IndirectUtility.from_samples(params.time_grid, bx, bv)
 
     Nt = N[:, None]
 
@@ -441,8 +442,7 @@ def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
         if np.any(low):
             out[:, low] = lower.values(Nt, x[low], b0, Hb / T)
         if np.any(mid):
-            # np.interp is one-dimensional: one call per time row
-            out[:, mid] = [np.interp(x[mid], bx, row) for row in bv]
+            out[:, mid] = middle.values(x[mid])
         if np.any(up):
             out[:, up] = upper.values(Nt, x[up], a0, Ha / T)
         return out

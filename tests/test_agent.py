@@ -1,4 +1,6 @@
 """Consumer best responses and participation structure."""
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -218,6 +220,19 @@ def test_kink_detection_on_sampled_surface():
     assert not kinks[0] and kinks[1] and not kinks[2]
     left, right = slope_sides(p_star, np.asarray([0.4]))
     assert right[0, 0] - left[0, 0] > 0.5  # subgradient interval is reported
+
+
+def test_sampled_surface_pickles():
+    """A sampled p* is bound to module-level functions, so it survives a
+    pickle round trip and evaluates equal afterwards."""
+    params = canonical_params(0.5, reservation=ConstantReservation(0.05))
+    x = np.linspace(0.0, 1.0, 41)
+    p_star = IndirectUtility.from_samples(params.time_grid, x, np.tile(x ** 2, (params.time_grid.size, 1)))
+    back = pickle.loads(pickle.dumps(p_star))
+    probes = np.linspace(0.0, 1.0, 97)
+    assert np.array_equal(back.values(probes), p_star.values(probes))
+    assert np.array_equal(back.slopes(probes), p_star.slopes(probes))
+    assert np.array_equal(back.P_star(probes), p_star.P_star(probes))
 
 
 def test_staple_consumption_positive_for_participants(bench2_solution, bench2_config):

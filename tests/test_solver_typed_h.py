@@ -381,6 +381,35 @@ def test_empty_bridge_when_boundaries_touch():
     assert rep.name == "empty" and rep.valid
 
 
+def test_glued_surface_over_an_empty_bridge_evaluates():
+    """Touching boundaries leave a one-knot bridge: the glued p* builds and
+    evaluates, since a sampled piece takes its difference step only when
+    its own slopes are asked for."""
+    from nltariff.solver_typed_h import _glued_indirect_utility
+
+    p = shifted_sqrt_params()
+    N = N_gamma_profile(p, 0.6, 0.6)
+    levels = _levels(p.reservation, 0.6, 0.6)
+    p_star = _glued_indirect_utility(p, 0.6, 0.6, N, levels, build_bridge(p, 0.6, 0.6, N, levels))
+    xs = np.concatenate([np.linspace(0.0, 1.0, 101), [0.6]])
+    assert np.all(np.isfinite(p_star.values(xs)))
+    assert np.all(np.isfinite(p_star.slopes(xs)))
+
+
+@pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
+def test_loaded_typed_config_pickles(family):
+    """A tabulated reservation is bound to module-level interpolation, so a
+    loaded config survives a pickle round trip and solves the same."""
+    config = load_config(CONFIG_DIR / f"{family}.json")
+    back = pickle.loads(pickle.dumps(config))
+    xs = np.linspace(0.0, 1.0, 257)
+    res, res_back = config.params.reservation, back.params.reservation
+    assert np.array_equal(res_back(xs), res(xs))
+    assert np.array_equal(res_back.prime(xs), res.prime(xs))
+    sol, sol_back = solve_a0_b0_star(config), solve_a0_b0_star(back)
+    assert (sol_back.a0, sol_back.b0, sol_back.objective) == (sol.a0, sol.b0, sol.objective)
+
+
 def test_chord_strictly_below_reservation(typed_b_solution, typed_b_config):
     sol, _, _ = typed_b_solution
     rep = sol.bridge
