@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluation, oracle, solver_typed_h
 from .agent import participation_set
-from .errors import AssumptionViolation, ConfigError, InfeasibleSet, InvalidParams, NLTariffError
+from .errors import AssumptionViolation, ConfigError, InvalidParams, NLTariffError
 from .model import (
     ConcaveReservation,
     ConstantReservation,
@@ -37,6 +37,7 @@ CONFIG_KEYS = ("gamma", "horizon", "time_grid", "time_nodes", "n", "cost_table",
 SOLVER_KEYS = ("force_general_route",)
 TYPE_SAMPLES = 201   # rows of indirect_utility.csv, types per time node of consumption.csv
 
+EXIT_SOLVER = 1
 EXIT_CONFIG = 2
 EXIT_ASSUMPTION = 3
 
@@ -282,10 +283,23 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     _write_tariff_csv(out / "tariff.csv", tariff)
     _write_type_csvs(out, p_star, part, params)
     return report
+
+
+def _json_safe(doc):
+    """``doc`` with every non-finite number replaced by None, so that it
+    dumps as strict JSON: a non-finite or waived certificate reads null."""
+    if isinstance(doc, dict):
+        return {key: _json_safe(val) for key, val in doc.items()}
+    if isinstance(doc, list):
+        return [_json_safe(val) for val in doc]
+    if isinstance(doc, float) and not np.isfinite(doc):
+        return None
+    return doc
 
 
 def _typed_scan_audit(params):
@@ -453,9 +467,12 @@ def main(argv=None):
     except AssumptionViolation as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except (InfeasibleSet, NLTariffError) as exc:
+    except NLTariffError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_SOLVER
+    except ArithmeticError as exc:  # a float overflow of valid inputs
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     return 0
 
 

@@ -71,15 +71,19 @@ def N_gamma_profile(params, a0, b0):
     """Per-time scale of the x^(1/(1-gamma)) part of the indirect utility.
 
     Positive on the industrial branch, negative on the residential branch.
+    The empty contract (R = 0) serves no component and gets an infinite,
+    unused scale.
     """
     g, n = params.gamma, params.n
     e = g * (n - 1.0) / (n - g)
-    R = float(R_gamma(a0, b0, params))
+    R = np.float64(R_gamma(a0, b0, params))
+    with np.errstate(divide="ignore"):
+        R_power = R ** (-e)
     return (
         2.0 ** (g / (1.0 - g)) * (1.0 - g) / g
         * (2.0 * (2.0 - g) / (1.0 - g)) ** e
         * time_weight(params)
-        * R ** (-e)
+        * R_power
     )
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import DomainError, InvalidParams
 
 CONVEXITY_REL_TOL = 1e-9   # slack on second differences, scaled by local slope size
 C_MIN, C_MAX = 1e-4, 1e3   # consumption range of the default grid
@@ -26,11 +26,11 @@ class SampledFunctionOfType:
         x = np.asarray(self.x_grid, dtype=float)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if np.any(np.diff(x) <= 0):
-            raise InvalidParams("x_grid", "grid must be strictly increasing")
+            raise DomainError("sampled type grid must be strictly increasing")
         if x[0] < -1e-12 or x[-1] > 1.0 + 1e-12:
-            raise InvalidParams("x_grid", "grid must lie in [0,1]")
+            raise DomainError("sampled type grid must lie in [0,1]")
         if v.shape[1] != x.size or not np.all(np.isfinite(v)):
-            raise InvalidParams("values", "need finite values, one row per time node")
+            raise DomainError("sampled values must be finite, one row per time node")
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "values", v)
 
@@ -46,9 +46,9 @@ class SampledFunctionOfConsumption:
         c = np.asarray(self.c_grid, dtype=float)
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if np.any(np.diff(c) <= 0):
-            raise InvalidParams("c_grid", "grid must be strictly increasing")
+            raise DomainError("sampled consumption grid must be strictly increasing")
         if v.shape[1] != c.size or not np.all(np.isfinite(v)):
-            raise InvalidParams("values", "need finite values, one row per time node")
+            raise DomainError("sampled values must be finite, one row per time node")
         object.__setattr__(self, "c_grid", c)
         object.__setattr__(self, "values", v)
 

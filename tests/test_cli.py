@@ -313,6 +313,38 @@ def test_typed_solve_returns_the_upper_corner_it_ties_with(tmp_path):
     assert len(report["participation"]) == 1
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
+def test_typed_empty_contract_is_solved(tmp_path, flags):
+    """At a taste scale this low no type is worth serving: the scan returns
+    the corner (a0, b0) = (1, 0), whose coverage R is 0, and the request
+    writes the empty contract on the sampled tariff route."""
+    doc = dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()), phi=0.003)
+    out = tmp_path / "o"
+    assert main(["solve", str(write_config(tmp_path, doc)), "--out", str(out)] + flags) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["boundary"] == {"a0": 1.0, "b0": 0.0}
+    assert report["participation"] == []
+    assert report["principal_utility"] == 0.0
+    assert [s["label"] for s in report["tariff"]["segments"]] == ["sampled"]
+    assert report.get("oracle", {"value": 0.0})["value"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family, gamma", [
+    ("industrial_constant_h", 0.9995),
+    ("industrial_sqrt_h", 0.9995),
+    ("residential_log_h", -40.0),
+])
+def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, gamma):
+    """A valid config whose numbers overflow (2^(gamma/(1-gamma)) past the
+    float range, or a tariff that samples to inf) exits 1, not 2."""
+    doc = dict(json.loads((CONFIG_DIR / f"{family}.json").read_text()), gamma=gamma)
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("solver error:")
+
+
 def test_typed_sweep_returns_the_lower_corner_it_ties_with(tmp_path):
     rows = run_sweep(CONFIG_DIR / "industrial_sqrt_h.json", "H_scale", [20.0, 50.0], tmp_path / "o")
     assert [r["b0"] for r in rows] == [0.0, 0.0]
@@ -386,12 +418,12 @@ PINNED_REPORTS = {
         "[[None, None, None, 0.0001, None]]]",
     ("residential_log_h", "shipped"):
         "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699155224, 2.1440285188872623e-09, "
-        "{'Psi': 0.6295804560913474, 'Xi': inf, 'theta': 0.2894292322578437}, "
+        "{'Psi': 0.6295804560913474, 'Xi': None, 'theta': 0.2894292322578437}, "
         "[[None, None, None, 0.0, 1.5883593436307482], "
         "[-0.5, 0.13654369585537002, 1.4273299963742798, 1.5883593436307482, None]]]",
     ("residential_log_h", "varying"):
         "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468813368, 2.568959569596009e-09, "
-        "{'Psi': 0.636647155965325, 'Xi': inf, 'theta': 0.2861796512447036}, "
+        "{'Psi': 0.636647155965325, 'Xi': None, 'theta': 0.2861796512447036}, "
         "[[None, None, None, 0.0, 1.4052979035455824], "
         "[-0.4, 0.141057025327396, 1.4889142650026825, 1.4052979035455824, None]]]",
 }

@@ -10,12 +10,18 @@ same commit, from the root of the checkout:
 Like the byte pins of ``test_cli.py``, the digest holds for the numpy
 version named in its header line.
 """
+import importlib.util
+import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from nltariff.cli import main
+from perfbench import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).with_name("output_digest_seed1.txt")
@@ -42,3 +48,25 @@ def test_output_digest_is_pinned():
     if pinned_numpy != np.__version__:
         message = f"numpy is {np.__version__} here but the digest was pinned under numpy {pinned_numpy}; " + message
     pytest.fail(message)
+
+
+def test_every_digest_report_is_strict_json(tmp_path):
+    """report.json is strict JSON on every request of the digest: a
+    non-finite number is written as null, never as NaN or Infinity."""
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    reports = 0
+    for name, request in digest._requests(ROOT, workloads, [digest.DEFAULT_SEED], tmp_path):
+        out = tmp_path / "out" / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            main(request + ["--out", str(out)])
+        if (out / "report.json").exists():
+            json.loads((out / "report.json").read_text(), parse_constant=refuse)
+            reports += 1
+    assert reports == 44

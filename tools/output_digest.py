@@ -5,17 +5,20 @@ Usage: python tools/output_digest.py SRC_DIR [--seeds 1,2,...] > digest.txt
 SRC_DIR is the root of a checkout; its ``src/nltariff`` and ``perfbench``
 are imported. The requests are the four shipped configs solved plain,
 with ``--oracle`` and with ``--full-tariff``, their ``H_scale`` and
-``k_scale`` sweeps, and the requests of the ``coarse_mix``, ``fine_grid``
-and ``oracle_audit`` benchmark workloads for each of the given seeds
-(default 1: 58 requests in all). Requests of a seed other than 1 are named
-``workload@seed-...``, so the default digest reads as it always has. Each
-output file gets one line ``request/file exit_code n_warnings sha256`` (a
-request that wrote nothing gets one line with ``-`` as its file and hash),
-so two checkouts give byte-identical outputs exactly when ``diff`` of their
-digests is empty, up to the warning counts.
+``k_scale`` sweeps, ``industrial_sqrt_h`` at ``phi = 0.003`` (the typed
+empty contract) solved plain and with ``--oracle``, and the requests of
+the ``coarse_mix``, ``fine_grid`` and ``oracle_audit`` benchmark
+workloads for each of the given seeds (default 1: 60 requests in all).
+Requests of a seed other than 1 are named ``workload@seed-...``, so the
+default digest reads as it always has. Each output file gets one line
+``request/file exit_code n_warnings sha256`` (a request that wrote nothing
+gets one line with ``-`` as its file and hash), so two checkouts give
+byte-identical outputs exactly when ``diff`` of their digests is empty,
+up to the warning counts.
 """
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 import warnings
@@ -36,6 +39,13 @@ def _requests(root, workloads, seeds, scratch):
         for param in ("H_scale", "k_scale"):
             argv = ["sweep", cfg, "--param", param, "--values", SWEEP_VALUES]
             reqs.append((f"shipped-{fam}-{param}", argv))
+    # a taste scale this low leaves the typed contract empty: (a0, b0) = (1, 0)
+    doc = json.loads((root / "configs" / "industrial_sqrt_h.json").read_text())
+    cfg = scratch / "configs" / "industrial_sqrt_h-empty.json"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(json.dumps(dict(doc, phi=0.003)))
+    for variant, flags in (("plain", []), ("oracle", ["--oracle"])):
+        reqs.append((f"shipped-industrial_sqrt_h-empty-{variant}", ["solve", str(cfg)] + flags))
     for seed in seeds:
         for name in workloads.WORKLOADS:
             label = name if seed == DEFAULT_SEED else f"{name}@{seed}"
