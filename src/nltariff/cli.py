@@ -297,9 +297,7 @@ def _json_safe(doc):
         return {key: _json_safe(val) for key, val in doc.items()}
     if isinstance(doc, list):
         return [_json_safe(val) for val in doc]
-    if isinstance(doc, float) and not np.isfinite(doc):
-        return None
-    return doc
+    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
 
 
 def _typed_scan_audit(params):

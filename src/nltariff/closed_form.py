@@ -71,14 +71,11 @@ def N_gamma_profile(params, a0, b0):
     """Per-time scale of the x^(1/(1-gamma)) part of the indirect utility.
 
     Positive on the industrial branch, negative on the residential branch.
-    The empty contract (R = 0) serves no component and gets an infinite,
-    unused scale.
     """
     g, n = params.gamma, params.n
     e = g * (n - 1.0) / (n - g)
-    R = np.float64(R_gamma(a0, b0, params))
-    with np.errstate(divide="ignore"):
-        R_power = R ** (-e)
+    with np.errstate(divide="ignore"):  # the empty contract, R = 0, gets an unused infinite scale
+        R_power = np.float64(R_gamma(a0, b0, params)) ** (-e)
     return (
         2.0 ** (g / (1.0 - g)) * (1.0 - g) / g
         * (2.0 * (2.0 - g) / (1.0 - g)) ** e
