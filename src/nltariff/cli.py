@@ -219,7 +219,7 @@ def _solve(config):
         extras = {
             "foc_residual": mu_zero_residual(sol, p_star, params),
             "uniqueness": True,
-            "route": "closed_form",
+            "route": tariff.meta.get("route", "closed_form"),
             "principal_utility": sol.objective,
             "warnings": list(sol.warnings),
             "certificates": {"Xi": sol.Xi, "Psi": sol.Psi, "theta": sol.theta},
@@ -274,7 +274,8 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
     if run_oracle:
         if params.reservation.kind == "constant":
             res = oracle.oracle_relaxed_maximize_const_h(params)
-            gap = abs(res.value - extras["principal_utility"]) / max(1e-12, abs(extras["principal_utility"]))
+            # signed: a profit above the dual bound reads negative
+            gap = (res.value - extras["principal_utility"]) / max(1e-12, abs(extras["principal_utility"]))
             report["oracle"] = {"value": res.value, "x0": res.x0,
                                 "relative_gap": gap, "iterations": res.iterations}
         else:

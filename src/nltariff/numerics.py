@@ -34,6 +34,27 @@ def cumtrapz(y, x):
     return out
 
 
+def tail_integrals(fn, nodes):
+    """The map x0 -> int_{x0}^{1} fn(x) dx on a 1-D array of x0 in [0, 1],
+    from one quadrature that every x0 shares.
+
+    ``fn`` is evaluated once on ``nodes`` points of [0, 1] graded toward
+    x = 1, 1 - linspace(1, 0)^2, whose cumulative trapezoid gives each x0
+    the table's tail from the first node above x0; the partial cell from x0
+    to that node adds one trapezoid with fn(x0). So a call costs one
+    evaluation of ``fn`` per x0.
+    """
+    xs = 1.0 - np.linspace(1.0, 0.0, nodes) ** 2
+    ys = fn(xs)
+    cum = cumtrapz(ys, xs)
+
+    def tail(x0):
+        i = np.minimum(np.searchsorted(xs, x0, side="right"), xs.size - 1)
+        return cum[-1] - cum[i] + (xs[i] - x0) * (fn(x0) + ys[i]) / 2.0
+
+    return tail
+
+
 def bisect(f, lo, hi, xtol=1e-14, max_iter=200):
     """Root of a scalar function by bisection on a sign-changing bracket."""
     flo, fhi = f(lo), f(hi)

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import eval_cost, eval_marginal_cost
-from .numerics import cumtrapz, grid_then_golden_max, invert_increasing, trapezoid
+from .numerics import grid_then_golden_max, invert_increasing, tail_integrals, trapezoid
 
 ROOT_TOL = 1e-12    # bisection tolerance of a cost table's dual root
 
@@ -110,16 +110,12 @@ def oracle_relaxed_maximize_const_h(params, type_grid_size=20001, x0_candidates=
     """
     if x0_candidates is None:
         x0_candidates = np.linspace(0.0, 1.0, 41)
-    xs = 1.0 - np.linspace(1.0, 0.0, type_grid_size) ** 2
-    hf = _coverage_density(params, xs)
-    cum = cumtrapz(hf, xs)
+    coverage = tail_integrals(lambda x: _coverage_density(params, x), type_grid_size)
     evaluated = []
 
     def bound(x0):
         x0s = np.atleast_1d(np.asarray(x0, dtype=float))
-        i = np.minimum(np.searchsorted(xs, x0s, side="right"), xs.size - 1)
-        J = cum[-1] - cum[i] + (xs[i] - x0s) * (_coverage_density(params, x0s) + hf[i]) / 2.0
-        vals = _dual_bound(params, x0s, J)
+        vals = _dual_bound(params, x0s, coverage(x0s))
         evaluated.extend(zip(x0s.tolist(), vals.tolist()))
         return vals if np.ndim(x0) else float(vals[0])
 

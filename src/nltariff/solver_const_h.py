@@ -7,7 +7,9 @@ branch. Everything after the threshold (the objective, the scales and the
 polynomial tariff) is the one-component case [x0, 1] of the typed closed
 forms in ``closed_form``. The general route maximizes the reduced
 one-dimensional objective by quadrature plus golden-section refinement and
-emits a sampled tariff.
+emits a sampled tariff. Its search scores every threshold on one shared
+table of the coverage ell(x0), and the threshold it locates gets ell from a
+trapezoid of its own, which both the reported profit and the tariff use.
 """
 from dataclasses import dataclass, field
 
@@ -18,14 +20,13 @@ from .closed_form import (B_gamma, L_gamma_profile, N_gamma_profile, component_s
                           selected_segments)
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
-from .numerics import bisect, cumtrapz, grid_then_golden_max, trapezoid
+from .numerics import bisect, cumtrapz, grid_then_golden_max, tail_integrals, trapezoid
 from .tariff import TabulatedSegment, Tariff, TariffSegment
 from .uconvex import _c_power, _u_conjugate, default_c_grid
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
-ELL_NODES = 2001     # trapezoid nodes of ell(x0) off the closed form
-ELL_BLOCK = 16       # thresholds per ell mesh, which bounds its memory at 16 x ELL_NODES values
+ELL_NODES = 20001    # nodes of the shared ell table and of a reported ell(x0), as in the dual oracle
 
 
 @dataclass(eq=False)
@@ -38,6 +39,7 @@ class SolveReport:
     uniqueness: bool
     route: str
     warnings: list = field(default_factory=list)
+    ell: float = None    # the general route's ell(x0), from which its tariff is built
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +72,40 @@ def beta_fn(x, params):
         return upper_bracket(x, params) / params.f.pdf(x) ** params.gamma
 
 
+def _ell_integrand(x, params):
+    """(beta^+)^(1/(1-gamma)), the integrand of ell."""
+    return np.maximum(beta_fn(x, params), 0.0) ** (1.0 / (1.0 - params.gamma))
+
+
 def ell_const(x0, params):
     """ell(x0): integral of ([g f + g' F - g']^+ / f^gamma)^(1/(1-gamma)) over [x0, 1].
 
     Elementwise on a 1-D array of thresholds; a float for a scalar. The
     canonical power/uniform setting takes the closed form ell_ab(x0, 0);
-    otherwise each threshold gets the trapezoid on ELL_NODES nodes, a block
-    of thresholds at a time.
+    otherwise each threshold gets the trapezoid on ELL_NODES nodes of
+    [x0, 1], the dual oracle's quadrature of its reported threshold.
     """
     x0s = np.atleast_1d(np.asarray(x0, dtype=float))
     if params.is_canonical_uniform_power:
         ell = ell_ab(x0s, 0.0, params)
     else:
         ell = np.zeros(x0s.shape)
-        live = np.flatnonzero(x0s < 1.0)
-        for i in range(0, live.size, ELL_BLOCK):
-            rows = live[i:i + ELL_BLOCK]
-            # row-major, so each row sums in the order of a threshold alone
-            xs = np.ascontiguousarray(np.linspace(x0s[rows], 1.0, ELL_NODES, axis=-1))
-            integrand = np.maximum(beta_fn(xs, params), 0.0) ** (1.0 / (1.0 - params.gamma))
-            ell[rows] = trapezoid(integrand, xs)
+        for i in np.flatnonzero(x0s < 1.0):
+            xs = np.linspace(x0s[i], 1.0, ELL_NODES)
+            ell[i] = trapezoid(_ell_integrand(xs, params), xs)
     return float(ell[0]) if np.ndim(x0) == 0 else ell
+
+
+def ell_table(params):
+    """ell on a 1-D array of thresholds for a search that scores many of
+    them: the closed form ell_ab(x0, 0) in the canonical power/uniform
+    setting; otherwise one shared table, the cumulative trapezoid of the
+    integrand on ELL_NODES nodes of [0, 1] graded toward x = 1 (where the
+    residential integrand has a square-root end), plus each threshold's
+    partial cell."""
+    if params.is_canonical_uniform_power:
+        return lambda x0s: ell_ab(x0s, 0.0, params)
+    return tail_integrals(lambda x: _ell_integrand(x, params), ELL_NODES)
 
 
 def capacity_A(ell, params):
@@ -127,12 +142,13 @@ def chi(y0, params):
     return H - 2.0 * n * Ag * (2.0 - g) / (n - g) * y0 * (1.0 - y0 ** (2.0 - g)) ** (-g * (n - 1.0) / (n - g))
 
 
-def alpha_objective(x0, params):
+def alpha_objective(x0, params, ell=None):
     """General reduced objective: time integral of (1/gamma) A dK/dc(A) - K(A)
     plus the boundary term (F(x0) - 1) H. Elementwise on a 1-D array of
-    thresholds; a float for a scalar ``x0``."""
+    thresholds; a float for a scalar ``x0``. ``ell`` is the coverage at
+    each threshold, ell_const's when None."""
     x0s = np.atleast_1d(np.asarray(x0, dtype=float))
-    A = capacity_A(ell_const(x0s, params), params)
+    A = capacity_A(ell_const(x0s, params) if ell is None else np.atleast_1d(ell), params)
     vals = A * eval_marginal_cost(A, params) / params.gamma - eval_cost(A, params)
     out = trapezoid(vals, params.time_grid) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
     return float(out[0]) if np.ndim(x0) == 0 else out
@@ -218,19 +234,26 @@ def _residential_threshold(params, H):
 
 
 def _solve_general(config, H):
+    """The scan, the golden-section steps and the first-order residual score
+    thresholds on one ell table; the located x0 reports the objective at
+    ell_const(x0)."""
     params = config.params
-    obj = lambda x0: alpha_objective(x0, params)
-    x0, v0 = grid_then_golden_max(obj, np.linspace(0.0, 1.0, ALPHA_GRID), xtol=1e-10)
+    table = ell_table(params)
+    obj = lambda x0: alpha_objective(x0, params, table(np.atleast_1d(x0)))
+    x0, _ = grid_then_golden_max(obj, np.linspace(0.0, 1.0, ALPHA_GRID), xtol=1e-10)
+    x0 = float(x0)
+    ell = ell_const(x0, params)
     unique = _uniqueness_conditions(params)
     h = 1e-5
     lo_r, hi_r = max(x0 - h, 0.0), min(x0 + h, 1.0)
     residual = abs((obj(hi_r) - obj(lo_r)) / (hi_r - lo_r)) if 0.0 < x0 < 1.0 else 0.0
     report = SolveReport(
-        boundary={"x0": float(x0)},
-        principal_utility=float(v0),
+        boundary={"x0": x0},
+        principal_utility=float(alpha_objective(x0, params, ell)),
         foc_residual=float(residual),
         uniqueness=unique,
         route="general",
+        ell=ell,
     )
     if not unique:
         report.warnings.append("uniqueness condition (monotone beta) not verified; grid maximizer returned")
@@ -302,8 +325,7 @@ def _build_general(config, report):
     nt = params.time_grid.size
     # the binding reservation level, spread evenly over time: int s dt = H
     s = np.full(nt, params.reservation.H / params.horizon)
-    x0 = report.boundary["x0"]
-    ell = ell_const(x0, params)
+    x0, ell = report.boundary["x0"], report.ell
     # residential slopes are singular at x=1; stop the sample grid just short
     x_top = 1.0 if g > 0 else 1.0 - 1e-9
     xs = np.linspace(0.0, x_top, 2001)

@@ -437,8 +437,10 @@ def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
         x = np.asarray(x, dtype=float)
         out = np.empty((nt, x.size))
         low = x < b0
-        mid = (x >= b0) & (x <= a0)
-        up = x > a0
+        # an empty bridge (a0 == b0) holds no type: the boundary type takes
+        # the upper component's value, its reservation level
+        up = (x > a0) | ((x == a0) & (b0 >= a0))
+        mid = ~(low | up)
         if np.any(low):
             out[:, low] = lower.values(Nt, x[low], b0, Hb / T)
         if np.any(mid):

@@ -19,6 +19,7 @@ from nltariff.cli import (
     run_scenario,
     run_sweep,
 )
+from nltariff.oracle import OracleResult
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -327,6 +328,27 @@ def test_typed_empty_contract_is_solved(tmp_path, flags):
     assert report["principal_utility"] == 0.0
     assert [s["label"] for s in report["tariff"]["segments"]] == ["sampled"]
     assert report.get("oracle", {"value": 0.0})["value"] == 0.0
+
+
+@pytest.mark.parametrize("phi, route", [(1.0, "closed_form"), (0.003, "sampled")], ids=["shipped", "empty"])
+def test_typed_route_names_the_emission(tmp_path, phi, route):
+    """A typed report's route is the one its tariff was emitted on: the
+    empty contract falls back to the fully sampled tariff."""
+    doc = dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()), phi=phi)
+    report = run_scenario(write_config(tmp_path, doc), tmp_path / "o")
+    assert report["route"] == route
+
+
+def test_oracle_gap_is_signed(tmp_path, monkeypatch):
+    """A profit above the dual bound, which only a solver or quadrature
+    fault can produce, reads as a negative relative gap."""
+    import nltariff.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.oracle, "oracle_relaxed_maximize_const_h",
+                        lambda params: OracleResult(value=0.0, x0=1.0, iterations=1))
+    report = run_scenario(write_config(tmp_path, BASE_DOC), tmp_path / "o", run_oracle=True)
+    assert report["principal_utility"] > 0.0
+    assert report["oracle"]["relative_gap"] == -1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -70,3 +70,28 @@ def test_every_digest_report_is_strict_json(tmp_path):
             json.loads((out / "report.json").read_text(), parse_constant=refuse)
             reports += 1
     assert reports == 44
+
+
+def test_output_moves_records_a_raising_request(tmp_path, monkeypatch):
+    """A request that raises is recorded as its outcome, so the comparison
+    of a checkout that crashes on it with one that does not still runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("output_moves", ROOT / "tools" / "output_moves.py")
+    moves = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(moves)
+    from nltariff import cli
+
+    def stub_main(argv):
+        return 1 / 0 if argv[0] == "boom" else 0
+
+    stubs = [("ok", ["ok"]), ("boom", ["boom"])]
+    monkeypatch.setattr(moves, "_requests", lambda root, workloads, seeds, scratch: stubs)
+    monkeypatch.setattr(cli, "main", stub_main)
+    old, new = tmp_path / "old", tmp_path / "new"
+    new.mkdir()
+    moves._run(ROOT, new, [1])
+    assert json.loads((new / moves.CODES).read_text()) == {"ok": 0, "boom": "raised: ZeroDivisionError"}
+    old.mkdir()
+    (old / moves.CODES).write_text(json.dumps({"ok": 0, "boom": 0}))
+    assert moves.compare(old, new)[3] == ["boom: exit code 0 -> raised: ZeroDivisionError"]

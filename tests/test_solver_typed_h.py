@@ -396,6 +396,20 @@ def test_glued_surface_over_an_empty_bridge_evaluates():
     assert np.all(np.isfinite(p_star.slopes(xs)))
 
 
+def test_empty_bridge_leaves_the_boundary_type_at_its_reservation():
+    """With a0 == b0 the boundary type belongs to the components, not to
+    the one-knot bridge: p* there is H(0.6)/T, continuous from both sides."""
+    from nltariff.solver_typed_h import _glued_indirect_utility
+
+    p = shifted_sqrt_params()
+    N = N_gamma_profile(p, 0.6, 0.6)
+    levels = _levels(p.reservation, 0.6, 0.6)
+    p_star = _glued_indirect_utility(p, 0.6, 0.6, N, levels, build_bridge(p, 0.6, 0.6, N, levels))
+    vals = p_star.values(np.array([0.6 - 1e-12, 0.6, 0.6 + 1e-12]))
+    np.testing.assert_allclose(vals[:, 1], levels[0] / p.horizon, rtol=1e-15)
+    np.testing.assert_allclose(vals[:, [0, 2]], vals[:, [1, 1]], rtol=1e-9)
+
+
 @pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
 def test_loaded_typed_config_pickles(family):
     """A tabulated reservation is bound to module-level interpolation, so a

@@ -11,9 +11,10 @@ A quantity is a report.json key path, list positions dropped
 (``tariff.csv:price``). For every quantity that moved, one line gives how
 many values moved, the largest relative move |new - old| / max(|old|, |new|)
 with the request where it occurs, and the largest absolute move. Text that
-changed, values that appear on one side only and changed exit codes are
-listed after the table. The first line counts the output files whose bytes
-differ, which are the lines ``output_digest.py`` would show as changed.
+changed, values that appear on one side only and changed exit codes (a
+request that raised reads ``raised: <exception type>``) are listed after
+the table. The first line counts the output files whose bytes differ,
+which are the lines ``output_digest.py`` would show as changed.
 """
 import argparse
 import csv
@@ -32,7 +33,9 @@ CODES = "exit_codes.json"
 
 def _run(root, out, seeds):
     """Write the outputs of every request of the checkout ``root`` under
-    ``out``, one directory per request, and their exit codes to CODES."""
+    ``out``, one directory per request, and their outcomes to CODES: the
+    exit code, or ``"raised: <exception type>"`` for a request that raised,
+    so that a checkout that crashes on a request can still be compared."""
     sys.path[:0] = [str(root / "src"), str(root)]
     from nltariff import cli
     from perfbench import workloads
@@ -41,7 +44,10 @@ def _run(root, out, seeds):
     for name, request in _requests(root, workloads, seeds, out / "_scratch"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            codes[name] = cli.main(request + ["--out", str(out / name)])
+            try:
+                codes[name] = cli.main(request + ["--out", str(out / name)])
+            except Exception as exc:
+                codes[name] = f"raised: {type(exc).__name__}"
     (out / CODES).write_text(json.dumps(codes))
 
 
