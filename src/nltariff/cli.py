@@ -5,6 +5,7 @@ Outputs are deterministic: report.json plus fixed-column CSV tables suitable
 for golden-file testing, ordered by value and free of timestamps.
 """
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -36,6 +37,7 @@ CONFIG_KEYS = ("gamma", "horizon", "time_grid", "time_nodes", "n", "cost_table",
                "phi", "k", "g", "f", "reservation", "solver")
 SOLVER_KEYS = ("force_general_route",)
 TYPE_SAMPLES = 201   # rows of indirect_utility.csv, types per time node of consumption.csv
+CSV_EOL = "\r\n"     # the csv module's line ending
 
 EXIT_SOLVER = 1
 EXIT_CONFIG = 2
@@ -321,32 +323,43 @@ def _selected_c_samples(tariff):
     return np.linspace(0.0 if tariff.gamma > 0 else c_top * 1e-4, c_top * 1.25, 200)
 
 
-def _write_table(path, header, fmt, *columns):
-    """Write ``header`` and one line ``fmt % row`` per row of the equal-length ``columns``.
+def _write_csv(path, header, template, values):
+    """Write ``header`` and then ``template % values`` as one CSV table.
 
-    The body is one ``%`` operation over the flattened rows. Lines end in
-    ``\\r\\n`` and nothing is quoted, as the csv module writes these tables:
-    they hold only ``%.12g`` numbers (digits, ``.``, ``e``, ``+``, ``-``,
-    ``nan``, ``inf``), 0/1 flags, empty fields and sweep parameter names.
+    Lines end in ``\\r\\n`` and nothing is quoted, as the csv module writes
+    these tables: they hold only ``%.12g`` numbers (digits, ``.``, ``e``,
+    ``+``, ``-``, ``nan``, ``inf``), 0/1 flags, empty fields and sweep
+    parameter names.
     """
-    line = fmt + "\r\n"
-    body = (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + body)
+        fh.write(",".join(header) + CSV_EOL + template % tuple(values))
 
 
-def _grid_text(values, each=1):
-    """The ``%.12g`` text of a grid, formatted once, each entry repeated ``each`` times."""
-    texts = ["%.12g" % v for v in np.asarray(values).tolist()]
-    return [text for text in texts for _ in range(each)]
+def _write_table(path, header, fmt, *columns):
+    """One line ``fmt % row`` per row of the equal-length ``columns``, in
+    one ``%`` operation over the flattened rows."""
+    _write_csv(path, header, (fmt + CSV_EOL) * len(columns[0]), chain.from_iterable(zip(*columns)))
+
+
+def _write_grid_table(path, header, fmt, t_grid, grid, *values):
+    """One line per time node and grid point, time-major: the schema version
+    and the t and grid texts, filled into the template once, then ``fmt``
+    over the (n_t, n) ``values``, interleaved in numpy."""
+    cells = [f"{x},{fmt}{CSV_EOL}" for x in _grid_text(grid)]
+    rows = [f"{SCHEMA_VERSION},{t}," for t in _grid_text(t_grid)]
+    template = "".join(row + row.join(cells) for row in rows)
+    _write_csv(path, header, template, np.stack(values, axis=-1).ravel().tolist())
+
+
+def _grid_text(values):
+    """The ``%.12g`` text of each grid entry."""
+    return ["%.12g" % v for v in np.asarray(values).tolist()]
 
 
 def _write_tariff_csv(path, tariff):
     cs = _selected_c_samples(tariff)
-    prices = tariff.sample(cs).values
-    _write_table(path, ["schema_version", "t", "c", "price"], f"{SCHEMA_VERSION},%s,%s,%.12g",
-                 _grid_text(tariff.time_grid, cs.size),
-                 _grid_text(cs) * tariff.time_grid.size, prices.ravel().tolist())
+    _write_grid_table(path, ["schema_version", "t", "c", "price"], "%.12g",
+                      tariff.time_grid, cs, tariff.sample(cs).values)
 
 
 def _write_type_csvs(out, p_star, part, params):
@@ -361,11 +374,8 @@ def _write_type_csvs(out, p_star, part, params):
     cons = evaluation.consumption_from_slopes(p_star.slopes(xs), xs, params)
     cons = np.where(np.isfinite(cons), cons, 0.0)
     cons[:, ~member] = 0.0
-    _write_table(out / "consumption.csv", ["schema_version", "t", "x", "c_star", "p_star"],
-                 f"{SCHEMA_VERSION},%s,%s,%.12g,%.12g",
-                 _grid_text(params.time_grid, xs.size),
-                 _grid_text(xs) * params.time_grid.size, cons.ravel().tolist(),
-                 p_star.values(xs).ravel().tolist())
+    _write_grid_table(out / "consumption.csv", ["schema_version", "t", "x", "c_star", "p_star"],
+                      "%.12g,%.12g", params.time_grid, xs, cons, p_star.values(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +443,9 @@ def _fmt(v):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by later ones."""
     ap = argparse.ArgumentParser(prog="nltariff", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -23,12 +23,13 @@ class TariffSegment:
     p3: np.ndarray
     label: str = ""
 
-    def price(self, t_index, c, gamma):
-        c = np.asarray(c, dtype=float)
-        p1 = self.p1[t_index]
-        out = self.p2[t_index] * c + self.p3[t_index]
-        if p1 != 0.0:
-            out = out + p1 * c ** gamma
+    def price(self, rows, c, gamma):
+        """Prices at the consumptions ``c`` on the time nodes ``rows``, two
+        1-d arrays of one length."""
+        p1 = self.p1[rows]
+        out = self.p2[rows] * c + self.p3[rows]
+        live = p1 != 0.0
+        out[live] += p1[live] * c[live] ** gamma
         return out
 
 
@@ -42,8 +43,14 @@ class TabulatedSegment:
     p_knots: np.ndarray  # (n_t, m)
     label: str = "bridge"
 
-    def price(self, t_index, c, gamma):
-        return np.interp(np.asarray(c, dtype=float), self.c_knots[t_index], self.p_knots[t_index])
+    def price(self, rows, c, gamma):
+        """As ``TariffSegment.price``; ``rows`` is nondecreasing, and each
+        row's run of consumptions is interpolated on that row's knots."""
+        out = np.empty(c.shape)
+        cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), c.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            out[lo:hi] = np.interp(c[lo:hi], self.c_knots[rows[lo]], self.p_knots[rows[lo]])
+        return out
 
 
 @dataclass(eq=False)
@@ -76,28 +83,36 @@ class Tariff:
     def price(self, t_index, c):
         """Price at time node ``t_index`` for consumptions ``c`` (vectorized)."""
         c = np.asarray(c, dtype=float)
-        if self.gamma < 0 and np.any(c < 0):
-            raise DomainError("consumption must be positive when gamma < 0")
-        out = np.full(c.shape, np.nan)
-        filled = np.zeros(c.shape, dtype=bool)
-        for seg in self.segments:
-            lo, hi = seg.c_lo[t_index], seg.c_hi[t_index]
-            mask = (~filled) & (c >= lo - 1e-15) & (c <= hi)
-            if np.any(mask):
-                out[mask] = seg.price(t_index, c[mask], self.gamma)
-                filled |= mask
-        if not np.all(filled):
-            # extend the outermost segments rather than fail on roundoff gaps
-            below = (~filled) & (c < self.segments[0].c_lo[t_index])
-            out[below] = self.segments[0].price(t_index, c[below], self.gamma)
-            above = (~filled) & ~below
-            out[above] = self.segments[-1].price(t_index, c[above], self.gamma)
-        return out
+        return self._fill(np.array([t_index]), c.ravel()).reshape(c.shape)
 
     def sample(self, c_grid):
         """Evaluate on a consumption grid at every time node."""
-        vals = np.vstack([self.price(i, c_grid) for i in range(self.time_grid.size)])
-        return SampledFunctionOfConsumption(c_grid=np.asarray(c_grid, dtype=float), values=vals)
+        c_grid = np.asarray(c_grid, dtype=float)
+        vals = self._fill(np.arange(self.time_grid.size), c_grid)
+        return SampledFunctionOfConsumption(c_grid=c_grid, values=vals)
+
+    def _fill(self, rows, c):
+        """Prices on the time nodes ``rows`` at the consumptions ``c``, shape
+        (rows.size, c.size): each segment takes the points in its range that
+        no earlier segment took, on all rows in one masked pass."""
+        if self.gamma < 0 and np.any(c < 0):
+            raise DomainError("consumption must be positive when gamma < 0")
+        out = np.full((rows.size, c.size), np.nan)
+        free = np.ones(out.shape, dtype=bool)
+        for seg in self.segments:
+            self._put(out, free, seg, (c >= seg.c_lo[rows, None] - 1e-15) & (c <= seg.c_hi[rows, None]), rows, c)
+        if free.any():
+            # extend the outermost segments rather than fail on roundoff gaps
+            self._put(out, free, self.segments[0], c < self.segments[0].c_lo[rows, None], rows, c)
+            self._put(out, free, self.segments[-1], True, rows, c)
+        return out
+
+    def _put(self, out, free, seg, within, rows, c):
+        """Price the free points ``within`` by ``seg`` and mark them taken."""
+        r, k = np.nonzero(free & within)
+        if r.size:
+            out[r, k] = seg.price(rows[r], c[k], self.gamma)
+            free[r, k] = False
 
     def coefficients_at(self, t_index, label="selected"):
         """(p1, p2, p3) of the polynomial segment with the given label."""

@@ -13,6 +13,7 @@ from .errors import DomainError, InvalidParams
 
 CONVEXITY_REL_TOL = 1e-9   # slack on second differences, scaled by local slope size
 C_MIN, C_MAX = 1e-4, 1e3   # consumption range of the default grid
+ROW_BLOCK = 32             # time rows per u-conjugate pass, measured on 129-node requests
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +141,22 @@ def _u_conjugate(phi, gx, cpow, gamma, values, over_x):
     formula's own operation order, ties going to the lowest index as with
     ``np.argmax``, so the maxima equal the dense ones up to rounding in the
     choice between nearly tied grid points.
+
+    Rows are independent, so they go ROW_BLOCK at a time: the temporaries
+    stay cache-sized at any n_t and the result is bitwise that of one pass.
     """
+    nt = values.shape[0]
+    shape = (nt, cpow.shape[-1] if over_x else gx.size)
+    best, arg = np.empty(shape), np.empty(shape, dtype=np.intp)
+    for lo in range(0, nt, ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        best[rows], arg[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows] if cpow.ndim == 2 else cpow,
+                                                  gamma, values[rows], over_x)
+    return best, arg
+
+
+def _u_conjugate_rows(phi, gx, cpow, gamma, values, over_x):
+    """``_u_conjugate`` on one block of rows."""
     nt = values.shape[0]
     a, q = (gx, cpow) if over_x else (cpow, gx)
     flip = a[-1] < a[0]

@@ -49,7 +49,8 @@ def continuity_gaps(tariff):
             if not np.isfinite(cj) or (tariff.gamma < 0 and cj <= 0):
                 continue
             ca = np.asarray([cj])
-            gap = float(abs(a.price(i, ca, tariff.gamma)[0] - b.price(i, ca, tariff.gamma)[0]))
+            ia = np.full(1, i)
+            gap = float(abs(a.price(ia, ca, tariff.gamma)[0] - b.price(ia, ca, tariff.gamma)[0]))
             gaps[i] = max(gaps[i], gap)
     return gaps
 

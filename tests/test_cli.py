@@ -13,7 +13,9 @@ from nltariff.cli import (
     SOLVER_KEYS,
     _fmt,
     _grid_text,
+    _write_grid_table,
     _write_table,
+    build_parser,
     load_config,
     main,
     run_scenario,
@@ -94,6 +96,19 @@ def test_deterministic_output(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_parser_is_built_once_and_flags_do_not_leak(tmp_path):
+    """main reuses one parser; --oracle and --full-tariff of one call are
+    gone from the next."""
+    cfg = str(write_config(tmp_path, BASE_DOC))
+    assert build_parser() is build_parser()
+    assert main(["solve", cfg, "--oracle", "--full-tariff", "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", cfg, "--out", str(tmp_path / "b")]) == 0
+    first = json.loads((tmp_path / "a" / "report.json").read_text())
+    second = json.loads((tmp_path / "b" / "report.json").read_text())
+    assert "oracle" in first and not first["tariff"]["simplified"]
+    assert "oracle" not in second and second["tariff"]["simplified"]
+
+
 # values whose text is easy to get wrong: signed zero, non-finite values,
 # the largest and smallest doubles, and a sum that is not exactly 0.3
 AWKWARD_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e16, 1e-5,
@@ -119,6 +134,21 @@ def test_write_table_keeps_the_csv_module_bytes(tmp_path, rows):
     _write_table(got, header, "1,%s,%.12g,%.12g,%d,%s", _grid_text(values), values, reverse,
                  np.asarray(flags).tolist(), [_fmt(opt) for opt in optional])
     assert got.read_bytes() == ref.read_bytes()
+
+    # the grid-table writer, with the values as grid texts, on a 1-node time
+    # grid and on a 1-node inner grid: one row per (t, x), time-major
+    header = ["schema_version", "t", "x", "a", "b"]
+    for t_grid, x_grid in ((values[:1], values), (values, values[:1])):
+        a = np.resize(values, (len(t_grid), len(x_grid)))
+        b = np.resize(reverse, a.shape)
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for i, t in enumerate(t_grid):
+                for j, x in enumerate(x_grid):
+                    w.writerow([1, f"{t:.12g}", f"{x:.12g}", f"{a[i, j]:.12g}", f"{b[i, j]:.12g}"])
+        _write_grid_table(got, header, "%.12g,%.12g", np.asarray(t_grid), np.asarray(x_grid), a, b)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 # sha256 of every CSV that `solve` (plain and --full-tariff) and an H_scale

@@ -9,8 +9,11 @@ from numpy.testing import assert_allclose
 from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.uconvex import (
+    ROW_BLOCK,
     SampledFunctionOfConsumption,
     SampledFunctionOfType,
+    _u_conjugate,
+    _u_conjugate_rows,
     check_u_convexity,
     default_c_grid,
     u_transform_indirect_to_price,
@@ -218,8 +221,6 @@ def dense_conjugate(params, x, c, values, over_x):
 
 
 def assert_matches_dense(params, x, c, values, over_x, same_arg=False):
-    from nltariff.uconvex import _u_conjugate
-
     got, arg = _u_conjugate(params.phi, params.g(x), c ** params.gamma, params.gamma,
                             values, over_x=over_x)
     ref, ref_arg, surf = dense_conjugate(params, x, c, values, over_x)
@@ -391,7 +392,7 @@ def test_hull_conjugate_row_layout_matches_dense():
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
     """The bridge passes one consumption grid per time row, cpow of shape (n_t, 65)."""
-    from nltariff.uconvex import _u_conjugate, _utility_surface
+    from nltariff.uconvex import _utility_surface
 
     params, x, _ = kernel_grids(gamma)
     rng = np.random.default_rng(5)
@@ -402,3 +403,46 @@ def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
         dense = _utility_surface(params, x, c[i])[i] - values[i][:, None]
         np.testing.assert_array_equal(got[i], np.max(dense, axis=0))
         np.testing.assert_array_equal(arg[i], np.argmax(dense, axis=0))
+
+
+# -- the hull conjugate in row blocks ---------------------------------------------
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+@pytest.mark.parametrize("nt", [1, ROW_BLOCK, ROW_BLOCK + 1, 129])
+def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
+    """Maxima and argmax bit for bit, in both directions and with per-row
+    (n_t, 65) knots as the bridge passes them; rounded random walks give
+    ties and concave pockets."""
+    params, x, c = kernel_grids(gamma)
+    rng = np.random.default_rng(nt)
+    phi = rng.uniform(0.5, 1.5, nt)
+    gx, cpow = params.g(x), c ** gamma
+    knots = np.sort(rng.uniform(0.01, 4.0, size=(nt, 65)), axis=1) ** gamma
+    on_x = np.round(rng.normal(size=(nt, x.size)).cumsum(axis=1), 1)
+    on_c = np.round(rng.normal(size=(nt, c.size)).cumsum(axis=1), 1)
+    for q, values, over_x in ((cpow, on_x, True), (knots, on_x, True), (cpow, on_c, False)):
+        got = _u_conjugate(phi, gx, q, gamma, values, over_x)
+        ref = _u_conjugate_rows(phi, gx, q, gamma, values, over_x)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_check_holds_one_block_of_conjugate_temporaries():
+    """At 513 time nodes the check holds a fixed count of full (n_t, n_x)
+    arrays (the slopes, both transforms with their argmax, the gap) plus the
+    temporaries of one ROW_BLOCK-row block; one pass over all rows held about
+    18 full arrays."""
+    nt = 513
+    params = canonical_params(0.5, reservation=ConstantReservation(0.05), time_nodes=nt)
+    x = np.linspace(0.0, 1.0, 801)
+    values = np.linspace(0.3, 0.7, nt)[:, None] * np.maximum(x - 0.5, 0.0) ** 2
+    p_star = SampledFunctionOfType(x_grid=x, values=values)
+    n_c = default_c_grid(params).size
+    tracemalloc.start()
+    try:
+        check_u_convexity(p_star, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * values.nbytes + 8 * ROW_BLOCK * (x.size + n_c) * 8
