@@ -88,7 +88,7 @@ def test_criterion_3_u_convexity_round_trip(bench1_solution, bench2_solution,
         mask = part.contains(xg)
         err = np.abs(back.values[:, mask] - p_star.values(xg)[:, mask]).max()
         bound = 2.0 * np.abs(np.diff(sampled.values, axis=1)).max()
-        conv = check_u_convexity(p_star.sample(xg), params, c_grid=grid)
+        conv = check_u_convexity(p_star.sample(xg), params)
         flagged = bool(getattr(sol, "warnings", [])) if hasattr(sol, "warnings") else False
         ok_here = err <= bound + 1e-9 and (conv.is_u_convex or flagged)
         ok = ok and ok_here

@@ -22,6 +22,7 @@ from nltariff.cli import (
     run_sweep,
 )
 from nltariff.oracle import OracleResult
+from nltariff.uconvex import GAP_TOL
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -604,6 +605,24 @@ def test_tabulated_taste_map_in_increasing_order_solves(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["route"] == "general"
     assert abs(report["boundary"]["x0"] - 0.96394) < 1e-5
+
+
+@pytest.mark.parametrize("nodes", [3, 129])
+def test_tabulated_taste_map_certifies_u_convexity(tmp_path, nodes):
+    """industrial_constant_h with g = x + 0.1 x (1 - x) on 257 knots: p* is
+    convex and nondecreasing in g(x), so it is u-convex. The check through
+    the 513-point consumption grid read a gap of 0.1326 here and reported
+    the contract as not u-convex, at 3, 33 and 129 nodes."""
+    doc = json.loads((CONFIG_DIR / "industrial_constant_h.json").read_text())
+    x = np.linspace(0.0, 1.0, 257)
+    doc["g"] = {"form": "tabulated", "x": x.tolist(), "values": (x + 0.1 * x * (1.0 - x)).tolist(),
+                "derivative": (1.0 + 0.1 * (1.0 - 2.0 * x)).tolist()}
+    doc["time_nodes"] = nodes
+    assert main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")]) == 0
+    conv = json.loads((tmp_path / "o" / "report.json").read_text())["u_convexity"]
+    assert conv["is_u_convex"]
+    assert conv["violations"] == 0
+    assert conv["max_biconjugation_gap"] <= GAP_TOL
 
 
 def test_tabulated_taste_values_must_run_in_the_branch_direction(tmp_path, capsys):

@@ -715,11 +715,9 @@ def test_mu_zero_residual_reports_nan(monkeypatch):
 
 
 def test_glued_surface_u_convex_under_gap_condition(typed_a_solution, typed_a_config):
-    sol, tariff, p_star = typed_a_solution
+    sol, _, p_star = typed_a_solution
     assert sol.assumption_flags["b0_le_a0_minus_half"]
-    c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
-    rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 801)), typed_a_config.params,
-                            c_grid=np.linspace(0.0, c_top, 801))
+    rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 801)), typed_a_config.params)
     assert rep.is_u_convex
 
 
@@ -734,6 +732,5 @@ def test_non_convex_glue_flagged_when_gap_condition_fails():
     bridge = build_bridge(params, a0, b0, N, levels)
     assert not bridge.checks.get("glued_convexity", False)
     p_star = _glued_indirect_utility(params, a0, b0, N, levels, bridge)
-    rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 1601)), params,
-                            c_grid=np.linspace(0.0, 4.0, 1201))
+    rep = check_u_convexity(p_star.sample(np.linspace(0, 1, 1601)), params)
     assert not rep.is_u_convex

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.uconvex import (
+    GAP_TOL,
     ROW_BLOCK,
     SampledFunctionOfConsumption,
     SampledFunctionOfType,
@@ -136,7 +137,7 @@ def test_nonconvex_bridge_shape_reports_positive_gap():
     vals = np.where((x >= b0) & (x <= a0), np.maximum(chord, lower[-1] * 0 + chord), vals)
     vals = np.where(x > a0, upper, vals)
     p_star = SampledFunctionOfType(x_grid=x, values=np.tile(vals, (3, 1)))
-    rep = check_u_convexity(p_star, params, c_grid=np.linspace(0.0, 6.0, 1500))
+    rep = check_u_convexity(p_star, params)
     assert not rep.is_u_convex
     assert rep.max_biconjugation_gap > 1e-4
 
@@ -193,19 +194,90 @@ def test_argmax_set_reports_all_ties_at_kinks():
     assert set(ties.tolist()) == {1, 2, 4}
 
 
-def test_convex_surface_gap_within_grid_resolution_bound():
-    """A convex nondecreasing surface keeps its biconjugation gap inside the
-    grid-increment bound on the canonical industrial branch."""
+def test_convex_surface_gap_is_rounding():
+    """A convex nondecreasing surface has a biconjugation gap of rounding
+    size on the canonical industrial branch: the check uses no grid."""
     params = make_params(0.5)
     x = np.linspace(0.0, 1.0, 401)
     p_star = SampledFunctionOfType(x_grid=x, values=np.tile(0.8 * x ** 2, (3, 1)))
-    c = np.linspace(0.0, 8.0, 1601)
-    rep = check_u_convexity(p_star, params, c_grid=c)
+    rep = check_u_convexity(p_star, params)
     assert rep.is_u_convex
+    assert rep.max_biconjugation_gap <= 4 * np.finfo(float).eps * np.abs(p_star.values).max()
+
+
+def tabulated_taste(gamma, values, derivative):
+    """params of make_params with a 257-knot tabulated g."""
+    xs = np.linspace(0.0, 1.0, 257)
+    return dataclasses.replace(make_params(gamma), g=TasteMap.tabulated(xs, values(xs), derivative(xs)))
+
+
+@pytest.mark.parametrize("form", ["canonical", "tabulated"])
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_gap_matches_dense_biconjugation(gamma, form):
+    """On random non-convex rows the exact gap, in total and at every
+    violating sample, matches the biconjugation through the grid transforms
+    on a wide consumption grid, for increasing g (industrial) and
+    decreasing g (residential). The dense biconjugate sees only the grid's
+    supporting slopes phi u(c_k), so it lies below the exact one, by at most
+    the missed slope times the range of g: the grid's relative slope
+    spacing times the rows' largest slope, and on the residential branch
+    the slopes below phi u(1e6) = -phi / 1e6 as well."""
+    params = make_params(gamma)
+    if form == "tabulated":
+        sign = np.sign(gamma)
+        params = tabulated_taste(gamma, lambda x: (1 - sign) / 2 + sign * x + 0.1 * x * (1 - x),
+                                 lambda x: sign + 0.1 * (1 - 2 * x))
+    x = np.linspace(0.0, 1.0, 41)
+    values = np.random.default_rng(41).normal(size=(3, x.size)).cumsum(axis=1) * 0.05
+    p_star = SampledFunctionOfType(x_grid=x, values=values)
+    rep = check_u_convexity(p_star, params)
+
+    c = np.geomspace(1e-6, 1e6, 400_001)
+    if gamma > 0:
+        c = np.concatenate([[0.0], c])  # u(0) = 0 supplies the zero slope
     price, _ = u_transform_indirect_to_price(p_star, params, c_grid=c)
-    bound = 2.0 * max(np.abs(np.diff(p_star.values, axis=1)).max(),
-                      np.abs(np.diff(price.values, axis=1)).max())
-    assert rep.max_biconjugation_gap <= bound
+    back, _ = u_transform_price_to_indirect(price, params, x_grid=x)
+    dense = values - back.values
+    gx = params.g(x)
+    slope = np.abs(np.diff(values, axis=1) / np.diff(gx)).max()
+    rho = (c[-1] / c[-2]) ** abs(gamma)
+    tol = ((rho - 1) * slope + 1e-6 * params.phi.max()) * np.ptp(gx) + 1e-9
+    assert abs(rep.max_biconjugation_gap - dense.max()) <= tol
+    assert len(rep.convexity_violations) > x.size
+    flagged = np.zeros(values.shape, dtype=bool)
+    for i, xv, excess in rep.convexity_violations:
+        j = np.searchsorted(x, xv)
+        flagged[i, j] = True
+        assert -tol <= excess - dense[i, j] <= 1e-9
+    assert np.all(dense[~flagged] <= GAP_TOL * max(1.0, np.abs(values).max()) + tol)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -1.0])
+def test_row_decreasing_in_oriented_g_is_flagged(gamma):
+    """(x - 0.7)^2 is convex in s = sign(gamma) g(x) on both branches but
+    decreasing below 0.7: the admissible slopes phi u(c) leave the row's
+    minimum as the biconjugate there, 0.49 below p*(0)."""
+    x = np.linspace(0.0, 1.0, 801)
+    p_star = SampledFunctionOfType(x_grid=x, values=np.tile((x - 0.7) ** 2, (3, 1)))
+    rep = check_u_convexity(p_star, make_params(gamma))
+    assert not rep.is_u_convex
+    assert_allclose(rep.max_biconjugation_gap, 0.49, rtol=1e-12)
+    flagged = np.array([xv for _, xv, _ in rep.convexity_violations])
+    assert flagged.max() < 0.7
+    assert set(x[x <= 0.65].tolist()) <= set(flagged.tolist())
+
+
+def test_convex_in_x_but_concave_in_g_is_flagged():
+    """p* = 0.1 x on g = (x + x^2)/2 is linear in x but concave in s = g(x):
+    the biconjugate is the chord 0.1 s, which lies 0.1 (x - x^2)/2 below,
+    0.0125 at x = 1/2. The check before the exact hull also flagged it, but
+    read a gap of 0.0975 off the default consumption grid."""
+    params = tabulated_taste(0.5, lambda x: (x + x ** 2) / 2, lambda x: 0.5 + x)
+    x = np.linspace(0.0, 1.0, 801)
+    p_star = SampledFunctionOfType(x_grid=x, values=np.tile(0.1 * x, (3, 1)))
+    rep = check_u_convexity(p_star, params)
+    assert not rep.is_u_convex
+    assert_allclose(rep.max_biconjugation_gap, 0.0125, rtol=1e-9)
 
 
 # -- the hull conjugate against the dense surface --------------------------------
@@ -429,20 +501,19 @@ def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
 
 
 def test_check_holds_one_block_of_conjugate_temporaries():
-    """At 513 time nodes the check holds a fixed count of full (n_t, n_x)
-    arrays (the slopes, both transforms with their argmax, the gap) plus the
-    temporaries of one ROW_BLOCK-row block; one pass over all rows held about
-    18 full arrays."""
+    """At 513 time nodes the check holds no full (n_t, n_x) array, only the
+    hull and envelope temporaries of one ROW_BLOCK-row block, about 11
+    block-sized arrays. The biconjugation through the consumption grid that
+    it replaced held 8 full arrays besides its blocks."""
     nt = 513
     params = canonical_params(0.5, reservation=ConstantReservation(0.05), time_nodes=nt)
     x = np.linspace(0.0, 1.0, 801)
     values = np.linspace(0.3, 0.7, nt)[:, None] * np.maximum(x - 0.5, 0.0) ** 2
     p_star = SampledFunctionOfType(x_grid=x, values=values)
-    n_c = default_c_grid(params).size
     tracemalloc.start()
     try:
         check_u_convexity(p_star, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * values.nbytes + 8 * ROW_BLOCK * (x.size + n_c) * 8
+    assert peak <= 16 * ROW_BLOCK * x.size * 8
