@@ -28,6 +28,7 @@ from .uconvex import _utility_surface  # noqa: F401
 
 GRID_SIZE = 256
 ZOOM_ROUNDS = 7
+MESH_ROWS = 128
 DEGENERATE_TOL = 1e-12
 
 
@@ -155,15 +156,20 @@ class TypedHSolution:
 
 def _evaluate_mesh(a_lin, b_lin, params):
     """The objective on the grid a_lin x b_lin, -inf where b0 > a0 or the
-    pair is infeasible. The certificates broadcast a column of a0 against a
-    row of b0, so each per-type factor runs once per grid value and only
-    ell(a0, b0) and its certificate power once per cell; the objective runs
-    on the feasible pairs only."""
-    A, B = a_lin[:, None], b_lin[None, :]
-    feasible = constraint_check_A2prime(A, B, params)["feasible"] & (B <= A + 1e-15)
-    i, j = np.nonzero(feasible)
-    obj = np.full(feasible.shape, -np.inf)
-    obj[i, j] = objective_ab(a_lin[i], b_lin[j], params)
+    pair is infeasible. The rows go MESH_ROWS at a time, and a block scores
+    only the columns with b0 <= max(a0 in the block), picked by a mask, so
+    the grids need not be sorted. The certificates broadcast the block's
+    column of a0 against that row of b0, so each per-type factor runs once
+    per grid value and block and only ell(a0, b0) and its certificate power
+    once per cell; the objective runs on the feasible pairs only."""
+    obj = np.full((a_lin.size, b_lin.size), -np.inf)
+    for r in range(0, a_lin.size, MESH_ROWS):
+        a_blk = a_lin[r:r + MESH_ROWS]
+        cols = np.flatnonzero(b_lin <= a_blk.max() + 1e-15)
+        A, B = a_blk[:, None], b_lin[cols]
+        feasible = constraint_check_A2prime(A, B, params)["feasible"] & (B <= A + 1e-15)
+        i, j = np.nonzero(feasible)
+        obj[r + i, cols[j]] = objective_ab(a_blk[i], B[j], params)
     return obj
 
 
@@ -185,9 +191,9 @@ def _best_with_ties(a_lin, b_lin, obj, tol=1e-12):
 def solve_a0_b0_star(config):
     """Search the feasible boundary set for the optimal participation pair.
 
-    Exhaustive scan of the 256 x 256 grid, scored along its axes by
-    ``_evaluate_mesh`` on {b0 <= a0} filtered by the slope constraints, then
-    seven 33 x 33 zooms. The solution records the feasibility certificates,
+    Exhaustive scan of the 256 x 256 grid, scored by ``_evaluate_mesh`` in
+    row blocks on {b0 <= a0} filtered by the slope constraints, then seven
+    33 x 33 zooms. The solution records the feasibility certificates,
     the reservation levels at the pair, the bridge over the excluded middle
     and whether the convex-glue condition b0* <= a0* - 1/2 holds (when it
     fails the relaxed solution is returned with a non-u-convexity warning).
