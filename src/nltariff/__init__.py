@@ -2,15 +2,15 @@
 
 The library solves the provider's contract-design problem against a continuum
 of private types, for constant or strictly concave type-dependent outside
-options, and ships independent checks that certify the closed forms: a
-Lagrangian-dual upper bound on the constant-reservation optimum and
-grid-search best responses. See the README for the CLI entry points.
+options, and ships an independent check that certifies the closed forms: a
+Lagrangian-dual upper bound on the constant-reservation optimum. The test
+suite referees them further against every type's grid-search best response.
+See the README for the CLI entry points.
 """
 
 from .agent import (
     IndirectUtility,
     ParticipationSet,
-    best_response_grid,
     participation_set,
 )
 from .closed_form import R_gamma, ell_ab
@@ -23,7 +23,6 @@ from .errors import (
     InvalidParams,
     InvalidReservation,
 )
-from .evaluation import principal_utility, relaxed_objective
 from .model import (
     ConcaveReservation,
     ConstantReservation,

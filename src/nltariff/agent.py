@@ -1,8 +1,8 @@
-"""Consumer side: best responses, indirect utility, participation.
+"""Consumer side: indirect utility, envelope consumption, participation.
 
 The agent problem is pointwise in time, so a best response is a maximization
-of u(t,x,c) - p(t,c) over consumption only. ``best_response_grid`` is the
-formula-free oracle used to audit every closed-form consumption claim.
+of u(t,x,c) - p(t,c) over consumption only; on the emitted contract the
+envelope formula gives it from the slope of the indirect utility.
 """
 from dataclasses import dataclass, field
 from functools import partial
@@ -10,9 +10,8 @@ from functools import partial
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import bisect, golden_max, trapezoid
-from .tariff import Tariff
-from .uconvex import SampledFunctionOfConsumption, SampledFunctionOfType
+from .numerics import bisect, trapezoid
+from .uconvex import SampledFunctionOfType
 
 
 def _interp_rows(x_grid, rows, x):
@@ -110,41 +109,20 @@ class ParticipationSet:
 
 
 # ---------------------------------------------------------------------------
-# best responses
+# envelope consumption
 # ---------------------------------------------------------------------------
 
-def best_response_grid(p, i, x, c_grid, params, refine=False):
-    """Grid-search best response at time node ``i``: maximize
-    u(t_i,x,c) - p(t_i,c) over c_grid.
-
-    Independent oracle for the closed-form consumption claims. With
-    ``refine`` the argmax bracket is polished by golden-section on the
-    continuous objective.
-    """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if isinstance(p, Tariff):
-        prices = p.price(i, c_grid)
-        price_fn = lambda c: float(p.price(i, np.asarray([c]))[0])
-    elif isinstance(p, SampledFunctionOfConsumption):
-        prices = np.interp(c_grid, p.c_grid, p.values[i])
-        price_fn = lambda c: float(np.interp(c, p.c_grid, p.values[i]))
-    else:
-        raise TypeError("p must be a Tariff or SampledFunctionOfConsumption")
+def consumption_from_slopes(slopes, x, params):
+    """c*(t,x) = (gamma / (phi g'(x)) dp*/dx)^(1/gamma), vectorized, with the
+    zero-slope conventions of the two branches."""
     gamma = params.gamma
-    gx = float(params.g(np.asarray([x]))[0])
-    util = gx * params.phi[i] * c_grid ** gamma / gamma
-    obj = util - prices
-    j = int(np.argmax(obj))
-    c_opt, value = float(c_grid[j]), float(obj[j])
-    if refine:
-        lo = c_grid[max(j - 1, 0)]
-        hi = c_grid[min(j + 1, c_grid.size - 1)]
-        if hi > lo:
-            f = lambda c: gx * params.phi[i] * c ** gamma / gamma - price_fn(c) if c > 0 or gamma > 0 else -np.inf
-            c_ref, v_ref = golden_max(f, max(lo, 1e-300 if gamma < 0 else lo), hi, xtol=1e-12)
-            if v_ref > value:
-                c_opt, value = float(c_ref), float(v_ref)
-    return c_opt, value
+    gp = params.g.prime(x)
+    base = gamma / (params.phi[:, None] * gp[None, :]) * slopes
+    if gamma > 0:
+        return np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / gamma), 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = np.where(base > 0.0, base, np.inf) ** (1.0 / gamma)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, oracle, solver_typed_h
-from .agent import participation_set
+from . import oracle, solver_typed_h
+from .agent import consumption_from_slopes, participation_set
 from .errors import AssumptionViolation, ConfigError, InvalidParams, NLTariffError
 from .model import (
     ConcaveReservation,
@@ -371,7 +371,7 @@ def _write_type_csvs(out, p_star, part, params):
     _write_table(out / "indirect_utility.csv", ["schema_version", "x", "P_star", "H", "participates"],
                  f"{SCHEMA_VERSION},%.12g,%.12g,%.12g,%d",
                  xs.tolist(), p_star.P_star(xs).tolist(), params.reservation(xs).tolist(), member.tolist())
-    cons = evaluation.consumption_from_slopes(p_star.slopes(xs), xs, params)
+    cons = consumption_from_slopes(p_star.slopes(xs), xs, params)
     cons = np.where(np.isfinite(cons), cons, 0.0)
     cons[:, ~member] = 0.0
     _write_grid_table(out / "consumption.csv", ["schema_version", "t", "x", "c_star", "p_star"],

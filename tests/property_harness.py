@@ -8,9 +8,8 @@ several brute-force maximizations.
 """
 import numpy as np
 
-from nltariff.agent import participation_set
+from nltariff.agent import consumption_from_slopes, participation_set
 from nltariff.closed_form import B_gamma
-from nltariff.evaluation import consumption_from_slopes
 from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,

@@ -9,9 +9,8 @@ import time
 
 import numpy as np
 
-from nltariff.agent import best_response_grid, participation_set
+from nltariff.agent import consumption_from_slopes, participation_set
 from nltariff.cli import run_sweep
-from nltariff.evaluation import consumption_from_slopes, principal_utility, relaxed_objective
 from nltariff.model import ScenarioConfig
 from nltariff.oracle import oracle_relaxed_maximize_const_h
 from nltariff.solver_const_h import chi
@@ -19,10 +18,9 @@ from nltariff.solver_typed_h import build_tariff_typed_h, mu_zero_residual
 from nltariff.uconvex import check_u_convexity, u_transform_price_to_indirect
 from tests.conftest import TYPED_A, TYPED_B
 from tests.property_harness import run_const_suite, run_oracle_suite, run_typed_suite
+from tests.referee import best_responses, principal_utility, relaxed_objective
 from tests.test_solver_const_h import phi_objective
 from tests.test_solver_typed_h import make_feasible_pair_solution, shifted_sqrt_params
-
-CONFIG_DIR = None  # configs resolved through test_cli paths where needed
 
 
 def _announce(num, ok, detail):
@@ -114,9 +112,8 @@ def test_criterion_4_agent_oracle_agreement(bench1_solution, bench2_solution,
         # non-finite one as 0
         cons = consumption_from_slopes(p_star.slopes(xs), xs, params)[0]
         cons = np.where(np.isfinite(cons), cons, 0.0)
-        for j, x in enumerate(xs):
-            c_cf = cons[j]
-            c_gr, val = best_response_grid(tariff, 0, float(x), grid, params, refine=True)
+        c_grs, vals = best_responses(tariff, 0, xs, grid, params, refine=True)
+        for j, (c_cf, c_gr, val) in enumerate(zip(cons, c_grs, vals)):
             i = int(np.searchsorted(grid, c_gr))
             local = np.max(np.diff(grid[max(i - 2, 0):i + 2])) if grid.size > 3 else np.inf
             # the staple-good domain is open at 0: clamp the closed form into
@@ -126,9 +123,8 @@ def test_criterion_4_agent_oracle_agreement(bench1_solution, bench2_solution,
             worst_val = max(worst_val, abs(val - exact[0, j]))
         zero_below_half = True
         if params.gamma > 0:
-            for x in np.linspace(0.0, 0.5, 100):
-                c_gr, _ = best_response_grid(tariff, 0, float(x), grid, params)
-                zero_below_half = zero_below_half and (c_gr == 0.0)
+            c_grs, _ = best_responses(tariff, 0, np.linspace(0.0, 0.5, 100), grid, params)
+            zero_below_half = bool(np.all(c_grs == 0.0))
         ok_here = worst_step <= 0.0 and worst_val <= 1e-6 and zero_below_half
         ok = ok and ok_here
         details.append(f"{name}: value err {worst_val:.1e}, zero-below-half {zero_below_half}")

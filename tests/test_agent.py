@@ -8,13 +8,14 @@ from numpy.testing import assert_allclose
 from nltariff.agent import (
     IndirectUtility,
     ParticipationSet,
-    best_response_grid,
+    consumption_from_slopes,
     participation_set,
 )
 from nltariff.errors import DomainError
-from nltariff.evaluation import consumption_from_slopes
 from nltariff.model import ConstantReservation, canonical_params
+from nltariff.numerics import golden_max
 from nltariff.tariff import Tariff, TariffSegment
+from tests.referee import best_responses, golden_max_each
 
 
 def flat_slope_utility(params, slope):
@@ -67,10 +68,10 @@ def test_linear_tariff_analytic_best_response():
     params = canonical_params(-1.0, reservation=ConstantReservation(-0.1))
     tariff = linear_tariff(params, p2=4.0)
     grid = np.geomspace(1e-4, 10.0, 4001)
-    c_opt, _ = best_response_grid(tariff, 0, 0.0, grid, params)
+    (c_opt,), _ = best_responses(tariff, 0, 0.0, grid, params)
     step = np.max(np.diff(grid[(grid > 0.4) & (grid < 0.6)]))
     assert abs(c_opt - 0.5) <= step
-    c_ref, _ = best_response_grid(tariff, 0, 0.0, grid, params, refine=True)
+    (c_ref,), _ = best_responses(tariff, 0, 0.0, grid, params, refine=True)
     assert_allclose(c_ref, 0.5, atol=1e-9)
 
 
@@ -78,7 +79,7 @@ def test_free_power_maxes_out_grid():
     params = canonical_params(0.5, reservation=ConstantReservation(0.05))
     tariff = linear_tariff(params, p2=0.0)
     grid = np.linspace(0.0, 7.0, 500)
-    c_opt, _ = best_response_grid(tariff, 0, 0.8, grid, params)
+    (c_opt,), _ = best_responses(tariff, 0, 0.8, grid, params)
     assert c_opt == grid[-1]
 
 
@@ -87,7 +88,7 @@ def test_closed_form_vs_grid_at_benchmark(bench1_solution, bench1_config):
     params = bench1_config.params
     grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 3001)
     c_cf = envelope_consumption(p_star, 0.9, params)[0]
-    c_gr, value = best_response_grid(tariff, 0, 0.9, grid, params, refine=True)
+    (c_gr,), (value,) = best_responses(tariff, 0, 0.9, grid, params, refine=True)
     assert abs(c_cf - c_gr) <= np.diff(grid).max()
     # achieved value equals the indirect utility after refinement
     assert_allclose(value, p_star.values(np.asarray([0.9]))[0, 0], atol=1e-6)
@@ -251,13 +252,28 @@ def test_grid_value_never_exceeds_indirect_utility(bench1_solution, bench1_confi
     grid = np.linspace(0.0, float(tariff.breakpoints["c_top"].max()) * 1.3, 700)
     xs = np.linspace(0.0, 1.0, 120)
     exact = p_star.values(xs)[0]
-    coarse_gap, refined_gap = 0.0, 0.0
-    for j, x in enumerate(xs):
-        _, v0 = best_response_grid(tariff, 0, float(x), grid, params)
-        _, v1 = best_response_grid(tariff, 0, float(x), grid, params, refine=True)
-        assert v0 <= exact[j] + 1e-12
-        assert v1 <= exact[j] + 1e-12
-        coarse_gap = max(coarse_gap, exact[j] - v0)
-        refined_gap = max(refined_gap, exact[j] - v1)
+    _, v0 = best_responses(tariff, 0, xs, grid, params)
+    _, v1 = best_responses(tariff, 0, xs, grid, params, refine=True)
+    assert np.all(v0 <= exact + 1e-12)
+    assert np.all(v1 <= exact + 1e-12)
+    coarse_gap = max(0.0, np.max(exact - v0))
+    refined_gap = max(0.0, np.max(exact - v1))
     assert refined_gap <= coarse_gap
     assert refined_gap <= 1e-6
+
+
+def test_elementwise_golden_search_steps_like_the_scalar_one():
+    """Each element of the referee's golden search equals
+    ``numerics.golden_max`` on its own bracket, bit for bit. The bracket
+    widths run from below ``xtol`` to 10, so elements stop after 0 to 63
+    steps; the objective uses only + - * /, so no pow rounding enters."""
+    rng = np.random.RandomState(7)
+    n = 64
+    lo = rng.uniform(-1.0, 1.0, n)
+    hi = lo + np.logspace(-13, 1, n)
+    peak = lo + rng.uniform(-0.2, 1.2, n) * (hi - lo)  # some maxima outside the bracket
+    curv = rng.uniform(0.5, 3.0, n)
+    f = lambda k, x: x / 3.0 - curv[k] * (x - peak[k]) * (x - peak[k])
+    x, value = golden_max_each(f, lo, hi, xtol=1e-12)
+    scalar = [golden_max(lambda z: f(k, z), lo[k], hi[k], xtol=1e-12) for k in range(n)]
+    assert np.array_equal(np.column_stack([x, value]), np.array(scalar))

@@ -3,11 +3,11 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from nltariff.agent import IndirectUtility, ParticipationSet, participation_set
-from nltariff.evaluation import principal_utility, relaxed_objective
 from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
 from nltariff.uconvex import u_transform_indirect_to_price
+from tests.referee import principal_utility, relaxed_objective
 
 
 def test_empty_participation_earns_nothing():
@@ -41,8 +41,7 @@ def test_grid_mode_agrees_with_closed_form_mode(bench1_solution, bench1_config):
     report, tariff, p_star = bench1_solution
     c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
     grid = np.linspace(0.0, c_top, 1500)
-    up_grid = principal_utility(tariff, bench1_config.params, p_star=p_star,
-                                mode="grid", c_grid=grid)
+    up_grid = principal_utility(tariff, bench1_config.params, p_star=p_star, c_grid=grid)
     assert abs(up_grid - report.principal_utility) / report.principal_utility < 1e-4
 
 

@@ -1,6 +1,6 @@
 """Every module-level import in the package, its tests and its tools is used
 by its module, the package imports at module level only, and the oracle
-stays independent of the closed forms it audits.
+and the test referee stay independent of the closed forms they audit.
 
 The package's ``__init__.py`` is exempt (its imports are the public
 re-exports), and so is any import line marked ``# noqa`` (a name kept for a
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-ORACLE = ROOT / "src" / "nltariff" / "oracle.py"
+ORACLES = (ROOT / "src" / "nltariff" / "oracle.py", ROOT / "tests" / "referee.py")
 SOLVER_MODULES = ("solver_const_h", "solver_typed_h", "closed_form")
 PACKAGE = sorted((ROOT / "src" / "nltariff").glob("*.py"))
 MODULES = ([p for p in PACKAGE if p.name != "__init__.py"]
@@ -86,4 +86,4 @@ def test_solver_mention_is_found():
 
 
 def test_oracle_names_no_solver():
-    assert solver_mentions(ORACLE.read_text()) == []
+    assert {p.name: solver_mentions(p.read_text()) for p in ORACLES} == {p.name: [] for p in ORACLES}

@@ -387,7 +387,7 @@ def test_informational_rent_nondecreasing(bench1_solution, bench2_solution):
 def test_simplified_and_full_equilibria_match(bench1_config):
     """The replaced top region is never selected, so equilibrium outcomes
     are identical between the simplified and full tariffs."""
-    from nltariff.evaluation import principal_utility
+    from tests.referee import principal_utility
 
     report = solve_x0_star(bench1_config)
     simple_t, p_star = build_tariff_const_h(bench1_config, report)
