@@ -55,12 +55,6 @@ from .solver_typed_h import (
     validate_assumptions,
 )
 from .tariff import TabulatedSegment, Tariff, TariffSegment
-from .uconvex import (
-    SampledFunctionOfConsumption,
-    SampledFunctionOfType,
-    check_u_convexity,
-    u_transform_indirect_to_price,
-    u_transform_price_to_indirect,
-)
+from .uconvex import SampledFunctionOfType, check_u_convexity
 
 __version__ = "0.1.0"

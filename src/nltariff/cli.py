@@ -359,7 +359,7 @@ def _grid_text(values):
 def _write_tariff_csv(path, tariff):
     cs = _selected_c_samples(tariff)
     _write_grid_table(path, ["schema_version", "t", "c", "price"], "%.12g",
-                      tariff.time_grid, cs, tariff.sample(cs).values)
+                      tariff.time_grid, cs, tariff.sample(cs))
 
 
 def _write_type_csvs(out, p_star, part, params):

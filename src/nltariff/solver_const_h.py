@@ -206,7 +206,9 @@ def _industrial_threshold(params, H):
         raise InvalidReservation("H must be >= 0 when gamma in (0,1)")
     y0, residual = 0.0, 0.0
     if H != 0.0:
-        y0 = bisect(lambda y: chi(y, params), CHI_BRACKET_EPS, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
+        # a small enough H puts the root below the bracket's end; chi(0) = H > 0
+        lo = 0.0 if chi(CHI_BRACKET_EPS, params) < 0 else CHI_BRACKET_EPS
+        y0 = bisect(lambda y: chi(y, params), lo, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
         residual = abs(chi(y0, params))
     x0 = 0.5 * (y0 ** (1.0 - params.gamma) + 1.0)
     return {"x0": float(x0), "y0": float(y0)}, residual
@@ -375,5 +377,5 @@ def conjugate_segment(params, samples, c_knots, c_lo, c_hi, label):
     the sampled indirect utility ``samples`` at the per-time knots
     ``c_knots`` (shape (n_t, m)), linear between the knots."""
     p_knots, _ = _u_conjugate(params.phi, params.g(samples.x_grid), _c_power(params, c_knots), params.gamma,
-                              samples.values, over_x=True)
+                              samples.values)
     return TabulatedSegment(c_lo=c_lo, c_hi=c_hi, c_knots=c_knots, p_knots=p_knots, label=label)

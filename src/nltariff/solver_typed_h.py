@@ -206,6 +206,8 @@ def solve_a0_b0_star(config):
         raise InvalidParams("g", "a concave reservation needs the canonical taste map")
     if params.f.form != "uniform":
         raise InvalidParams("f", "a concave reservation needs uniform types")
+    if config.force_general_route:
+        raise InvalidParams("solver.force_general_route", "a concave reservation has no general route")
     flags = validate_assumptions(params)
 
     grid = np.linspace(0.0, 1.0, GRID_SIZE)

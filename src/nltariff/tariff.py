@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidParams
-from .uconvex import SampledFunctionOfConsumption
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +85,16 @@ class Tariff:
         return self._fill(np.array([t_index]), c.ravel()).reshape(c.shape)
 
     def sample(self, c_grid):
-        """Evaluate on a consumption grid at every time node."""
+        """Prices on a strictly increasing consumption grid at every time
+        node, shape (n_t, n_c); a grid that is not strictly increasing or a
+        price that is not finite raises DomainError."""
         c_grid = np.asarray(c_grid, dtype=float)
         vals = self._fill(np.arange(self.time_grid.size), c_grid)
-        return SampledFunctionOfConsumption(c_grid=c_grid, values=vals)
+        if np.any(np.diff(c_grid) <= 0):
+            raise DomainError("sampled consumption grid must be strictly increasing")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("sampled prices must be finite")
+        return vals
 
     def _fill(self, rows, c):
         """Prices on the time nodes ``rows`` at the consumptions ``c``, shape

@@ -1,10 +1,10 @@
 """Generalized conjugation with respect to the consumer utility kernel.
 
-The transform of a price schedule is the indirect utility surface and vice
-versa. Both directions are computed as exact maxima over finite grids, and
-the u-convexity check computes the biconjugate of p* on its type grid
-exactly, as a lower hull in g(x), with no consumption grid. Closed forms
-live in the solver modules; this module verifies them.
+The u-conjugate of a sampled indirect utility is a price schedule, computed
+as an exact maximum over the type grid at given consumption knots. The
+u-convexity check computes the biconjugate of p* on its type grid exactly,
+as a lower hull in g(x), with no consumption grid. Closed forms live in the
+solver modules; this module verifies them.
 """
 from dataclasses import dataclass
 
@@ -37,33 +37,15 @@ class SampledFunctionOfType:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True, eq=False)
-class SampledFunctionOfConsumption:
-    """Values q(t_i, c_j) on a strictly increasing consumption grid."""
-
-    c_grid: np.ndarray
-    values: np.ndarray  # shape (n_times, n_c)
-
-    def __post_init__(self):
-        c = np.asarray(self.c_grid, dtype=float)
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if np.any(np.diff(c) <= 0):
-            raise DomainError("sampled consumption grid must be strictly increasing")
-        if v.shape[1] != c.size or not np.all(np.isfinite(v)):
-            raise DomainError("sampled values must be finite, one row per time node")
-        object.__setattr__(self, "c_grid", c)
-        object.__setattr__(self, "values", v)
-
-
-def default_c_grid(params, size=513):
-    """Consumption grid suited to the utility branch, up to C_MAX.
+def default_c_grid(params):
+    """513-point consumption grid suited to the utility branch, up to C_MAX.
 
     gamma < 0 needs geometric spacing from C_MIN (utility singular at 0);
     gamma in (0,1) gets a linear grid that includes zero consumption.
     """
     if params.gamma < 0:
-        return np.geomspace(C_MIN, C_MAX, size)
-    return np.linspace(0.0, C_MAX, size)
+        return np.geomspace(C_MIN, C_MAX, 513)
+    return np.linspace(0.0, C_MAX, 513)
 
 
 def _utility_surface(params, x_grid, c_grid):
@@ -125,46 +107,40 @@ def _lower_hull(a, v):
     return live.reshape(nt, n)
 
 
-def _u_conjugate(phi, gx, cpow, gamma, values, over_x):
-    """Exact grid maxima of phi[i] * gx[j] * cpow[k] / gamma - values[i, .].
+def _u_conjugate(phi, gx, cpow, gamma, values):
+    """Exact grid maxima over j of phi[i] * gx[j] * cpow[i, k] / gamma - values[i, j].
 
-    ``over_x``: the maximum runs over j, ``values`` has shape (n_t, n_x) and
-    ``cpow`` shape (n_c,) or (n_t, n_c); the result has shape (n_t, n_c).
-    Otherwise the maximum runs over k, ``values`` has shape (n_t, n_c) and
-    the result shape (n_t, n_x). Returns (maxima, argmax indices).
+    ``values`` has shape (n_t, n_x) and ``cpow`` shape (n_t, n_c), one row
+    of consumption knots per time node; returns (maxima, argmax indices),
+    both of shape (n_t, n_c).
 
-    The maximand is linear in the maximized variable's factor, with slope
-    phi * (other factor) / gamma, so each maximum is the convex conjugate of
-    the points (factor, values) at that slope (Lucet 1997). ``gx`` and
-    ``cpow`` are strictly monotone: the hull of the points is found once per
-    row and each query's vertex by ``searchsorted``, O(n_x + n_c) per row.
-    The winner and its two hull neighbours are then evaluated in the dense
-    formula's own operation order, ties going to the lowest index as with
-    ``np.argmax``, so the maxima equal the dense ones up to rounding in the
-    choice between nearly tied grid points.
+    The maximand is linear in gx[j], with slope phi[i] * cpow[i, k] / gamma,
+    so each maximum is the convex conjugate of the points (gx, values[i])
+    at that slope (Lucet 1997). ``gx`` is strictly monotone: the hull of the
+    points is found once per row and each knot's vertex by ``searchsorted``,
+    O(n_x + n_c) per row. The winner and its two hull neighbours are then
+    evaluated in the dense formula's own operation order, ties going to the
+    lowest index as with ``np.argmax``, so the maxima equal the dense ones
+    up to rounding in the choice between nearly tied grid points.
 
     Rows are independent, so they go ROW_BLOCK at a time: the temporaries
     stay cache-sized at any n_t and the result is bitwise that of one pass.
     """
-    nt = values.shape[0]
-    shape = (nt, cpow.shape[-1] if over_x else gx.size)
-    best, arg = np.empty(shape), np.empty(shape, dtype=np.intp)
-    for lo in range(0, nt, ROW_BLOCK):
+    best, arg = np.empty(cpow.shape), np.empty(cpow.shape, dtype=np.intp)
+    for lo in range(0, values.shape[0], ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        best[rows], arg[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows] if cpow.ndim == 2 else cpow,
-                                                  gamma, values[rows], over_x)
+        best[rows], arg[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows], gamma, values[rows])
     return best, arg
 
 
-def _u_conjugate_rows(phi, gx, cpow, gamma, values, over_x):
+def _u_conjugate_rows(phi, gx, cpow, gamma, values):
     """``_u_conjugate`` on one block of rows."""
     nt = values.shape[0]
-    a, q = (gx, cpow) if over_x else (cpow, gx)
-    flip = a[-1] < a[0]
-    a_up, v_up = (a[::-1], values[:, ::-1]) if flip else (a, values)
+    flip = gx[-1] < gx[0]
+    a_up, v_up = (gx[::-1], values[:, ::-1]) if flip else (gx, values)
     rows, cols = np.nonzero(_lower_hull(a_up, v_up))
     first = np.searchsorted(rows, np.arange(nt + 1))
-    slopes = np.broadcast_to(phi[:, None] * q / gamma, (nt, q.shape[-1]))
+    slopes = phi[:, None] * cpow / gamma
     # edges between the rows' last and next first vertices are never read
     with np.errstate(divide="ignore", invalid="ignore"):
         edge = np.diff(v_up[rows, cols]) / np.diff(a_up[cols])
@@ -174,42 +150,11 @@ def _u_conjugate_rows(phi, gx, cpow, gamma, values, over_x):
     cand = (cols[np.maximum(pos - 1, first[:-1, None])], cols[pos],
             cols[np.minimum(pos + 1, first[1:, None] - 1)])
     if flip:  # reversed, so the planes stay in increasing index order for the tie rule
-        cand = tuple(a.size - 1 - c for c in cand[::-1])
-    scores = []
-    for c in cand:
-        if over_x:
-            u = phi[:, None] * gx[c] * cpow / gamma
-        else:
-            u = phi[:, None] * gx * cpow[c] / gamma
-        scores.append(u - np.take_along_axis(values, c, axis=1))
-    v0, v1, v2 = scores
+        cand = tuple(gx.size - 1 - c for c in cand[::-1])
+    v0, v1, v2 = (phi[:, None] * gx[c] * cpow / gamma - np.take_along_axis(values, c, axis=1) for c in cand)
     best = np.maximum(np.maximum(v0, v1), v2)
     arg = np.where(v0 == best, cand[0], np.where(v1 == best, cand[1], cand[2]))
     return best, arg
-
-
-def u_transform_price_to_indirect(p, params, x_grid=None):
-    """Indirect utility p*(t,x) = max over the c-grid of u(t,x,c) - p(t,c).
-
-    Returns (SampledFunctionOfType, argmax_indices). The maximum is exact on
-    the grid; continuous optima are recovered only up to grid resolution.
-    """
-    if x_grid is None:
-        x_grid = np.linspace(0.0, 1.0, 401)
-    x_grid = np.asarray(x_grid, dtype=float)
-    vals, arg = _u_conjugate(params.phi, params.g(x_grid), _c_power(params, p.c_grid),
-                             params.gamma, p.values, over_x=False)
-    return SampledFunctionOfType(x_grid=x_grid, values=vals), arg
-
-
-def u_transform_indirect_to_price(p_star, params, c_grid=None):
-    """Price schedule p(t,c) = max over the x-grid of u(t,x,c) - p*(t,x)."""
-    if c_grid is None:
-        c_grid = default_c_grid(params)
-    c_grid = np.asarray(c_grid, dtype=float)
-    vals, arg = _u_conjugate(params.phi, params.g(p_star.x_grid), _c_power(params, c_grid),
-                             params.gamma, p_star.values, over_x=True)
-    return SampledFunctionOfConsumption(c_grid=c_grid, values=vals), arg
 
 
 @dataclass(frozen=True, eq=False)

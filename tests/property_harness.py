@@ -22,13 +22,7 @@ from nltariff.model import (
 )
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.solver_typed_h import build_tariff_typed_h, solve_a0_b0_star, validate_assumptions
-from nltariff.uconvex import (
-    SampledFunctionOfConsumption,
-    check_u_convexity,
-    default_c_grid,
-    u_transform_indirect_to_price,
-    u_transform_price_to_indirect,
-)
+from nltariff.uconvex import check_u_convexity
 
 
 # -- tariff diagnostics --------------------------------------------------------
@@ -178,23 +172,6 @@ def check_const_solver_invariants(params):
     return measured
 
 
-def check_uconvex_invariants(params, rng):
-    c = default_c_grid(params, size=101)
-    base = np.cumsum(rng.rand(params.time_grid.size, c.size) * 0.05, axis=1)
-    pa = SampledFunctionOfConsumption(c_grid=c, values=base)
-    pb = SampledFunctionOfConsumption(c_grid=c, values=base + rng.rand(*base.shape) * 0.2)
-    ia, _ = u_transform_price_to_indirect(pa, params, x_grid=np.linspace(0, 1, 81))
-    ib, _ = u_transform_price_to_indirect(pb, params, x_grid=np.linspace(0, 1, 81))
-    assert np.all(ia.values >= ib.values - 1e-12), "transform order-reversing"
-    assert np.all(np.diff(ia.values, axis=1) >= -1e-12), "transform nondecreasing in type"
-
-    p1, _ = u_transform_indirect_to_price(ia, params, c_grid=c)
-    b1, _ = u_transform_price_to_indirect(p1, params, x_grid=ia.x_grid)
-    p2, _ = u_transform_indirect_to_price(b1, params, c_grid=c)
-    b2, _ = u_transform_price_to_indirect(p2, params, x_grid=ia.x_grid)
-    assert np.abs(b2.values - b1.values).max() <= 1e-12, "biconjugation idempotent"
-
-
 def draw_typed_params(rng):
     gamma = draw_gamma(rng)
     n = float(rng.uniform(1.1, 4.0))
@@ -262,7 +239,6 @@ def run_const_suite(n_draws=100, seed=20240917):
         params = draw_const_params(rng)
         check_model_invariants(params)
         results.append(check_const_solver_invariants(params))
-        check_uconvex_invariants(params, rng)
     return results
 
 

@@ -15,7 +15,7 @@ from nltariff.model import ScenarioConfig
 from nltariff.oracle import oracle_relaxed_maximize_const_h
 from nltariff.solver_const_h import chi
 from nltariff.solver_typed_h import build_tariff_typed_h, mu_zero_residual
-from nltariff.uconvex import check_u_convexity, u_transform_price_to_indirect
+from nltariff.uconvex import check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B
 from tests.property_harness import run_const_suite, run_oracle_suite, run_typed_suite
 from tests.referee import best_responses, principal_utility, relaxed_objective
@@ -79,13 +79,13 @@ def test_criterion_3_u_convexity_round_trip(bench1_solution, bench2_solution,
         c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
         grid = (np.linspace(0.0, c_top, 3001) if params.gamma > 0
                 else np.geomspace(c_top * 1e-5, c_top, 3001))
-        sampled = tariff.sample(grid)
         xg = np.linspace(0.0, 1.0, 801)
-        back, _ = u_transform_price_to_indirect(sampled, params, x_grid=xg)
+        back = np.vstack([best_responses(tariff, i, xg, grid, params)[1]
+                          for i in range(params.time_grid.size)])
         part = participation_set(p_star, params)
         mask = part.contains(xg)
-        err = np.abs(back.values[:, mask] - p_star.values(xg)[:, mask]).max()
-        bound = 2.0 * np.abs(np.diff(sampled.values, axis=1)).max()
+        err = np.abs(back[:, mask] - p_star.values(xg)[:, mask]).max()
+        bound = 2.0 * np.abs(np.diff(tariff.sample(grid), axis=1)).max()
         conv = check_u_convexity(p_star.sample(xg), params)
         flagged = bool(getattr(sol, "warnings", [])) if hasattr(sol, "warnings") else False
         ok_here = err <= bound + 1e-9 and (conv.is_u_convex or flagged)

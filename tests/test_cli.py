@@ -398,6 +398,19 @@ def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, ga
     assert err.startswith("solver error:")
 
 
+def test_industrial_threshold_below_the_bracket_end_is_solved(tmp_path):
+    """H = 1e-13 puts the root of chi below 1e-12, where chi(0) = H > 0:
+    the closed form still finds it, just above x0 = 1/2."""
+    doc = json.loads((CONFIG_DIR / "industrial_constant_h.json").read_text())
+    doc["reservation"]["value"] = 1e-13
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["route"] == "closed_form_industrial"
+    assert 0.5 < report["boundary"]["x0"] < 0.5 + 1e-6
+    assert report["foc_residual"] <= 1e-12
+
+
 def test_typed_sweep_returns_the_lower_corner_it_ties_with(tmp_path):
     rows = run_sweep(CONFIG_DIR / "industrial_sqrt_h.json", "H_scale", [20.0, 50.0], tmp_path / "o")
     assert [r["b0"] for r in rows] == [0.0, 0.0]
@@ -653,11 +666,12 @@ def test_readme_schema_names_the_keys_the_loader_accepts():
     ({"g": TABLE}, "g"),
     ({"f": {"form": "tabulated", "x": [0.0, 1.0], "density": [1.0, 1.0]}}, "f"),
     ({"n": None, "cost_table": COSTS}, "cost_table"),
-], ids=["g", "f", "cost_table"])
+    ({"solver": {"force_general_route": True}}, "solver.force_general_route"),
+], ids=["g", "f", "cost_table", "force_general_route"])
 def test_typed_input_outside_the_closed_form_setting_exits_2(tmp_path, capsys, monkeypatch, fields, named):
     """A concave reservation is solved in closed form only: any other cost,
-    taste map or type distribution is refused before the assumption checks
-    and the pair scan run."""
+    taste map or type distribution, or a request for the general route, is
+    refused before the assumption checks and the pair scan run."""
     from nltariff import solver_typed_h
 
     def must_not_run(*args, **kwargs):

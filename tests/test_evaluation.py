@@ -4,9 +4,8 @@ from numpy.testing import assert_allclose
 
 from nltariff.agent import IndirectUtility, ParticipationSet, participation_set
 from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
-from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
+from nltariff.solver_const_h import build_tariff_const_h, conjugate_segment, solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
-from nltariff.uconvex import u_transform_indirect_to_price
 from tests.referee import principal_utility, relaxed_objective
 
 
@@ -86,15 +85,10 @@ def test_relaxed_objective_consistent_with_priced_transform(bench1_solution, ben
     report, tariff, p_star = bench1_solution
     params = bench1_config.params
     c_top = float(tariff.breakpoints["c_top"].max()) * 1.2
-    price, _ = u_transform_indirect_to_price(
-        p_star.sample(np.linspace(0.0, 1.0, 3001)), params,
-        c_grid=np.linspace(0.0, c_top, 3001))
     nt = params.time_grid.size
-    from nltariff.tariff import TabulatedSegment
-    seg = TabulatedSegment(
-        c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf),
-        c_knots=np.tile(price.c_grid, (nt, 1)), p_knots=price.values,
-    )
+    seg = conjugate_segment(params, p_star.sample(np.linspace(0.0, 1.0, 3001)),
+                            np.tile(np.linspace(0.0, c_top, 3001), (nt, 1)),
+                            np.zeros(nt), np.full(nt, np.inf), "sampled")
     sampled_tariff = Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg])
     up = principal_utility(sampled_tariff, params, p_star=p_star)
     part = participation_set(p_star, params)

@@ -1,6 +1,7 @@
 """Every module-level import in the package, its tests and its tools is used
-by its module, the package imports at module level only, and the oracle
-and the test referee stay independent of the closed forms they audit.
+by its module, the package imports at module level only, every top-level
+function and class of the package has a caller in it, and the oracle and
+the test referee stay independent of the closed forms they audit.
 
 The package's ``__init__.py`` is exempt (its imports are the public
 re-exports), and so is any import line marked ``# noqa`` (a name kept for a
@@ -68,6 +69,38 @@ def test_function_import_is_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_package_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
+
+
+# public helpers that the README and the tests call, with no caller in the package
+PUBLIC_ONLY = {"canonical_params", "eval_utility"}
+
+
+def uncalled_definitions(sources):
+    """(module, name) of each top-level function or class of the modules
+    ``sources`` ({module: source}) that no other top-level statement of
+    any of them names."""
+    named = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = {n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            named.append((module, node, names))
+    return [(module, node.name) for module, node, _ in named
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not any(node.name in names for _, other, names in named if other is not node)]
+
+
+def test_uncalled_definition_is_found():
+    sources = {"a.py": "def f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n",
+               "b.py": "from .a import g\nx = 1\n",
+               "c.py": "def h(a):\n    return a.C\n"}
+    assert uncalled_definitions(sources) == [("a.py", "f"), ("c.py", "h")]
+
+
+def test_every_package_function_has_a_caller():
+    """The package's ``__init__.py`` re-exports do not count as callers."""
+    sources = {p.name: p.read_text() for p in PACKAGE if p.name != "__init__.py"}
+    assert [name for _, name in uncalled_definitions(sources) if name not in PUBLIC_ONLY] == []
 
 
 def solver_mentions(source):

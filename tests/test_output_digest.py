@@ -12,27 +12,48 @@ version named in its header line.
 """
 import importlib.util
 import json
-import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nltariff.cli import main
+from nltariff import cli
 from perfbench import workloads
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = Path(__file__).with_name("output_digest_seed1.txt")
 
 
-def test_output_digest_is_pinned():
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """One in-process pass over the digest's requests, through the function
+    the tool prints: the digest lines and the folder the requests wrote."""
+    scratch = tmp_path_factory.mktemp("digest")
+    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return list(tool.digest_lines(ROOT, cli, workloads, [tool.DEFAULT_SEED], scratch)), scratch
+
+
+def test_every_digest_report_is_strict_json(digest_run):
+    """report.json is strict JSON on every request of the digest: a
+    non-finite number is written as null, never as NaN or Infinity."""
+    _, scratch = digest_run
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    reports = sorted((scratch / "out").glob("*/report.json"))
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=refuse)
+    assert len(reports) == 44
+
+
+def test_output_digest_is_pinned(digest_run):
+    """The digest lines equal the pinned ones."""
+    digest, _ = digest_run
     header, *pinned = PINNED.read_text().splitlines()
-    run = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py"), str(ROOT)],
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    digest = run.stdout.splitlines()
     if digest == pinned:
         return
     differs = [i for i, (new, old) in enumerate(zip(digest, pinned)) if new != old]
@@ -50,28 +71,6 @@ def test_output_digest_is_pinned():
     pytest.fail(message)
 
 
-def test_every_digest_report_is_strict_json(tmp_path):
-    """report.json is strict JSON on every request of the digest: a
-    non-finite number is written as null, never as NaN or Infinity."""
-    spec = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    reports = 0
-    for name, request in digest._requests(ROOT, workloads, [digest.DEFAULT_SEED], tmp_path):
-        out = tmp_path / "out" / name
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            main(request + ["--out", str(out)])
-        if (out / "report.json").exists():
-            json.loads((out / "report.json").read_text(), parse_constant=refuse)
-            reports += 1
-    assert reports == 44
-
-
 def test_output_moves_records_a_raising_request(tmp_path, monkeypatch):
     """A request that raises is recorded as its outcome, so the comparison
     of a checkout that crashes on it with one that does not still runs."""
@@ -80,7 +79,6 @@ def test_output_moves_records_a_raising_request(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("output_moves", ROOT / "tools" / "output_moves.py")
     moves = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(moves)
-    from nltariff import cli
 
     def stub_main(argv):
         return 1 / 0 if argv[0] == "boom" else 0

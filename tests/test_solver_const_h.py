@@ -31,7 +31,7 @@ from nltariff.solver_const_h import (
     ell_const,
     solve_x0_star,
 )
-from nltariff.uconvex import check_u_convexity, default_c_grid, u_transform_indirect_to_price
+from nltariff.uconvex import _utility_surface, check_u_convexity, default_c_grid
 from tests.conftest import BENCH1, BENCH2, varying_profile_params
 from tests.property_harness import continuity_gaps, shape_report
 
@@ -418,8 +418,9 @@ def test_B_gamma_signs():
 
 @pytest.mark.parametrize("solution", ["bench1_solution", "bench2_solution"])
 def test_conjugate_segment_on_tiled_knots_is_the_price_transform(solution, request):
-    """The tabulated builder at one knot row per time node gives the price
-    transform on that row's grid bit for bit, on both branches."""
+    """The tabulated builder at one knot row per time node, as the sampled
+    emission calls it, gives the dense price transform (the maximum over
+    the type grid of u - p*) bit for bit, on both branches."""
     _, _, p_star = request.getfixturevalue(solution)
     params = request.getfixturevalue(solution.replace("solution", "config")).params
     samples = p_star.sample()
@@ -427,8 +428,8 @@ def test_conjugate_segment_on_tiled_knots_is_the_price_transform(solution, reque
     nt = params.time_grid.size
     seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
                             np.full(nt, np.inf), "sampled")
-    price, _ = u_transform_indirect_to_price(samples, params, c_grid=c_grid)
-    assert seg.p_knots.tobytes() == price.values.tobytes()
+    dense = _utility_surface(params, samples.x_grid, c_grid) - samples.values[:, :, None]
+    assert seg.p_knots.tobytes() == np.max(dense, axis=1).tobytes()
 
 
 def test_uniqueness_flag_cleared_for_wavy_density():

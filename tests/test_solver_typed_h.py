@@ -39,6 +39,7 @@ from nltariff.solver_typed_h import (
 from nltariff.uconvex import check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
 from tests.property_harness import continuity_gaps, shape_report
+from tests.referee import best_responses
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -569,7 +570,7 @@ EMISSION_CASES = {
     "residential_sampled": ("residential_sqrt", 0.6, 0.0, ["sampled"]),
 }
 
-# sha256 of tariff.sample(cs).values, p_star.values(xs) and p_star.slopes(xs)
+# sha256 of tariff.sample(cs), p_star.values(xs) and p_star.slopes(xs)
 PINNED_EMISSION_SHA256 = {
     ("industrial_bottom_dead", False): (
         "037ce6ec8ac36457ec2f61b00e1abd70c323214f7217c843286a47f48e42fec3",
@@ -640,7 +641,7 @@ def test_emission_is_pinned(case, simplified):
     cs = np.geomspace(1e-3, 10.0, 241)
     xs = np.linspace(0.0, 1.0, 201)
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                    for a in (tariff.sample(cs).values, p_star.values(xs), p_star.slopes(xs)))
+                    for a in (tariff.sample(cs), p_star.values(xs), p_star.slopes(xs)))
     assert digests == PINNED_EMISSION_SHA256[case, simplified]
 
 
@@ -653,19 +654,18 @@ def test_degenerate_lower_collapses_structure(typed_a_solution):
 
 
 def test_round_trip_matches_on_participation_set(typed_a_solution, typed_a_config):
-    from nltariff.uconvex import u_transform_price_to_indirect
-
+    """Each participating type's grid best response to the emitted tariff
+    is worth its p*, up to twice the tariff's largest grid step."""
     sol, tariff, p_star = typed_a_solution
     params = typed_a_config.params
     c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
     cg = np.linspace(0.0, c_top, 3001)
-    back, _ = u_transform_price_to_indirect(tariff.sample(cg), params,
-                                            x_grid=np.linspace(0, 1, 801))
     xg = np.linspace(0, 1, 801)
+    back = np.vstack([best_responses(tariff, i, xg, cg, params)[1] for i in range(params.time_grid.size)])
     part = participation_set(p_star, params)
     m = part.contains(xg)
-    err = np.abs(back.values[:, m] - p_star.values(xg)[:, m]).max()
-    bound = 2.0 * np.abs(np.diff(tariff.sample(cg).values, axis=1)).max()
+    err = np.abs(back[:, m] - p_star.values(xg)[:, m]).max()
+    bound = 2.0 * np.abs(np.diff(tariff.sample(cg), axis=1)).max()
     assert err <= bound + 1e-9
 
 

@@ -34,7 +34,7 @@ def row_price(tariff, i, c):
 
 def assert_sample_matches_rows(tariff, c):
     rows = [row_price(tariff, i, c) for i in range(tariff.time_grid.size)]
-    got = tariff.sample(c).values
+    got = tariff.sample(c)
     assert got.tobytes() == np.vstack(rows).tobytes()
     for i, ref in enumerate(rows):
         assert tariff.price(i, c).tobytes() == ref.tobytes()
@@ -111,3 +111,17 @@ def test_negative_consumption_is_refused_when_gamma_negative(bench2_solution):
         tariff.sample(c)
     with pytest.raises(DomainError):
         tariff.price(0, c)
+
+
+def test_sample_refuses_an_unordered_grid_and_prices_that_are_not_finite():
+    """Both refusals are ``sample``'s own: an overflowed price never reaches
+    the tariff writer."""
+    tariff = mixed_tariff()
+    for c in ([0.5, 2.0, 2.0], [3.0, 1.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            tariff.sample(c)
+    top = dataclasses.replace(tariff.segments[-1], p3=np.array([0.2, np.inf, 0.2, 0.2]))
+    tariff = dataclasses.replace(tariff, segments=[*tariff.segments[:-1], top])
+    assert np.all(np.isfinite(tariff.sample([0.1, 1.0])))
+    with pytest.raises(DomainError, match="finite"):
+        tariff.sample([0.1, 1.0, 5.0])

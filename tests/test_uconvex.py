@@ -1,4 +1,5 @@
-"""Grid transforms between price schedules and indirect utilities."""
+"""The u-conjugate of a sampled indirect utility, its hull kernel, and the
+exact u-convexity check."""
 import dataclasses
 import tracemalloc
 
@@ -8,18 +9,17 @@ from numpy.testing import assert_allclose
 
 from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
+from nltariff.tariff import TabulatedSegment, Tariff
 from nltariff.uconvex import (
     GAP_TOL,
     ROW_BLOCK,
-    SampledFunctionOfConsumption,
     SampledFunctionOfType,
     _u_conjugate,
     _u_conjugate_rows,
+    _utility_surface,
     check_u_convexity,
-    default_c_grid,
-    u_transform_indirect_to_price,
-    u_transform_price_to_indirect,
 )
+from tests.referee import best_responses
 
 
 def make_params(gamma=0.5):
@@ -32,53 +32,70 @@ def utility_surface(params, x, c):
         c[None, None, :] ** params.gamma) / params.gamma
 
 
+def u_conjugate(params, x, values, c):
+    """The u-conjugate of ``values`` on the type grid ``x`` at the
+    consumptions ``c`` on every time node: (prices, argmax types)."""
+    nt = params.time_grid.size
+    return _u_conjugate(params.phi, params.g(x), np.tile(c ** params.gamma, (nt, 1)), params.gamma, values)
+
+
+def tabulated_tariff(params, c, prices):
+    """A tariff through the knots (c, prices[i]) on every time node i."""
+    nt = params.time_grid.size
+    seg = TabulatedSegment(c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf),
+                           c_knots=np.tile(c, (nt, 1)), p_knots=prices)
+    return Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg])
+
+
 def test_price_equal_to_top_type_utility_gives_zero_indirect_at_one():
     params = make_params(0.5)
     c = np.linspace(0.0, 5.0, 301)
     top = params.g(np.asarray([1.0]))[0] * params.phi[:, None] * c[None, :] ** 0.5 / 0.5
-    p = SampledFunctionOfConsumption(c_grid=c, values=top)
-    ind, _ = u_transform_price_to_indirect(p, params, x_grid=np.linspace(0, 1, 101))
-    assert_allclose(ind.values[:, -1], 0.0, atol=1e-12)
+    tariff = tabulated_tariff(params, c, top)
+    for i in range(3):
+        _, value = best_responses(tariff, i, [1.0], c, params)
+        assert_allclose(value, 0.0, atol=1e-12)
 
 
 def test_constant_price_gives_corner_solution():
     params = make_params(0.5)
     c = np.linspace(0.0, 5.0, 301)
     kappa = 0.7
-    p = SampledFunctionOfConsumption(c_grid=c, values=np.full((3, c.size), kappa))
-    ind, arg = u_transform_price_to_indirect(p, params, x_grid=np.linspace(0, 1, 51))
-    # utility increasing in c: everyone maxes out the grid (x=0 is indifferent)
-    assert np.all(arg[:, 1:] == c.size - 1)
-    expect = utility_surface(params, np.linspace(0, 1, 51), c[-1:])[:, :, 0] - kappa
-    assert_allclose(ind.values, expect, rtol=1e-12)
+    x = np.linspace(0, 1, 51)
+    tariff = tabulated_tariff(params, c, np.full((3, c.size), kappa))
+    expect = utility_surface(params, x, c[-1:])[:, :, 0] - kappa
+    for i in range(3):
+        cons, value = best_responses(tariff, i, x, c, params)
+        # utility increasing in c: everyone maxes out the grid (x=0 is indifferent)
+        assert np.all(cons[1:] == c[-1])
+        assert_allclose(value, expect[i], rtol=1e-12)
 
 
 def test_linear_indirect_utility_conjugates_to_positive_part():
     params = make_params(0.5)
     K0 = 0.4
     x = np.linspace(0.0, 1.0, 201)
-    p_star = SampledFunctionOfType(x_grid=x, values=np.tile(K0 * x, (3, 1)))
     c = np.linspace(0.0, 3.0, 257)
-    price, arg = u_transform_indirect_to_price(p_star, params, c_grid=c)
+    price, arg = u_conjugate(params, x, np.tile(K0 * x, (3, 1)), c)
     expect = np.maximum(params.phi[:, None] * c[None, :] ** 0.5 / 0.5 - K0, 0.0)
-    assert_allclose(price.values, expect, atol=1e-12)
+    assert_allclose(price, expect, atol=1e-12)
     assert np.all((arg == 0) | (arg == x.size - 1))
 
 
 def test_zero_indirect_utility_prices_at_top_type():
     params = make_params(0.5)
     x = np.linspace(0.0, 1.0, 101)
-    p_star = SampledFunctionOfType(x_grid=x, values=np.zeros((3, x.size)))
     c = np.linspace(0.0, 3.0, 100)
-    price, _ = u_transform_indirect_to_price(p_star, params, c_grid=c)
+    price, _ = u_conjugate(params, x, np.zeros((3, x.size)), c)
     expect = utility_surface(params, np.asarray([1.0]), c)[:, 0, :]
-    assert_allclose(price.values, expect, rtol=1e-12)
+    assert_allclose(price, expect, rtol=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_closed_form_round_trips_within_grid_resolution(gamma):
-    """Sampled transforms reproduce the emitted closed forms up to a
-    Lipschitz-scaled grid increment, in both directions."""
+    """The types' grid best responses to the emitted tariff, and the
+    u-conjugate of the sampled p*, reproduce the emitted closed forms up to
+    a Lipschitz-scaled grid increment."""
     params = make_params(gamma)
     cfg = ScenarioConfig(params=params)
     report = solve_x0_star(cfg)
@@ -87,21 +104,21 @@ def test_closed_form_round_trips_within_grid_resolution(gamma):
     c = np.linspace(0.0, c_top, 512) if gamma > 0 else np.geomspace(c_top * 1e-5, c_top, 512)
     xg = np.linspace(0.0, 1.0, 601)
 
-    # price -> indirect: compare above the participation threshold
-    sampled_price = tariff.sample(c)
-    ind, _ = u_transform_price_to_indirect(sampled_price, params, x_grid=xg)
+    # best responses: compare above the participation threshold
+    ind = np.vstack([best_responses(tariff, i, xg, c, params)[1] for i in range(3)])
     mask = xg >= report.boundary["x0"]
     exact = p_star.values(xg)
-    err = np.abs(ind.values[:, mask] - exact[:, mask]).max()
-    bound = 2.0 * np.abs(np.diff(sampled_price.values, axis=1)).max()
+    err = np.abs(ind[:, mask] - exact[:, mask]).max()
+    bound = 2.0 * np.abs(np.diff(tariff.sample(c), axis=1)).max()
     assert err <= bound + 1e-9
 
-    # indirect -> price: compare on the selected consumption band
-    price, _ = u_transform_indirect_to_price(p_star.sample(np.linspace(0, 1, 2001)), params, c_grid=c)
+    # u-conjugate: compare on the selected consumption band
+    xs = np.linspace(0, 1, 2001)
+    price, _ = u_conjugate(params, xs, p_star.values(xs), c)
     bands = tariff.selected_range[0]
     sel = (c >= bands[:, 0].max()) & (c <= bands[:, 1].min())
     exact_price = np.vstack([tariff.price(i, c) for i in range(3)])
-    err_p = np.abs(price.values[:, sel] - exact_price[:, sel]).max()
+    err_p = np.abs(price[:, sel] - exact_price[:, sel]).max()
     bound_p = 2.0 * np.abs(np.diff(exact)).max() + 1e-6
     assert err_p <= bound_p
 
@@ -142,43 +159,6 @@ def test_nonconvex_bridge_shape_reports_positive_gap():
     assert rep.max_biconjugation_gap > 1e-4
 
 
-def test_biconjugation_idempotent_to_float_precision():
-    params = make_params(-0.8)
-    rng = np.random.RandomState(7)
-    x = np.linspace(0.0, 1.0, 101)
-    vals = np.cumsum(rng.rand(3, x.size) * 0.02, axis=1) - 0.8  # rough nondecreasing
-    p_star = SampledFunctionOfType(x_grid=x, values=vals)
-    c = default_c_grid(params, size=301)
-    p1, _ = u_transform_indirect_to_price(p_star, params, c_grid=c)
-    b1, _ = u_transform_price_to_indirect(p1, params, x_grid=x)       # (p*)**
-    p2, _ = u_transform_indirect_to_price(b1, params, c_grid=c)
-    b2, _ = u_transform_price_to_indirect(p2, params, x_grid=x)       # ((p*)**)**
-    assert np.abs(b2.values - b1.values).max() <= 1e-12
-
-
-def test_transforms_order_reversing():
-    params = make_params(0.5)
-    rng = np.random.RandomState(3)
-    c = np.linspace(0.0, 4.0, 200)
-    base = np.cumsum(rng.rand(3, c.size) * 0.05, axis=1)
-    lift = rng.rand(3, c.size) * 0.3
-    pa = SampledFunctionOfConsumption(c_grid=c, values=base)
-    pb = SampledFunctionOfConsumption(c_grid=c, values=base + lift)   # pb >= pa
-    ia, _ = u_transform_price_to_indirect(pa, params)
-    ib, _ = u_transform_price_to_indirect(pb, params)
-    assert np.all(ia.values >= ib.values - 1e-12)
-
-
-def test_transform_output_nondecreasing_in_type():
-    params = make_params(0.5)
-    rng = np.random.RandomState(11)
-    c = np.linspace(0.0, 4.0, 300)
-    vals = np.cumsum(rng.rand(3, c.size) * 0.02, axis=1)
-    p = SampledFunctionOfConsumption(c_grid=c, values=vals)
-    ind, _ = u_transform_price_to_indirect(p, params, x_grid=np.linspace(0, 1, 157))
-    assert np.all(np.diff(ind.values, axis=1) >= -1e-12)
-
-
 def grid_argmax_set(surface_1d, rel_tol=1e-12):
     """All indices attaining the grid maximum within a relative tolerance.
 
@@ -215,13 +195,15 @@ def tabulated_taste(gamma, values, derivative):
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_gap_matches_dense_biconjugation(gamma, form):
     """On random non-convex rows the exact gap, in total and at every
-    violating sample, matches the biconjugation through the grid transforms
-    on a wide consumption grid, for increasing g (industrial) and
+    violating sample, matches the dense biconjugation through a wide
+    consumption grid, for increasing g (industrial) and
     decreasing g (residential). The dense biconjugate sees only the grid's
     supporting slopes phi u(c_k), so it lies below the exact one, by at most
     the missed slope times the range of g: the grid's relative slope
     spacing times the rows' largest slope, and on the residential branch
-    the slopes below phi u(1e6) = -phi / 1e6 as well."""
+    the slopes below phi u(1e6) = -phi / 1e6 as well. The way back to the
+    type grid is a dense maximum over that grid, taken in blocks of
+    consumptions, so the reference does not use the hull."""
     params = make_params(gamma)
     if form == "tabulated":
         sign = np.sign(gamma)
@@ -235,9 +217,13 @@ def test_gap_matches_dense_biconjugation(gamma, form):
     c = np.geomspace(1e-6, 1e6, 400_001)
     if gamma > 0:
         c = np.concatenate([[0.0], c])  # u(0) = 0 supplies the zero slope
-    price, _ = u_transform_indirect_to_price(p_star, params, c_grid=c)
-    back, _ = u_transform_price_to_indirect(price, params, x_grid=x)
-    dense = values - back.values
+    price, _ = u_conjugate(params, x, values, c)
+    back = np.full(values.shape, -np.inf)
+    for lo in range(0, c.size, 10_000):
+        block = slice(lo, lo + 10_000)
+        surf = _utility_surface(params, x, c[block]) - price[:, None, block]
+        back = np.maximum(back, surf.max(axis=2))
+    dense = values - back
     gx = params.g(x)
     slope = np.abs(np.diff(values, axis=1) / np.diff(gx)).max()
     rho = (c[-1] / c[-2]) ** abs(gamma)
@@ -282,24 +268,15 @@ def test_convex_in_x_but_concave_in_g_is_flagged():
 
 # -- the hull conjugate against the dense surface --------------------------------
 
-def dense_conjugate(params, x, c, values, over_x):
-    """Maxima and argmax of u - values over the dense (n_t, n_x, n_c) surface."""
-    from nltariff.uconvex import _utility_surface
-
-    surf = _utility_surface(params, x, c)
-    surf = surf - (values[:, :, None] if over_x else values[:, None, :])
-    axis = 1 if over_x else 2
-    return np.max(surf, axis=axis), np.argmax(surf, axis=axis), surf
-
-
-def assert_matches_dense(params, x, c, values, over_x, same_arg=False):
-    got, arg = _u_conjugate(params.phi, params.g(x), c ** params.gamma, params.gamma,
-                            values, over_x=over_x)
-    ref, ref_arg, surf = dense_conjugate(params, x, c, values, over_x)
+def assert_matches_dense(params, x, c, values, same_arg=False):
+    """The u-conjugate equals the maxima over types of the dense
+    (n_t, n_x, n_c) surface u - values, and its argmax attains them."""
+    got, arg = u_conjugate(params, x, values, c)
+    surf = _utility_surface(params, x, c) - values[:, :, None]
+    ref, ref_arg = np.max(surf, axis=1), np.argmax(surf, axis=1)
     tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
     assert np.all(np.abs(got - ref) <= tol)
-    at_arg = np.take_along_axis(surf, np.expand_dims(arg, 1 if over_x else 2),
-                                axis=1 if over_x else 2).squeeze(1 if over_x else 2)
+    at_arg = np.take_along_axis(surf, arg[:, None, :], axis=1)[:, 0, :]
     assert np.all(np.abs(at_arg - ref) <= tol)
     if same_arg:
         np.testing.assert_array_equal(arg, ref_arg)
@@ -318,25 +295,21 @@ def kernel_grids(gamma):
 def test_hull_conjugate_matches_dense_on_nonconvex_inputs(gamma, seed):
     params, x, c = kernel_grids(gamma)
     rng = np.random.default_rng(seed)
-    assert_matches_dense(params, x, c, rng.normal(size=(3, x.size)), over_x=True)
-    assert_matches_dense(params, x, c, rng.normal(size=(3, c.size)), over_x=False)
+    assert_matches_dense(params, x, c, rng.normal(size=(3, x.size)))
     # smooth but non-convex rows: long runs of removed points between hull vertices
-    assert_matches_dense(params, x, c, np.sin(6.0 * x)[None, :] + rng.normal(size=(3, 1)), over_x=True)
+    assert_matches_dense(params, x, c, np.sin(6.0 * x)[None, :] + rng.normal(size=(3, 1)))
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_on_exact_ties(gamma):
     """Where grid points tie exactly, the lowest index wins, as in np.argmax."""
     params, x, c = kernel_grids(gamma)
-    assert_matches_dense(params, x, c, np.full((3, c.size), 0.7), over_x=False, same_arg=True)
-    assert_matches_dense(params, x, c, np.tile(0.4 * x - 0.1, (3, 1)), over_x=True, same_arg=True)
-    assert_matches_dense(params, x, c, np.zeros((3, x.size)), over_x=True, same_arg=True)
+    assert_matches_dense(params, x, c, np.tile(0.4 * x - 0.1, (3, 1)), same_arg=True)
+    assert_matches_dense(params, x, c, np.zeros((3, x.size)), same_arg=True)
 
 
 @pytest.mark.parametrize("case", ["typed_a", "typed_b"])
 def test_bridge_knots_equal_dense_reference(case, request):
-    from nltariff.uconvex import _utility_surface
-
     sol, tariff, p_star = request.getfixturevalue(f"{case}_solution")
     params = request.getfixturevalue(f"{case}_config").params
     bridge = next(s for s in tariff.segments if s.label == "bridge")
@@ -445,32 +418,26 @@ def test_lower_hull_temporaries_stay_linear():
 
 def test_hull_conjugate_row_layout_matches_dense():
     """Rows with different hull sizes share one call: a two-vertex row, an
-    all-vertex row and a tied row, on grids down to one point, both
+    all-vertex row and a tied row, on type grids down to one point, both
     branches (gamma < 0 flips the decreasing g and c^gamma)."""
     for gamma in (0.5, -1.0):
         params, x, c = kernel_grids(gamma)
         gx = params.g(x)
-        rows_x = np.array([-(gx - 0.5) ** 2, gx ** 2, np.round(np.sin(9.0 * x), 1)])
-        assert_matches_dense(params, x, c, rows_x, over_x=True, same_arg=True)
-        u = c ** gamma / gamma
-        rows_c = np.array([-(u - u.mean()) ** 2, u ** 2 * np.sign(gamma), np.round(np.cos(7.0 * c), 1)])
-        assert_matches_dense(params, x, c, rows_c, over_x=False, same_arg=True)
+        rows = np.array([-(gx - 0.5) ** 2, gx ** 2, np.round(np.sin(9.0 * x), 1)])
+        assert_matches_dense(params, x, c, rows, same_arg=True)
         for m in (1, 2):
             values = np.arange(3.0 * m).reshape(3, m) % 2
-            assert_matches_dense(params, x[-m:], c, values, over_x=True, same_arg=True)
-            assert_matches_dense(params, x, c[-m:], values, over_x=False, same_arg=True)
+            assert_matches_dense(params, x[-m:], c, values, same_arg=True)
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
     """The bridge passes one consumption grid per time row, cpow of shape (n_t, 65)."""
-    from nltariff.uconvex import _utility_surface
-
     params, x, _ = kernel_grids(gamma)
     rng = np.random.default_rng(5)
     c = np.sort(rng.uniform(0.01, 4.0, size=(3, 65)), axis=1)
     values = np.array([np.round(np.sin(6.0 * x), 1), x ** 2, rng.normal(size=x.size)])
-    got, arg = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values, over_x=True)
+    got, arg = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values)
     for i in range(3):
         dense = _utility_surface(params, x, c[i])[i] - values[i][:, None]
         np.testing.assert_array_equal(got[i], np.max(dense, axis=0))
@@ -482,19 +449,18 @@ def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 @pytest.mark.parametrize("nt", [1, ROW_BLOCK, ROW_BLOCK + 1, 129])
 def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
-    """Maxima and argmax bit for bit, in both directions and with per-row
-    (n_t, 65) knots as the bridge passes them; rounded random walks give
-    ties and concave pockets."""
+    """Maxima and argmax bit for bit, on one consumption grid tiled over the
+    rows as sampled emission passes it and on per-row (n_t, 65) knots as the
+    bridge passes them; rounded random walks give ties and concave pockets."""
     params, x, c = kernel_grids(gamma)
     rng = np.random.default_rng(nt)
     phi = rng.uniform(0.5, 1.5, nt)
-    gx, cpow = params.g(x), c ** gamma
+    gx = params.g(x)
     knots = np.sort(rng.uniform(0.01, 4.0, size=(nt, 65)), axis=1) ** gamma
-    on_x = np.round(rng.normal(size=(nt, x.size)).cumsum(axis=1), 1)
-    on_c = np.round(rng.normal(size=(nt, c.size)).cumsum(axis=1), 1)
-    for q, values, over_x in ((cpow, on_x, True), (knots, on_x, True), (cpow, on_c, False)):
-        got = _u_conjugate(phi, gx, q, gamma, values, over_x)
-        ref = _u_conjugate_rows(phi, gx, q, gamma, values, over_x)
+    values = np.round(rng.normal(size=(nt, x.size)).cumsum(axis=1), 1)
+    for q in (np.tile(c ** gamma, (nt, 1)), knots):
+        got = _u_conjugate(phi, gx, q, gamma, values)
+        ref = _u_conjugate_rows(phi, gx, q, gamma, values)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()

@@ -55,6 +55,23 @@ def _requests(root, workloads, seeds, scratch):
     return reqs
 
 
+def digest_lines(root, cli, workloads, seeds, scratch):
+    """The digest's lines, request by request: each request runs through
+    ``cli.main`` and writes under ``scratch/out/<request name>``, where its
+    files stay."""
+    for name, request in _requests(root, workloads, seeds, scratch):
+        out = scratch / "out" / name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(request + ["--out", str(out)])
+        files = sorted(out.iterdir()) if out.is_dir() else []
+        for path in files:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            yield f"{name}/{path.name} {code} {len(caught)} {digest}"
+        if not files:
+            yield f"{name}/- {code} {len(caught)} -"
+
+
 def _seed_list(text):
     return [int(seed) for seed in text.split(",")]
 
@@ -71,18 +88,8 @@ def main(argv):
     from perfbench import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
-        scratch = Path(tmp)
-        for name, request in _requests(root, workloads, args.seeds, scratch):
-            out = scratch / "out" / name
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = cli.main(request + ["--out", str(out)])
-            files = sorted(out.iterdir()) if out.is_dir() else []
-            for path in files:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{name}/{path.name} {code} {len(caught)} {digest}")
-            if not files:
-                print(f"{name}/- {code} {len(caught)} -")
+        for line in digest_lines(root, cli, workloads, args.seeds, Path(tmp)):
+            print(line)
     return 0
 
 
