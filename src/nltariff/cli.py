@@ -272,6 +272,8 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
         },
         **extras,
     }
+    if not conv.is_u_convex:
+        report["warnings"].append(f"p* is not u-convex: biconjugation gap {conv.max_biconjugation_gap:.3g}")
 
     if run_oracle:
         if params.reservation.kind == "constant":
@@ -286,10 +288,11 @@ def run_scenario(config_path, out_dir, run_oracle=False, full_tariff=False):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
-    (out / "report.json").write_text(text + "\n")
     _write_tariff_csv(out / "tariff.csv", tariff)
     _write_type_csvs(out, p_star, part, params)
+    # last, so that a request failing in a table leaves no report behind
+    text = json.dumps(_json_safe(report), indent=2, sort_keys=True, allow_nan=False)
+    (out / "report.json").write_text(text + "\n")
     return report
 
 

@@ -204,13 +204,19 @@ def _industrial_threshold(params, H):
     """({x0, y0}, |chi(y0)|) at the root y0 of chi, x0 = (y0^(1-gamma) + 1)/2."""
     if H < 0:
         raise InvalidReservation("H must be >= 0 when gamma in (0,1)")
-    y0, residual = 0.0, 0.0
+    e = 1.0 - params.gamma
+    y0, z, residual = 0.0, 0.0, 0.0
     if H != 0.0:
-        # a small enough H puts the root below the bracket's end; chi(0) = H > 0
-        lo = 0.0 if chi(CHI_BRACKET_EPS, params) < 0 else CHI_BRACKET_EPS
-        y0 = bisect(lambda y: chi(y, params), lo, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
+        if chi(CHI_BRACKET_EPS, params) < 0:
+            # a small enough H puts the root below the bracket's end, chi(0) = H > 0;
+            # there an absolute error in y0 is magnified in x0, so bisect z = y0^(1-gamma)
+            z = bisect(lambda z: chi(z ** (1.0 / e), params), 0.0, CHI_BRACKET_EPS ** e, xtol=1e-16)
+            y0 = z ** (1.0 / e)
+        else:
+            y0 = bisect(lambda y: chi(y, params), CHI_BRACKET_EPS, 1.0 - CHI_BRACKET_EPS, xtol=1e-16)
+            z = y0 ** e
         residual = abs(chi(y0, params))
-    x0 = 0.5 * (y0 ** (1.0 - params.gamma) + 1.0)
+    x0 = 0.5 * (z + 1.0)
     return {"x0": float(x0), "y0": float(y0)}, residual
 
 

@@ -6,9 +6,11 @@ local zoom refinement, after which the indirect utility has explicit lower
 and upper pieces joined by a bridge over the excluded middle interval. The
 objective, the scales and the polynomial segments of the two pieces are the
 closed forms of ``closed_form``, which also serve the constant reservation
-as their one-component case. The bridge is any continuous nondecreasing
-curve matching the reservation level at the boundaries and staying strictly
-below it inside; candidates are validated numerically rather than assumed.
+as their one-component case. The bridge is the time-uniform chord of the
+reservation over the middle, one row per unit time. Its checks (matching the
+reservation level at the boundaries, strictly below it inside, nondecreasing,
+convexly glued to the pieces) are validated numerically rather than assumed,
+and the report carries them whether or not they pass.
 """
 from dataclasses import dataclass, field
 
@@ -273,89 +275,54 @@ def _levels(H, a0, b0):
 class BridgeReport:
     name: str
     x_knots: np.ndarray              # shape (m,)
-    values: np.ndarray               # shape (n_t, m)
+    values: np.ndarray               # shape (m,), per unit time at every time node
     valid: bool
     checks: dict
 
 
 def build_bridge(params, a0, b0, N, levels):
-    """Construct and validate bridge candidates for the excluded middle,
-    given the scales N and the reservation levels (H(a0), H(b0)).
-
-    Candidates: the time-uniform chord of H between the boundaries (dipped
-    slightly at a degenerate end so the excluded side stays strictly below
-    its reservation), then a per-time two-slope bridge matching the boundary
-    derivatives. The first candidate passing all checks is returned; if none
-    passes, the best one is returned with its failure report.
+    """The bridge over the excluded middle, given the scales N and the
+    reservation levels (H(a0), H(b0)): the time-uniform chord of H between
+    the boundaries, dipped slightly at a degenerate end so the excluded side
+    stays strictly below its reservation. It is validated and returned
+    whether or not its checks pass.
     """
     if b0 >= a0:
-        return BridgeReport(name="empty", x_knots=np.array([b0]), values=np.zeros((params.time_grid.size, 1)),
+        return BridgeReport(name="empty", x_knots=np.array([b0]), values=np.zeros(1),
                             valid=True, checks={"empty": True})
     lower, upper, _ = component_shapes(params.gamma)
-    T = params.horizon
-    nt = params.time_grid.size
     Ha, Hb = levels
-    # slopes of the closed-form pieces at their live boundaries
-    boundary_slopes = (lower.slope(N, b0) if b0 > 0 else None, upper.slope(N, a0) if a0 < 1.0 else None)
-    candidates = []
-
     # endpoint targets: exact at live boundaries, dipped at degenerate ones
     dip = 1e-6 * (abs(Ha - Hb) + 1.0)
     left = Hb if b0 > 0 else Hb - dip
     right = Ha if a0 < 1.0 else Ha - dip
-
     xk = np.linspace(b0, a0, 33)
-    chord_vals = left + (right - left) * (xk - b0) / (a0 - b0)
-    candidates.append(BridgeReport(
-        name="chord", x_knots=xk, values=np.tile(chord_vals / T, (nt, 1)),
-        valid=False, checks={},
-    ))
-
-    if b0 > 0 and a0 < 1.0:
-        # two-slope candidate: leave b0 with the lower-piece slope, arrive at a0
-        # with the upper-piece slope, meeting where the lines cross
-        s1, s2 = boundary_slopes[0][:, None], boundary_slopes[1][:, None]
-        if np.all(np.isfinite(s1) & np.isfinite(s2) & (s1 <= s2)):
-            v1 = Hb / T + s1 * (xk - b0)
-            v2 = Ha / T + s2 * (xk - a0)
-            overshoot = np.any(v2[:, 0] > Hb / T + 1e-12) or np.any(v1[:, -1] > Ha / T + 1e-12)
-            if not overshoot:
-                candidates.append(BridgeReport(name="two_slope", x_knots=xk, values=np.maximum(v1, v2),
-                                               valid=False, checks={}))
-
-    best = None
-    for cand in candidates:
-        cand.checks = _validate_bridge(params, cand, a0, b0, levels, boundary_slopes)
-        cand.valid = all(cand.checks.values())
-        if cand.valid:
-            return cand
-        if best is None or sum(cand.checks.values()) > sum(best.checks.values()):
-            best = cand
-    return best
+    values = (left + (right - left) * (xk - b0) / (a0 - b0)) / params.horizon
+    # slopes of the closed-form pieces at their live boundaries
+    boundary_slopes = (lower.slope(N, b0) if b0 > 0 else None, upper.slope(N, a0) if a0 < 1.0 else None)
+    checks = _validate_bridge(params, xk, values, a0, b0, levels, boundary_slopes)
+    return BridgeReport(name="chord", x_knots=xk, values=values, valid=all(checks.values()), checks=checks)
 
 
-def _validate_bridge(params, cand, a0, b0, levels, boundary_slopes):
+def _validate_bridge(params, xk, vals, a0, b0, levels, boundary_slopes):
     """Endpoint integrals, strict interior inferiority, monotonicity, and the
-    per-time convexity of the glued surface, given the reservation levels
-    (H(a0), H(b0)) and the slopes (at b0, at a0) of the live pieces."""
-    H = params.reservation
-    xk, vals = cand.x_knots, cand.values
-    integ = trapezoid(vals.T, params.time_grid)
+    per-time convexity of the glued surface, for the bridge row ``vals`` on
+    the knots ``xk``, given the reservation levels (H(a0), H(b0)) and the
+    per-time slopes (at b0, at a0) of the live pieces."""
+    # the row holds at every time node
+    integ = trapezoid(np.broadcast_to(vals[:, None], (vals.size, params.time_grid.size)), params.time_grid)
     checks = {}
     Ha, Hb = levels
     checks["left_endpoint"] = (abs(integ[0] - Hb) <= 1e-9 * max(1.0, abs(Hb))) if b0 > 0 else (integ[0] < Hb)
     checks["right_endpoint"] = (abs(integ[-1] - Ha) <= 1e-9 * max(1.0, abs(Ha))) if a0 < 1.0 else (integ[-1] < Ha)
     interior = (xk > b0 + 1e-12) & (xk < a0 - 1e-12)
-    Hi = H(xk[interior])
-    checks["interior_inferior"] = bool(np.all(integ[interior] < Hi - 0.0))
-    slopes = np.diff(vals, axis=1) / np.diff(xk)
+    checks["interior_inferior"] = bool(np.all(integ[interior] < params.reservation(xk[interior])))
+    slopes = np.diff(vals) / np.diff(xk)
     checks["monotone"] = bool(np.all(slopes >= -1e-12))
-    ok = bool(np.all(np.diff(slopes, axis=1) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:, :-1]))))
-    if b0 > 0:
-        ok = ok and bool(np.all(slopes[:, 0] >= boundary_slopes[0] - 1e-9))
-    if a0 < 1.0:
-        ok = ok and bool(np.all(slopes[:, -1] <= boundary_slopes[1] + 1e-9))
-    checks["glued_convexity"] = ok
+    checks["glued_convexity"] = bool(
+        np.all(np.diff(slopes) >= -1e-9 * np.maximum(1.0, np.abs(slopes[:-1])))
+        and (b0 <= 0 or np.all(slopes[0] >= boundary_slopes[0] - 1e-9))
+        and (a0 >= 1.0 or np.all(slopes[-1] <= boundary_slopes[1] + 1e-9)))
     return checks
 
 
@@ -430,15 +397,14 @@ def _bridge_segment(params, p_star, a0, b0, c_lo, c_hi):
 
 
 def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
-    """Closed-form lower/upper pieces with the bridge interpolated between,
-    given the reservation levels (H(a0), H(b0))."""
+    """Closed-form lower/upper pieces with the bridge row interpolated
+    between, the same at every time node, given the reservation levels
+    (H(a0), H(b0))."""
     lower, upper, _ = component_shapes(params.gamma)
     T = params.horizon
     nt = params.time_grid.size
     Ha, Hb = levels
     bx, bv = bridge.x_knots, bridge.values
-    middle = IndirectUtility.from_samples(params.time_grid, bx, bv)
-
     Nt = N[:, None]
 
     def values_fn(x):
@@ -452,7 +418,7 @@ def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
         if np.any(low):
             out[:, low] = lower.values(Nt, x[low], b0, Hb / T)
         if np.any(mid):
-            out[:, mid] = middle.values(x[mid])
+            out[:, mid] = np.interp(x[mid], bx, bv)
         if np.any(up):
             out[:, up] = upper.values(Nt, x[up], a0, Ha / T)
         return out
@@ -465,12 +431,12 @@ def _glued_indirect_utility(params, a0, b0, N, levels, bridge):
         low = (x <= b0) if b0 > 0 else np.zeros(x.shape, dtype=bool)
         up = (x >= a0) if a0 < 1.0 else np.zeros(x.shape, dtype=bool)
         mid = ~(low | up)
-        bslopes = np.diff(bv, axis=1) / np.diff(bx) if bx.size > 1 else np.zeros((nt, 1))
         if np.any(low):
             out[:, low] = lower.slope(Nt, x[low])
-        if np.any(mid) and bx.size > 1:
-            j = np.clip(np.searchsorted(bx, x[mid], side="right") - 1, 0, bslopes.shape[1] - 1)
-            out[:, mid] = bslopes[:, j]
+        if np.any(mid):
+            bslopes = np.diff(bv) / np.diff(bx)
+            j = np.clip(np.searchsorted(bx, x[mid], side="right") - 1, 0, bslopes.size - 1)
+            out[:, mid] = bslopes[j]
         if np.any(up):
             # the residential slope is infinite at x = 1
             with np.errstate(divide="ignore"):

@@ -237,23 +237,19 @@ def test_criterion_8_bridge_invariance():
     sol1 = make_feasible_pair_solution(params, a0, b0)
     sol2 = make_feasible_pair_solution(params, a0, b0)
 
-    # bridge 1: default (chord); bridge 2: per-time two-slope construction
+    # bridge 1: default (chord); bridge 2: the two-slope row (phi = k = 1, so
+    # the boundary slopes are the same at every time node)
     tariff1, p1 = build_tariff_typed_h(cfg, sol1)
     lower, upper, _ = component_shapes(params.gamma)
     slope_low, slope_up = lower.slope(sol2.N_gamma, b0), upper.slope(sol2.N_gamma, a0)
     xk = np.linspace(b0, a0, 33)
     Hb = float(params.reservation(np.asarray([b0]))[0])
     Ha = float(params.reservation(np.asarray([a0]))[0])
-    vals = np.empty((params.time_grid.size, xk.size))
-    for i in range(params.time_grid.size):
-        v1 = Hb / params.horizon + slope_low[i] * (xk - b0)
-        v2 = Ha / params.horizon + slope_up[i] * (xk - a0)
-        vals[i] = np.maximum(v1, v2)
-    bridge2 = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    bridge2.checks = _validate_bridge(params, bridge2, a0, b0, (Ha, Hb), (slope_low, slope_up))
-    bridge2.valid = all(bridge2.checks.values())
+    vals = np.maximum(Hb / params.horizon + slope_low[0] * (xk - b0), Ha / params.horizon + slope_up[0] * (xk - a0))
+    checks = _validate_bridge(params, xk, vals, a0, b0, (Ha, Hb), (slope_low, slope_up))
+    bridge2 = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=all(checks.values()), checks=checks)
     assert sol1.bridge.name == "chord" and bridge2.valid
-    assert np.abs(vals - sol1.bridge.values[:, :]).max() > 1e-4  # genuinely distinct
+    assert np.abs(vals - sol1.bridge.values).max() > 1e-4  # genuinely distinct
     sol2.bridge = bridge2
     tariff2, p2 = build_tariff_typed_h(cfg, sol2)
 

@@ -390,12 +390,26 @@ def test_oracle_gap_is_signed(tmp_path, monkeypatch):
 ])
 def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, gamma):
     """A valid config whose numbers overflow (2^(gamma/(1-gamma)) past the
-    float range, or a tariff that samples to inf) exits 1, not 2."""
+    float range, or a tariff that samples to inf) exits 1, not 2, and
+    leaves no report that looks complete."""
     doc = dict(json.loads((CONFIG_DIR / f"{family}.json").read_text()), gamma=gamma)
     code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith("solver error:")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_a_report_that_is_not_u_convex_warns(tmp_path):
+    """A varying phi on industrial_sqrt_h leaves a glued p* that fails the
+    u-convexity check; the report says so in its warnings."""
+    doc = dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()),
+               time_nodes=5, phi=[1.0, 1.6, 1.0, 0.4, 1.0])
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert not report["u_convexity"]["is_u_convex"]
+    assert any("not u-convex" in w for w in report["warnings"]), report["warnings"]
 
 
 def test_industrial_threshold_below_the_bracket_end_is_solved(tmp_path):

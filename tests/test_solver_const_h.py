@@ -22,6 +22,7 @@ from nltariff.model import (
 )
 from nltariff.solver_const_h import (
     ALPHA_GRID,
+    A_gamma,
     alpha_objective,
     beta_fn,
     build_tariff_const_h,
@@ -289,6 +290,19 @@ def test_benchmark2_threshold_and_utility(bench2_config):
     assert_allclose(report.boundary["x0"], BENCH2["x0"], rtol=1e-12)
     assert_allclose(report.principal_utility, BENCH2["U_P"], rtol=1e-9)
     assert report.foc_residual <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+@pytest.mark.parametrize("H", [1e-20, 1e-200])
+def test_industrial_threshold_below_the_bracket_end_is_its_first_order_root(gamma, H):
+    """Below chi's bracket end the root y0 is tiny and chi is linear in it,
+    H = C y0 with C = 2 n A_gamma (2-gamma)/(n-gamma): x0 is the first-order
+    root, however small y0 is."""
+    p = canonical_params(gamma, reservation=ConstantReservation(H))
+    assert chi(1e-12, p) < 0
+    C = 2.0 * p.n * A_gamma(p) * (2.0 - gamma) / (p.n - gamma)
+    x0 = solve_x0_star(ScenarioConfig(params=p)).boundary["x0"]
+    assert abs(x0 - 0.5 * ((H / C) ** (1.0 - gamma) + 1.0)) <= 1e-15
 
 
 def test_clamped_threshold_when_competition_vanishes():

@@ -438,35 +438,31 @@ def test_chord_strictly_below_reservation(typed_b_solution, typed_b_config):
     sol, _, _ = typed_b_solution
     rep = sol.bridge
     assert rep.valid
-    xs = rep.x_knots[1:-1]
-    integ = np.array([
-        np.trapezoid(rep.values[:, j], typed_b_config.params.time_grid)
-        for j in range(1, rep.x_knots.size - 1)
-    ])
-    assert np.all(integ < typed_b_config.params.reservation(xs))
+    time_grid = typed_b_config.params.time_grid
+    # the row is per unit time at every node: integrate it over time
+    integ = np.trapezoid(np.tile(rep.values[1:-1, None], time_grid.size), time_grid)
+    assert np.all(integ < typed_b_config.params.reservation(rep.x_knots[1:-1]))
 
 
-def test_two_slope_bridge_available_with_live_boundaries():
-    # force b0 > 0 and a0 < 1 and ask for the two-slope candidate directly
+def test_validate_bridge_accepts_a_convex_non_chord_row():
+    """With b0 > 0 and a0 < 1 the row that leaves b0 with the lower piece's
+    slope and reaches a0 with the upper piece's, a convex kink between, is a
+    bridge: the checks accept a non-chord row."""
     params = shifted_sqrt_params(offset=0.1)
-    from nltariff.solver_typed_h import _validate_bridge, BridgeReport
+    from nltariff.solver_typed_h import _validate_bridge
 
     a0, b0 = 0.8, 0.1
     N = N_gamma_profile(params, a0, b0)
     lower, upper, _ = component_shapes(params.gamma)
     slope_low, slope_up = lower.slope(N, b0), upper.slope(N, a0)
+    # phi = k = 1: the slopes are the same at every time node
+    assert np.all(slope_low == slope_low[0]) and np.all(slope_up == slope_up[0])
     xk = np.linspace(b0, a0, 33)
     Hb = float(params.reservation(np.asarray([b0]))[0])
     Ha = float(params.reservation(np.asarray([a0]))[0])
-    nt = params.time_grid.size
-    vals = np.empty((nt, xk.size))
-    for i in range(nt):
-        v1 = Hb / params.horizon + slope_low[i] * (xk - b0)
-        v2 = Ha / params.horizon + slope_up[i] * (xk - a0)
-        vals[i] = np.maximum(v1, v2)
-    cand = BridgeReport(name="two_slope", x_knots=xk, values=vals, valid=False, checks={})
-    cand.checks = _validate_bridge(params, cand, a0, b0, (Ha, Hb), (slope_low, slope_up))
-    assert all(cand.checks.values())
+    row = np.maximum(Hb / params.horizon + slope_low[0] * (xk - b0), Ha / params.horizon + slope_up[0] * (xk - a0))
+    checks = _validate_bridge(params, xk, row, a0, b0, (Ha, Hb), (slope_low, slope_up))
+    assert all(checks.values())
 
 
 # -- emission ----------------------------------------------------------------------
