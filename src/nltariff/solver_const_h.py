@@ -369,13 +369,7 @@ def sampled_tariff(config, samples, meta):
     nt = params.time_grid.size
     seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
                             np.full(nt, np.inf), "sampled")
-    return Tariff(
-        gamma=params.gamma,
-        time_grid=params.time_grid,
-        segments=[seg],
-        simplified=True,
-        meta=meta,
-    )
+    return Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg], meta=meta)
 
 
 def conjugate_segment(params, samples, c_knots, c_lo, c_hi, label):

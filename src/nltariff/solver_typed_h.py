@@ -7,10 +7,11 @@ and upper pieces joined by a bridge over the excluded middle interval. The
 objective, the scales and the polynomial segments of the two pieces are the
 closed forms of ``closed_form``, which also serve the constant reservation
 as their one-component case. The bridge is the time-uniform chord of the
-reservation over the middle, one row per unit time. Its checks (matching the
-reservation level at the boundaries, strictly below it inside, nondecreasing,
-convexly glued to the pieces) are validated numerically rather than assumed,
-and the report carries them whether or not they pass.
+reservation over the middle, one row per unit time. Its checks (endpoint
+levels, strictly below H inside, nondecreasing, convexly glued to the
+pieces) are validated numerically, and reported whether or not they pass.
+A valid bridge prices the band between the components by the planes of
+its two end types; otherwise the tariff is sampled.
 """
 from dataclasses import dataclass, field
 
@@ -22,9 +23,8 @@ from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, el
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
 from .model import eval_marginal_cost
 from .numerics import trapezoid
-from .solver_const_h import (capacity_A, conjugate_segment, lower_bracket, optimal_slopes, sampled_tariff,
-                             upper_bracket)
-from .tariff import Tariff
+from .solver_const_h import capacity_A, lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
+from .tariff import Tariff, TariffSegment
 # perfbench/tracing.py looks up _utility_surface in this module by name
 from .uconvex import _utility_surface  # noqa: F401
 
@@ -195,10 +195,11 @@ def solve_a0_b0_star(config):
 
     Exhaustive scan of the 256 x 256 grid, scored by ``_evaluate_mesh`` in
     row blocks on {b0 <= a0} filtered by the slope constraints, then seven
-    33 x 33 zooms. The solution records the feasibility certificates,
-    the reservation levels at the pair, the bridge over the excluded middle
-    and whether the convex-glue condition b0* <= a0* - 1/2 holds (when it
-    fails the relaxed solution is returned with a non-u-convexity warning).
+    33 x 33 zooms. The solution records the objective at the returned pair,
+    the feasibility certificates, the reservation levels at the pair, the
+    bridge over the excluded middle and whether the convex-glue condition
+    b0* <= a0* - 1/2 holds (when it fails the relaxed solution is returned
+    with a non-u-convexity warning).
     """
     params = config.params
     # the search and the emission use the closed forms of this setting only
@@ -236,7 +237,7 @@ def solve_a0_b0_star(config):
     sol = TypedHSolution(
         a0=a_star,
         b0=b_star,
-        objective=float(best),
+        objective=float(objective_ab(a_star, b_star, params)),
         Xi=chk["Xi"],
         Psi=chk["Psi"],
         theta=theta,
@@ -336,7 +337,8 @@ def build_tariff_typed_h(config, solution):
     The coefficient profiles are the explicit ones of the canonical
     power/uniform setting, which ``solve_a0_b0_star`` requires. When the
     selected component is empty (a0 = 1 on the industrial branch, b0 = 0 on
-    the residential one) the emission falls back to a fully sampled tariff.
+    the residential one), or the bridge is not valid, so that its end planes
+    are not the conjugate, the emission falls back to a fully sampled tariff.
     """
     params = config.params
     g = params.gamma
@@ -353,7 +355,7 @@ def build_tariff_typed_h(config, solution):
     pieces = {"lower": (b0, Hb, lower, b0 > 0.0), "upper": (a0, Ha, upper, a0 < 1.0)}
     x_bot, H_bot, shape_bot, bottom_live = pieces[bottom]
     x_sel, H_sel, shape_sel, selected_live = pieces["upper" if bottom == "lower" else "lower"]
-    if not selected_live:
+    if not (selected_live and bridge.valid):
         meta = {"a0": a0, "b0": b0, "bridge": bridge.name, "route": "sampled"}
         return sampled_tariff(config, p_star.sample(np.linspace(0.0, 1.0, 2001)), meta), p_star
 
@@ -365,7 +367,8 @@ def build_tariff_typed_h(config, solution):
         segs.append(polynomial_segment(params, shape_bot, x_bot, H_bot, N, L, np.zeros(nt), c_bot,
                                        f"{bottom}_selected"))
         selected_range.append(np.column_stack([np.zeros(nt), c_bot]))
-    segs.append(_bridge_segment(params, p_star, a0, b0, c_bot, c_sel))
+    labels = ("bridge_b0", "bridge_a0") if bottom == "lower" else ("bridge_a0", "bridge_b0")
+    segs.extend(_bridge_planes(params, p_star, (x_bot, x_sel), c_bot, c_sel, labels))
     top_segs, c_top = selected_segments(params, shape_sel, x_sel, H_sel, N, L, c_sel, config.simplified_tariff)
     segs.extend(top_segs)
     selected_range.append(np.column_stack([c_sel, c_top]))
@@ -382,18 +385,21 @@ def build_tariff_typed_h(config, solution):
     return tariff, p_star
 
 
-def _bridge_segment(params, p_star, a0, b0, c_lo, c_hi):
-    """Tabulated tariff piece over the never-selected consumption range,
-    obtained by conjugating the glued indirect utility.
-
-    The boundary types a0, b0 are inserted into the conjugation grid so
-    junction prices coincide with the adjacent polynomial segments to float
-    precision.
-    """
-    xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [a0, b0]]))
-    lo = np.maximum(c_lo, 1e-9 if params.gamma < 0 else 0.0)
-    hi = np.where(lo > 0, np.maximum(c_hi, lo * (1.0 + 1e-12)), np.maximum(c_hi, 1e-9))
-    return conjugate_segment(params, p_star.sample(xg), np.linspace(lo, hi, 65, axis=1), c_lo, c_hi, "bridge")
+def _bridge_planes(params, p_star, ends, c_bot, c_sel, labels):
+    """The u-conjugate of p* over the never-selected band [c_bot, c_sel]. On
+    the chord p* is linear in x, so the conjugate is the larger of the planes
+    phi g(x) u(c) - p*_t(x), affine in u(c) = c^gamma / gamma, of the chord's
+    end types ``ends`` (bottom, selected). They cross where phi u(c) is the
+    chord's slope in g, at c_sw; below it the bottom type's plane is larger."""
+    gamma, phi = params.gamma, params.phi
+    g_end, p_end = params.g(np.array(ends)), p_star.values(np.array(ends))
+    slope = (p_end[:, 1] - p_end[:, 0]) / (g_end[1] - g_end[0])
+    with np.errstate(divide="ignore"):  # a chord flat to rounding: c_sw at 0 (gamma > 0) or past c_sel
+        c_sw = np.clip(np.maximum(gamma * slope / phi, 0.0) ** (1.0 / gamma), c_bot, c_sel)
+    # + 0.0: a zero taste gives +0.0 where phi 0 / gamma would give -0.0 for gamma < 0
+    return [TariffSegment(c_lo=lo, c_hi=hi, p1=phi * g_end[k] / gamma + 0.0, p2=np.zeros(phi.size),
+                          p3=-p_end[:, k], label=labels[k])
+            for k, (lo, hi) in enumerate(((c_bot, c_sw), (c_sw, c_sel)))]
 
 
 def _glued_indirect_utility(params, a0, b0, N, levels, bridge):

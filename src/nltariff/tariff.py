@@ -1,8 +1,8 @@
 """Piecewise tariff schedules p(t,c) = p1(t) c^gamma + p2(t) c + p3(t).
 
 A tariff is a per-time sequence of consumption segments with polynomial
-coefficients, plus (for type-dependent reservations) one tabulated bridge
-segment covering the consumption range that no participating agent selects.
+coefficients, or one tabulated segment: the sampled u-conjugate of p* on
+the general constant-H route and the typed fallbacks.
 """
 from dataclasses import dataclass, field
 
@@ -34,13 +34,13 @@ class TariffSegment:
 
 @dataclass(frozen=True, eq=False)
 class TabulatedSegment:
-    """Bridge segment: linear interpolation through per-time knots."""
+    """Sampled segment: linear interpolation through per-time knots."""
 
     c_lo: np.ndarray
     c_hi: np.ndarray
     c_knots: np.ndarray  # (n_t, m)
     p_knots: np.ndarray  # (n_t, m)
-    label: str = "bridge"
+    label: str = "sampled"
 
     def price(self, rows, c, gamma):
         """As ``TariffSegment.price``; ``rows`` is nondecreasing, and each

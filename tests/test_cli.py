@@ -169,17 +169,17 @@ PINNED_CSV_SHA256 = {
         "tariff.csv": "01b188de26b04aa0bfc5060880253ab3fa9db486d7ae8f7fce9727cd229b3ec5",
     },
     ("industrial_sqrt_h", "H_scale"): {
-        "sweep.csv": "e878a9e13cc17e8b1ebb0ac773389e8cda9e9cd251b9556c64a4cc56497bbee5",
+        "sweep.csv": "87b1f8524b44a6025b4cab8ff8748afc2ed1395271e8a77719625e06970ab80e",
     },
     ("industrial_sqrt_h", "full"): {
         "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
         "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
-        "tariff.csv": "1f877f8ce34e1e8dc94ae7c74f7a952b315aa00257311a62405edb8e3849ac68",
+        "tariff.csv": "f8295dabe0e062c2308c01445c095a0655358195f1e73d1df44325c897566b1b",
     },
     ("industrial_sqrt_h", "plain"): {
         "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
         "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
-        "tariff.csv": "58c340624e577fa6a52f35b05210acacd5eac1d8d1689b761aed52a6b6777d9f",
+        "tariff.csv": "2888da2151c8a164b1f127d4fd3cf0d285308e415543f75af1bc4774620861f9",
     },
     ("residential_constant_h", "full"): {
         "consumption.csv": "7c63d3618fc88d224c797aa20c061f8cd78b06cb35a95e9201f83b4170b95236",
@@ -194,12 +194,12 @@ PINNED_CSV_SHA256 = {
     ("residential_log_h", "full"): {
         "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
         "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
-        "tariff.csv": "902d37784561a3216cbf7eb733cf4a984b623cf3fe3b7d13537dc37ae431e6e2",
+        "tariff.csv": "d08e804267d73981769b636f042018822264c674b41710ecb8e6abcefb594194",
     },
     ("residential_log_h", "plain"): {
         "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
         "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
-        "tariff.csv": "c6adc0b3373efcbbd97c45f0e9ae886b8776ef19af6809c96cbc8b33ea4838c7",
+        "tariff.csv": "232e62a7e39a49644939c4b8f09e0acfc967b6b077a1d0efc591ef512f9f0646",
     },
 }
 
@@ -386,12 +386,10 @@ def test_oracle_gap_is_signed(tmp_path, monkeypatch):
 @pytest.mark.parametrize("family, gamma", [
     ("industrial_constant_h", 0.9995),
     ("industrial_sqrt_h", 0.9995),
-    ("residential_log_h", -40.0),
 ])
 def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, gamma):
     """A valid config whose numbers overflow (2^(gamma/(1-gamma)) past the
-    float range, or a tariff that samples to inf) exits 1, not 2, and
-    leaves no report that looks complete."""
+    float range) exits 1, not 2, and leaves no report that looks complete."""
     doc = dict(json.loads((CONFIG_DIR / f"{family}.json").read_text()), gamma=gamma)
     code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -400,9 +398,39 @@ def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, ga
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_sampled_tariff_that_overflows_is_a_solver_error(tmp_path, capsys):
+    """At gamma = -400 the general route's sampled conjugate takes c^gamma
+    past the float range on its consumption grid: the tariff samples to a
+    non-finite price, the request exits 1 and leaves no report."""
+    doc = dict(json.loads((CONFIG_DIR / "residential_constant_h.json").read_text()), gamma=-400.0,
+               solver={"force_general_route": True})
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith("solver error:")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_a_steep_residential_typed_request_solves(tmp_path):
+    """residential_log_h at gamma = -40 used to exit 1: the sampled bridge
+    conjugate put a knot at c = 1e-9, where c^gamma overflows. The band's two
+    end planes price it exactly, so the request solves, u-convex, without a
+    warning."""
+    doc = dict(json.loads((CONFIG_DIR / "residential_log_h.json").read_text()), gamma=-40.0)
+    code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["bridge"]["valid"] and report["u_convexity"]["is_u_convex"]
+    assert report["warnings"] == []
+    assert [s["label"] for s in report["tariff"]["segments"]] == ["bridge_a0", "bridge_b0", "selected"]
+
+
 def test_a_report_that_is_not_u_convex_warns(tmp_path):
     """A varying phi on industrial_sqrt_h leaves a glued p* that fails the
-    u-convexity check; the report says so in its warnings."""
+    u-convexity check; the report says so in its warnings. The chord does
+    not glue convexly, so the band is not the two end planes: the tariff is
+    the sampled conjugate."""
     doc = dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()),
                time_nodes=5, phi=[1.0, 1.6, 1.0, 0.4, 1.0])
     code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
@@ -410,6 +438,8 @@ def test_a_report_that_is_not_u_convex_warns(tmp_path):
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert not report["u_convexity"]["is_u_convex"]
     assert any("not u-convex" in w for w in report["warnings"]), report["warnings"]
+    assert report["route"] == "sampled"
+    assert report["bridge"]["valid"] is False
 
 
 def test_industrial_threshold_below_the_bracket_end_is_solved(tmp_path):
@@ -478,14 +508,16 @@ PINNED_REPORTS = {
         "[{'x0': 0.5739204499845432}, 0.5487489610019279, 2.7755575615628914e-17, None, "
         "[[0.8, 0.2517125008437637, -0.03610673263797202, 0.0, None]]]",
     ("industrial_sqrt_h", "shipped"):
-        "[{'a0': 0.8163768095128676, 'b0': 0.0}, 0.20797584969632463, 9.747226960862675e-10, "
+        "[{'a0': 0.8163768095128676, 'b0': 0.0}, 0.20797584969537328, 9.747226960862675e-10, "
         "{'Psi': 0.0, 'Xi': 2.5347829169404843, 'theta': -0.16590996034063557}, "
-        "[[None, None, None, 0.0, 1.6062811090033275], "
+        "[[0.0, 0.0, 1.9035348961124924e-06, 0.0, 0.306231865982801], "
+        "[1.6327536190257352, 0.0, -0.9035348961124925, 0.306231865982801, 1.6062811090033275], "
         "[1.0, 0.24962832706379331, -0.5025616300778172, 1.6062811090033275, None]]]",
     ("industrial_sqrt_h", "varying"):
-        "[{'a0': 0.7788561054304534, 'b0': 0.0}, 0.30797626461516564, 1.0252501725253112e-09, "
+        "[{'a0': 0.7788561054304534, 'b0': 0.0}, 0.3079762646143946, 1.0252501725253112e-09, "
         "{'Psi': 0.0, 'Xi': 2.7160221034294723, 'theta': -0.19516565786202772}, "
-        "[[None, None, None, 0.0, 0.8899290916430895], "
+        "[[0.0, 0.0, 1.8825279044755668e-06, 0.0, 0.5015385527759846], "
+        "[1.2461697686887254, 0.0, -0.8825279044755671, 0.5015385527759846, 0.8899290916430895], "
         "[0.8, 0.23647892506537982, -0.6720784294993993, 0.8899290916430895, None]]]",
     ("residential_constant_h", "shipped"):
         "[{'x0': 0.9639437607423148}, 0.0018028119628842598, 0.0, None, "
@@ -497,14 +529,16 @@ PINNED_REPORTS = {
         "[{'x0': 0.9647940445795213}, 0.0017602977878099163, 9.535774947487907e-10, None, "
         "[[None, None, None, 0.0001, None]]]",
     ("residential_log_h", "shipped"):
-        "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699155224, 2.1440285188872623e-09, "
+        "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699078107, 2.1440285188872623e-09, "
         "{'Psi': 0.6295804560913474, 'Xi': None, 'theta': 0.2894292322578437}, "
-        "[[None, None, None, 0.0, 1.5883593436307482], "
+        "[[0.0, 0.0, 2.8610909068582657e-06, 0.0, 0.45375827295004345], "
+        "[-0.8444840973498775, 0.0, 1.861090906625784, 0.45375827295004345, 1.5883593436307482], "
         "[-0.5, 0.13654369585537002, 1.4273299963742798, 1.5883593436307482, None]]]",
     ("residential_log_h", "varying"):
-        "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468813368, 2.568959569596009e-09, "
+        "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468750632, 2.568959569596009e-09, "
         "{'Psi': 0.636647155965325, 'Xi': None, 'theta': 0.2861796512447036}, "
-        "[[None, None, None, 0.0, 1.4052979035455824], "
+        "[[0.0, 0.0, 2.885368548977141e-06, 0.0, 0.35991330496171664], "
+        "[-0.6785681870404412, 0.0, 1.8853685489486138, 0.35991330496171664, 1.4052979035455824], "
         "[-0.4, 0.141057025327396, 1.4889142650026825, 1.4052979035455824, None]]]",
 }
 

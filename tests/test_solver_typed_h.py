@@ -1,5 +1,6 @@
 """Typed-reservation solver: feasibility, boundary search, bridge, emission."""
 import hashlib
+import json
 import pickle
 import tracemalloc
 from pathlib import Path
@@ -36,6 +37,7 @@ from nltariff.solver_typed_h import (
     solve_a0_b0_star,
     validate_assumptions,
 )
+from nltariff.tariff import TariffSegment
 from nltariff.uconvex import check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
 from tests.property_harness import continuity_gaps, shape_report
@@ -508,6 +510,16 @@ def test_lowest_segment_breakpoint_identity():
     assert abs(part.intervals[1][0] - sol.a0) <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
+def test_reported_objective_is_the_objective_at_the_pair(family):
+    """The zooms compare the best value of each tie band, which on the
+    shipped configs lies 7.7e-13 to 9.5e-13 above the objective at the pair
+    the search returns; the solution reports the objective at that pair."""
+    params = load_config(CONFIG_DIR / f"{family}.json").params
+    sol = solve_a0_b0_star(ScenarioConfig(params=params))
+    assert sol.objective == float(objective_ab(sol.a0, sol.b0, params))
+
+
 def test_emission_leaves_the_solution_unchanged():
     """The solve carries the bridge and the levels; emitting reads them and
     rebinds or mutates no field of the solution."""
@@ -524,7 +536,8 @@ def test_emission_leaves_the_solution_unchanged():
 @pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
 def test_typed_request_evaluates_levels_once_and_builds_one_bridge(family, tmp_path, monkeypatch):
     """One typed solve request evaluates H at its boundary pair once, builds
-    one bridge and conjugates once per tabulated tariff segment."""
+    one bridge and, on a valid bridge, conjugates nothing: every segment is
+    polynomial."""
     from nltariff import cli, solver_const_h, solver_typed_h
 
     calls = {"levels": 0, "bridge": 0, "conjugate": 0}
@@ -537,13 +550,11 @@ def test_typed_request_evaluates_levels_once_and_builds_one_bridge(family, tmp_p
 
     monkeypatch.setattr(solver_typed_h, "_levels", counted("levels", solver_typed_h._levels))
     monkeypatch.setattr(solver_typed_h, "build_bridge", counted("bridge", solver_typed_h.build_bridge))
-    conjugate = counted("conjugate", solver_const_h.conjugate_segment)
-    for module in (solver_const_h, solver_typed_h):
-        monkeypatch.setattr(module, "conjugate_segment", conjugate)
+    monkeypatch.setattr(solver_const_h, "conjugate_segment", counted("conjugate", solver_const_h.conjugate_segment))
     report = cli.run_scenario(CONFIG_DIR / f"{family}.json", tmp_path)
-    tabulated = sum(seg["p1_t0"] is None for seg in report["tariff"]["segments"])
-    assert tabulated >= 1
-    assert calls == {"levels": 1, "bridge": 1, "conjugate": tabulated}
+    assert report["bridge"]["valid"]
+    assert all(seg["p1_t0"] is not None for seg in report["tariff"]["segments"])
+    assert calls == {"levels": 1, "bridge": 1, "conjugate": 0}
 
 
 def test_emitted_tariff_continuous_and_shaped(typed_a_solution, typed_b_solution):
@@ -555,36 +566,42 @@ def test_emitted_tariff_continuous_and_shaped(typed_a_solution, typed_b_solution
 
 # case -> (params, a0, b0, segment labels of the simplified tariff). The
 # bottom component serves the smallest tastes: [0, b0] on the industrial
-# branch, [a0, 1] on the residential one. The last two cases have no selected
-# component ([a0, 1] resp. [0, b0] empty) and emit a fully sampled tariff.
+# branch, [a0, 1] on the residential one. The band between the components is
+# priced by the planes of its two end types, bottom first. The last three
+# cases emit a fully sampled tariff: two have no selected component ([a0, 1]
+# resp. [0, b0] empty), and on residential_invalid_bridge the chord does not
+# glue convexly.
 EMISSION_CASES = {
-    "industrial_bottom_live": ("industrial_sqrt_h", 0.8, 0.1, ["lower_selected", "bridge", "selected"]),
-    "industrial_bottom_dead": ("industrial_sqrt_h", 0.8, 0.0, ["bridge", "selected"]),
-    "residential_bottom_live": ("residential_log_h", 0.9, 0.3, ["upper_selected", "bridge", "selected"]),
-    "residential_bottom_dead": ("residential_log_h", 1.0, 0.3, ["bridge", "selected"]),
+    "industrial_bottom_live": ("industrial_sqrt_h", 0.8, 0.1,
+                               ["lower_selected", "bridge_b0", "bridge_a0", "selected"]),
+    "industrial_bottom_dead": ("industrial_sqrt_h", 0.8, 0.0, ["bridge_b0", "bridge_a0", "selected"]),
+    "residential_bottom_live": ("residential_log_h", 0.95, 0.3,
+                                ["upper_selected", "bridge_a0", "bridge_b0", "selected"]),
+    "residential_bottom_dead": ("residential_log_h", 1.0, 0.3, ["bridge_a0", "bridge_b0", "selected"]),
     "industrial_sampled": ("industrial_sqrt_h", 1.0, 0.005, ["sampled"]),
     "residential_sampled": ("residential_sqrt", 0.6, 0.0, ["sampled"]),
+    "residential_invalid_bridge": ("residential_log_h", 0.9, 0.3, ["sampled"]),
 }
 
 # sha256 of tariff.sample(cs), p_star.values(xs) and p_star.slopes(xs)
 PINNED_EMISSION_SHA256 = {
     ("industrial_bottom_dead", False): (
-        "037ce6ec8ac36457ec2f61b00e1abd70c323214f7217c843286a47f48e42fec3",
+        "7c6308f1e1c20bf005486fe4da0e5f2009cee7766dcb258c700346b43fde4268",
         "efb58c20f977a25d38497f17833614fbeff68e2944b11a1132fb715eec6cc45a",
         "57c7ae5abb210bfb8069f0facd69e5eefe97cead1c8d5c5f7025cd9381d8c19c",
     ),
     ("industrial_bottom_dead", True): (
-        "7fc7a8db5feeca11659bd0c24958fab070ee87d6f1243fb529545630cecabf90",
+        "9f15ad623e0096f2d8840587799a29f5e6f43b93a923b4311e60982d5b23cd62",
         "efb58c20f977a25d38497f17833614fbeff68e2944b11a1132fb715eec6cc45a",
         "57c7ae5abb210bfb8069f0facd69e5eefe97cead1c8d5c5f7025cd9381d8c19c",
     ),
     ("industrial_bottom_live", False): (
-        "046fa7f8545caf17e9fe0ca88a8f1329003e02c58f98614970e981b55f695646",
+        "f31859dc10e5c00d51c1a531fca238a6ddc725ac47c677130b7c788006a96710",
         "7718f5798e947d8c2505d06e13a4a1a751b78a8cf22941086e676b83bda89d42",
         "58897fe7ad5de9582dcf9baf8e29f1dc9ea802c225860d298eba947153e7dea7",
     ),
     ("industrial_bottom_live", True): (
-        "e5f9c25a9effaeb87b2d41e34a6fccba1fdaa2f65902933b35975572fc3116a4",
+        "a75fa935135352f76cf94e3a4c14950938e29997a03943c8415bb6e7d49c4d8e",
         "7718f5798e947d8c2505d06e13a4a1a751b78a8cf22941086e676b83bda89d42",
         "58897fe7ad5de9582dcf9baf8e29f1dc9ea802c225860d298eba947153e7dea7",
     ),
@@ -594,22 +611,27 @@ PINNED_EMISSION_SHA256 = {
         "c52e4a4c39a10eaced13a5080a05ab93a7e188e0b039333d6e52f54a2ffd6bbe",
     ),
     ("residential_bottom_dead", False): (
-        "2d6a75262f023069472cafb4c3805b0e6ff49fc161c1367b1b455e8dbfbe38dd",
+        "1e9889926781d977574cfb4201414f3278916e387e939bc77bd90af3e48ecffc",
         "9c0451dbbc736687b09a8ace3b20c3acae87aeac105bd56f435611f916b1990c",
         "de2dab771e37cac6ec5407ba429bc13f9b05675a83346664b888995fdaa648ab",
     ),
     ("residential_bottom_dead", True): (
-        "4004172d7ae6a8b83fa08dad2b1895decb72e07bacc018b6eea10bf4372b76fe",
+        "79034beba80bbd29d8d3caf2ea4310b82d28be59c88bff10e04bee4b300f1f61",
         "9c0451dbbc736687b09a8ace3b20c3acae87aeac105bd56f435611f916b1990c",
         "de2dab771e37cac6ec5407ba429bc13f9b05675a83346664b888995fdaa648ab",
     ),
     ("residential_bottom_live", False): (
-        "fd0ac119f64aab5899b567bae74532f3861e086ca750ac484e0dcc8ec48fc36c",
-        "e4d3bed0773875ef332a150c1045e840cbcb9a0175c071c4e96b2355513ec078",
-        "39ffa1488219eb9c22b9ade71809a8967181c88b0e5cf950c7c8d63d280b6afa",
+        "644c8c70e7c66bad4fe7879f2648d42959ec6c72cbc443764ee486b9b53fdbfe",
+        "8a5476c24e48574951ab3ba27935e8e82f044c097d8e0c028749c09ad361f24c",
+        "2b0b22de546f5a392c793b8d1fb97b90a40e68da3bc56baae8c103b4187a0160",
     ),
     ("residential_bottom_live", True): (
-        "c996b09220e1581bc29f0493644f3cb6c16dbee3813de0d4d796e56edf64092c",
+        "628118cd896d254b97f644292209fc73a61edc5f90a002bd783c48b51688275f",
+        "8a5476c24e48574951ab3ba27935e8e82f044c097d8e0c028749c09ad361f24c",
+        "2b0b22de546f5a392c793b8d1fb97b90a40e68da3bc56baae8c103b4187a0160",
+    ),
+    ("residential_invalid_bridge", True): (
+        "8cbc004b8210589916d7563a108eeb09d7f8d9454364b6c573cf4a8631cdbd7c",
         "e4d3bed0773875ef332a150c1045e840cbcb9a0175c071c4e96b2355513ec078",
         "39ffa1488219eb9c22b9ade71809a8967181c88b0e5cf950c7c8d63d280b6afa",
     ),
@@ -625,7 +647,8 @@ PINNED_EMISSION_SHA256 = {
 def test_emission_is_pinned(case, simplified):
     """Every emission shape of both branches, at feasible pairs, is pinned
     bit for bit: a live or dead bottom component, the simplified and the full
-    tariff, and the single-component sampled emission."""
+    tariff, and the sampled emission of a single component or of a bridge
+    that does not glue convexly."""
     family, a0, b0, labels = EMISSION_CASES[case]
     params = residential_sqrt_params() if family == "residential_sqrt" else \
         load_config(CONFIG_DIR / f"{family}.json").params
@@ -639,6 +662,53 @@ def test_emission_is_pinned(case, simplified):
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                     for a in (tariff.sample(cs), p_star.values(xs), p_star.slopes(xs)))
     assert digests == PINNED_EMISSION_SHA256[case, simplified]
+
+
+@pytest.mark.parametrize("simplified", [True, False])
+@pytest.mark.parametrize("case", [case for case, spec in EMISSION_CASES.items() if spec[3] != ["sampled"]])
+def test_band_planes_meet_their_neighbours(case, simplified):
+    """At c_bot, c_sw and c_sel each band plane prices like the segment next
+    to it, within 1e-12 of max(1, |price|); the bottom plane of a dead
+    bottom component starts the tariff at c = 0."""
+    family, a0, b0, labels = EMISSION_CASES[case]
+    params = load_config(CONFIG_DIR / f"{family}.json").params
+    cfg = ScenarioConfig(params=params, simplified_tariff=simplified)
+    tariff, _ = build_tariff_typed_h(cfg, make_feasible_pair_solution(params, a0, b0))
+    rows = np.arange(params.time_grid.size)
+    segs = tariff.segments
+    band = [k for k, s in enumerate(segs) if s.label.startswith("bridge")]
+    assert len(band) == 2 and all(isinstance(segs[k], TariffSegment) for k in band)
+    assert band[0] > 0 or np.all(segs[0].c_lo == 0.0)
+    for k in range(max(band[0] - 1, 0), band[1] + 1):
+        left, right = segs[k], segs[k + 1]
+        c = right.c_lo
+        assert np.array_equal(left.c_hi, c)
+        price_left, price_right = left.price(rows, c, params.gamma), right.price(rows, c, params.gamma)
+        assert np.all(np.abs(price_left - price_right) <= 1e-12 * np.maximum(1.0, np.abs(price_left)))
+
+
+@pytest.mark.parametrize("nodes", [3, 33])
+@pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
+def test_served_types_gain_nothing_by_deviating(family, nodes, tmp_path):
+    """Against the emitted tariff no served type beats its p* at any time
+    node by more than 1e-12 max(1, |p*|): in the band between the two
+    components the price is the u-conjugate of the chord, the larger of its
+    end types' planes, not a chord in c that can dip below it."""
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(dict(json.loads((CONFIG_DIR / f"{family}.json").read_text()), time_nodes=nodes)))
+    config = load_config(path)
+    params = config.params
+    sol = solve_a0_b0_star(config)
+    tariff, p_star = build_tariff_typed_h(config, sol)
+    assert sol.bridge.valid
+    xs = np.linspace(0.0, 1.0, 801)
+    xs = xs[participation_set(p_star, params).contains(xs)]
+    c_top = float(tariff.breakpoints["c_top"].max()) * 1.3
+    cg = np.union1d(np.linspace(1e-6, c_top, 2001), np.geomspace(1e-6, c_top, 501))
+    p = p_star.values(xs)
+    achieved = np.vstack([best_responses(tariff, i, xs, cg, params, refine=True)[1] for i in range(nodes)])
+    gain = float((achieved - p).max())
+    assert gain <= 1e-12 * max(1.0, np.abs(p).max())
 
 
 def test_degenerate_lower_collapses_structure(typed_a_solution):

@@ -67,10 +67,12 @@ def test_sample_matches_rows_on_closed_form_tariffs(case, simplified, request):
 @pytest.mark.parametrize("case", ["typed_a", "typed_b"])
 def test_sample_matches_rows_on_typed_tariffs(case, request):
     """typed_a serves the top types only (dead bottom component, b0 = 0),
-    typed_b the bottom ones (live bottom component)."""
+    typed_b the bottom ones (live bottom component). The band between the
+    components is priced by the two planes of its end types."""
     sol, tariff, _ = request.getfixturevalue(f"{case}_solution")
     assert (sol.b0 == 0.0) == (case == "typed_a")
-    assert any(isinstance(s, TabulatedSegment) for s in tariff.segments)
+    band = [s for s in tariff.segments if s.label.startswith("bridge")]
+    assert len(band) == 2 and all(isinstance(s, TariffSegment) for s in band)
     assert_sample_matches_rows(tariff, consumption_grid(tariff))
 
 

@@ -1,14 +1,18 @@
 """The u-conjugate of a sampled indirect utility, its hull kernel, and the
 exact u-convexity check."""
 import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nltariff.cli import load_config
 from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
+from nltariff.solver_typed_h import build_tariff_typed_h, solve_a0_b0_star
 from nltariff.tariff import TabulatedSegment, Tariff
 from nltariff.uconvex import (
     GAP_TOL,
@@ -20,6 +24,8 @@ from nltariff.uconvex import (
     check_u_convexity,
 )
 from tests.referee import best_responses
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def make_params(gamma=0.5):
@@ -308,16 +314,24 @@ def test_hull_conjugate_matches_dense_on_exact_ties(gamma):
     assert_matches_dense(params, x, c, np.zeros((3, x.size)), same_arg=True)
 
 
-@pytest.mark.parametrize("case", ["typed_a", "typed_b"])
-def test_bridge_knots_equal_dense_reference(case, request):
-    sol, tariff, p_star = request.getfixturevalue(f"{case}_solution")
-    params = request.getfixturevalue(f"{case}_config").params
-    bridge = next(s for s in tariff.segments if s.label == "bridge")
-    xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [sol.a0, sol.b0]]))
+def test_sampled_knots_equal_dense_reference(tmp_path):
+    """The typed empty contract (industrial_sqrt_h at phi = 0.003) emits the
+    sampled conjugate of its p* on 2001 types: at every time node its knot
+    prices are the dense maximum over those types, bit for bit."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()), phi=0.003)))
+    config = load_config(path)
+    params = config.params
+    sol = solve_a0_b0_star(config)
+    assert (sol.a0, sol.b0) == (1.0, 0.0)
+    tariff, p_star = build_tariff_typed_h(config, sol)
+    [seg] = tariff.segments
+    assert seg.label == "sampled"
+    xg = np.linspace(0.0, 1.0, 2001)
     vals = p_star.values(xg)
     for i in range(params.time_grid.size):
-        dense = _utility_surface(params, xg, bridge.c_knots[i])[i] - vals[i][:, None]
-        np.testing.assert_array_equal(bridge.p_knots[i], np.max(dense, axis=0))
+        dense = _utility_surface(params, xg, seg.c_knots[i])[i] - vals[i][:, None]
+        np.testing.assert_array_equal(seg.p_knots[i], np.max(dense, axis=0))
 
 
 @pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7]])
