@@ -314,6 +314,23 @@ def test_hull_conjugate_matches_dense_on_exact_ties(gamma):
     assert_matches_dense(params, x, c, np.zeros((3, x.size)), same_arg=True)
 
 
+@pytest.mark.parametrize("case", ["typed_a", "typed_b"])
+def test_bridge_knots_equal_dense_reference(case, request):
+    """Across the never-selected band the two end-type planes price every
+    consumption at the dense maximum over the types, bit for bit."""
+    sol, tariff, p_star = request.getfixturevalue(f"{case}_solution")
+    params = request.getfixturevalue(f"{case}_config").params
+    bridge = [s for s in tariff.segments if s.label.startswith("bridge")]
+    assert [s.label for s in bridge] in (["bridge_b0", "bridge_a0"], ["bridge_a0", "bridge_b0"])
+    xg = np.unique(np.concatenate([np.linspace(0.0, 1.0, 1501), [sol.a0, sol.b0]]))
+    vals = p_star.values(xg)
+    for i in range(params.time_grid.size):
+        lo = max(bridge[0].c_lo[i], 1e-9 if params.gamma < 0 else 0.0)
+        c = np.linspace(lo, bridge[1].c_hi[i], 65)
+        dense = _utility_surface(params, xg, c)[i] - vals[i][:, None]
+        np.testing.assert_array_equal(tariff.price(i, c), np.max(dense, axis=0))
+
+
 def test_sampled_knots_equal_dense_reference(tmp_path):
     """The typed empty contract (industrial_sqrt_h at phi = 0.003) emits the
     sampled conjugate of its p* on 2001 types: at every time node its knot
