@@ -337,8 +337,7 @@ def build_tariff_typed_h(config, solution):
     The coefficient profiles are the explicit ones of the canonical
     power/uniform setting, which ``solve_a0_b0_star`` requires. When the
     selected component is empty (a0 = 1 on the industrial branch, b0 = 0 on
-    the residential one), or the bridge is not valid, so that its end planes
-    are not the conjugate, the emission falls back to a fully sampled tariff.
+    the residential one) or the bridge is invalid, the tariff is fully sampled.
     """
     params = config.params
     g = params.gamma
@@ -390,10 +389,11 @@ def _bridge_planes(params, p_star, ends, c_bot, c_sel, labels):
     the chord p* is linear in x, so the conjugate is the larger of the planes
     phi g(x) u(c) - p*_t(x), affine in u(c) = c^gamma / gamma, of the chord's
     end types ``ends`` (bottom, selected). They cross where phi u(c) is the
-    chord's slope in g, at c_sw; below it the bottom type's plane is larger."""
+    chord's slope in g, at c_sw; below it the bottom type's plane is larger.
+    An empty bridge (equal ends) is one type: an infinite slope, c_sw = c_sel."""
     gamma, phi = params.gamma, params.phi
     g_end, p_end = params.g(np.array(ends)), p_star.values(np.array(ends))
-    slope = (p_end[:, 1] - p_end[:, 0]) / (g_end[1] - g_end[0])
+    slope = (p_end[:, 1] - p_end[:, 0]) / (g_end[1] - g_end[0]) if ends[0] != ends[1] else np.inf
     with np.errstate(divide="ignore"):  # a chord flat to rounding: c_sw at 0 (gamma > 0) or past c_sel
         c_sw = np.clip(np.maximum(gamma * slope / phi, 0.0) ** (1.0 / gamma), c_bot, c_sel)
     # + 0.0: a zero taste gives +0.0 where phi 0 / gamma would give -0.0 for gamma < 0

@@ -40,7 +40,7 @@ class TabulatedSegment:
     c_hi: np.ndarray
     c_knots: np.ndarray  # (n_t, m)
     p_knots: np.ndarray  # (n_t, m)
-    label: str = "sampled"
+    label: str = "bridge"
 
     def price(self, rows, c, gamma):
         """As ``TariffSegment.price``; ``rows`` is nondecreasing, and each

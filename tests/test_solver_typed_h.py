@@ -422,6 +422,27 @@ def test_empty_bridge_leaves_the_boundary_type_at_its_reservation():
     np.testing.assert_allclose(vals[:, [0, 2]], vals[:, [1, 1]], rtol=1e-9)
 
 
+def test_empty_bridge_emits_the_boundary_type_plane():
+    """With a0 == b0 both band planes are the boundary type's, on finite
+    bounds: the band meets its neighbours at their junction prices, and the
+    tariff prices every consumption finitely."""
+    params = shifted_sqrt_params()
+    tariff, _ = build_tariff_typed_h(ScenarioConfig(params=params), make_pair_solution(params, 0.6, 0.6))
+    assert tariff.meta["bridge"] == "empty"
+    labels = [seg.label for seg in tariff.segments]
+    assert labels == ["lower_selected", "bridge_b0", "bridge_a0", "selected"]
+    below, plane_b0, plane_a0, above = tariff.segments
+    for plane in (plane_b0, plane_a0):
+        assert np.all(np.isfinite(plane.c_lo)) and np.all(np.isfinite(plane.c_hi))
+        np.testing.assert_array_equal(plane.p1, plane_b0.p1)
+        np.testing.assert_array_equal(plane.p3, plane_b0.p3)
+    rows = np.arange(params.time_grid.size)
+    g = params.gamma
+    for left, right, c in ((below, plane_b0, plane_b0.c_lo), (plane_a0, above, plane_a0.c_hi)):
+        assert_allclose(left.price(rows, c, g), right.price(rows, c, g), rtol=1e-12, atol=1e-12)
+    assert np.all(np.isfinite(tariff.sample(np.linspace(0.0, 4.0, 401))))
+
+
 @pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
 def test_loaded_typed_config_pickles(family):
     """A tabulated reservation is bound to module-level interpolation, so a
@@ -472,16 +493,21 @@ def test_validate_bridge_accepts_a_convex_non_chord_row():
 def make_feasible_pair_solution(params, a0, b0):
     """TypedHSolution at a chosen feasible (not necessarily optimal) pair,
     for exercising the live-lower-component emission path."""
+    assert constraint_check_A2prime(a0, b0, params)["feasible"]
+    return make_pair_solution(params, a0, b0)
+
+
+def make_pair_solution(params, a0, b0):
+    """TypedHSolution at a chosen pair, feasible or not."""
     from nltariff.solver_typed_h import TypedHSolution
 
     chk = constraint_check_A2prime(a0, b0, params)
-    assert chk["feasible"]
     N = N_gamma_profile(params, a0, b0)
     levels = _levels(params.reservation, a0, b0)
     return TypedHSolution(
         a0=a0, b0=b0, objective=float(objective_ab(a0, b0, params)),
         Xi=chk["Xi"], Psi=chk["Psi"], theta=float(theta_term(a0, b0, params)),
-        feasible=True, assumption_flags={"b0_le_a0_minus_half": b0 <= a0 - 0.5},
+        feasible=bool(chk["feasible"]), assumption_flags={"b0_le_a0_minus_half": b0 <= a0 - 0.5},
         N_gamma=N, L_gamma=L_gamma_profile(params, N),
         levels=levels, bridge=build_bridge(params, a0, b0, N, levels),
     )

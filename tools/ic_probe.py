@@ -1,7 +1,7 @@
 """Incentive-compatibility probe of the emitted tariffs.
 
 Usage: python tools/ic_probe.py SRC_DIR [--seeds 1,2,...] [--match TEXT] [--typed] [--coarse]
-       python tools/ic_probe.py SRC_DIR --config FILE [--time-nodes N] [--full-tariff] [--coarse]
+       python tools/ic_probe.py SRC_DIR --config FILE [--time-nodes N] [--coarse]
 
 SRC_DIR is the root of a checkout; its ``src/nltariff``, ``perfbench`` and
 ``tests/referee.py`` are imported. Without ``--config`` the requests are
@@ -113,7 +113,6 @@ def main(argv):
     ap.add_argument("--typed", action="store_true", help="keep the concave-reservation requests only")
     ap.add_argument("--config", help="probe this config file instead of the request set")
     ap.add_argument("--time-nodes", type=int, help="with --config: override its time_nodes")
-    ap.add_argument("--full-tariff", action="store_true", help="with --config: emit the full tariff")
     ap.add_argument("--coarse", action="store_true", help="8001 + 2001 consumption points")
     args = ap.parse_args(argv)
     root = Path(args.src_dir).resolve()
@@ -131,7 +130,7 @@ def main(argv):
                 path.write_text(json.dumps(dict(json.loads(Path(args.config).read_text()),
                                                 time_nodes=args.time_nodes)))
             requests = [(f"{Path(args.config).stem}@{args.time_nodes or 'config'}",
-                         cli.load_config(path), args.full_tariff)]
+                         cli.load_config(path), False)]
         else:
             requests = _solve_requests(root, args.seeds, Path(tmp), args.match, args.typed, cli, workloads)
         for name, config, full in requests:
