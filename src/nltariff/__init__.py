@@ -54,7 +54,7 @@ from .solver_typed_h import (
     solve_a0_b0_star,
     validate_assumptions,
 )
-from .tariff import TabulatedSegment, Tariff, TariffSegment
+from .tariff import ConjugateSegment, Tariff, TariffSegment
 from .uconvex import SampledFunctionOfType, check_u_convexity
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .model import (
 from .solver_const_h import build_tariff_const_h, solve_x0_star
 from .solver_typed_h import build_tariff_typed_h, mu_zero_residual, solve_a0_b0_star
 from .tariff import TariffSegment
-from .uconvex import C_MAX, check_u_convexity
+from .uconvex import check_u_convexity
 
 SCHEMA_VERSION = 1
 # every key load_config reads; any other key is refused
@@ -37,6 +37,7 @@ CONFIG_KEYS = ("gamma", "horizon", "time_grid", "time_nodes", "n", "cost_table",
                "phi", "k", "g", "f", "reservation", "solver")
 SOLVER_KEYS = ("force_general_route",)
 TYPE_SAMPLES = 201   # rows of indirect_utility.csv, types per time node of consumption.csv
+C_MAX = 1e3          # tariff.csv consumption range of a tariff with no selected range
 CSV_EOL = "\r\n"     # the csv module's line ending
 
 EXIT_SOLVER = 1
@@ -314,8 +315,8 @@ def _typed_scan_audit(params):
 
 
 def _selected_c_samples(tariff):
-    """200 consumptions up to 1.25 times the top of the selected range, or of
-    the default consumption grid of a sampled tariff."""
+    """200 consumptions up to 1.25 times the top of the selected range, or
+    up to 1.25 C_MAX on a sampled tariff."""
     if tariff.selected_range:
         tops = [np.max(band[:, 1][np.isfinite(band[:, 1])], initial=0.0) for band in tariff.selected_range]
         c_top = max(tops)

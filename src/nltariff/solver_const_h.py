@@ -7,9 +7,10 @@ branch. Everything after the threshold (the objective, the scales and the
 polynomial tariff) is the one-component case [x0, 1] of the typed closed
 forms in ``closed_form``. The general route maximizes the reduced
 one-dimensional objective by quadrature plus golden-section refinement and
-emits a sampled tariff. Its search scores every threshold on one shared
-table of the coverage ell(x0), and the threshold it locates gets ell from a
-trapezoid of its own, which both the reported profit and the tariff use.
+emits a sampled tariff: the exact u-conjugate of p* on 2001 types, at any
+consumption. Its search scores every threshold on one shared table of the
+coverage ell(x0), and the threshold it locates gets ell from a trapezoid of
+its own, which both the reported profit and the tariff use.
 """
 from dataclasses import dataclass, field
 
@@ -21,8 +22,7 @@ from .closed_form import (B_gamma, L_gamma_profile, N_gamma_profile, component_s
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, tail_integrals, trapezoid
-from .tariff import TabulatedSegment, Tariff, TariffSegment
-from .uconvex import _c_power, _u_conjugate, default_c_grid
+from .tariff import ConjugateSegment, Tariff, TariffSegment
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
@@ -277,7 +277,7 @@ def build_tariff_const_h(config, report):
 
     Canonical power/uniform scenarios produce the explicit polynomial
     segments; the general route samples the optimal indirect-utility surface
-    and conjugates it numerically.
+    on 2001 types and prices every consumption by its exact u-conjugate.
     """
     if report.route == "general":
         return _build_general(config, report)
@@ -361,21 +361,10 @@ def _build_general(config, report):
 
 
 def sampled_tariff(config, samples, meta):
-    """Fully sampled tariff: the u-conjugate of the sampled indirect utility
-    ``samples`` on the default consumption grid at every time node, held
-    flat above the top knot."""
+    """Fully sampled tariff: at every consumption, the exact u-conjugate of
+    the sampled indirect utility ``samples``."""
     params = config.params
-    c_grid = default_c_grid(params)
     nt = params.time_grid.size
-    seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
-                            np.full(nt, np.inf), "sampled")
+    seg = ConjugateSegment(c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf), phi=params.phi,
+                           gx=params.g(samples.x_grid), values=samples.values, label="sampled")
     return Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg], meta=meta)
-
-
-def conjugate_segment(params, samples, c_knots, c_lo, c_hi, label):
-    """The tabulated tariff piece on [c_lo, c_hi] through the u-conjugate of
-    the sampled indirect utility ``samples`` at the per-time knots
-    ``c_knots`` (shape (n_t, m)), linear between the knots."""
-    p_knots, _ = _u_conjugate(params.phi, params.g(samples.x_grid), _c_power(params, c_knots), params.gamma,
-                              samples.values)
-    return TabulatedSegment(c_lo=c_lo, c_hi=c_hi, c_knots=c_knots, p_knots=p_knots, label=label)

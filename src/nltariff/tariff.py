@@ -1,14 +1,15 @@
 """Piecewise tariff schedules p(t,c) = p1(t) c^gamma + p2(t) c + p3(t).
 
 A tariff is a per-time sequence of consumption segments with polynomial
-coefficients, or one tabulated segment: the sampled u-conjugate of p* on
-the general constant-H route and the typed fallbacks.
+coefficients, or one conjugate segment: the exact u-conjugate of a sampled
+p*, on the general constant-H route and the typed fallbacks.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InvalidParams
+from .uconvex import _u_conjugate
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,22 +34,25 @@ class TariffSegment:
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedSegment:
-    """Sampled segment: linear interpolation through per-time knots."""
+class ConjugateSegment:
+    """The u-conjugate of sampled indirect utilities: at every consumption
+    c, max_j phi(t) gx[j] c^gamma / gamma - values[t, j], exactly."""
 
     c_lo: np.ndarray
     c_hi: np.ndarray
-    c_knots: np.ndarray  # (n_t, m)
-    p_knots: np.ndarray  # (n_t, m)
-    label: str = "bridge"
+    phi: np.ndarray     # (n_t,)
+    gx: np.ndarray      # (n_x,) tastes g(x_j) of the sampled types
+    values: np.ndarray  # (n_t, n_x) p*(t, x_j)
+    label: str
 
     def price(self, rows, c, gamma):
         """As ``TariffSegment.price``; ``rows`` is nondecreasing, and each
-        row's run of consumptions is interpolated on that row's knots."""
+        row's run of consumptions is conjugated in one call."""
         out = np.empty(c.shape)
         cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), c.size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            out[lo:hi] = np.interp(c[lo:hi], self.c_knots[rows[lo]], self.p_knots[rows[lo]])
+            i = rows[lo:lo + 1]
+            out[lo:hi] = _u_conjugate(self.phi[i], self.gx, c[None, lo:hi] ** gamma, gamma, self.values[i])[0]
         return out
 
 
@@ -100,7 +104,7 @@ class Tariff:
         """Prices on the time nodes ``rows`` at the consumptions ``c``, shape
         (rows.size, c.size): each segment takes the points in its range that
         no earlier segment took, on all rows in one masked pass."""
-        if self.gamma < 0 and np.any(c < 0):
+        if self.gamma < 0 and np.any(c <= 0):
             raise DomainError("consumption must be positive when gamma < 0")
         out = np.full((rows.size, c.size), np.nan)
         free = np.ones(out.shape, dtype=bool)

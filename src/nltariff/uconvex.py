@@ -1,7 +1,7 @@
 """Generalized conjugation with respect to the consumer utility kernel.
 
 The u-conjugate of a sampled indirect utility is a price schedule, computed
-as an exact maximum over the type grid at given consumption knots. The
+as an exact maximum over the type grid at any consumption. The
 u-convexity check computes the biconjugate of p* on its type grid exactly,
 as a lower hull in g(x), with no consumption grid. Closed forms live in the
 solver modules; this module verifies them.
@@ -12,9 +12,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidParams
 
-GAP_TOL = 1e-6             # u-convexity slack on p* - (p*)**, relative to max(1, max|p*|)
-C_MIN, C_MAX = 1e-4, 1e3   # consumption range of the default grid
-ROW_BLOCK = 32             # time rows per u-conjugate or check pass, measured on 129-node requests
+GAP_TOL = 1e-6   # u-convexity slack on p* - (p*)**, relative to max(1, max|p*|)
+ROW_BLOCK = 32   # time rows per u-conjugate or check pass, measured on 129-node requests
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,17 +36,6 @@ class SampledFunctionOfType:
         object.__setattr__(self, "values", v)
 
 
-def default_c_grid(params):
-    """513-point consumption grid suited to the utility branch, up to C_MAX.
-
-    gamma < 0 needs geometric spacing from C_MIN (utility singular at 0);
-    gamma in (0,1) gets a linear grid that includes zero consumption.
-    """
-    if params.gamma < 0:
-        return np.geomspace(C_MIN, C_MAX, 513)
-    return np.linspace(0.0, C_MAX, 513)
-
-
 def _utility_surface(params, x_grid, c_grid):
     """u(t_i, x_j, c_k) for all grid combinations, shape (n_t, n_x, n_c).
 
@@ -55,14 +43,10 @@ def _utility_surface(params, x_grid, c_grid):
     tests compare against it, and perfbench/tracing.py wraps it by name.
     """
     gamma = params.gamma
-    cpow = _c_power(params, c_grid)
-    return params.phi[:, None, None] * params.g(x_grid)[None, :, None] * cpow[None, None, :] / gamma
-
-
-def _c_power(params, c_grid):
-    if params.gamma < 0 and np.any(c_grid <= 0):
+    if gamma < 0 and np.any(c_grid <= 0):
         raise InvalidParams("c_grid", "consumption grid must be positive when gamma < 0")
-    return c_grid ** params.gamma
+    cpow = c_grid ** gamma
+    return params.phi[:, None, None] * params.g(x_grid)[None, :, None] * cpow[None, None, :] / gamma
 
 
 def _lower_hull(a, v):
@@ -111,33 +95,31 @@ def _u_conjugate(phi, gx, cpow, gamma, values):
     """Exact grid maxima over j of phi[i] * gx[j] * cpow[i, k] / gamma - values[i, j].
 
     ``values`` has shape (n_t, n_x) and ``cpow`` shape (n_t, n_c), one row
-    of consumption knots per time node; returns (maxima, argmax indices),
-    both of shape (n_t, n_c).
+    of consumptions per time node; returns the maxima, shape (n_t, n_c).
 
     The maximand is linear in gx[j], with slope phi[i] * cpow[i, k] / gamma,
     so each maximum is the convex conjugate of the points (gx, values[i])
     at that slope (Lucet 1997). ``gx`` is strictly monotone: the hull of the
-    points is found once per row and each knot's vertex by ``searchsorted``,
-    O(n_x + n_c) per row. The winner and its two hull neighbours are then
-    evaluated in the dense formula's own operation order, ties going to the
-    lowest index as with ``np.argmax``, so the maxima equal the dense ones
-    up to rounding in the choice between nearly tied grid points.
+    points is found once per row and each consumption's vertex by
+    ``searchsorted``, O(n_x + n_c) per row. The winner and its two hull
+    neighbours are then evaluated in the dense formula's own operation
+    order, so the maxima equal the dense ones up to rounding in the choice
+    between nearly tied grid points.
 
     Rows are independent, so they go ROW_BLOCK at a time: the temporaries
     stay cache-sized at any n_t and the result is bitwise that of one pass.
     """
-    best, arg = np.empty(cpow.shape), np.empty(cpow.shape, dtype=np.intp)
+    best = np.empty(cpow.shape)
     for lo in range(0, values.shape[0], ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        best[rows], arg[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows], gamma, values[rows])
-    return best, arg
+        best[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows], gamma, values[rows])
+    return best
 
 
 def _u_conjugate_rows(phi, gx, cpow, gamma, values):
     """``_u_conjugate`` on one block of rows."""
     nt = values.shape[0]
-    flip = gx[-1] < gx[0]
-    a_up, v_up = (gx[::-1], values[:, ::-1]) if flip else (gx, values)
+    a_up, v_up = (gx[::-1], values[:, ::-1]) if gx[-1] < gx[0] else (gx, values)
     rows, cols = np.nonzero(_lower_hull(a_up, v_up))
     first = np.searchsorted(rows, np.arange(nt + 1))
     slopes = phi[:, None] * cpow / gamma
@@ -149,12 +131,8 @@ def _u_conjugate_rows(phi, gx, cpow, gamma, values):
         pos[i] = np.searchsorted(edge[first[i]:first[i + 1] - 1], slopes[i]) + first[i]
     cand = (cols[np.maximum(pos - 1, first[:-1, None])], cols[pos],
             cols[np.minimum(pos + 1, first[1:, None] - 1)])
-    if flip:  # reversed, so the planes stay in increasing index order for the tie rule
-        cand = tuple(gx.size - 1 - c for c in cand[::-1])
-    v0, v1, v2 = (phi[:, None] * gx[c] * cpow / gamma - np.take_along_axis(values, c, axis=1) for c in cand)
-    best = np.maximum(np.maximum(v0, v1), v2)
-    arg = np.where(v0 == best, cand[0], np.where(v1 == best, cand[1], cand[2]))
-    return best, arg
+    v0, v1, v2 = (phi[:, None] * a_up[c] * cpow / gamma - np.take_along_axis(v_up, c, axis=1) for c in cand)
+    return np.maximum(np.maximum(v0, v1), v2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -401,8 +401,9 @@ def test_overflowing_valid_config_is_a_solver_error(tmp_path, capsys, family, ga
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_sampled_tariff_that_overflows_is_a_solver_error(tmp_path, capsys):
     """At gamma = -400 the general route's sampled conjugate takes c^gamma
-    past the float range on its consumption grid: the tariff samples to a
-    non-finite price, the request exits 1 and leaves no report."""
+    past the float range at the consumptions of tariff.csv: the tariff
+    samples to a non-finite price, the request exits 1 and leaves no
+    report."""
     doc = dict(json.loads((CONFIG_DIR / "residential_constant_h.json").read_text()), gamma=-400.0,
                solver={"force_general_route": True})
     code = main(["solve", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "o")])
@@ -527,7 +528,7 @@ PINNED_REPORTS = {
         "[[0.0, 0.017742689895560743, 0.0552912230376519, 0.0, None]]]",
     ("residential_constant_h", "general"):
         "[{'x0': 0.9647940445795213}, 0.0017602977878099163, 9.535774947487907e-10, None, "
-        "[[None, None, None, 0.0001, None]]]",
+        "[[None, None, None, 0.0, None]]]",
     ("residential_log_h", "shipped"):
         "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699078107, 2.1440285188872623e-09, "
         "{'Psi': 0.6295804560913474, 'Xi': None, 'theta': 0.2894292322578437}, "

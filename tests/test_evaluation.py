@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from nltariff.agent import IndirectUtility, ParticipationSet, participation_set
 from nltariff.model import ConstantReservation, ScenarioConfig, canonical_params
-from nltariff.solver_const_h import build_tariff_const_h, conjugate_segment, solve_x0_star
+from nltariff.solver_const_h import build_tariff_const_h, sampled_tariff, solve_x0_star
 from nltariff.tariff import Tariff, TariffSegment
 from tests.referee import principal_utility, relaxed_objective
 
@@ -82,15 +82,10 @@ def test_relaxed_objective_reproduces_reduced_value(bench1_solution, bench2_solu
 def test_relaxed_objective_consistent_with_priced_transform(bench1_solution, bench1_config):
     """Conjugate the optimal indirect utility into a price schedule and price
     it independently: both routes value the contract the same."""
-    report, tariff, p_star = bench1_solution
+    _, _, p_star = bench1_solution
     params = bench1_config.params
-    c_top = float(tariff.breakpoints["c_top"].max()) * 1.2
-    nt = params.time_grid.size
-    seg = conjugate_segment(params, p_star.sample(np.linspace(0.0, 1.0, 3001)),
-                            np.tile(np.linspace(0.0, c_top, 3001), (nt, 1)),
-                            np.zeros(nt), np.full(nt, np.inf), "sampled")
-    sampled_tariff = Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg])
-    up = principal_utility(sampled_tariff, params, p_star=p_star)
+    conjugate = sampled_tariff(bench1_config, p_star.sample(np.linspace(0.0, 1.0, 3001)), {})
+    up = principal_utility(conjugate, params, p_star=p_star)
     part = participation_set(p_star, params)
     rel = relaxed_objective(p_star, part, params)
     assert abs(up - rel) / abs(rel) < 5e-3

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nltariff.agent import participation_set
 from nltariff.cli import load_config
 from nltariff.closed_form import B_gamma
 from nltariff import solver_const_h
@@ -28,13 +29,13 @@ from nltariff.solver_const_h import (
     build_tariff_const_h,
     capacity_A,
     chi,
-    conjugate_segment,
     ell_const,
     solve_x0_star,
 )
-from nltariff.uconvex import _utility_surface, check_u_convexity, default_c_grid
+from nltariff.uconvex import _utility_surface, check_u_convexity
 from tests.conftest import BENCH1, BENCH2, varying_profile_params
 from tests.property_harness import continuity_gaps, shape_report
+from tests.referee import best_responses
 
 
 # -- reference: the paper's explicit constant-H formulas ------------------------
@@ -432,18 +433,18 @@ def test_B_gamma_signs():
 
 @pytest.mark.parametrize("solution", ["bench1_solution", "bench2_solution"])
 def test_conjugate_segment_on_tiled_knots_is_the_price_transform(solution, request):
-    """The tabulated builder at one knot row per time node, as the sampled
-    emission calls it, gives the dense price transform (the maximum over
-    the type grid of u - p*) bit for bit, on both branches."""
-    _, _, p_star = request.getfixturevalue(solution)
-    params = request.getfixturevalue(solution.replace("solution", "config")).params
+    """The forced general route's sampled tariff prices every consumption,
+    off any grid, below 1e-4 and past 1e3, at the dense price transform of
+    its p* (the maximum over the 2001 sampled types of u - p*) bit for bit,
+    on both branches."""
+    config = request.getfixturevalue(solution.replace("solution", "config"))
+    config = dataclasses.replace(config, force_general_route=True)
+    tariff, p_star = build_tariff_const_h(config, solve_x0_star(config))
     samples = p_star.sample()
-    c_grid = default_c_grid(params)
-    nt = params.time_grid.size
-    seg = conjugate_segment(params, samples, np.tile(c_grid, (nt, 1)), np.full(nt, c_grid[0]),
-                            np.full(nt, np.inf), "sampled")
-    dense = _utility_surface(params, samples.x_grid, c_grid) - samples.values[:, :, None]
-    assert seg.p_knots.tobytes() == np.max(dense, axis=1).tobytes()
+    rng = np.random.default_rng(7)
+    c = np.sort(np.concatenate([rng.uniform(1e-3, 3.0, 300), np.geomspace(1e-9, 1e5, 81)]))
+    dense = _utility_surface(config.params, samples.x_grid, c) - samples.values[:, :, None]
+    assert tariff.sample(c).tobytes() == np.max(dense, axis=1).tobytes()
 
 
 def test_uniqueness_flag_cleared_for_wavy_density():
@@ -505,3 +506,49 @@ def test_alpha_objective_on_the_grid_matches_the_per_threshold_loop(power, tmp_p
     grid = alpha_objective(xs, params)
     loop = np.array([alpha_objective(x, params) for x in xs])
     np.testing.assert_array_equal(grid.view(np.uint64), loop.view(np.uint64))
+
+
+def _general_config(tmp_path, family, cost_table):
+    """A shipped constant-H config on the forced general route at 3 nodes,
+    or with its power cost c^n / n tabulated (which goes general anyway)."""
+    doc = json.loads((ROOT / "configs" / f"{family}.json").read_text())
+    if cost_table:
+        n = doc.pop("n")
+        c = np.linspace(0.0, 20.0, 401)
+        doc["k"] = 1.0
+        doc["cost_table"] = {"c": c.tolist(), "K": (c ** n / n).tolist(), "marginal": (c ** (n - 1.0)).tolist()}
+    else:
+        doc["solver"] = {"force_general_route": True}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(doc, time_nodes=3)))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("family, cost_table", [("industrial_constant_h", False), ("residential_constant_h", False),
+                                                ("residential_constant_h", True)],
+                         ids=["industrial-forced", "residential-forced", "residential-cost_table"])
+def test_general_route_types_gain_nothing_by_deviating(family, cost_table, tmp_path):
+    """Each of 801 types best-responds to the sampled tariff on consumptions
+    up to 1e4. No served type beats its p* at any time node by more than
+    1e-12 max(1, |p*|), and no excluded type more than 1e-8 from an interval
+    end beats H over the horizon. A tariff interpolated linearly in c
+    between knots, and held flat above 1e3, let the top industrial types
+    gain 0.349."""
+    config = _general_config(tmp_path, family, cost_table)
+    params = config.params
+    report = solve_x0_star(config)
+    assert report.route == "general"
+    tariff, p_star = build_tariff_const_h(config, report)
+    xs = np.linspace(0.0, 1.0, 801)
+    cg = np.union1d(np.linspace(1e-6, 20.0, 2001), np.geomspace(1e-6, 1e4, 1001))
+    achieved = np.vstack([best_responses(tariff, i, xs, cg, params, refine=True)[1]
+                          for i in range(params.time_grid.size)])
+    part = participation_set(p_star, params)
+    served = part.contains(xs)
+    p = p_star.values(xs)
+    assert served.any()
+    assert (achieved - p)[:, served].max() <= 1e-12 * max(1.0, np.abs(p).max())
+    ends = np.array([end for interval in part.intervals for end in interval])
+    far = ~served & (np.min(np.abs(xs[:, None] - ends[None, :]), axis=1) > 1e-8)
+    assert far.any()
+    assert np.all(np.trapezoid(achieved[:, far], params.time_grid, axis=0) <= params.reservation(xs[far]))

@@ -38,7 +38,7 @@ from nltariff.solver_typed_h import (
     validate_assumptions,
 )
 from nltariff.tariff import TariffSegment
-from nltariff.uconvex import check_u_convexity
+from nltariff.uconvex import _utility_surface, check_u_convexity
 from tests.conftest import TYPED_A, TYPED_B, log_reservation, sqrt_reservation
 from tests.property_harness import continuity_gaps, shape_report
 from tests.referee import best_responses
@@ -564,7 +564,7 @@ def test_typed_request_evaluates_levels_once_and_builds_one_bridge(family, tmp_p
     """One typed solve request evaluates H at its boundary pair once, builds
     one bridge and, on a valid bridge, conjugates nothing: every segment is
     polynomial."""
-    from nltariff import cli, solver_const_h, solver_typed_h
+    from nltariff import cli, solver_typed_h
 
     calls = {"levels": 0, "bridge": 0, "conjugate": 0}
 
@@ -576,7 +576,7 @@ def test_typed_request_evaluates_levels_once_and_builds_one_bridge(family, tmp_p
 
     monkeypatch.setattr(solver_typed_h, "_levels", counted("levels", solver_typed_h._levels))
     monkeypatch.setattr(solver_typed_h, "build_bridge", counted("bridge", solver_typed_h.build_bridge))
-    monkeypatch.setattr(solver_const_h, "conjugate_segment", counted("conjugate", solver_const_h.conjugate_segment))
+    monkeypatch.setattr(solver_typed_h, "sampled_tariff", counted("conjugate", solver_typed_h.sampled_tariff))
     report = cli.run_scenario(CONFIG_DIR / f"{family}.json", tmp_path)
     assert report["bridge"]["valid"]
     assert all(seg["p1_t0"] is not None for seg in report["tariff"]["segments"])
@@ -632,7 +632,7 @@ PINNED_EMISSION_SHA256 = {
         "58897fe7ad5de9582dcf9baf8e29f1dc9ea802c225860d298eba947153e7dea7",
     ),
     ("industrial_sampled", True): (
-        "72f309d10a9d7a6f7f479cc6a25bb1ae10089f934d8bce6f1e2a8fd5ddcf3e06",
+        "5585e473996b50c6515d704ca1803c781c0182c30bdcbeb36dc415d477fca539",
         "367cb34b72d67115e92b811df25478a4ce8b3dae6f90b65f49f39ac1590e228d",
         "c52e4a4c39a10eaced13a5080a05ab93a7e188e0b039333d6e52f54a2ffd6bbe",
     ),
@@ -657,16 +657,25 @@ PINNED_EMISSION_SHA256 = {
         "2b0b22de546f5a392c793b8d1fb97b90a40e68da3bc56baae8c103b4187a0160",
     ),
     ("residential_invalid_bridge", True): (
-        "8cbc004b8210589916d7563a108eeb09d7f8d9454364b6c573cf4a8631cdbd7c",
+        "3156ec2091743a1010254ddc3a037130782f3bf43bfd352c506e76a96a48b827",
         "e4d3bed0773875ef332a150c1045e840cbcb9a0175c071c4e96b2355513ec078",
         "39ffa1488219eb9c22b9ade71809a8967181c88b0e5cf950c7c8d63d280b6afa",
     ),
     ("residential_sampled", True): (
-        "0912b516d9fc0435030f23665106f3b9e66735f3f0daac7316e039665d68cadd",
+        "43af0715b19f1547ee783bd19a54627ddaaa3950c841afd40000d5d763c6636c",
         "926dc50a78b6afbeb9693122936af559b489182f4c443bafb391e7ed9ef4269e",
         "fa89ab5010afebb9e0989046fc221cc36ab503d0f7bc15bec724c8ff0a0dd508",
     ),
 }
+
+
+def emit_case(case, simplified=True):
+    """(params, tariff, p_star) emitted at the feasible pair of ``case``."""
+    family, a0, b0, _ = EMISSION_CASES[case]
+    params = residential_sqrt_params() if family == "residential_sqrt" else \
+        load_config(CONFIG_DIR / f"{family}.json").params
+    cfg = ScenarioConfig(params=params, simplified_tariff=simplified)
+    return (params, *build_tariff_typed_h(cfg, make_feasible_pair_solution(params, a0, b0)))
 
 
 @pytest.mark.parametrize("case, simplified", sorted(PINNED_EMISSION_SHA256))
@@ -675,12 +684,8 @@ def test_emission_is_pinned(case, simplified):
     bit for bit: a live or dead bottom component, the simplified and the full
     tariff, and the sampled emission of a single component or of a bridge
     that does not glue convexly."""
-    family, a0, b0, labels = EMISSION_CASES[case]
-    params = residential_sqrt_params() if family == "residential_sqrt" else \
-        load_config(CONFIG_DIR / f"{family}.json").params
-    cfg = ScenarioConfig(params=params, simplified_tariff=simplified)
-    sol = make_feasible_pair_solution(params, a0, b0)
-    tariff, p_star = build_tariff_typed_h(cfg, sol)
+    labels = EMISSION_CASES[case][3]
+    _, tariff, p_star = emit_case(case, simplified)
     full = not simplified and labels != ["sampled"]
     assert [s.label for s in tariff.segments] == labels + ["top"] * full
     cs = np.geomspace(1e-3, 10.0, 241)
@@ -688,6 +693,18 @@ def test_emission_is_pinned(case, simplified):
     digests = tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
                     for a in (tariff.sample(cs), p_star.values(xs), p_star.slopes(xs)))
     assert digests == PINNED_EMISSION_SHA256[case, simplified]
+
+
+@pytest.mark.parametrize("case", [case for case, spec in EMISSION_CASES.items() if spec[3] == ["sampled"]])
+def test_sampled_emission_is_the_dense_conjugate(case):
+    """A sampled emission prices every consumption, off any grid, below
+    1e-3 and past 1e3, at the dense maximum over its 2001 sampled types of
+    u - p*, bit for bit."""
+    params, tariff, p_star = emit_case(case)
+    xg = np.linspace(0.0, 1.0, 2001)
+    c = np.sort(np.concatenate([np.random.default_rng(11).uniform(1e-3, 3.0, 200), np.geomspace(1e-9, 1e5, 61)]))
+    dense = _utility_surface(params, xg, c) - p_star.values(xg)[:, :, None]
+    np.testing.assert_array_equal(tariff.sample(c), np.max(dense, axis=1))
 
 
 @pytest.mark.parametrize("simplified", [True, False])

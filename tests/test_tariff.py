@@ -1,12 +1,15 @@
-"""Tariff evaluation: the masked fill over all time nodes against a per-row loop."""
+"""Tariff evaluation: the masked fill over all time nodes against a per-row
+loop, which prices a conjugate segment by the dense maximum over its types."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from nltariff.errors import DomainError
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
-from nltariff.tariff import TabulatedSegment, Tariff, TariffSegment
+from nltariff.tariff import ConjugateSegment, Tariff, TariffSegment
+from tests.test_solver_typed_h import emit_case
 
 
 def row_price(tariff, i, c):
@@ -14,8 +17,9 @@ def row_price(tariff, i, c):
     segment whose range holds c, else the first segment below and the last
     above."""
     def formula(seg, cm):
-        if isinstance(seg, TabulatedSegment):
-            return np.interp(cm, seg.c_knots[i], seg.p_knots[i])
+        if isinstance(seg, ConjugateSegment):
+            dense = seg.phi[i] * seg.gx[:, None] * cm[None, :] ** tariff.gamma / tariff.gamma
+            return np.max(dense - seg.values[i][:, None], axis=0)
         out = seg.p2[i] * cm + seg.p3[i]
         return out + seg.p1[i] * cm ** tariff.gamma if seg.p1[i] != 0.0 else out
 
@@ -83,17 +87,34 @@ def test_sample_matches_rows_on_the_sampled_general_route_tariff(case, request):
     assert_sample_matches_rows(tariff, consumption_grid(tariff))
 
 
+def test_residential_sampled_tariff_is_finite_above_zero_and_refuses_zero(bench2_config):
+    """On the residential branch the exact conjugate falls as c -> 0, toward
+    -inf unless a sampled type has zero taste, as the utility does: the
+    sampled tariffs of the forced general route and of a typed single
+    component are finite and nondecreasing from c = 1e-6 up to 1e4, and
+    c = 0 is refused before any price is computed."""
+    for tariff in (const_h_tariff(bench2_config, general=True), emit_case("residential_sampled")[1]):
+        assert tariff.meta["route"] in ("general", "sampled")
+        prices = tariff.sample(np.geomspace(1e-6, 1e4, 801))
+        assert np.all(np.isfinite(prices)) and np.all(np.diff(prices, axis=1) >= 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="positive"):
+                tariff.sample([0.0, 1.0])
+
+
 def mixed_tariff():
     """Four rows, each with its own breakpoints: a polynomial piece with
-    p1 = 0 on rows 0 and 2 only, a tabulated bridge and a top polynomial
-    piece; below the first piece and above the last the outer pieces extend."""
+    p1 = 0 on rows 0 and 2 only, a conjugate segment of nine types and a top
+    polynomial piece; below the first piece and above the last the outer
+    pieces extend."""
     nt = 4
     cuts = np.array([[0.5, 2.0, 4.0, 8.0], [0.3, 1.5, 3.5, 6.0], [0.7, 2.5, 4.5, 9.0], [0.4, 2.0, 4.0, 8.0]])
     low = TariffSegment(c_lo=cuts[:, 0], c_hi=cuts[:, 1], p1=np.array([0.0, 0.8, 0.0, -0.3]),
                         p2=np.array([0.4, 0.1, 0.7, 0.2]), p3=np.array([0.1, 0.0, -0.2, 0.3]))
-    knots = np.linspace(cuts[:, 1], cuts[:, 2], 9, axis=1)
-    bridge = TabulatedSegment(c_lo=cuts[:, 1], c_hi=cuts[:, 2], c_knots=knots,
-                              p_knots=np.sqrt(knots) * np.arange(1.0, nt + 1)[:, None])
+    gx = np.linspace(0.0, 1.0, 9)
+    bridge = ConjugateSegment(c_lo=cuts[:, 1], c_hi=cuts[:, 2], phi=np.arange(1.0, nt + 1), gx=gx,
+                              values=np.sin(3.0 * gx) + np.arange(nt)[:, None], label="bridge")
     top = TariffSegment(c_lo=cuts[:, 2], c_hi=cuts[:, 3], p1=np.array([1.1, 0.0, 0.0, 0.6]),
                         p2=np.full(nt, 0.05), p3=np.full(nt, 0.2), label="selected")
     return Tariff(gamma=0.5, time_grid=np.linspace(0.0, 1.0, nt), segments=[low, bridge, top])

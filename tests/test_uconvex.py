@@ -13,7 +13,7 @@ from nltariff.cli import load_config
 from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.solver_typed_h import build_tariff_typed_h, solve_a0_b0_star
-from nltariff.tariff import TabulatedSegment, Tariff
+from nltariff.tariff import ConjugateSegment, Tariff
 from nltariff.uconvex import (
     GAP_TOL,
     ROW_BLOCK,
@@ -40,35 +40,44 @@ def utility_surface(params, x, c):
 
 def u_conjugate(params, x, values, c):
     """The u-conjugate of ``values`` on the type grid ``x`` at the
-    consumptions ``c`` on every time node: (prices, argmax types)."""
+    consumptions ``c`` on every time node."""
     nt = params.time_grid.size
     return _u_conjugate(params.phi, params.g(x), np.tile(c ** params.gamma, (nt, 1)), params.gamma, values)
 
 
-def tabulated_tariff(params, c, prices):
-    """A tariff through the knots (c, prices[i]) on every time node i."""
+def conjugate_tariff(params, x, values):
+    """The one-segment tariff that conjugates ``values`` on the types ``x``,
+    checked against the dense maximum over those types on a grid."""
     nt = params.time_grid.size
-    seg = TabulatedSegment(c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf),
-                           c_knots=np.tile(c, (nt, 1)), p_knots=prices)
-    return Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg])
+    seg = ConjugateSegment(c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf), phi=params.phi, gx=params.g(x),
+                           values=values, label="sampled")
+    tariff = Tariff(gamma=params.gamma, time_grid=params.time_grid, segments=[seg])
+    c = np.linspace(0.0, 5.0, 301)
+    dense = np.max(_utility_surface(params, x, c) - values[:, :, None], axis=1)
+    np.testing.assert_array_equal(tariff.sample(c), dense)
+    return tariff
 
 
 def test_price_equal_to_top_type_utility_gives_zero_indirect_at_one():
+    """The conjugate of the top type alone, at p* = 0, prices every
+    consumption at that type's utility."""
     params = make_params(0.5)
     c = np.linspace(0.0, 5.0, 301)
-    top = params.g(np.asarray([1.0]))[0] * params.phi[:, None] * c[None, :] ** 0.5 / 0.5
-    tariff = tabulated_tariff(params, c, top)
+    tariff = conjugate_tariff(params, np.array([1.0]), np.zeros((3, 1)))
     for i in range(3):
         _, value = best_responses(tariff, i, [1.0], c, params)
         assert_allclose(value, 0.0, atol=1e-12)
 
 
 def test_constant_price_gives_corner_solution():
+    """The conjugate of the type of zero taste alone, at p* = -kappa, is the
+    constant price kappa."""
     params = make_params(0.5)
     c = np.linspace(0.0, 5.0, 301)
     kappa = 0.7
     x = np.linspace(0, 1, 51)
-    tariff = tabulated_tariff(params, c, np.full((3, c.size), kappa))
+    tariff = conjugate_tariff(params, np.array([0.0]), np.full((3, 1), -kappa))
+    assert np.all(tariff.sample(c) == kappa)
     expect = utility_surface(params, x, c[-1:])[:, :, 0] - kappa
     for i in range(3):
         cons, value = best_responses(tariff, i, x, c, params)
@@ -82,17 +91,16 @@ def test_linear_indirect_utility_conjugates_to_positive_part():
     K0 = 0.4
     x = np.linspace(0.0, 1.0, 201)
     c = np.linspace(0.0, 3.0, 257)
-    price, arg = u_conjugate(params, x, np.tile(K0 * x, (3, 1)), c)
+    price = u_conjugate(params, x, np.tile(K0 * x, (3, 1)), c)
     expect = np.maximum(params.phi[:, None] * c[None, :] ** 0.5 / 0.5 - K0, 0.0)
     assert_allclose(price, expect, atol=1e-12)
-    assert np.all((arg == 0) | (arg == x.size - 1))
 
 
 def test_zero_indirect_utility_prices_at_top_type():
     params = make_params(0.5)
     x = np.linspace(0.0, 1.0, 101)
     c = np.linspace(0.0, 3.0, 100)
-    price, _ = u_conjugate(params, x, np.zeros((3, x.size)), c)
+    price = u_conjugate(params, x, np.zeros((3, x.size)), c)
     expect = utility_surface(params, np.asarray([1.0]), c)[:, 0, :]
     assert_allclose(price, expect, rtol=1e-12)
 
@@ -120,7 +128,7 @@ def test_closed_form_round_trips_within_grid_resolution(gamma):
 
     # u-conjugate: compare on the selected consumption band
     xs = np.linspace(0, 1, 2001)
-    price, _ = u_conjugate(params, xs, p_star.values(xs), c)
+    price = u_conjugate(params, xs, p_star.values(xs), c)
     bands = tariff.selected_range[0]
     sel = (c >= bands[:, 0].max()) & (c <= bands[:, 1].min())
     exact_price = np.vstack([tariff.price(i, c) for i in range(3)])
@@ -223,7 +231,7 @@ def test_gap_matches_dense_biconjugation(gamma, form):
     c = np.geomspace(1e-6, 1e6, 400_001)
     if gamma > 0:
         c = np.concatenate([[0.0], c])  # u(0) = 0 supplies the zero slope
-    price, _ = u_conjugate(params, x, values, c)
+    price = u_conjugate(params, x, values, c)
     back = np.full(values.shape, -np.inf)
     for lo in range(0, c.size, 10_000):
         block = slice(lo, lo + 10_000)
@@ -274,18 +282,15 @@ def test_convex_in_x_but_concave_in_g_is_flagged():
 
 # -- the hull conjugate against the dense surface --------------------------------
 
-def assert_matches_dense(params, x, c, values, same_arg=False):
+def assert_matches_dense(params, x, c, values, exact=False):
     """The u-conjugate equals the maxima over types of the dense
-    (n_t, n_x, n_c) surface u - values, and its argmax attains them."""
-    got, arg = u_conjugate(params, x, values, c)
-    surf = _utility_surface(params, x, c) - values[:, :, None]
-    ref, ref_arg = np.max(surf, axis=1), np.argmax(surf, axis=1)
+    (n_t, n_x, n_c) surface u - values: to 8 ulps, or bit for bit."""
+    got = u_conjugate(params, x, values, c)
+    ref = np.max(_utility_surface(params, x, c) - values[:, :, None], axis=1)
+    if exact:
+        np.testing.assert_array_equal(got, ref)
     tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
     assert np.all(np.abs(got - ref) <= tol)
-    at_arg = np.take_along_axis(surf, arg[:, None, :], axis=1)[:, 0, :]
-    assert np.all(np.abs(at_arg - ref) <= tol)
-    if same_arg:
-        np.testing.assert_array_equal(arg, ref_arg)
 
 
 def kernel_grids(gamma):
@@ -308,10 +313,10 @@ def test_hull_conjugate_matches_dense_on_nonconvex_inputs(gamma, seed):
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_on_exact_ties(gamma):
-    """Where grid points tie exactly, the lowest index wins, as in np.argmax."""
+    """Where grid points tie exactly, the maxima are the dense ones bit for bit."""
     params, x, c = kernel_grids(gamma)
-    assert_matches_dense(params, x, c, np.tile(0.4 * x - 0.1, (3, 1)), same_arg=True)
-    assert_matches_dense(params, x, c, np.zeros((3, x.size)), same_arg=True)
+    assert_matches_dense(params, x, c, np.tile(0.4 * x - 0.1, (3, 1)), exact=True)
+    assert_matches_dense(params, x, c, np.zeros((3, x.size)), exact=True)
 
 
 @pytest.mark.parametrize("case", ["typed_a", "typed_b"])
@@ -333,8 +338,9 @@ def test_bridge_knots_equal_dense_reference(case, request):
 
 def test_sampled_knots_equal_dense_reference(tmp_path):
     """The typed empty contract (industrial_sqrt_h at phi = 0.003) emits the
-    sampled conjugate of its p* on 2001 types: at every time node its knot
-    prices are the dense maximum over those types, bit for bit."""
+    sampled conjugate of its p* on 2001 types: at every time node, at
+    consumptions off any grid and past 1e3, its prices are the dense maximum
+    over those types, bit for bit."""
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(dict(json.loads((CONFIG_DIR / "industrial_sqrt_h.json").read_text()), phi=0.003)))
     config = load_config(path)
@@ -345,10 +351,9 @@ def test_sampled_knots_equal_dense_reference(tmp_path):
     [seg] = tariff.segments
     assert seg.label == "sampled"
     xg = np.linspace(0.0, 1.0, 2001)
-    vals = p_star.values(xg)
-    for i in range(params.time_grid.size):
-        dense = _utility_surface(params, xg, seg.c_knots[i])[i] - vals[i][:, None]
-        np.testing.assert_array_equal(seg.p_knots[i], np.max(dense, axis=0))
+    c = np.sort(np.concatenate([[0.0], np.random.default_rng(3).uniform(0.0, 2.0, 200), np.geomspace(1e-9, 1e5, 61)]))
+    dense = _utility_surface(params, xg, c) - p_star.values(xg)[:, :, None]
+    np.testing.assert_array_equal(tariff.sample(c), np.max(dense, axis=1))
 
 
 @pytest.mark.parametrize("nodes", [[0.5], [0.2, 0.7]])
@@ -455,24 +460,24 @@ def test_hull_conjugate_row_layout_matches_dense():
         params, x, c = kernel_grids(gamma)
         gx = params.g(x)
         rows = np.array([-(gx - 0.5) ** 2, gx ** 2, np.round(np.sin(9.0 * x), 1)])
-        assert_matches_dense(params, x, c, rows, same_arg=True)
+        assert_matches_dense(params, x, c, rows, exact=True)
         for m in (1, 2):
             values = np.arange(3.0 * m).reshape(3, m) % 2
-            assert_matches_dense(params, x[-m:], c, values, same_arg=True)
+            assert_matches_dense(params, x[-m:], c, values, exact=True)
 
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
-    """The bridge passes one consumption grid per time row, cpow of shape (n_t, 65)."""
+    """One consumption grid per time row, cpow of shape (n_t, 65): each row's
+    maxima are the dense ones bit for bit."""
     params, x, _ = kernel_grids(gamma)
     rng = np.random.default_rng(5)
     c = np.sort(rng.uniform(0.01, 4.0, size=(3, 65)), axis=1)
     values = np.array([np.round(np.sin(6.0 * x), 1), x ** 2, rng.normal(size=x.size)])
-    got, arg = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values)
+    got = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values)
     for i in range(3):
         dense = _utility_surface(params, x, c[i])[i] - values[i][:, None]
         np.testing.assert_array_equal(got[i], np.max(dense, axis=0))
-        np.testing.assert_array_equal(arg[i], np.argmax(dense, axis=0))
 
 
 # -- the hull conjugate in row blocks ---------------------------------------------
@@ -480,9 +485,9 @@ def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 @pytest.mark.parametrize("nt", [1, ROW_BLOCK, ROW_BLOCK + 1, 129])
 def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
-    """Maxima and argmax bit for bit, on one consumption grid tiled over the
-    rows as sampled emission passes it and on per-row (n_t, 65) knots as the
-    bridge passes them; rounded random walks give ties and concave pockets."""
+    """Maxima bit for bit, on one consumption grid tiled over the rows and on
+    per-row (n_t, 65) consumptions; rounded random walks give ties and
+    concave pockets."""
     params, x, c = kernel_grids(gamma)
     rng = np.random.default_rng(nt)
     phi = rng.uniform(0.5, 1.5, nt)
@@ -492,9 +497,8 @@ def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
     for q in (np.tile(c ** gamma, (nt, 1)), knots):
         got = _u_conjugate(phi, gx, q, gamma, values)
         ref = _u_conjugate_rows(phi, gx, q, gamma, values)
-        for a, b in zip(got, ref):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_check_holds_one_block_of_conjugate_temporaries():
