@@ -47,7 +47,7 @@ def test_every_digest_report_is_strict_json(digest_run):
     reports = sorted((scratch / "out").glob("*/report.json"))
     for path in reports:
         json.loads(path.read_text(), parse_constant=refuse)
-    assert len(reports) == 46
+    assert len(reports) == 52
 
 
 def test_output_digest_is_pinned(digest_run):

@@ -8,9 +8,11 @@ with ``--oracle`` and with ``--full-tariff``, their ``H_scale`` and
 ``k_scale`` sweeps, the two constant-H configs solved on the forced
 general route (``solver.force_general_route``), ``industrial_sqrt_h`` at
 ``phi = 0.003`` (the typed empty contract) solved plain and with
-``--oracle``, and the requests of the ``coarse_mix``, ``fine_grid`` and
-``oracle_audit`` benchmark workloads for each of the given seeds
-(default 1: 62 requests in all).
+``--oracle``, the ``cost_table``, ``tabulated_g`` and ``tabulated_f``
+variants of ``industrial_constant_h`` (built as the benchmark builds them)
+solved plain and with ``--oracle``, and the requests of the
+``coarse_mix``, ``fine_grid`` and ``oracle_audit`` benchmark workloads for
+each of the given seeds (default 1: 68 requests in all).
 Requests of a seed other than 1 are named ``workload@seed-...``, so the
 default digest reads as it always has. Each output file gets one line
 ``request/file exit_code n_warnings sha256`` (a request that wrote nothing
@@ -53,6 +55,15 @@ def _requests(root, workloads, seeds, scratch):
     cfg.write_text(json.dumps(dict(doc, phi=0.003)))
     for variant, flags in (("plain", []), ("oracle", ["--oracle"])):
         reqs.append((f"shipped-industrial_sqrt_h-empty-{variant}", ["solve", str(cfg)] + flags))
+    # the industrial general route on each tabulated input, which coarse_mix leaves out
+    for label, tabulate in (("cost_table", workloads._cost_table), ("tabulated_g", workloads._tabulated_g),
+                            ("tabulated_f", workloads._tabulated_f)):
+        doc = json.loads((root / "configs" / "industrial_constant_h.json").read_text())
+        tabulate(doc)
+        cfg = scratch / "configs" / f"industrial_constant_h-{label}.json"
+        cfg.write_text(json.dumps(doc))
+        for variant, flags in (("plain", []), ("oracle", ["--oracle"])):
+            reqs.append((f"shipped-industrial_constant_h-{label}-{variant}", ["solve", str(cfg)] + flags))
     for seed in seeds:
         for name in workloads.WORKLOADS:
             label = name if seed == DEFAULT_SEED else f"{name}@{seed}"
