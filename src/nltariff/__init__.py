@@ -28,9 +28,9 @@ from .model import (
     ConstantReservation,
     ModelParams,
     ScenarioConfig,
-    TabulatedCost,
+    Table,
     TasteMap,
-    TypeDistribution,
+    UniformTypes,
     canonical_params,
     eval_cost,
     eval_marginal_cost,

@@ -22,9 +22,9 @@ from .model import (
     ConstantReservation,
     ModelParams,
     ScenarioConfig,
-    TabulatedCost,
+    Table,
     TasteMap,
-    TypeDistribution,
+    UniformTypes,
 )
 from .solver_const_h import build_tariff_const_h, solve_x0_star
 from .solver_typed_h import build_tariff_typed_h, mu_zero_residual, solve_a0_b0_star
@@ -104,19 +104,13 @@ def _floats(val, field):
 
 
 def _samples(block, field, *keys):
-    """The arrays ``block[key]`` of a tabulated input: one length, each with
-    at least two samples, all finite."""
-    arrays = []
+    """The arrays ``block[key]`` of a tabulated input, as numbers; the
+    :class:`~nltariff.model.Table` they build checks their lengths and
+    that they are finite."""
     for key in keys:
         if key not in block:
             raise ConfigError(field, f"tabulated form needs {key!r}")
-        arr = _floats(block[key], field)
-        if arr.ndim != 1 or arr.size < 2 or not np.all(np.isfinite(arr)):
-            raise ConfigError(field, f"{key!r} needs a list of at least two finite numbers")
-        arrays.append(arr)
-    if len({arr.size for arr in arrays}) > 1:
-        raise ConfigError(field, f"{', '.join(keys)} differ in length")
-    return arrays
+    return [_floats(block[key], field) for key in keys]
 
 
 def _time_profile(doc, key, time_grid):
@@ -133,10 +127,9 @@ def _taste_map(doc, gamma):
     block = _block(doc, "g", {"form": "canonical"})
     form = block.get("form", "canonical")
     if form == "canonical":
-        return TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1)
+        return TasteMap(gamma_sign=1 if gamma > 0 else -1)
     if form == "tabulated":
-        x, values, derivative = _samples(block, "g", "x", "values", "derivative")
-        return TasteMap.tabulated(x, values, derivative)
+        return Table("g", *_samples(block, "g", "x", "values", "derivative"), unit_span=True)
     raise ConfigError("g", f"unknown form {form!r}")
 
 
@@ -144,9 +137,9 @@ def _type_distribution(doc):
     block = _block(doc, "f", {"form": "uniform"})
     form = block.get("form", "uniform")
     if form == "uniform":
-        return TypeDistribution.uniform()
+        return UniformTypes()
     if form == "tabulated":
-        return TypeDistribution.tabulated(*_samples(block, "f", "x", "density"))
+        return Table.from_density(*_samples(block, "f", "x", "density"))
     raise ConfigError("f", f"unknown form {form!r}")
 
 
@@ -181,8 +174,8 @@ def load_config(path):
         time_grid = np.linspace(0.0, horizon, _count(doc, "time_nodes", 9, minimum=2))
     cost_table = None
     if "cost_table" in doc:
-        c, K, marginal = _samples(_block(doc, "cost_table", {}), "cost_table", "c", "K", "marginal")
-        cost_table = TabulatedCost.from_samples(c, K, marginal)
+        block = _block(doc, "cost_table", {})
+        cost_table = Table("cost_table", *_samples(block, "cost_table", "c", "K", "marginal"))
     params = ModelParams(
         gamma=gamma,
         horizon=horizon,
@@ -393,7 +386,8 @@ def _scaled_config(config, param, value):
         if res.kind == "constant":
             new_res = ConstantReservation(res.H * value)
         else:
-            new_res = ConcaveReservation.from_table(res.x, value * res.values, value * res.derivative)
+            table = res.h
+            new_res = ConcaveReservation.from_table(table.x, value * table.values, value * table.derivative)
         new_params = replace(params, reservation=new_res)
     elif param == "k_scale":
         if params.cost_table is not None:

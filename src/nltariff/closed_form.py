@@ -49,8 +49,8 @@ def theta_term(a0, b0, params):
     degenerate ends contributing zero."""
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
-    Fa = params.f.cdf(a0)
-    Fb = params.f.cdf(b0)
+    Fa = params.f(a0)
+    Fb = params.f(b0)
     with np.errstate(invalid="ignore", divide="ignore"):
         Ha = params.reservation(a0)
         Hb = params.reservation(b0)

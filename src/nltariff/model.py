@@ -5,109 +5,112 @@ canonical power form (CRRA utility, power production cost, uniform types) or a
 general tabulated form. All objects are immutable after construction and all
 operations are pure functions, so values can be shared freely across threads.
 """
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidParams, InvalidReservation
 from .numerics import cumtrapz, invert_increasing, trapezoid
 
-DENSITY_MASS_TOL = 1e-8       # mass check after renormalization
 DENSITY_RENORM_TOL = 1e-4     # tabulated density may be off by this much before rejection
 
 
 # ---------------------------------------------------------------------------
-# taste map g
+# tabulated primitives
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class TasteMap:
-    """Type-taste map g with derivative g'.
+class Table:
+    """A primitive sampled on strictly increasing knots ``x``: its ``values``
+    and its ``derivative`` there, each read by linear interpolation and held
+    at the end samples beyond the knots.
 
-    Canonical form: g(x) = x for the industrial branch (gamma in (0,1)),
-    g(x) = 1 - x for the residential branch (gamma < 0). A tabulated form
-    carries explicit samples of g and g' on a strictly increasing x-grid
-    spanning [0, 1].
+    Every tabulated primitive is one: the taste ``g``, the distribution
+    ``F`` (its derivative the density), the outside option ``H`` and the
+    cost ``K``. Construction refuses samples of different lengths, fewer
+    than two knots, a sample that is not finite and knots that do not
+    increase, naming ``field``, the config field they come from; with
+    ``unit_span`` the knots must also run from 0 to 1.
     """
 
-    form: str  # "canonical" | "tabulated"
-    gamma_sign: int = 1
-    x: np.ndarray | None = None
-    values: np.ndarray | None = None
-    derivative: np.ndarray | None = None
+    field: str
+    x: np.ndarray
+    values: np.ndarray
+    derivative: np.ndarray
+    unit_span: InitVar[bool] = False
+
+    def __post_init__(self, unit_span):
+        x, values, derivative = (np.asarray(a, dtype=float) for a in (self.x, self.values, self.derivative))
+        if x.ndim != 1 or x.size < 2 or values.shape != x.shape or derivative.shape != x.shape:
+            raise InvalidParams(self.field, "x, values and derivative need one length of at least two samples")
+        if not all(np.isfinite(a).all() for a in (x, values, derivative)):
+            raise InvalidParams(self.field, "samples must be finite")
+        if not np.all(np.diff(x) > 0):
+            raise InvalidParams(self.field, "x grid must be strictly increasing")
+        if unit_span and (abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12):
+            raise InvalidParams(self.field, "x grid must span [0,1]")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "derivative", derivative)
 
     @staticmethod
-    def tabulated(x, values, derivative):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise InvalidParams("g", "x grid must be strictly increasing")
-        if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-            raise InvalidParams("g", "x grid must span [0,1]")
-        return TasteMap(form="tabulated", x=x, values=np.asarray(values, dtype=float),
-                        derivative=np.asarray(derivative, dtype=float))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.form == "canonical":
-            return x if self.gamma_sign > 0 else 1.0 - x
-        return np.interp(x, self.x, self.values)
-
-    def prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.form == "canonical":
-            return np.ones_like(x) if self.gamma_sign > 0 else -np.ones_like(x)
-        return np.interp(x, self.x, self.derivative)
-
-
-# ---------------------------------------------------------------------------
-# type distribution
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TypeDistribution:
-    """Density f on [0,1] with CDF F; uniform or tabulated."""
-
-    form: str  # "uniform" | "tabulated"
-    x: np.ndarray | None = None
-    density: np.ndarray | None = None
-    _cdf: np.ndarray | None = field(default=None, repr=False)
-
-    @staticmethod
-    def uniform():
-        return TypeDistribution(form="uniform")
-
-    @staticmethod
-    def tabulated(x, density):
-        x = np.asarray(x, dtype=float)
-        density = np.asarray(density, dtype=float)
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
-            raise InvalidParams("f", "x grid must be strictly increasing")
-        if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
-            raise InvalidParams("f", "x grid must span [0,1]")
-        if np.any(density < 0):
+    def from_density(x, density):
+        """The distribution ``F`` of a density sampled on knots spanning
+        [0, 1], named ``f``: the density, renormalized to mass 1 (refused
+        when off by more than ``DENSITY_RENORM_TOL``), is the derivative, and
+        its cumulative trapezoid the values."""
+        table = Table("f", x, density, density, unit_span=True)
+        if np.any(table.derivative < 0):
             raise InvalidParams("f", "density must be nonnegative")
-        mass = trapezoid(density, x)
+        mass = trapezoid(table.derivative, table.x)
         if abs(mass - 1.0) > DENSITY_RENORM_TOL:
             raise InvalidParams(
                 "f", f"density mass {mass:.6g} differs from 1 by more than {DENSITY_RENORM_TOL}"
             )
-        density = density / mass
-        cdf = cumtrapz(density, x)
+        density = table.derivative / mass
+        cdf = cumtrapz(density, table.x)
         cdf[-1] = 1.0
-        return TypeDistribution(form="tabulated", x=x, density=density, _cdf=cdf)
+        return Table("f", table.x, cdf, density)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.form == "uniform":
-            return np.ones_like(x)
-        return np.interp(x, self.x, self.density)
+    def __call__(self, x):
+        return np.interp(x, self.x, self.values)
 
-    def cdf(self, x):
+    def prime(self, x):
+        return np.interp(x, self.x, self.derivative)
+
+
+# ---------------------------------------------------------------------------
+# canonical taste map and type distribution
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class TasteMap:
+    """The canonical type-taste map g with derivative g': g(x) = x on the
+    industrial branch (gamma in (0,1), ``gamma_sign = 1``), g(x) = 1 - x on
+    the residential one (gamma < 0, ``gamma_sign = -1``). A tabulated g is
+    a :class:`Table`."""
+
+    gamma_sign: int = 1
+
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.form == "uniform":
-            return np.clip(x, 0.0, 1.0)
-        return np.interp(x, self.x, self._cdf)
+        return x if self.gamma_sign > 0 else 1.0 - x
+
+    def prime(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.ones_like(x) if self.gamma_sign > 0 else -np.ones_like(x)
+
+
+@dataclass(frozen=True)
+class UniformTypes:
+    """Uniform types on [0,1]: F(x) = x there, with density F' = 1. A
+    tabulated distribution is a :class:`Table`."""
+
+    def __call__(self, x):
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+
+    def prime(self, x):
+        return np.ones_like(np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -133,17 +136,16 @@ class ConstantReservation:
 class ConcaveReservation:
     """Nondecreasing strictly concave outside option H(x) with derivative H'(x).
 
-    ``h`` and ``h_prime`` map an x-array to H and H'. ``from_table`` binds
-    them to the linear interpolation of tabulated samples, which it keeps
-    as ``x``, ``values`` and ``derivative``; H' samples must be strictly
-    decreasing (strict concavity) and nonnegative.
+    ``h`` and ``h_prime`` map an x-array to H and H'. ``from_table`` makes
+    ``h`` a :class:`Table` of at least three knots, named ``reservation``,
+    and ``h_prime`` its derivative. Neither constructor checks the shape:
+    that H' is nonnegative and strictly decreasing is checked when
+    :class:`ModelParams` is built, on a 513-point probe, and the typed
+    solver checks strict concavity again at a table's own knots.
     """
 
     h: object                 # callable x -> H(x)
     h_prime: object           # callable x -> H'(x)
-    x: np.ndarray | None = None
-    values: np.ndarray | None = None
-    derivative: np.ndarray | None = None
 
     kind = "concave"
 
@@ -153,57 +155,16 @@ class ConcaveReservation:
 
     @staticmethod
     def from_table(x, values, derivative):
-        x = np.asarray(x, dtype=float)
-        values = np.asarray(values, dtype=float)
-        derivative = np.asarray(derivative, dtype=float)
-        if x.ndim != 1 or x.size < 3 or np.any(np.diff(x) <= 0):
-            raise InvalidReservation("tabulated H needs a strictly increasing x grid (>= 3 nodes)")
-        return ConcaveReservation(h=partial(np.interp, xp=x, fp=values),
-                                  h_prime=partial(np.interp, xp=x, fp=derivative),
-                                  x=x, values=values, derivative=derivative)
+        table = Table("reservation", x, values, derivative)
+        if table.x.size < 3:
+            raise InvalidReservation("tabulated H needs at least 3 nodes")
+        return ConcaveReservation(h=table, h_prime=table.prime)
 
     def __call__(self, x):
         return np.asarray(self.h(np.asarray(x, dtype=float)), dtype=float)
 
     def prime(self, x):
         return np.asarray(self.h_prime(np.asarray(x, dtype=float)), dtype=float)
-
-
-# ---------------------------------------------------------------------------
-# production cost
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class TabulatedCost:
-    """General convex cost through (c, K, dK/dc) samples.
-
-    Time dependence is not supported in tabulated form; the samples describe
-    a single convex cost curve. Validation requires K increasing and marginal
-    cost strictly increasing (monotone-convex).
-    """
-
-    c: np.ndarray
-    K: np.ndarray
-    Kc: np.ndarray
-
-    @staticmethod
-    def from_samples(c, K, Kc):
-        c = np.asarray(c, dtype=float)
-        K = np.asarray(K, dtype=float)
-        Kc = np.asarray(Kc, dtype=float)
-        if np.any(np.diff(c) <= 0) or c[0] < 0:
-            raise InvalidParams("cost_table", "c samples must be nonnegative and strictly increasing")
-        if np.any(np.diff(K) < 0) or np.any(K < 0):
-            raise InvalidParams("cost_table", "K samples must be nonnegative and nondecreasing")
-        if np.any(np.diff(Kc) <= 0) or np.any(Kc < 0):
-            raise InvalidParams("cost_table", "marginal cost samples must be strictly increasing (convexity)")
-        return TabulatedCost(c=c, K=K, Kc=Kc)
-
-    def cost(self, c):
-        return np.interp(c, self.c, self.K)
-
-    def marginal(self, c):
-        return np.interp(c, self.c, self.Kc)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +181,10 @@ class ModelParams:
     phi        time-preference samples phi(t) > 0 on time_grid
     k          cost-scale samples k(t) > 0 on time_grid
     n          cost exponent (> 1) for K = k(t) c^n / n; None exactly when cost_table is given
-    g          taste map
-    f          type distribution on [0,1]
+    g          taste map: TasteMap or a Table
+    f          type distribution F on [0,1], its derivative the density: UniformTypes or a Table
     reservation  ConstantReservation or ConcaveReservation
+    cost_table   the cost K(c) as a Table of c, K and dK/dc, with no time dependence
     """
 
     gamma: float
@@ -231,10 +193,10 @@ class ModelParams:
     phi: np.ndarray
     k: np.ndarray
     n: float | None
-    g: TasteMap
-    f: TypeDistribution
+    g: TasteMap | Table
+    f: UniformTypes | Table
     reservation: object
-    cost_table: TabulatedCost | None = None
+    cost_table: Table | None = None
 
     def __post_init__(self):
         if not (self.gamma < 1.0) or self.gamma == 0.0:
@@ -263,25 +225,26 @@ class ModelParams:
         object.__setattr__(self, "time_grid", t)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "k", k)
-        self._validate_density()
+        if self.cost_table is not None:
+            self._validate_cost()
         self._validate_g()
         self._validate_reservation()
 
     # -- validation pieces ---------------------------------------------------
-    def _validate_density(self):
-        # integrate on the distribution's own grid, where interpolation is exact
-        xs = self.f.x if self.f.form == "tabulated" else np.linspace(0.0, 1.0, 2001)
-        dens = self.f.pdf(xs)
-        if np.any(dens < 0):
-            raise InvalidParams("f", "density must be nonnegative")
-        mass = trapezoid(dens, xs)
-        if abs(mass - 1.0) > DENSITY_MASS_TOL:
-            raise InvalidParams("f", f"density integrates to {mass:.8g}, not 1")
+    def _validate_cost(self):
+        table = self.cost_table
+        if table.x[0] < 0:
+            raise InvalidParams("cost_table", "c samples must be nonnegative")
+        if np.any(np.diff(table.values) < 0) or np.any(table.values < 0):
+            raise InvalidParams("cost_table", "K samples must be nonnegative and nondecreasing")
+        if np.any(np.diff(table.derivative) <= 0) or np.any(table.derivative < 0):
+            raise InvalidParams("cost_table", "marginal cost samples must be strictly increasing (convexity)")
 
     def _validate_g(self):
         xs = np.linspace(0.0, 1.0, 257)
-        # g' on the probe grid and the steps of g itself, a table's on its own grid
-        steps = np.concatenate([self.g.prime(xs), np.diff(self.g(xs if self.g.x is None else self.g.x))])
+        # g' on the probe grid and the steps of g itself, a table's on its own knots
+        knots = self.g.x if isinstance(self.g, Table) else xs
+        steps = np.concatenate([self.g.prime(xs), np.diff(self.g(knots))])
         if self.gamma > 0 and not np.all(steps > 0):
             raise InvalidParams("g", "g must be increasing when gamma in (0,1)")
         if self.gamma < 0 and not np.all(steps < 0):
@@ -323,7 +286,7 @@ class ModelParams:
     @property
     def is_canonical_uniform_power(self):
         """True when the explicit closed forms apply."""
-        return self.is_power_cost and self.g.form == "canonical" and self.f.form == "uniform"
+        return self.is_power_cost and not isinstance(self.g, Table) and not isinstance(self.f, Table)
 
     def time_integral(self, values_on_grid):
         return float(trapezoid(values_on_grid, self.time_grid))
@@ -344,8 +307,8 @@ def canonical_params(gamma, horizon=1.0, n=2.0, phi=1.0, k=1.0, reservation=None
         phi=phi_arr,
         k=k_arr,
         n=n,
-        g=TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1),
-        f=f if f is not None else TypeDistribution.uniform(),
+        g=TasteMap(gamma_sign=1 if gamma > 0 else -1),
+        f=f if f is not None else UniformTypes(),
         reservation=reservation,
     )
 
@@ -393,7 +356,7 @@ def eval_cost(c_agg, params):
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
         return params.k * c ** params.n / params.n
-    return params.cost_table.cost(c)
+    return params.cost_table(c)
 
 
 def eval_marginal_cost(c_agg, params):
@@ -404,7 +367,7 @@ def eval_marginal_cost(c_agg, params):
         raise DomainError("aggregate consumption must be >= 0")
     if params.is_power_cost:
         return params.k * c ** (params.n - 1.0)
-    return params.cost_table.marginal(c)
+    return params.cost_table.prime(c)
 
 
 def g_K(c, params):
@@ -432,5 +395,5 @@ def g_K_inverse(y, params, root_tol=1e-12):
     c = np.zeros(ys.shape)
     pos = ys > 0.0
     c[pos] = invert_increasing(lambda c: g_K(c, params), ys[pos],
-                               hi0=max(params.cost_table.c[1], 1e-6), xtol=root_tol)
+                               hi0=max(params.cost_table.x[1], 1e-6), xtol=root_tol)
     return float(c) if ys.ndim == 0 else c

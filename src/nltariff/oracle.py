@@ -57,12 +57,12 @@ class OracleResult:
 
 def _screening_weight(params, x_nodes):
     gp = params.g.prime(x_nodes)
-    return (params.g(x_nodes) * params.f.pdf(x_nodes) + gp * (params.f.cdf(x_nodes) - 1.0)) / gp
+    return (params.g(x_nodes) * params.f.prime(x_nodes) + gp * (params.f(x_nodes) - 1.0)) / gp
 
 
 def _coverage_density(params, x_nodes):
     """h f on ``x_nodes``, h = (max(w g', 0) / f)^(1/(1-gamma))."""
-    fx = params.f.pdf(x_nodes)
+    fx = params.f.prime(x_nodes)
     weight = np.maximum(_screening_weight(params, x_nodes) * params.g.prime(x_nodes), 0.0)
     return (weight / fx) ** (1.0 / (1.0 - params.gamma)) * fx
 
@@ -78,7 +78,7 @@ def _dual_aggregates(params, J):
     A = np.zeros(y.shape)
     pos = y > 0.0
     A[pos] = invert_increasing(lambda a: a ** (1.0 - gamma) * eval_marginal_cost(a, params), y[pos],
-                               hi0=max(params.cost_table.c[1], 1e-6), xtol=ROOT_TOL)
+                               hi0=max(params.cost_table.x[1], 1e-6), xtol=ROOT_TOL)
     return A
 
 
@@ -92,7 +92,7 @@ def _dual_bound(params, x0s, J):
         C = (params.phi / kappa) ** (1.0 / (1.0 - gamma)) * J[:, None]
         rows = np.where(A > 0.0, (1.0 - gamma) / gamma * kappa * C, 0.0)
     D = rows + kappa * A - eval_cost(A, params)
-    out = trapezoid(D, params.time_grid) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
+    out = trapezoid(D, params.time_grid) + (params.f(x0s) - 1.0) * params.reservation.H
     return np.where(x0s < 1.0, out, 0.0)
 
 

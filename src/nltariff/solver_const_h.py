@@ -48,12 +48,12 @@ class SolveReport:
 
 def lower_bracket(x, params):
     """g f + g' F, the screening weight on the low-type component."""
-    return params.g(x) * params.f.pdf(x) + params.g.prime(x) * params.f.cdf(x)
+    return params.g(x) * params.f.prime(x) + params.g.prime(x) * params.f(x)
 
 
 def upper_bracket(x, params):
     """g f + g' F - g', the screening weight on the served interval."""
-    return params.g(x) * params.f.pdf(x) + params.g.prime(x) * (params.f.cdf(x) - 1.0)
+    return params.g(x) * params.f.prime(x) + params.g.prime(x) * (params.f(x) - 1.0)
 
 
 def optimal_slopes(phi, bracket, fx, Kc, gprime, gamma):
@@ -69,7 +69,7 @@ def optimal_slopes(phi, bracket, fx, Kc, gprime, gamma):
 def beta_fn(x, params):
     """beta(x) = (g f + g' F - g') / f^gamma, the uniqueness diagnostic."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return upper_bracket(x, params) / params.f.pdf(x) ** params.gamma
+        return upper_bracket(x, params) / params.f.prime(x) ** params.gamma
 
 
 def _ell_integrand(x, params):
@@ -150,7 +150,7 @@ def alpha_objective(x0, params, ell=None):
     x0s = np.atleast_1d(np.asarray(x0, dtype=float))
     A = capacity_A(ell_const(x0s, params) if ell is None else np.atleast_1d(ell), params)
     vals = A * eval_marginal_cost(A, params) / params.gamma - eval_cost(A, params)
-    out = trapezoid(vals, params.time_grid) + (params.f.cdf(x0s) - 1.0) * params.reservation.H
+    out = trapezoid(vals, params.time_grid) + (params.f(x0s) - 1.0) * params.reservation.H
     return float(out[0]) if np.ndim(x0) == 0 else out
 
 
@@ -158,7 +158,7 @@ def _uniqueness_conditions(params):
     """Sufficient conditions under which the threshold is the unique maximizer."""
     xs = np.linspace(1e-9, 1.0 - 1e-9, 513)
     beta = beta_fn(xs, params)
-    fvals = params.f.pdf(xs)
+    fvals = params.f.prime(xs)
     L = beta > 0
     if not np.any(L):
         return False
@@ -350,7 +350,7 @@ def _build_general(config, report):
                         simplified=True, meta={"x0": x0, "route": "general"})
         return tariff, p_star
     Kc = eval_marginal_cost(capacity_A(ell, params), params)
-    slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.pdf(xs),
+    slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.prime(xs),
                             Kc[:, None], params.g.prime(xs), g)
     # integrate from x0 so the binding constraint lands exactly on s(t)
     i0 = int(np.searchsorted(xs, x0))

@@ -21,7 +21,7 @@ from .agent import IndirectUtility
 from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, ell_ab, objective_ab,
                           polynomial_segment, selected_segments, theta_term, time_weight)
 from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
-from .model import eval_marginal_cost
+from .model import Table, eval_marginal_cost
 from .numerics import trapezoid
 from .solver_const_h import capacity_A, lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
 from .tariff import Tariff, TariffSegment
@@ -49,9 +49,9 @@ def validate_assumptions(params):
     if params.reservation.kind != "concave":
         raise InvalidParams("reservation", "typed solver needs a concave reservation utility")
     gamma = params.gamma
-    if getattr(params.reservation, "x", None) is not None:
+    if isinstance(params.reservation.h, Table):
         # tabulated H: probe at its own nodes, where interpolation is exact
-        xs = np.clip(params.reservation.x, 1e-6, 1.0 - 1e-9)
+        xs = np.clip(params.reservation.h.x, 1e-6, 1.0 - 1e-9)
         xs = np.unique(xs)
     else:
         xs = np.linspace(1e-6, 1.0 - 1e-9, 513)
@@ -71,7 +71,7 @@ def validate_assumptions(params):
                                   "g/g' must not exceed H/H'")
 
     # screening weights: v_i / gamma is the optimal slope at phi = K_c = 1
-    f = params.f.pdf(xs)
+    f = params.f.prime(xs)
     flags = {}
     for name, bracket in (("v1", lower_bracket), ("v2", upper_bracket)):
         with np.errstate(divide="ignore"):
@@ -120,8 +120,8 @@ def constraint_check_A2prime(a0, b0, params):
     # ell = 0 at the corner (1, 0) gives inf or nan, as the per-time formula does
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = W * ell_ab(a0, b0, params) ** (-g * (n - 1.0) / (n - g))
-        Xi = scale * optimal_slopes(1.0, upper_bracket(a0, params), params.f.pdf(a0), 1.0, params.g.prime(a0), g)
-        Psi = scale * optimal_slopes(1.0, lower_bracket(b0, params), params.f.pdf(b0), 1.0, params.g.prime(b0), g)
+        Xi = scale * optimal_slopes(1.0, upper_bracket(a0, params), params.f.prime(a0), 1.0, params.g.prime(a0), g)
+        Psi = scale * optimal_slopes(1.0, lower_bracket(b0, params), params.f.prime(b0), 1.0, params.g.prime(b0), g)
 
     Hpa = params.reservation.prime(a0)
     Hpb = params.reservation.prime(b0)
@@ -205,9 +205,9 @@ def solve_a0_b0_star(config):
     # the search and the emission use the closed forms of this setting only
     if not params.is_power_cost:
         raise InvalidParams("cost_table", "a concave reservation needs the power cost (give n, not cost_table)")
-    if params.g.form != "canonical":
+    if isinstance(params.g, Table):
         raise InvalidParams("g", "a concave reservation needs the canonical taste map")
-    if params.f.form != "uniform":
+    if isinstance(params.f, Table):
         raise InvalidParams("f", "a concave reservation needs uniform types")
     if config.force_general_route:
         raise InvalidParams("solver.force_general_route", "a concave reservation has no general route")
@@ -479,7 +479,7 @@ def mu_zero_residual(solution, p_star, params):
     Kc = eval_marginal_cost(capacity_A(ell_ab(a0, b0, params), params), params)[:, None]
     for bracket, xs in segments:
         fd = (p_star.values(xs + h) - p_star.values(xs - h)) / (2.0 * h)
-        formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.pdf(xs), Kc,
+        formula = optimal_slopes(params.phi[:, None], bracket(xs, params), params.f.prime(xs), Kc,
                                  params.g.prime(xs), params.gamma)
         denom = np.maximum(np.abs(formula), 1e-12)
         residuals.append(np.max(np.abs(fd - formula) / denom))

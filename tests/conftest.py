@@ -6,9 +6,9 @@ from nltariff.model import (
     ConstantReservation,
     ModelParams,
     ScenarioConfig,
-    TabulatedCost,
+    Table,
     TasteMap,
-    TypeDistribution,
+    UniformTypes,
     canonical_params,
 )
 
@@ -61,15 +61,15 @@ def varying_profile_params(gamma, tabulated_cost):
     t = np.linspace(0.0, 1.0, 5)
     if tabulated_cost:
         c = np.linspace(0.0, 20.0, 401)
-        cost = {"n": None, "cost_table": TabulatedCost.from_samples(c, c ** 2 / 4.0 + c ** 3 / 30.0,
+        cost = {"n": None, "cost_table": Table("cost_table", c, c ** 2 / 4.0 + c ** 3 / 30.0,
                                                                     c / 2.0 + c ** 2 / 10.0)}
     else:
         cost = {"n": 2.5}
     return ModelParams(
         gamma=gamma, horizon=1.0, time_grid=t,
         phi=np.array([0.7, 1.3, 0.9, 2.1, 1.1]), k=np.array([1.6, 0.6, 1.2, 0.8, 2.4]),
-        g=TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1),
-        f=TypeDistribution.uniform(),
+        g=TasteMap(gamma_sign=1 if gamma > 0 else -1),
+        f=UniformTypes(),
         reservation=ConstantReservation(0.05 if gamma > 0 else -0.05),
         **cost,
     )

@@ -111,7 +111,7 @@ def principal_utility(tariff, params, p_star, c_grid=None, type_nodes=TYPE_NODES
         xs = _component_grid(lo, hi, type_nodes, params.gamma)
         if xs is None:
             continue
-        fvals = params.f.pdf(xs)
+        fvals = params.f.prime(xs)
         if c_grid is None:
             cons = consumption_from_slopes(p_star.slopes(xs), xs, params)
         else:
@@ -149,8 +149,8 @@ def relaxed_objective(p_star, boundary, params, type_nodes=TYPE_NODES_PER_COMPON
             continue
         slopes = np.asarray(p_star.slopes(xs), dtype=float)
         gp = params.g.prime(xs)
-        fvals = params.f.pdf(xs)
-        Fvals = params.f.cdf(xs)
+        fvals = params.f.prime(xs)
+        Fvals = params.f(xs)
         if upper:
             w = (params.g(xs) * fvals + gp * (Fvals - 1.0)) / gp
         else:
@@ -161,12 +161,12 @@ def relaxed_objective(p_star, boundary, params, type_nodes=TYPE_NODES_PER_COMPON
         aggregate += trapezoid(cons * fvals[None, :], xs)
         if upper:
             a0 = lo
-            Fa = float(params.f.cdf(a0))
+            Fa = float(params.f(a0))
             if Fa < 1.0:
                 boundary_term += (Fa - 1.0) * float(res(np.asarray([a0]))[0])
         else:
             b0 = hi
-            Fb = float(params.f.cdf(b0))
+            Fb = float(params.f(b0))
             if Fb > 0.0:
                 boundary_term += -Fb * float(res(np.asarray([b0]))[0])
 

@@ -1,7 +1,8 @@
 """Every module-level import in the package, its tests and its tools is used
 by its module, the package imports at module level only, every top-level
-function and class of the package has a caller in it, and the oracle and
-the test referee stay independent of the closed forms they audit.
+function and class of the package has a caller in it, the oracle and the
+test referee stay independent of the closed forms they audit, and ``model``
+reads tabulated samples (``np.interp``) only inside its ``Table``.
 
 The package's ``__init__.py`` is exempt (its imports are the public
 re-exports), and so is any import line marked ``# noqa`` (a name kept for a
@@ -120,3 +121,33 @@ def test_solver_mention_is_found():
 
 def test_oracle_names_no_solver():
     assert {p.name: solver_mentions(p.read_text()) for p in ORACLES} == {p.name: [] for p in ORACLES}
+
+
+def interp_reads(source, owner="Table"):
+    """(line, top-level definition) of each ``np.interp`` in ``source``,
+    called or passed on, outside the top-level class ``owner``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            continue
+        for ref in ast.walk(node):
+            if isinstance(ref, ast.Attribute) and ref.attr == "interp":
+                found.append((ref.lineno, getattr(node, "name", None)))
+    return found
+
+
+def test_interp_read_is_found():
+    source = ("import numpy as np\n"
+              "class Table:\n"
+              "    def __call__(self, x):\n"
+              "        return np.interp(x, self.x, self.values)\n"
+              "class Cost:\n"
+              "    h = partial(np.interp, xp=[0, 1], fp=[0, 1])\n"
+              "def cost(c):\n"
+              "    return np.interp(c, [0, 1], [0, 1])\n")
+    assert interp_reads(source) == [(6, "Cost"), (8, "cost")]
+
+
+def test_model_reads_every_table_in_table():
+    """g, F, H and K tables are read by one rule, ``Table``'s."""
+    assert interp_reads((ROOT / "src" / "nltariff" / "model.py").read_text()) == []

@@ -9,9 +9,9 @@ from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
     ModelParams,
-    TabulatedCost,
+    Table,
     TasteMap,
-    TypeDistribution,
+    UniformTypes,
     canonical_params,
     eval_cost,
     eval_marginal_cost,
@@ -80,13 +80,13 @@ def test_g_K_inverse_example_residential():
 
 def test_g_K_inverse_tabulated_cost_forward_check():
     cs = np.geomspace(1e-6, 50.0, 4000)
-    table = TabulatedCost.from_samples(cs, cs ** 2 / 2.0, cs)
+    table = Table("cost_table", cs, cs ** 2 / 2.0, cs)
     t = np.linspace(0.0, 1.0, 3)
     p = ModelParams(
         gamma=0.5, horizon=1.0, time_grid=t, phi=np.ones(3), k=np.ones(3),
         n=None, cost_table=table,
-        g=TasteMap(form="canonical", gamma_sign=1),
-        f=TypeDistribution.uniform(),
+        g=TasteMap(gamma_sign=1),
+        f=UniformTypes(),
         reservation=ConstantReservation(0.05),
     )
     for y in [0.03, 0.8, 5.0]:
@@ -114,9 +114,9 @@ def _tabulated_params(gamma, c, Kc):
     t = np.linspace(0.0, 1.0, 3)
     return ModelParams(
         gamma=gamma, horizon=1.0, time_grid=t, phi=np.ones(3), k=np.ones(3),
-        n=None, cost_table=TabulatedCost.from_samples(c, K, Kc),
-        g=TasteMap(form="canonical", gamma_sign=1 if gamma > 0 else -1),
-        f=TypeDistribution.uniform(),
+        n=None, cost_table=Table("cost_table", c, K, Kc),
+        g=TasteMap(gamma_sign=1 if gamma > 0 else -1),
+        f=UniformTypes(),
         reservation=ConstantReservation(0.05 if gamma > 0 else -0.05),
     )
 
@@ -133,7 +133,7 @@ def _scalar_g_K_inverse(y, params, root_tol=1e-12):
     fwd = lambda c: g_K(np.array([c]), params)[0]
     if y == 0.0:
         return 0.0
-    hi = max(params.cost_table.c[1], 1e-6)
+    hi = max(params.cost_table.x[1], 1e-6)
     for _ in range(300):
         if fwd(hi) >= y:
             break
@@ -220,8 +220,8 @@ def test_cost_kernels_follow_time_varying_profiles(gamma, tabulated):
     for i in range(c.shape[1]):
         ci = c[:, i].copy()
         if tabulated:
-            K[:, i] = np.interp(ci, p.cost_table.c, p.cost_table.K)
-            Kc[:, i] = np.interp(ci, p.cost_table.c, p.cost_table.Kc)
+            K[:, i] = np.interp(ci, p.cost_table.x, p.cost_table.values)
+            Kc[:, i] = np.interp(ci, p.cost_table.x, p.cost_table.derivative)
         else:
             K[:, i] = p.k[i] * ci ** p.n / p.n
             Kc[:, i] = p.k[i] * ci ** (p.n - 1.0)
@@ -308,27 +308,47 @@ def test_negative_phi_rejected():
 def test_tabulated_density_renormalized_and_validated():
     x = np.linspace(0.0, 1.0, 101)
     dens = 2.0 * x * 1.00005  # off by 5e-5: tolerated and renormalized
-    dist = TypeDistribution.tabulated(x, dens)
-    mass = np.trapezoid(dist.pdf(x), x)
+    dist = Table.from_density(x, dens)
+    mass = np.trapezoid(dist.prime(x), x)
     assert_allclose(mass, 1.0, atol=1e-12)
     with pytest.raises(InvalidParams):
-        TypeDistribution.tabulated(x, 2.0 * x * 1.01)  # off by 1e-2: rejected
+        Table.from_density(x, 2.0 * x * 1.01)  # off by 1e-2: rejected
 
 
 @pytest.mark.parametrize("x", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.5], [0.1, 0.5, 1.0], [0.0]],
                          ids=["decreasing", "repeated", "short-top", "short-bottom", "one-node"])
 def test_tabulated_taste_map_refuses_a_grid_that_is_not_increasing_over_0_1(x):
     with pytest.raises(InvalidParams) as exc:
-        TasteMap.tabulated(x, np.zeros(len(x)), np.ones(len(x)))
+        Table("g", x, np.zeros(len(x)), np.ones(len(x)), unit_span=True)
     assert exc.value.field == "g"
 
 
 def test_tabulated_taste_map_keeps_its_samples():
     x = np.linspace(0.0, 1.0, 5)
-    g = TasteMap.tabulated(x, x ** 2, 2.0 * x)
-    assert g.form == "tabulated"
+    g = Table("g", x, x ** 2, 2.0 * x, unit_span=True)
+    assert isinstance(g, Table)
     assert_allclose(g(np.array([0.25, 0.6])), [0.0625, 0.375])
     assert_allclose(g.prime(np.array([0.25, 0.6])), [0.5, 1.2])
+
+
+TABLE_BUILDS = {
+    "cost_table": lambda x: Table("cost_table", x, [0.0, 0.1, np.nan, 0.3, 0.4], x),
+    "reservation": lambda x: ConcaveReservation.from_table(x, [0.0, 0.5, 0.7, np.inf, 1.0],
+                                                           [1.0, 0.8, 0.6, 0.4, 0.2]),
+    "f": lambda x: Table.from_density(x, [1.0, 1.0, np.nan, 1.0, 1.0]),
+    "g": lambda x: Table("g", x, x[:4], np.ones_like(x), unit_span=True),
+}
+
+
+@pytest.mark.parametrize("field", list(TABLE_BUILDS))
+def test_table_built_in_python_refuses_bad_samples(field):
+    """A table built through the Python API is checked as a config's is: a
+    NaN cost, an infinite H, a NaN density, and 4 values on 5 knots each
+    raise InvalidParams naming the field, not a NaN result or numpy's
+    error on first use."""
+    with pytest.raises(InvalidParams) as exc:
+        TABLE_BUILDS[field](np.linspace(0.0, 1.0, 5))
+    assert exc.value.field == field
 
 
 def test_concave_reservation_needs_strict_concavity():

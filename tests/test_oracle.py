@@ -15,7 +15,7 @@ from nltariff.cli import load_config
 from nltariff.model import (
     ConstantReservation,
     ScenarioConfig,
-    TabulatedCost,
+    Table,
     canonical_params,
     eval_cost,
     eval_marginal_cost,
@@ -47,13 +47,13 @@ def test_two_type_toy_matches_exhaustive_enumeration():
     for lo, hi in [(x0, 0.8), (0.8, 1.0)]:
         x = np.linspace(lo, hi, 2001)
         weights.append(np.trapezoid(oracle._screening_weight(params, x) * params.g.prime(x), x))
-        masses.append(np.trapezoid(params.f.pdf(x), x))
+        masses.append(np.trapezoid(params.f.prime(x), x))
     c = np.linspace(0.0, 4.0, 401)
     c1, c2 = (pair[..., None] for pair in np.meshgrid(c, c, indexing="ij"))
     flow = (weights[0] * c1 ** params.gamma + weights[1] * c2 ** params.gamma) * params.phi / params.gamma
     aggregate = np.broadcast_to(masses[0] * c1 + masses[1] * c2, flow.shape)
     profit = np.trapezoid(flow - eval_cost(aggregate, params), params.time_grid, axis=-1)
-    best = float(profit.max()) + (float(params.f.cdf(x0)) - 1.0) * params.reservation.H
+    best = float(profit.max()) + (float(params.f(x0)) - 1.0) * params.reservation.H
 
     nodes = np.linspace(x0, 1.0, 20001)
     J = np.array([np.trapezoid(oracle._coverage_density(params, nodes), nodes)])
@@ -77,7 +77,7 @@ def test_unreachable_reservation_yields_empty_contract():
     bounds above 0, and the empty contract wins."""
     c = np.linspace(0.0, 20.0, 401)
     params = replace(canonical_params(0.5, reservation=ConstantReservation(50.0), time_nodes=2), n=None,
-                     cost_table=TabulatedCost.from_samples(c, c + c ** 2 / 2.0, 1.0 + c))
+                     cost_table=Table("cost_table", c, c + c ** 2 / 2.0, 1.0 + c))
     res = oracle_relaxed_maximize_const_h(params, type_grid_size=60, x0_candidates=np.linspace(0.0, 1.0, 11))
     assert res.value == 0.0
     assert res.x0 == 1.0
@@ -270,7 +270,7 @@ def test_slope_search_matches_full_scan(gamma, size):
             assert (grid[best - 1] <= A).all() and (A <= grid[best + 1]).all()
             lowest = scanned.min(axis=1)
             assert (at_root <= lowest + 1e-12 * np.abs(lowest)).all()
-        outside = (params.f.cdf(x0s) - 1.0) * params.reservation.H
+        outside = (params.f(x0s) - 1.0) * params.reservation.H
         np.testing.assert_allclose(oracle._dual_bound(params, x0s, J),
                                    np.trapezoid(at_root, params.time_grid) + outside, rtol=1e-12)
 

@@ -16,8 +16,7 @@ from nltariff.errors import InvalidReservation
 from nltariff.model import (
     ConstantReservation,
     ScenarioConfig,
-    TabulatedCost,
-    TypeDistribution,
+    Table,
     canonical_params,
     g_K_inverse,
 )
@@ -165,7 +164,7 @@ def test_ell_quadrature_matches_riemann_oracle_for_linear_density(monkeypatch):
     # f(x) = 2x: the integrand reduces to ((3x^2-1)^+)^2/(2x); the dense
     # Riemann value equals ln(3)/4 (frozen from a 4e6-node oracle)
     x = np.linspace(0.0, 1.0, 4001)
-    dist = TypeDistribution.tabulated(x, 2.0 * x)
+    dist = Table.from_density(x, 2.0 * x)
     p = canonical_params(0.5, reservation=ConstantReservation(0.05), f=dist)
     monkeypatch.setattr(solver_const_h, "ELL_NODES", 400_001)
     val = ell_const(0.0, p)
@@ -177,10 +176,10 @@ def quadrature_params(gamma, off):
     or uniform types with a tabulated cost."""
     if off == "f":
         x = np.linspace(0.0, 1.0, 257)
-        return canonical_params(gamma, f=TypeDistribution.tabulated(x, 1.0 + 0.2 * (x - 0.5)))
+        return canonical_params(gamma, f=Table.from_density(x, 1.0 + 0.2 * (x - 0.5)))
     c = np.linspace(0.0, 20.0, 401)
     return dataclasses.replace(canonical_params(gamma), n=None,
-                               cost_table=TabulatedCost.from_samples(c, c ** 2 / 2, c))
+                               cost_table=Table("cost_table", c, c ** 2 / 2, c))
 
 
 def dense_ell(x0, params, nodes=200_001):
@@ -250,7 +249,7 @@ def test_capacity_closed_form_benchmark():
     xs = np.linspace(x0, 1.0, 20001)
     slopes = p_star.slopes(xs)[0]
     cons = (p.gamma / (p.phi[0] * p.g.prime(xs)) * slopes) ** (1.0 / p.gamma)
-    A_num = np.trapezoid(cons * p.f.pdf(xs), xs)
+    A_num = np.trapezoid(cons * p.f.prime(xs), xs)
     assert_allclose(A_num, capacity_A(ell_const(x0, p), p)[0], rtol=1e-7)
 
 
@@ -452,7 +451,7 @@ def test_uniqueness_flag_cleared_for_wavy_density():
     solver still returns the grid-refined maximizer but says so."""
     xs = np.linspace(0.0, 1.0, 801)
     dens = 1.0 + 0.3 * np.sin(4.0 * np.pi * xs)
-    dist = TypeDistribution.tabulated(xs, dens)
+    dist = Table.from_density(xs, dens)
     p = canonical_params(0.5, reservation=ConstantReservation(0.05), f=dist, time_nodes=3)
     report = solve_x0_star(ScenarioConfig(params=p))
     assert report.route == "general"
@@ -464,11 +463,11 @@ def test_uniqueness_flag_cleared_for_wavy_density():
 
 
 def test_general_route_with_tabulated_cost_matches_power(bench1_config):
-    from nltariff.model import ModelParams, TabulatedCost, TasteMap, TypeDistribution
+    from nltariff.model import ModelParams, Table
 
     closed = solve_x0_star(bench1_config)
     cs = np.geomspace(1e-8, 20.0, 6000)
-    table = TabulatedCost.from_samples(cs, cs ** 2 / 2.0, cs)
+    table = Table("cost_table", cs, cs ** 2 / 2.0, cs)
     base = bench1_config.params
     tabbed = ModelParams(
         gamma=base.gamma, horizon=base.horizon, time_grid=base.time_grid,

@@ -18,7 +18,7 @@ from nltariff.model import (
     ConcaveReservation,
     ConstantReservation,
     ScenarioConfig,
-    TasteMap,
+    Table,
     canonical_params,
     eval_marginal_cost,
 )
@@ -81,8 +81,7 @@ def test_v_monotonicity_violation_detected():
     # g(x) = x^alpha with alpha < 1-gamma makes v1, v2 non-monotone
     xs = np.linspace(1e-6, 1.0, 2001)
     alpha = 0.2
-    g = TasteMap(form="tabulated", gamma_sign=1, x=xs, values=xs ** alpha,
-                 derivative=alpha * xs ** (alpha - 1.0))
+    g = Table("g", xs, xs ** alpha, alpha * xs ** (alpha - 1.0))
     res = ConcaveReservation.from_callables(
         lambda x: np.sqrt(np.asarray(x, dtype=float)) + 0.3,
         lambda x: np.where(np.asarray(x) > 0, 0.5 / np.sqrt(np.maximum(x, 1e-300)), np.inf),
@@ -101,8 +100,7 @@ def test_elasticity_violation_detected():
     # has H(x)/x nonincreasing), so the violation needs a flatter taste map:
     # g = sqrt(x) gives g/g' = 2x, while H = x^0.6 gives H/H' = x/0.6 < 2x
     xs = np.linspace(1e-6, 1.0, 4001)
-    g = TasteMap(form="tabulated", gamma_sign=1, x=xs, values=np.sqrt(xs),
-                 derivative=0.5 / np.sqrt(xs))
+    g = Table("g", xs, np.sqrt(xs), 0.5 / np.sqrt(xs))
     res = ConcaveReservation.from_callables(
         lambda x: np.maximum(np.asarray(x, dtype=float), 1e-300) ** 0.6,
         lambda x: 0.6 * np.maximum(np.asarray(x, dtype=float), 1e-300) ** (-0.4),
@@ -191,7 +189,7 @@ def row_loop_certificates(a0, b0, params):
         rows = np.empty((t.size, x.size))
         for i in range(t.size):
             with np.errstate(divide="ignore", invalid="ignore"):
-                rows[i] = optimal_slopes(params.phi[i], bracket(x, params), params.f.pdf(x), Kc[:, i],
+                rows[i] = optimal_slopes(params.phi[i], bracket(x, params), params.f.prime(x), Kc[:, i],
                                          params.g.prime(x), params.gamma)
         with np.errstate(invalid="ignore"):
             out.append(trapezoid(rows.T, params.time_grid))

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.cli import load_config
-from nltariff.model import ConstantReservation, ScenarioConfig, TasteMap, canonical_params
+from nltariff.model import ConstantReservation, ScenarioConfig, Table, canonical_params
 from nltariff.solver_const_h import build_tariff_const_h, solve_x0_star
 from nltariff.solver_typed_h import build_tariff_typed_h, solve_a0_b0_star
 from nltariff.tariff import ConjugateSegment, Tariff
@@ -202,7 +202,7 @@ def test_convex_surface_gap_is_rounding():
 def tabulated_taste(gamma, values, derivative):
     """params of make_params with a 257-knot tabulated g."""
     xs = np.linspace(0.0, 1.0, 257)
-    return dataclasses.replace(make_params(gamma), g=TasteMap.tabulated(xs, values(xs), derivative(xs)))
+    return dataclasses.replace(make_params(gamma), g=Table("g", xs, values(xs), derivative(xs), unit_span=True))
 
 
 @pytest.mark.parametrize("form", ["canonical", "tabulated"])
@@ -365,9 +365,8 @@ def test_check_on_one_and_two_node_grids(nodes, g_form):
         params = make_params(gamma)
         if g_form == "tabulated":
             xs, sign = np.linspace(0.0, 1.0, 5), np.sign(gamma)
-            params = dataclasses.replace(params, g=TasteMap(
-                form="tabulated", x=xs, values=(1.0 - sign) / 2 + sign * xs,
-                derivative=np.full_like(xs, sign)))
+            params = dataclasses.replace(params, g=Table(
+                "g", xs, (1.0 - sign) / 2 + sign * xs, np.full_like(xs, sign)))
         x = np.array(nodes)
         p_star = SampledFunctionOfType(x_grid=x, values=0.1 * np.arange(1.0, 4.0)[:, None] + 0.3 * x)
         rep = check_u_convexity(p_star, params)
