@@ -10,9 +10,13 @@ general route (``solver.force_general_route``), ``industrial_sqrt_h`` at
 ``phi = 0.003`` (the typed empty contract) solved plain and with
 ``--oracle``, the ``cost_table``, ``tabulated_g`` and ``tabulated_f``
 variants of ``industrial_constant_h`` (built as the benchmark builds them)
-solved plain and with ``--oracle``, and the requests of the
-``coarse_mix``, ``fine_grid`` and ``oracle_audit`` benchmark workloads for
-each of the given seeds (default 1: 68 requests in all).
+solved plain and with ``--oracle``, the ``cost_table`` variants of both
+constant-H configs with a reservation that leaves the general route's
+contract empty (``industrial_constant_h`` at ``H = 50``,
+``residential_constant_h`` at ``H = -1e-4``) solved plain, and the
+requests of the ``coarse_mix``, ``fine_grid`` and ``oracle_audit``
+benchmark workloads for each of the given seeds (default 1: 70 requests in
+all).
 Requests of a seed other than 1 are named ``workload@seed-...``, so the
 default digest reads as it always has. Each output file gets one line
 ``request/file exit_code n_warnings sha256`` (a request that wrote nothing
@@ -64,6 +68,14 @@ def _requests(root, workloads, seeds, scratch):
         cfg.write_text(json.dumps(doc))
         for variant, flags in (("plain", []), ("oracle", ["--oracle"])):
             reqs.append((f"shipped-industrial_constant_h-{label}-{variant}", ["solve", str(cfg)] + flags))
+    # a reservation out of reach leaves the general route's contract empty
+    for fam, value in (("industrial_constant_h", 50.0), ("residential_constant_h", -1e-4)):
+        doc = json.loads((root / "configs" / f"{fam}.json").read_text())
+        workloads._cost_table(doc)
+        doc["reservation"]["value"] = value
+        cfg = scratch / "configs" / f"{fam}-cost_table-empty.json"
+        cfg.write_text(json.dumps(doc))
+        reqs.append((f"shipped-{fam}-cost_table-empty", ["solve", str(cfg)]))
     for seed in seeds:
         for name in workloads.WORKLOADS:
             label = name if seed == DEFAULT_SEED else f"{name}@{seed}"
