@@ -104,9 +104,11 @@ def _floats(val, field):
 
 
 def _samples(block, field, *keys):
-    """The arrays ``block[key]`` of a tabulated input, as numbers; the
+    """The arrays ``block[key]`` of a tabulated input, as numbers, from a
+    block with no other key but ``form``; the
     :class:`~nltariff.model.Table` they build checks their lengths and
     that they are finite."""
+    _known(block, ("form", *keys), field + ".")
     for key in keys:
         if key not in block:
             raise ConfigError(field, f"tabulated form needs {key!r}")
@@ -127,6 +129,7 @@ def _taste_map(doc, gamma):
     block = _block(doc, "g", {"form": "canonical"})
     form = block.get("form", "canonical")
     if form == "canonical":
+        _known(block, ("form",), "g.")
         return TasteMap(gamma_sign=1 if gamma > 0 else -1)
     if form == "tabulated":
         return Table("g", *_samples(block, "g", "x", "values", "derivative"), unit_span=True)
@@ -137,6 +140,7 @@ def _type_distribution(doc):
     block = _block(doc, "f", {"form": "uniform"})
     form = block.get("form", "uniform")
     if form == "uniform":
+        _known(block, ("form",), "f.")
         return UniformTypes()
     if form == "tabulated":
         return Table.from_density(*_samples(block, "f", "x", "density"))
@@ -147,6 +151,7 @@ def _reservation(doc):
     block = _require(doc, "reservation", dict)
     form = block.get("form")
     if form == "constant":
+        _known(block, ("form", "value"), "reservation.")
         return ConstantReservation(_number(block, "value", field="reservation"))
     if form == "concave":
         return ConcaveReservation.from_table(*_samples(block, "reservation", "x", "values", "derivative"))
@@ -175,6 +180,7 @@ def load_config(path):
     cost_table = None
     if "cost_table" in doc:
         block = _block(doc, "cost_table", {})
+        _known(block, ("c", "K", "marginal"), "cost_table.")
         cost_table = Table("cost_table", *_samples(block, "cost_table", "c", "K", "marginal"))
     params = ModelParams(
         gamma=gamma,
@@ -398,14 +404,12 @@ def _scaled_config(config, param, value):
     return replace(config, params=new_params)
 
 
-def run_sweep(config_path, param, values, out_dir, full_tariff=False):
+def run_sweep(config_path, param, values, out_dir):
     """Re-solve the scenario for each sweep value and emit one CSV row each."""
     values = _floats(values, "values")
     if values.size < 2 or not np.all(np.isfinite(values)):
         raise ConfigError("values", f"a sweep needs at least two finite numbers, got {values.tolist()}")
     base = load_config(config_path)
-    if full_tariff:
-        base = replace(base, simplified_tariff=False)
     rows = []
     for v in sorted(values.tolist()):
         cfg = _scaled_config(base, param, v)
@@ -458,7 +462,6 @@ def build_parser():
     sweep.add_argument("--param", required=True, choices=["H_scale", "k_scale"])
     sweep.add_argument("--values", required=True, help="comma-separated sweep values")
     sweep.add_argument("--out", default="out")
-    sweep.add_argument("--full-tariff", action="store_true")
     return ap
 
 
@@ -469,7 +472,7 @@ def main(argv=None):
             run_scenario(args.config, args.out, run_oracle=args.oracle, full_tariff=args.full_tariff)
         else:
             values = [v for v in args.values.split(",") if v.strip()]
-            run_sweep(args.config, args.param, values, args.out, full_tariff=args.full_tariff)
+            run_sweep(args.config, args.param, values, args.out)
     except (ConfigError, InvalidParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,7 +22,7 @@ from .closed_form import (B_gamma, L_gamma_profile, N_gamma_profile, component_s
 from .errors import InvalidParams, InvalidReservation
 from .model import eval_cost, eval_marginal_cost, g_K_inverse
 from .numerics import bisect, cumtrapz, grid_then_golden_max, tail_integrals, trapezoid
-from .tariff import ConjugateSegment, Tariff, TariffSegment
+from .tariff import ConjugateSegment, Tariff
 
 CHI_BRACKET_EPS = 1e-12
 ALPHA_GRID = 1024
@@ -340,22 +340,15 @@ def _build_general(config, report):
     if x0 not in xs:
         xs = np.sort(np.append(xs, x0))
     if x0 >= 1.0 - 1e-9 or ell <= 0.0:
-        flat = np.repeat(s[:, None], xs.size, axis=1)
-        p_star = IndirectUtility.from_samples(params.time_grid, xs, flat, meta={"x0": x0, "branch": "general"})
-        seg = TariffSegment(
-            c_lo=np.zeros(nt), c_hi=np.full(nt, np.inf),
-            p1=np.zeros(nt), p2=np.zeros(nt), p3=-s, label="selected",
-        )
-        tariff = Tariff(gamma=g, time_grid=params.time_grid, segments=[seg],
-                        simplified=True, meta={"x0": x0, "route": "general"})
-        return tariff, p_star
-    Kc = eval_marginal_cost(capacity_A(ell, params), params)
-    slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.prime(xs),
-                            Kc[:, None], params.g.prime(xs), g)
-    # integrate from x0 so the binding constraint lands exactly on s(t)
-    i0 = int(np.searchsorted(xs, x0))
-    prim = cumtrapz(slopes, xs)
-    values = s[:, None] + prim - prim[:, i0][:, None]
+        values = np.repeat(s[:, None], xs.size, axis=1)
+    else:
+        Kc = eval_marginal_cost(capacity_A(ell, params), params)
+        slopes = optimal_slopes(params.phi[:, None], upper_bracket(xs, params), params.f.prime(xs),
+                                Kc[:, None], params.g.prime(xs), g)
+        # integrate from x0 so the binding constraint lands exactly on s(t)
+        i0 = int(np.searchsorted(xs, x0))
+        prim = cumtrapz(slopes, xs)
+        values = s[:, None] + prim - prim[:, i0][:, None]
     p_star = IndirectUtility.from_samples(params.time_grid, xs, values, meta={"x0": x0, "branch": "general"})
     return sampled_tariff(config, p_star.sample(), {"x0": x0, "route": "general"}), p_star
 

@@ -51,8 +51,8 @@ class ConjugateSegment:
         out = np.empty(c.shape)
         cuts = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), c.size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            i = rows[lo:lo + 1]
-            out[lo:hi] = _u_conjugate(self.phi[i], self.gx, c[None, lo:hi] ** gamma, gamma, self.values[i])[0]
+            i = rows[lo]
+            out[lo:hi] = _u_conjugate(self.phi[i], self.gx, c[lo:hi] ** gamma, gamma, self.values[i])
         return out
 
 
@@ -103,25 +103,19 @@ class Tariff:
     def _fill(self, rows, c):
         """Prices on the time nodes ``rows`` at the consumptions ``c``, shape
         (rows.size, c.size): each segment takes the points in its range that
-        no earlier segment took, on all rows in one masked pass."""
+        no earlier segment took, on all rows in one masked pass. The emitted
+        segments tile [0, inf), so a point that none covers is a fault and
+        stays NaN."""
         if self.gamma < 0 and np.any(c <= 0):
             raise DomainError("consumption must be positive when gamma < 0")
         out = np.full((rows.size, c.size), np.nan)
         free = np.ones(out.shape, dtype=bool)
         for seg in self.segments:
-            self._put(out, free, seg, (c >= seg.c_lo[rows, None] - 1e-15) & (c <= seg.c_hi[rows, None]), rows, c)
-        if free.any():
-            # extend the outermost segments rather than fail on roundoff gaps
-            self._put(out, free, self.segments[0], c < self.segments[0].c_lo[rows, None], rows, c)
-            self._put(out, free, self.segments[-1], True, rows, c)
+            r, k = np.nonzero(free & (c >= seg.c_lo[rows, None] - 1e-15) & (c <= seg.c_hi[rows, None]))
+            if r.size:
+                out[r, k] = seg.price(rows[r], c[k], self.gamma)
+                free[r, k] = False
         return out
-
-    def _put(self, out, free, seg, within, rows, c):
-        """Price the free points ``within`` by ``seg`` and mark them taken."""
-        r, k = np.nonzero(free & within)
-        if r.size:
-            out[r, k] = seg.price(rows[r], c[k], self.gamma)
-            free[r, k] = False
 
     def coefficients_at(self, t_index, label="selected"):
         """(p1, p2, p3) of the polynomial segment with the given label."""

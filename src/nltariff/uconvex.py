@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError, InvalidParams
 
 GAP_TOL = 1e-6   # u-convexity slack on p* - (p*)**, relative to max(1, max|p*|)
-ROW_BLOCK = 32   # time rows per u-conjugate or check pass, measured on 129-node requests
+ROW_BLOCK = 32   # time rows per u-convexity check pass, measured on 129-node requests
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,46 +92,23 @@ def _lower_hull(a, v):
 
 
 def _u_conjugate(phi, gx, cpow, gamma, values):
-    """Exact grid maxima over j of phi[i] * gx[j] * cpow[i, k] / gamma - values[i, j].
+    """Exact grid maxima over j of phi * gx[j] * cpow[k] / gamma - values[j]
+    on one time node: ``phi`` is a scalar, ``values`` has shape (n_x,) and
+    ``cpow`` shape (n_c,); returns the maxima, shape (n_c,).
 
-    ``values`` has shape (n_t, n_x) and ``cpow`` shape (n_t, n_c), one row
-    of consumptions per time node; returns the maxima, shape (n_t, n_c).
-
-    The maximand is linear in gx[j], with slope phi[i] * cpow[i, k] / gamma,
-    so each maximum is the convex conjugate of the points (gx, values[i])
-    at that slope (Lucet 1997). ``gx`` is strictly monotone: the hull of the
-    points is found once per row and each consumption's vertex by
-    ``searchsorted``, O(n_x + n_c) per row. The winner and its two hull
-    neighbours are then evaluated in the dense formula's own operation
-    order, so the maxima equal the dense ones up to rounding in the choice
-    between nearly tied grid points.
-
-    Rows are independent, so they go ROW_BLOCK at a time: the temporaries
-    stay cache-sized at any n_t and the result is bitwise that of one pass.
+    The maximand is linear in gx[j], with slope phi * cpow[k] / gamma, so
+    each maximum is the convex conjugate of the points (gx, values) at that
+    slope (Lucet 1997). ``gx`` is strictly monotone: the hull of the points
+    is found once and each consumption's vertex by ``searchsorted``,
+    O(n_x + n_c). The winner and its two hull neighbours are then evaluated
+    in the dense formula's own operation order, so the maxima equal the
+    dense ones up to rounding in the choice between nearly tied grid points.
     """
-    best = np.empty(cpow.shape)
-    for lo in range(0, values.shape[0], ROW_BLOCK):
-        rows = slice(lo, lo + ROW_BLOCK)
-        best[rows] = _u_conjugate_rows(phi[rows], gx, cpow[rows], gamma, values[rows])
-    return best
-
-
-def _u_conjugate_rows(phi, gx, cpow, gamma, values):
-    """``_u_conjugate`` on one block of rows."""
-    nt = values.shape[0]
-    a_up, v_up = (gx[::-1], values[:, ::-1]) if gx[-1] < gx[0] else (gx, values)
-    rows, cols = np.nonzero(_lower_hull(a_up, v_up))
-    first = np.searchsorted(rows, np.arange(nt + 1))
-    slopes = phi[:, None] * cpow / gamma
-    # edges between the rows' last and next first vertices are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        edge = np.diff(v_up[rows, cols]) / np.diff(a_up[cols])
-    pos = np.empty(slopes.shape, dtype=np.intp)
-    for i in range(nt):
-        pos[i] = np.searchsorted(edge[first[i]:first[i + 1] - 1], slopes[i]) + first[i]
-    cand = (cols[np.maximum(pos - 1, first[:-1, None])], cols[pos],
-            cols[np.minimum(pos + 1, first[1:, None] - 1)])
-    v0, v1, v2 = (phi[:, None] * a_up[c] * cpow / gamma - np.take_along_axis(v_up, c, axis=1) for c in cand)
+    a, v = (gx[::-1], values[::-1]) if gx[-1] < gx[0] else (gx, values)
+    cols = np.flatnonzero(_lower_hull(a, v[None, :])[0])
+    pos = np.searchsorted(np.diff(v[cols]) / np.diff(a[cols]), phi * cpow / gamma)
+    cand = (cols[np.maximum(pos - 1, 0)], cols[pos], cols[np.minimum(pos + 1, cols.size - 1)])
+    v0, v1, v2 = (phi * a[c] * cpow / gamma - v[c] for c in cand)
     return np.maximum(np.maximum(v0, v1), v2)
 
 
@@ -152,7 +129,8 @@ def check_u_convexity(p_star, params):
     type grid is then its lower hull in s with slopes clipped at 0, and no
     consumption grid is needed. Reports the largest gap p* - biconjugate; a
     sample above it by more than GAP_TOL * max(1, max|p*|) is a violation
-    (row, x, excess). Rows go ROW_BLOCK at a time, as in ``_u_conjugate``.
+    (row, x, excess). Rows go ROW_BLOCK at a time, which keeps the
+    temporaries cache-sized at any n_t.
     """
     s = np.sign(params.gamma) * params.g(p_star.x_grid)
     values, j = p_star.values, np.arange(s.size)

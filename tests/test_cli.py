@@ -1,6 +1,5 @@
 """Scenario runner: config validation, report files, sweeps, exit codes."""
 import csv
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -150,72 +149,6 @@ def test_write_table_keeps_the_csv_module_bytes(tmp_path, rows):
                     w.writerow([1, f"{t:.12g}", f"{x:.12g}", f"{a[i, j]:.12g}", f"{b[i, j]:.12g}"])
         _write_grid_table(got, header, "%.12g,%.12g", np.asarray(t_grid), np.asarray(x_grid), a, b)
         assert got.read_bytes() == ref.read_bytes()
-
-
-# sha256 of every CSV that `solve` (plain and --full-tariff) and an H_scale
-# `sweep` write on the shipped configs, computed with the csv-module writers
-PINNED_CSV_SHA256 = {
-    ("industrial_constant_h", "H_scale"): {
-        "sweep.csv": "1a5de05ef3802049a657732f511051dff961284be9025f83c0e1746796e364e6",
-    },
-    ("industrial_constant_h", "full"): {
-        "consumption.csv": "69845cba91418d4e65c33f94ae53bc3972ca67a751dfe8615c5d49398122a377",
-        "indirect_utility.csv": "0e32fcf42ef65bc8bc22563eff230235d47c710969dc85e89602cd9673e13da1",
-        "tariff.csv": "3d23229eb6294738c795908660cf45f60795f330aa5615cf5fa87cd3785c8fa6",
-    },
-    ("industrial_constant_h", "plain"): {
-        "consumption.csv": "69845cba91418d4e65c33f94ae53bc3972ca67a751dfe8615c5d49398122a377",
-        "indirect_utility.csv": "0e32fcf42ef65bc8bc22563eff230235d47c710969dc85e89602cd9673e13da1",
-        "tariff.csv": "01b188de26b04aa0bfc5060880253ab3fa9db486d7ae8f7fce9727cd229b3ec5",
-    },
-    ("industrial_sqrt_h", "H_scale"): {
-        "sweep.csv": "87b1f8524b44a6025b4cab8ff8748afc2ed1395271e8a77719625e06970ab80e",
-    },
-    ("industrial_sqrt_h", "full"): {
-        "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
-        "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
-        "tariff.csv": "f8295dabe0e062c2308c01445c095a0655358195f1e73d1df44325c897566b1b",
-    },
-    ("industrial_sqrt_h", "plain"): {
-        "consumption.csv": "499029c2aa49d5e79f1224c8dcc80739e8db63f40d6c960844e4c772dc1606f5",
-        "indirect_utility.csv": "5d178241b17d0b8f004a514255c2e31d5f0fa338c0f9bc107d264c2a3ea24c68",
-        "tariff.csv": "2888da2151c8a164b1f127d4fd3cf0d285308e415543f75af1bc4774620861f9",
-    },
-    ("residential_constant_h", "full"): {
-        "consumption.csv": "7c63d3618fc88d224c797aa20c061f8cd78b06cb35a95e9201f83b4170b95236",
-        "indirect_utility.csv": "f0c2805dc46a9bca5751d3b957d920b42686d911bff0acdcb752af384dc8e7f1",
-        "tariff.csv": "9e50e04bb80776ee17267871bd9596413db1742959f8bdbd183fea14bef2d242",
-    },
-    ("residential_constant_h", "plain"): {
-        "consumption.csv": "7c63d3618fc88d224c797aa20c061f8cd78b06cb35a95e9201f83b4170b95236",
-        "indirect_utility.csv": "f0c2805dc46a9bca5751d3b957d920b42686d911bff0acdcb752af384dc8e7f1",
-        "tariff.csv": "9e50e04bb80776ee17267871bd9596413db1742959f8bdbd183fea14bef2d242",
-    },
-    ("residential_log_h", "full"): {
-        "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
-        "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
-        "tariff.csv": "d08e804267d73981769b636f042018822264c674b41710ecb8e6abcefb594194",
-    },
-    ("residential_log_h", "plain"): {
-        "consumption.csv": "4b66ea74048e719792c1d77eb702f0ef3f817cef20b9a3d830af33da7781911f",
-        "indirect_utility.csv": "fa90b316a21e6743dcda0f37c0129359deaba39b130fe50abacd9faf2af5068e",
-        "tariff.csv": "232e62a7e39a49644939c4b8f09e0acfc967b6b077a1d0efc591ef512f9f0646",
-    },
-}
-
-
-@pytest.mark.parametrize("family, variant", sorted(PINNED_CSV_SHA256))
-def test_csv_bytes_are_pinned(tmp_path, family, variant):
-    cfg = str(CONFIG_DIR / f"{family}.json")
-    argv = {
-        "plain": ["solve", cfg],
-        "full": ["solve", cfg, "--full-tariff"],
-        "H_scale": ["sweep", cfg, "--param", "H_scale", "--values", "0.5,0.75,1.0,1.25,1.5"],
-    }[variant]
-    out = tmp_path / "o"
-    assert main(argv + ["--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
-    assert digests == PINNED_CSV_SHA256[(family, variant)]
 
 
 def test_malformed_gamma_exits_2(tmp_path, capsys):
@@ -624,6 +557,12 @@ BAD_CONFIGS = [
     ("solver.root_tol", {"solver": {"root_tol": 1e-12}}, "'solver.root_tol'"),
     ("solver.simplified_tariff", {"solver": {"simplified_tariff": False}}, "'solver.simplified_tariff'"),
     ("outputs", {"outputs": {"type_samples": 11}}, "'outputs'"),
+    ("reservation.valu", {"reservation": {"form": "constant", "value": 0.05, "valu": 1.0}}, "'reservation.valu'"),
+    ("reservation.scale", {"reservation": {"form": "constant", "value": 0.05, "scale": 2.0}}, "'reservation.scale'"),
+    ("g.values", {"g": {"form": "canonical", "values": [0.0, 1.0]}}, "'g.values'"),
+    ("f.density", {"f": {"form": "uniform", "density": [1.0, 1.0]}}, "'f.density'"),
+    ("g.density", {"g": dict(TABLE, density=[1.0, 1.0, 1.0])}, "'g.density'"),
+    ("cost_table.form", {"cost_table": dict(COSTS, form="tabulated")}, "'cost_table.form'"),
 ]
 
 

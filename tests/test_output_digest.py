@@ -7,8 +7,7 @@ same commit, from the root of the checkout:
     { python -c 'import numpy; print("# numpy", numpy.__version__)'
       python tools/output_digest.py .; } > tests/output_digest_seed1.txt
 
-Like the byte pins of ``test_cli.py``, the digest holds for the numpy
-version named in its header line.
+The digest holds for the numpy version named in its header line.
 """
 import importlib.util
 import json

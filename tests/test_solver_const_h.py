@@ -523,6 +523,14 @@ def _general_config(tmp_path, family, cost_table):
     return load_config(path)
 
 
+def _best_values(tariff, xs, params):
+    """The value each type in ``xs`` achieves by best-responding to
+    ``tariff`` on consumptions up to 1e4, shape (n_t, xs.size)."""
+    cg = np.union1d(np.linspace(1e-6, 20.0, 2001), np.geomspace(1e-6, 1e4, 1001))
+    return np.vstack([best_responses(tariff, i, xs, cg, params, refine=True)[1]
+                      for i in range(params.time_grid.size)])
+
+
 @pytest.mark.parametrize("family, cost_table", [("industrial_constant_h", False), ("residential_constant_h", False),
                                                 ("residential_constant_h", True)],
                          ids=["industrial-forced", "residential-forced", "residential-cost_table"])
@@ -539,9 +547,7 @@ def test_general_route_types_gain_nothing_by_deviating(family, cost_table, tmp_p
     assert report.route == "general"
     tariff, p_star = build_tariff_const_h(config, report)
     xs = np.linspace(0.0, 1.0, 801)
-    cg = np.union1d(np.linspace(1e-6, 20.0, 2001), np.geomspace(1e-6, 1e4, 1001))
-    achieved = np.vstack([best_responses(tariff, i, xs, cg, params, refine=True)[1]
-                          for i in range(params.time_grid.size)])
+    achieved = _best_values(tariff, xs, params)
     part = participation_set(p_star, params)
     served = part.contains(xs)
     p = p_star.values(xs)
@@ -551,3 +557,20 @@ def test_general_route_types_gain_nothing_by_deviating(family, cost_table, tmp_p
     far = ~served & (np.min(np.abs(xs[:, None] - ends[None, :]), axis=1) > 1e-8)
     assert far.any()
     assert np.all(np.trapezoid(achieved[:, far], params.time_grid, axis=0) <= params.reservation(xs[far]))
+
+
+def test_general_route_empty_contract_types_gain_nothing_by_deviating(tmp_path):
+    """H = 50 on the tabulated industrial cost leaves the contract empty:
+    x0 = 1 and p* = H/T, at which every type ties, so none is excluded.
+    Best responses to the tariff on consumptions up to 1e4 beat p* by at
+    most 1e-12 max(1, |p*|); a flat price -H/T would let the top type gain
+    2 sqrt(c), 200 at c = 1e4."""
+    config = _general_config(tmp_path, "industrial_constant_h", True)
+    config = dataclasses.replace(config, params=dataclasses.replace(
+        config.params, reservation=ConstantReservation(50.0)))
+    report = solve_x0_star(config)
+    assert report.route == "general" and report.boundary["x0"] == 1.0
+    tariff, p_star = build_tariff_const_h(config, report)
+    xs = np.linspace(0.0, 1.0, 801)
+    p = p_star.values(xs)
+    assert (_best_values(tariff, xs, config.params) - p).max() <= 1e-12 * max(1.0, np.abs(p).max())

@@ -13,9 +13,8 @@ from tests.test_solver_typed_h import emit_case
 
 
 def row_price(tariff, i, c):
-    """One time node's prices, each segment's formula written out: first
-    segment whose range holds c, else the first segment below and the last
-    above."""
+    """One time node's prices, each segment's formula written out: the first
+    segment whose range holds c, else NaN."""
     def formula(seg, cm):
         if isinstance(seg, ConjugateSegment):
             dense = seg.phi[i] * seg.gx[:, None] * cm[None, :] ** tariff.gamma / tariff.gamma
@@ -29,10 +28,6 @@ def row_price(tariff, i, c):
         mask = ~filled & (c >= seg.c_lo[i] - 1e-15) & (c <= seg.c_hi[i])
         out[mask] = formula(seg, c[mask])
         filled |= mask
-    below = ~filled & (c < tariff.segments[0].c_lo[i])
-    out[below] = formula(tariff.segments[0], c[below])
-    above = ~filled & ~below
-    out[above] = formula(tariff.segments[-1], c[above])
     return out
 
 
@@ -106,8 +101,8 @@ def test_residential_sampled_tariff_is_finite_above_zero_and_refuses_zero(bench2
 def mixed_tariff():
     """Four rows, each with its own breakpoints: a polynomial piece with
     p1 = 0 on rows 0 and 2 only, a conjugate segment of nine types and a top
-    polynomial piece; below the first piece and above the last the outer
-    pieces extend."""
+    polynomial piece, which leave the consumptions below the first piece and
+    above the last uncovered."""
     nt = 4
     cuts = np.array([[0.5, 2.0, 4.0, 8.0], [0.3, 1.5, 3.5, 6.0], [0.7, 2.5, 4.5, 9.0], [0.4, 2.0, 4.0, 8.0]])
     low = TariffSegment(c_lo=cuts[:, 0], c_hi=cuts[:, 1], p1=np.array([0.0, 0.8, 0.0, -0.3]),
@@ -121,10 +116,20 @@ def mixed_tariff():
 
 
 def test_sample_matches_rows_across_p1_zero_rows_and_outside_every_segment():
+    """Where every row is covered, from 0.7 to 6, prices match the row loop
+    bit for bit. Outside a row's segments its prices are NaN, and ``sample``
+    refuses them."""
     tariff = mixed_tariff()
     c = consumption_grid(tariff)
     assert c.min() < 0.3 and c.max() > 9.0
-    assert_sample_matches_rows(tariff, c)
+    assert_sample_matches_rows(tariff, c[(c >= 0.7) & (c <= 6.0)])
+    for i in range(tariff.time_grid.size):
+        price = tariff.price(i, c)
+        assert price.tobytes() == row_price(tariff, i, c).tobytes()
+        outside = (c < tariff.segments[0].c_lo[i] - 1e-15) | (c > tariff.segments[-1].c_hi[i])
+        assert outside.any() and np.all(np.isnan(price[outside])) and np.all(np.isfinite(price[~outside]))
+    with pytest.raises(DomainError, match="finite"):
+        tariff.sample(c)
 
 
 def test_negative_consumption_is_refused_when_gamma_negative(bench2_solution):
@@ -145,6 +150,6 @@ def test_sample_refuses_an_unordered_grid_and_prices_that_are_not_finite():
             tariff.sample(c)
     top = dataclasses.replace(tariff.segments[-1], p3=np.array([0.2, np.inf, 0.2, 0.2]))
     tariff = dataclasses.replace(tariff, segments=[*tariff.segments[:-1], top])
-    assert np.all(np.isfinite(tariff.sample([0.1, 1.0])))
+    assert np.all(np.isfinite(tariff.sample([0.8, 1.0])))
     with pytest.raises(DomainError, match="finite"):
-        tariff.sample([0.1, 1.0, 5.0])
+        tariff.sample([0.8, 1.0, 5.0])

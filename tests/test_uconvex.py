@@ -19,7 +19,6 @@ from nltariff.uconvex import (
     ROW_BLOCK,
     SampledFunctionOfType,
     _u_conjugate,
-    _u_conjugate_rows,
     _utility_surface,
     check_u_convexity,
 )
@@ -40,9 +39,9 @@ def utility_surface(params, x, c):
 
 def u_conjugate(params, x, values, c):
     """The u-conjugate of ``values`` on the type grid ``x`` at the
-    consumptions ``c`` on every time node."""
-    nt = params.time_grid.size
-    return _u_conjugate(params.phi, params.g(x), np.tile(c ** params.gamma, (nt, 1)), params.gamma, values)
+    consumptions ``c``, one time node at a time, shape (n_t, n_c)."""
+    gx, gamma = params.g(x), params.gamma
+    return np.array([_u_conjugate(phi, gx, c ** gamma, gamma, row) for phi, row in zip(params.phi, values)])
 
 
 def conjugate_tariff(params, x, values):
@@ -449,12 +448,12 @@ def test_lower_hull_temporaries_stay_linear():
     assert peak <= 16 * 8 * v.size
 
 
-# -- the hull conjugate's row layout against the dense surface -------------------
+# -- the hull conjugate on edge rows against the dense surface --------------------
 
 def test_hull_conjugate_row_layout_matches_dense():
-    """Rows with different hull sizes share one call: a two-vertex row, an
-    all-vertex row and a tied row, on type grids down to one point, both
-    branches (gamma < 0 flips the decreasing g and c^gamma)."""
+    """Rows of every hull size: a two-vertex row, an all-vertex row and a
+    tied row, on type grids down to one point, both branches (gamma < 0
+    flips the decreasing g and c^gamma)."""
     for gamma in (0.5, -1.0):
         params, x, c = kernel_grids(gamma)
         gx = params.g(x)
@@ -467,38 +466,20 @@ def test_hull_conjugate_row_layout_matches_dense():
 
 @pytest.mark.parametrize("gamma", [0.5, -1.0])
 def test_hull_conjugate_matches_dense_per_row_consumption_grid(gamma):
-    """One consumption grid per time row, cpow of shape (n_t, 65): each row's
-    maxima are the dense ones bit for bit."""
+    """A consumption grid of its own for each time row, as a tariff's
+    segments hand the kernel: each row's maxima are the dense ones bit for
+    bit."""
     params, x, _ = kernel_grids(gamma)
     rng = np.random.default_rng(5)
     c = np.sort(rng.uniform(0.01, 4.0, size=(3, 65)), axis=1)
     values = np.array([np.round(np.sin(6.0 * x), 1), x ** 2, rng.normal(size=x.size)])
-    got = _u_conjugate(params.phi, params.g(x), c ** gamma, gamma, values)
     for i in range(3):
+        got = _u_conjugate(params.phi[i], params.g(x), c[i] ** gamma, gamma, values[i])
         dense = _utility_surface(params, x, c[i])[i] - values[i][:, None]
-        np.testing.assert_array_equal(got[i], np.max(dense, axis=0))
+        np.testing.assert_array_equal(got, np.max(dense, axis=0))
 
 
-# -- the hull conjugate in row blocks ---------------------------------------------
-
-@pytest.mark.parametrize("gamma", [0.5, -1.0])
-@pytest.mark.parametrize("nt", [1, ROW_BLOCK, ROW_BLOCK + 1, 129])
-def test_row_blocks_match_one_pass_over_all_rows(nt, gamma):
-    """Maxima bit for bit, on one consumption grid tiled over the rows and on
-    per-row (n_t, 65) consumptions; rounded random walks give ties and
-    concave pockets."""
-    params, x, c = kernel_grids(gamma)
-    rng = np.random.default_rng(nt)
-    phi = rng.uniform(0.5, 1.5, nt)
-    gx = params.g(x)
-    knots = np.sort(rng.uniform(0.01, 4.0, size=(nt, 65)), axis=1) ** gamma
-    values = np.round(rng.normal(size=(nt, x.size)).cumsum(axis=1), 1)
-    for q in (np.tile(c ** gamma, (nt, 1)), knots):
-        got = _u_conjugate(phi, gx, q, gamma, values)
-        ref = _u_conjugate_rows(phi, gx, q, gamma, values)
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert got.tobytes() == ref.tobytes()
-
+# -- the u-convexity check in row blocks ------------------------------------------
 
 def test_check_holds_one_block_of_conjugate_temporaries():
     """At 513 time nodes the check holds no full (n_t, n_x) array, only the
