@@ -19,7 +19,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    InfeasibleSet,
     InvalidParams,
     InvalidReservation,
 )

@@ -59,11 +59,11 @@ def theta_term(a0, b0, params):
     return low + up
 
 
-def objective_ab(a0, b0, params):
-    """Reduced relaxed objective over boundary pairs (vectorized)."""
+def objective_ab(a0, b0, params, B=None):
+    """Reduced relaxed objective over boundary pairs (vectorized); B, if given, is B_gamma(params)."""
     g, n = params.gamma, params.n
     ell = np.asarray(ell_ab(a0, b0, params), dtype=float)
-    core = B_gamma(params) * ell ** (n * (1.0 - g) / (n - g))
+    core = (B_gamma(params) if B is None else B) * ell ** (n * (1.0 - g) / (n - g))
     return core + theta_term(a0, b0, params)
 
 
@@ -86,8 +86,8 @@ def N_gamma_profile(params, a0, b0):
 
 def L_gamma_profile(params, N):
     """Consumption scale L(t) = (gamma N / ((1-gamma) phi))^(1/gamma)."""
-    g = params.gamma
-    return (g * N / ((1.0 - g) * params.phi)) ** (1.0 / g)
+    with np.errstate(divide="ignore"):  # the residential empty contract, N = 0, gets an unused infinite scale
+        return (params.gamma * N / ((1.0 - params.gamma) * params.phi)) ** (1.0 / params.gamma)
 
 
 # ---------------------------------------------------------------------------

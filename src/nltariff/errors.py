@@ -41,10 +41,6 @@ class AssumptionViolation(NLTariffError):
         super().__init__(f"assumption '{name}' violated{detail}. {message}".rstrip())
 
 
-class InfeasibleSet(NLTariffError):
-    """No boundary pair satisfies the slope constraints."""
-
-
 class ConfigError(NLTariffError):
     """A scenario configuration file failed validation."""
 

@@ -1,26 +1,28 @@
 """Solver for strictly concave type-dependent reservation utilities.
 
 Participation splits into at most a low-type and a high-type component. The
-boundary pair is found by an exhaustive feasibility-filtered grid scan with
-local zoom refinement, after which the indirect utility has explicit lower
-and upper pieces joined by a bridge over the excluded middle interval. The
-objective, the scales and the polynomial segments of the two pieces are the
-closed forms of ``closed_form``, which also serve the constant reservation
-as their one-component case. The bridge is the time-uniform chord of the
-reservation over the middle, one row per unit time. Its checks (endpoint
-levels, strictly below H inside, nondecreasing, convexly glued to the
-pieces) are validated numerically, and reported whether or not they pass.
-A valid bridge prices the band between the components by the planes of
-its two end types; otherwise the tariff is sampled.
+boundary pair is found by a one-dimensional search on the edges b0 = 0 and
+a0 = 1 of the feasible pair set, where every optimum seen lies, with a coarse
+mesh of the interior as a structure check. The indirect utility then has
+explicit lower and upper pieces joined by a bridge over the excluded middle
+interval. The objective, the scales and the polynomial segments of the two
+pieces are the closed forms of ``closed_form``, which also serve the
+constant reservation as their one-component case. The bridge is the
+time-uniform chord of the reservation over the middle, one row per unit
+time. Its checks (endpoint levels, strictly below H inside, nondecreasing,
+convexly glued to the pieces) are validated numerically, and reported
+whether or not they pass. A valid bridge prices the band between the
+components by the planes of its two end types; otherwise the tariff is
+sampled.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .agent import IndirectUtility
-from .closed_form import (L_gamma_profile, N_gamma_profile, component_shapes, ell_ab, objective_ab,
+from .closed_form import (B_gamma, L_gamma_profile, N_gamma_profile, component_shapes, ell_ab, objective_ab,
                           polynomial_segment, selected_segments, theta_term, time_weight)
-from .errors import AssumptionViolation, InfeasibleSet, InvalidParams
+from .errors import AssumptionViolation, InvalidParams
 from .model import Table, eval_marginal_cost
 from .numerics import trapezoid
 from .solver_const_h import capacity_A, lower_bracket, optimal_slopes, sampled_tariff, upper_bracket
@@ -28,8 +30,12 @@ from .tariff import Tariff, TariffSegment
 # perfbench/tracing.py looks up _utility_surface in this module by name
 from .uconvex import _utility_surface  # noqa: F401
 
-GRID_SIZE = 256
-ZOOM_ROUNDS = 7
+EDGE_POINTS = 257
+EDGE_STEP = 1e-12
+# second differences over 1e-6 (5e-12 at curvature 5) are 1e4 times rounding
+POLISH_STEP = 1e-6
+# a pair gaining no more than this over the empty contract serves a sliver of types
+CORNER_TOL = 1e-10
 MESH_ROWS = 128
 DEGENERATE_TOL = 1e-12
 
@@ -99,7 +105,7 @@ def validate_assumptions(params):
 # boundary certificates
 # ---------------------------------------------------------------------------
 
-def constraint_check_A2prime(a0, b0, params):
+def constraint_check_A2prime(a0, b0, params, W=None):
     """Boundary slope certificates and membership in the feasible pair set.
 
     Xi is the aggregate marginal indirect utility entering the high component
@@ -116,7 +122,7 @@ def constraint_check_A2prime(a0, b0, params):
     scalar = a0.ndim == 0
     a0, b0 = np.atleast_1d(a0), np.atleast_1d(b0)
     g, n = params.gamma, params.n
-    W = params.time_integral(time_weight(params))
+    W = params.time_integral(time_weight(params)) if W is None else W
     # ell = 0 at the corner (1, 0) gives inf or nan, as the per-time formula does
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = W * ell_ab(a0, b0, params) ** (-g * (n - 1.0) / (n - g))
@@ -175,27 +181,52 @@ def _evaluate_mesh(a_lin, b_lin, params):
     return obj
 
 
-def _best_with_ties(a_lin, b_lin, obj, tol=1e-12):
-    """(a0, b0, best) of the grid objective ``obj``: the pair within tol of
-    the best, preferring a degenerate corner (a0 = 1 or b0 = 0), then
-    smaller a0, then larger b0: a pair a hair inside a tied corner would
-    serve a spurious sliver of types."""
-    best = np.max(obj)
-    i, j = np.nonzero(obj >= best - tol)
-    a, b = a_lin[i], b_lin[j]
-    corner = (a == 1.0) | (b == 0.0)
-    if np.any(corner):
-        a, b = a[corner], b[corner]
-    k = np.lexsort((-b, a))[0]
-    return float(a[k]), float(b[k]), best
+def _edge_search(params, W, B):
+    """(x, best) of the edges (x, 0), row 0, and (1, x), row 1, scored in one
+    call a round with the per-solve constants W and B: a line of EDGE_POINTS
+    on each, then as many points over one step either side of each edge's
+    best, 128 times finer each round, until the step is below EDGE_STEP; a
+    best moves only to a larger objective. Within about 1e-8 of a smooth
+    optimum the objective is flat to rounding, so each best then moves to the
+    vertex of the parabola through it and the points POLISH_STEP either side,
+    unless the objective there is lower by more than its rounding."""
+    def score(x):
+        a0, b0 = np.concatenate([x[0], np.ones(x.shape[1])]), np.concatenate([np.zeros(x.shape[1]), x[1]])
+        vals = np.full(a0.shape, -np.inf)
+        ok = constraint_check_A2prime(a0, b0, params, W)["feasible"]
+        vals[ok] = objective_ab(a0[ok], b0[ok], params, B)
+        return vals.reshape(2, -1)
+
+    t = np.linspace(-1.0, 1.0, EDGE_POINTS)
+    x, step = np.tile(np.linspace(0.0, 1.0, EDGE_POINTS), (2, 1)), 1.0 / (EDGE_POINTS - 1)
+    x_best, best = np.array([1.0, 0.0]), np.full(2, -np.inf)
+    while True:
+        vals = score(x)
+        k = np.argmax(vals, axis=1)
+        up = vals[(0, 1), k] > best
+        x_best[up], best[up] = x[up, k[up]], vals[up, k[up]]
+        if step < EDGE_STEP:
+            break
+        x, step = np.clip(x_best[:, None] + step * t, 0.0, 1.0), step * 2.0 / (EDGE_POINTS - 1)
+    v = score(np.clip(x_best[:, None] + POLISH_STEP * np.array([-1.0, 0.0, 1.0]), 0.0, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 0.5 * POLISH_STEP * (v[:, 0] - v[:, 2]) / (v[:, 0] - 2.0 * v[:, 1] + v[:, 2])
+    x_v = np.clip(x_best + np.clip(np.nan_to_num(shift), -POLISH_STEP, POLISH_STEP), 0.0, 1.0)
+    v_v = score(x_v[:, None])[:, 0]
+    keep = v_v >= best - 4e-16 * np.maximum(1.0, np.abs(best))
+    return np.where(keep, x_v, x_best), np.where(keep, v_v, best)
 
 
 def solve_a0_b0_star(config):
     """Search the feasible boundary set for the optimal participation pair.
 
-    Exhaustive scan of the 256 x 256 grid, scored by ``_evaluate_mesh`` in
-    row blocks on {b0 <= a0} filtered by the slope constraints, then seven
-    33 x 33 zooms. The solution records the objective at the returned pair,
+    ``_edge_search`` finds the best pair on each edge, b0 = 0 and a0 = 1, and
+    the better edge is kept, unless it beats the corner (1, 0), the empty
+    contract at objective 0, by at most CORNER_TOL. A 64 x 64
+    ``_evaluate_mesh`` checks the structure: a pair off both edges that beats
+    the best edge by more than 1e-12 relative is refined in two dimensions
+    (33 x 33 windows over one step either side, 16 times finer each round),
+    with a warning. The solution records the objective at the returned pair,
     the feasibility certificates, the reservation levels at the pair, the
     bridge over the excluded middle and whether the convex-glue condition
     b0* <= a0* - 1/2 holds (when it fails the relaxed solution is returned
@@ -213,25 +244,23 @@ def solve_a0_b0_star(config):
         raise InvalidParams("solver.force_general_route", "a concave reservation has no general route")
     flags = validate_assumptions(params)
 
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    x_best, best = _edge_search(params, params.time_integral(time_weight(params)), B_gamma(params))
+    e = int(np.argmax(best))
+    a_star, b_star = ((float(x_best[0]), 0.0), (1.0, float(x_best[1])))[e] if best[e] > CORNER_TOL else (1.0, 0.0)
+    warnings = []
+    grid = np.linspace(0.0, 1.0, 64)
     obj = _evaluate_mesh(grid, grid, params)
-    if not np.any(np.isfinite(obj)):
-        raise InfeasibleSet("no feasible boundary pair on the scan grid")
-    a_star, b_star, best = _best_with_ties(grid, grid, obj)
-
-    span = 2.0 / (GRID_SIZE - 1)
-    for _ in range(ZOOM_ROUNDS):
-        a_z = np.linspace(max(a_star - span, 0.0), min(a_star + span, 1.0), 33)
-        b_z = np.linspace(max(b_star - span, 0.0), min(b_star + span, 1.0), 33)
-        obj_z = _evaluate_mesh(a_z, b_z, params)
-        if np.any(np.isfinite(obj_z)):
-            a_new, b_new, best_z = _best_with_ties(a_z, b_z, obj_z)
-            if best_z >= best - 1e-15:
-                a_star, b_star, best = a_new, b_new, max(best, best_z)
-        span /= 8.0
+    obj[-1, :] = obj[:, 0] = -np.inf  # the edges a0 = 1 and b0 = 0
+    i, j = np.unravel_index(np.argmax(obj), obj.shape)
+    if obj[i, j] > best[e] + 1e-12 * max(1.0, abs(best[e])):
+        a_star, b_star, step, t = grid[i], grid[j], grid[1], np.linspace(-1.0, 1.0, 33)
+        while step >= EDGE_STEP:  # the window holds its centre, so the objective never falls
+            a_z, b_z = np.clip(a_star + step * t, 0.0, 1.0), np.clip(b_star + step * t, 0.0, 1.0)
+            i, j = np.unravel_index(np.argmax(_evaluate_mesh(a_z, b_z, params)), (33, 33))
+            a_star, b_star, step = float(a_z[i]), float(b_z[j]), step / 16.0
+        warnings.append("an interior pair beats both edges on the 64 x 64 mesh: refined in two dimensions")
 
     chk = constraint_check_A2prime(a_star, b_star, params)
-    theta = float(theta_term(a_star, b_star, params))
     N = N_gamma_profile(params, a_star, b_star)
     levels = _levels(params.reservation, a_star, b_star)
     sol = TypedHSolution(
@@ -240,13 +269,14 @@ def solve_a0_b0_star(config):
         objective=float(objective_ab(a_star, b_star, params)),
         Xi=chk["Xi"],
         Psi=chk["Psi"],
-        theta=theta,
+        theta=float(theta_term(a_star, b_star, params)),
         feasible=bool(chk["feasible"]),
         assumption_flags=dict(flags),
         N_gamma=N,
         L_gamma=L_gamma_profile(params, N),
         levels=levels,
         bridge=build_bridge(params, a_star, b_star, N, levels),
+        warnings=warnings,
     )
     glue_ok = b_star <= a_star - 0.5 + 1e-9
     sol.assumption_flags["b0_le_a0_minus_half"] = bool(glue_ok)

@@ -268,9 +268,8 @@ def test_typed_sweep_emits_boundary_columns(tmp_path):
 
 
 def test_typed_solve_returns_the_upper_corner_it_ties_with(tmp_path):
-    """At a high cost level the zoom meets pairs a hair below a0 = 1 whose
-    objective ties with the corner's; the corner wins, so no sliver of types
-    next to x = 1 is served."""
+    """At a high cost level pairs a hair below a0 = 1 tie with the edge
+    a0 = 1; the edge wins, so no sliver of types next to x = 1 is served."""
     doc = json.loads((CONFIG_DIR / "residential_log_h.json").read_text())
     doc["k"] = 2.0
     report = run_scenario(write_config(tmp_path, doc), tmp_path / "o")
@@ -442,17 +441,17 @@ PINNED_REPORTS = {
         "[{'x0': 0.5739204499845432}, 0.5487489610019279, 2.7755575615628914e-17, None, "
         "[[0.8, 0.2517125008437637, -0.03610673263797202, 0.0, None]]]",
     ("industrial_sqrt_h", "shipped"):
-        "[{'a0': 0.8163768095128676, 'b0': 0.0}, 0.20797584969537328, 9.747226960862675e-10, "
-        "{'Psi': 0.0, 'Xi': 2.5347829169404843, 'theta': -0.16590996034063557}, "
-        "[[0.0, 0.0, 1.9035348961124924e-06, 0.0, 0.306231865982801], "
-        "[1.6327536190257352, 0.0, -0.9035348961124925, 0.306231865982801, 1.6062811090033275], "
-        "[1.0, 0.24962832706379331, -0.5025616300778172, 1.6062811090033275, None]]]",
+        "[{'a0': 0.8163774383207211, 'b0': 0.0}, 0.20797584969632682, 9.505129122047765e-10, "
+        "{'Psi': 0.0, 'Xi': 2.5347896642686987, 'theta': -0.16590945606823232}, "
+        "[[0.0, 0.0, 1.903535243986058e-06, 0.0, 0.3062316300444656], "
+        "[1.6327548766414421, 0.0, -0.9035352439860582, 0.3062316300444656, 1.6062896605208554], "
+        "[1.0, 0.24962815872298247, -0.5025601136544724, 1.6062896605208554, None]]]",
     ("industrial_sqrt_h", "varying"):
-        "[{'a0': 0.7788561054304534, 'b0': 0.0}, 0.3079762646143946, 1.0252501725253112e-09, "
-        "{'Psi': 0.0, 'Xi': 2.7160221034294723, 'theta': -0.19516565786202772}, "
-        "[[0.0, 0.0, 1.8825279044755668e-06, 0.0, 0.5015385527759846], "
-        "[1.2461697686887254, 0.0, -0.8825279044755671, 0.5015385527759846, 0.8899290916430895], "
-        "[0.8, 0.23647892506537982, -0.6720784294993993, 0.8899290916430895, None]]]",
+        "[{'a0': 0.7788566692100408, 'b0': 0.0}, 0.3079762646151686, 1.2314841853727676e-09, "
+        "{'Psi': 0.0, 'Xi': 2.7160287470606317, 'theta': -0.1951652308652846}, "
+        "[[0.0, 0.0, 1.8825282235196663e-06, 0.0, 0.5015381893166584], "
+        "[1.2461706707360654, 0.0, -0.8825282235196664, 0.5015381893166584, 0.8899334453395238], "
+        "[0.8, 0.23647882472036313, -0.6720778082864323, 0.8899334453395238, None]]]",
     ("residential_constant_h", "shipped"):
         "[{'x0': 0.9639437607423148}, 0.0018028119628842598, 0.0, None, "
         "[[0.0, 0.017334031858765864, 0.05000000000000002, 0.0, None]]]",
@@ -463,17 +462,17 @@ PINNED_REPORTS = {
         "[{'x0': 0.9647940445795213}, 0.0017602977878099163, 9.535774947487907e-10, None, "
         "[[None, None, None, 0.0, None]]]",
     ("residential_log_h", "shipped"):
-        "[{'a0': 1.0, 'b0': 0.15551590265012255}, 0.17756414699078107, 2.1440285188872623e-09, "
-        "{'Psi': 0.6295804560913474, 'Xi': None, 'theta': 0.2894292322578437}, "
-        "[[0.0, 0.0, 2.8610909068582657e-06, 0.0, 0.45375827295004345], "
-        "[-0.8444840973498775, 0.0, 1.861090906625784, 0.45375827295004345, 1.5883593436307482], "
-        "[-0.5, 0.13654369585537002, 1.4273299963742798, 1.5883593436307482, None]]]",
+        "[{'a0': 1.0, 'b0': 0.15551556041875486}, 0.17756414699155407, 2.3877450298050883e-09, "
+        "{'Psi': 0.6295797256285325, 'Xi': None, 'theta': 0.2894289353654624}, "
+        "[[0.0, 0.0, 2.861093093109446e-06, 0.0, 0.45375792374613355], "
+        "[-0.8444844395812452, 0.0, 1.8610930931034848, 0.45375792374613355, 1.5883611865068614], "
+        "[-0.5, 0.13654351465980133, 1.4273322551937666, 1.5883611865068614, None]]]",
     ("residential_log_h", "varying"):
-        "[{'a0': 1.0, 'b0': 0.15178976619944853}, 0.17492026468750632, 2.568959569596009e-09, "
-        "{'Psi': 0.636647155965325, 'Xi': None, 'theta': 0.2861796512447036}, "
-        "[[0.0, 0.0, 2.885368548977141e-06, 0.0, 0.35991330496171664], "
-        "[-0.6785681870404412, 0.0, 1.8853685489486138, 0.35991330496171664, 1.4052979035455824], "
-        "[-0.4, 0.141057025327396, 1.4889142650026825, 1.4052979035455824, None]]]",
+        "[{'a0': 1.0, 'b0': 0.15178945867987062}, 0.17492026468815186, 2.266549032641468e-09, "
+        "{'Psi': 0.6366464847406164, 'Xi': None, 'theta': 0.2861793785529341}, "
+        "[[0.0, 0.0, 2.8853705720255363e-06, 0.0, 0.3599130492293035], "
+        "[-0.6785684330561036, 0.0, 1.8853705721192182, 0.3599130492293035, 1.4052993851695268], "
+        "[-0.4, 0.1410568524646576, 1.4889163560341543, 1.4052993851695268, None]]]",
 }
 
 

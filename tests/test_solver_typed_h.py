@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nltariff.agent import participation_set
-from nltariff.cli import _typed_scan_audit, load_config
+from nltariff.cli import _scaled_config, _typed_scan_audit, load_config
 from nltariff.closed_form import (L_gamma_profile, N_gamma_profile, R_gamma, component_shapes, ell_ab,
                                   objective_ab, theta_term)
 from nltariff.errors import AssumptionViolation
@@ -25,9 +26,8 @@ from nltariff.model import (
 from nltariff.numerics import trapezoid
 from nltariff.solver_const_h import capacity_A, lower_bracket, optimal_slopes, upper_bracket
 from nltariff.solver_typed_h import (
+    CORNER_TOL,
     DEGENERATE_TOL,
-    GRID_SIZE,
-    _best_with_ties,
     _evaluate_mesh,
     _levels,
     build_bridge,
@@ -220,8 +220,8 @@ def edge_values():
 
 
 def certificate_pairs():
-    """The boundary scan's pairs plus the pairs of the edge values."""
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    """The pairs of a 256-point grid plus the pairs of the edge values."""
+    grid = np.linspace(0.0, 1.0, 256)
     a_scan, b_scan = _pair_mesh(grid, grid)
     a_edge, b_edge = _pair_mesh(edge_values(), edge_values())
     return np.concatenate([a_scan, a_edge]), np.concatenate([b_scan, b_edge])
@@ -245,7 +245,7 @@ def test_factorized_certificates_match_the_row_loop(branch, nodes):
 @pytest.mark.parametrize("nodes", [129, 1025])
 def test_certificates_hold_no_time_by_pair_array(nodes):
     params = varying_typed_params("industrial", nodes)
-    grid = np.linspace(0.0, 1.0, GRID_SIZE)
+    grid = np.linspace(0.0, 1.0, 256)
     a0, b0 = _pair_mesh(grid, grid)
     tracemalloc.start()
     try:
@@ -266,19 +266,20 @@ def flat_pair_objective(a_lin, b_lin, params):
     return af, bf, np.where(feasible, objective_ab(af, bf, params), -np.inf)
 
 
-def zoom_window(a0, b0, span=2.0 / (GRID_SIZE - 1)):
-    """The 33 x 33 zoom grids of solve_a0_b0_star around (a0, b0)."""
+def zoom_window(a0, b0, span=2.0 / 255):
+    """33 x 33 zoom grids around (a0, b0)."""
     return (np.linspace(max(a0 - span, 0.0), min(a0 + span, 1.0), 33),
             np.linspace(max(b0 - span, 0.0), min(b0 + span, 1.0), 33))
 
 
 def mesh_grids():
-    """The scan, audit and zoom grids, the edge values, and unsorted copies:
-    the mesh may not assume sorted axes. Searching the sorted position of a
-    block's last a0 among the b0 loses every feasible cell of the shuffled
-    scan grid, and that of its largest a0 loses about a quarter of those of
-    the audit grid against shuffled b0 (industrial branch)."""
-    scan, audit = np.linspace(0.0, 1.0, GRID_SIZE), np.linspace(0.0, 1.0, 512)
+    """A 256-point grid, the audit grid, zoom windows, the edge values, and
+    unsorted copies: the mesh may not assume sorted axes. Searching the
+    sorted position of a block's last a0 among the b0 loses every feasible
+    cell of the shuffled 256-point grid, and that of its largest a0 loses
+    about a quarter of those of the audit grid against shuffled b0
+    (industrial branch)."""
+    scan, audit = np.linspace(0.0, 1.0, 256), np.linspace(0.0, 1.0, 512)
     windows = [zoom_window(a0, b0) for a0, b0 in ((0.7, 0.2), (1.0, 0.3), (0.8, 0.0), (1.0, 0.0))]
     rng = np.random.default_rng(0)
     unsorted = [(rng.permutation(scan), rng.permutation(scan)), (scan[::-1], scan[::-1]),
@@ -316,27 +317,6 @@ def test_mesh_holds_no_pair_meshgrid(branch):
         tracemalloc.stop()
     assert obj.shape == (512, 512)
     assert peak < obj.nbytes + 2 * 2**20
-
-
-def tie_grid(cells):
-    """An objective on a = (0.5, 0.7, 1.0) x b = (0.0, 0.2, 0.4), -inf
-    outside the given {(i, j): value} cells."""
-    obj = np.full((3, 3), -np.inf)
-    for ij, v in cells.items():
-        obj[ij] = v
-    return np.array([0.5, 0.7, 1.0]), np.array([0.0, 0.2, 0.4]), obj
-
-
-@pytest.mark.parametrize("cells, winner", [
-    ({(1, 1): 1.0, (2, 2): 1.0 - 5e-13, (0, 1): 1.0 - 5e-13}, (1.0, 0.4)),
-    ({(1, 1): 1.0, (0, 1): 1.0 - 5e-13, (0, 2): 1.0 - 2e-12}, (0.5, 0.2)),
-    ({(1, 1): 1.0, (1, 2): 1.0 - 5e-13}, (0.7, 0.4)),
-], ids=["corner-first", "smaller-a0", "larger-b0"])
-def test_best_with_ties_prefers_corner_then_smaller_a0_then_larger_b0(cells, winner):
-    a_lin, b_lin, obj = tie_grid(cells)
-    assert _best_with_ties(a_lin, b_lin, obj) == (*winner, 1.0)
-    # the rule reads pairs, not grid positions
-    assert _best_with_ties(a_lin[::-1], b_lin[::-1], obj[::-1, ::-1]) == (*winner, 1.0)
 
 
 @pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
@@ -381,6 +361,65 @@ def test_shifted_sqrt_scenario_against_fresh_dense_scan():
     assert abs(sol.a0 - A[m][i]) < 1e-3
     assert abs(sol.b0 - B[m][i]) < 1e-3
     assert sol.objective >= vals[i] - 1e-9
+
+
+def edge_pairs():
+    """Dense lines on both edges, (x, 0) and (1, x), finest next to the
+    corner (1, 0), where a sliver of served types sits."""
+    near = np.geomspace(1e-13, 1e-3, 2001)
+    x = np.concatenate([np.linspace(0.0, 1.0, 20001), near, 1.0 - near])
+    return np.concatenate([x, np.ones_like(x)]), np.concatenate([np.zeros_like(x), x])
+
+
+@pytest.mark.parametrize("s", [0.005, 0.0192])
+def test_solve_is_never_below_the_corner_or_the_best_edge_pair(s):
+    """Residential, gamma = -0.3, H = s log(max(x, 1e-6)) tabulated: the
+    returned objective is at least the empty contract's 0 and the best edge
+    pair's, less CORNER_TOL. A tie band of 1e-12 on a 256^2 scan returned
+    (0.99999955, 0) at -7.4e-13 for s = 0.005."""
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 300)])
+    with np.errstate(divide="ignore"):
+        res = ConcaveReservation.from_table(x, s * np.log(np.maximum(x, 1e-6)), np.minimum(s / x, 1e6))
+    params = canonical_params(-0.3, n=2.0, reservation=res, time_nodes=3)
+    sol = solve_a0_b0_star(ScenarioConfig(params=params))
+    a0, b0 = edge_pairs()
+    vals = np.where(constraint_check_A2prime(a0, b0, params)["feasible"], objective_ab(a0, b0, params), -np.inf)
+    assert sol.objective == float(objective_ab(sol.a0, sol.b0, params))
+    assert sol.objective >= 0.0
+    assert sol.objective >= vals.max() - CORNER_TOL
+
+
+@pytest.mark.parametrize("family, varying", [("industrial_sqrt_h", False), ("residential_log_h", False),
+                                             ("industrial_sqrt_h", True)], ids=["sqrt", "log", "sqrt-varying"])
+def test_profit_moves_with_H_scale_by_the_boundary_payoff(family, varying):
+    """Envelope theorem (Milgrom and Segal, Econometrica 70, 2002): H enters
+    the objective only through theta, linearly, so dU_P/dH_scale at 1 is
+    theta at the optimal pair. A pair off the optimum by d shifts the
+    difference quotient by about theta' d: a 1e-6 tie band read 1e-6."""
+    config = load_config(CONFIG_DIR / f"{family}.json")
+    if varying:
+        params = replace(config.params, phi=np.array([0.8, 1.3, 1.1]), k=np.array([1.2, 0.7, 1.0]))
+        config = replace(config, params=params)
+    sol = solve_a0_b0_star(config)
+    up, down = (solve_a0_b0_star(_scaled_config(config, "H_scale", 1.0 + h)).objective for h in (1e-4, -1e-4))
+    assert abs((up - down) / 2e-4 - sol.theta) <= 1e-8 * abs(sol.theta)
+
+
+def test_interior_winner_is_refined_in_two_dimensions(monkeypatch):
+    """A pair off both edges that beats them on the structure mesh is found
+    by the two-dimensional refinement, and the solution says so."""
+    from nltariff import solver_typed_h
+
+    objective = solver_typed_h.objective_ab
+
+    def bumped(a0, b0, params, B=None):
+        # a cone of height 10 on (0.8, 0.1), far steeper than the objective
+        return objective(a0, b0, params, B) + 10.0 * np.maximum(1.0 - np.hypot(a0 - 0.8, b0 - 0.1) / 0.05, 0.0)
+
+    monkeypatch.setattr(solver_typed_h, "objective_ab", bumped)
+    sol = solve_a0_b0_star(ScenarioConfig(params=shifted_sqrt_params(offset=0.2)))
+    assert abs(sol.a0 - 0.8) <= 1e-9 and abs(sol.b0 - 0.1) <= 1e-9
+    assert any("refined in two dimensions" in w for w in sol.warnings)
 
 
 # -- bridge -----------------------------------------------------------------------
@@ -536,9 +575,8 @@ def test_lowest_segment_breakpoint_identity():
 
 @pytest.mark.parametrize("family", ["industrial_sqrt_h", "residential_log_h"])
 def test_reported_objective_is_the_objective_at_the_pair(family):
-    """The zooms compare the best value of each tie band, which on the
-    shipped configs lies 7.7e-13 to 9.5e-13 above the objective at the pair
-    the search returns; the solution reports the objective at that pair."""
+    """The solution reports the objective at the pair it returns, not the
+    best value of a search round."""
     params = load_config(CONFIG_DIR / f"{family}.json").params
     sol = solve_a0_b0_star(ScenarioConfig(params=params))
     assert sol.objective == float(objective_ab(sol.a0, sol.b0, params))

@@ -38,12 +38,17 @@ def test_tracer_installs_and_uninstalls():
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
 
 
-@pytest.mark.parametrize("flags, pairs", [([], 256 + 7 * 33 + 1), (["--oracle"], 256 + 7 * 33 + 1 + 512)],
+SOLVE_PAIRS = 2 * (6 * 257 + 3 + 1) + 64 + 1
+
+
+@pytest.mark.parametrize("flags, pairs", [([], SOLVE_PAIRS), (["--oracle"], SOLVE_PAIRS + 512)],
                          ids=["solve", "oracle"])
 def test_tracer_counts_every_typed_scan_row(tmp_path, flags, pairs):
-    """pairs_checked counts the a0 values the certificates see: the 256-row
-    scan, seven 33-row zooms, the solution's own check and, with --oracle,
-    the 512-row audit, however the mesh splits its rows."""
+    """pairs_checked counts the a0 values the certificates see: on either
+    edge six rounds of 257 pairs, the three pairs of the parabola and its
+    vertex; the 64 rows of the structure mesh, the solution's own check and,
+    with --oracle, the 512 rows of the audit, however the mesh splits its
+    rows."""
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
